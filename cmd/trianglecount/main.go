@@ -55,8 +55,6 @@ func main() {
 		seed    = flag.Uint64("seed", 1, "random seed")
 		mult    = flag.Float64("multiplier", 1, "sample-size multiplier (>1 trades space for accuracy)")
 		workers = flag.Int("workers", 0, "shard workers per pass (0 = all cores); the estimate is identical at any setting")
-		mmap    = flag.Bool("mmap", false, "serve .bex v2 inputs through the mmap-backed reader (I/O preference only; the estimate is identical)")
-		noSIMD  = flag.Bool("no-simd", false, "debug: decode .bex v2 blocks with the scalar kernel even where the vectorized one exists; the estimate is identical")
 		dcache  = flag.Int64("decode-cache", stream.DefaultDecodeCacheBytes, "byte budget of the decoded-block cache serving repeat .bex v2 block reads (0 disables); the estimate is identical")
 		trials  = flag.Int("trials", 1, "independent estimator runs over keyed seeds (trial 0 = -seed), fused onto shared physical scans; reports mean ± stderr")
 		timeout = flag.Duration("timeout", 0, "abort the run after this long (0 = no deadline); a run interrupted mid-search reports its best estimate so far as partial")
@@ -85,7 +83,6 @@ func main() {
 		defer cancel()
 	}
 
-	stream.SetSIMDDecode(!*noSIMD)
 	stream.SetDecodeCacheBudget(*dcache)
 	opts := triangle.Options{
 		Epsilon:          *epsilon,
@@ -96,7 +93,6 @@ func main() {
 		SampleMultiplier: *mult,
 		Workers:          *workers,
 		RetryAttempts:    *retries,
-		PreferMmap:       *mmap,
 		DecodeCache:      *dcache > 0,
 	}
 	if *inject != "" {

@@ -102,8 +102,6 @@ func runServe(args []string) {
 		listen     = fs.String("listen", "127.0.0.1:8321", "listen address")
 		workers    = fs.Int("workers", 0, "shard workers per physical scan (0 = all cores)")
 		retries    = fs.Int("retries", 0, "transient I/O retry attempts per scan (0 = default 3, negative = disabled)")
-		mmap       = fs.Bool("mmap", false, "serve .bex v2 graphs through the mmap-backed reader (I/O preference only)")
-		noSIMD     = fs.Bool("no-simd", false, "debug: decode .bex v2 blocks with the scalar kernel even where the vectorized one exists; results are identical")
 		dcache     = fs.Int64("decode-cache", stream.DefaultDecodeCacheBytes, "byte budget of the decoded-block cache serving repeat .bex v2 block reads (0 disables); results are identical")
 		maxConc    = fs.Int("max-concurrent", 0, "execution slots (0 = 2x cores)")
 		queue      = fs.Int("queue", 64, "bounded queue depth; requests beyond it are shed with 429")
@@ -133,8 +131,6 @@ func runServe(args []string) {
 		Graphs:             graphs,
 		Workers:            *workers,
 		RetryAttempts:      *retries,
-		PreferMmap:         *mmap,
-		DisableSIMD:        *noSIMD,
 		DecodeCacheBytes:   decodeCacheConfig(*dcache),
 		MaxConcurrent:      *maxConc,
 		QueueDepth:         *queue,

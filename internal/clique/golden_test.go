@@ -99,7 +99,7 @@ func TestEstimateGolden(t *testing.T) {
 // stream sources, with the files written in the exact shuffled order the
 // in-memory goldens use: the text stream spends one extra counting pass
 // (length unknown up front), the binary streams (flat .bex v1, block-indexed
-// .bex v2 buffered and mmap, sharded .bexd) none, and everything else must
+// .bex v2, sharded .bexd) none, and everything else must
 // match the goldens bit for bit.
 func TestEstimateGoldenFileBackends(t *testing.T) {
 	graphs := cliqueGoldenGraphs()
@@ -108,7 +108,6 @@ func TestEstimateGoldenFileBackends(t *testing.T) {
 	type fileBackend struct {
 		name  string
 		path  string
-		mmap  bool
 		extra int
 	}
 	written := map[string]bool{}
@@ -117,11 +116,10 @@ func TestEstimateGoldenFileBackends(t *testing.T) {
 		txt, bex1 := base+".txt", base+".v1"+stream.BexExt
 		bex2, bexd := base+stream.BexExt, base+stream.BexdExt
 		fbs := []fileBackend{
-			{"text", txt, false, 1},
-			{"bex1", bex1, false, 0},
-			{"bex2", bex2, false, 0},
-			{"bex2-mmap", bex2, true, 0},
-			{"bexd", bexd, false, 0},
+			{"text", txt, 1},
+			{"bex1", bex1, 0},
+			{"bex2", bex2, 0},
+			{"bexd", bexd, 0},
 		}
 		if written[gc.workload] {
 			return fbs
@@ -157,7 +155,7 @@ func TestEstimateGoldenFileBackends(t *testing.T) {
 		// written for the first case serve the rest.
 		for _, workers := range []int{1, 2, 4, 8} {
 			for _, backend := range writeBackends(gc) {
-				src, err := stream.OpenAutoPrefer(backend.path, backend.mmap)
+				src, err := stream.OpenAuto(backend.path)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -4,7 +4,7 @@ package core_test
 // the golden cases of golden_test.go — whose expected values predate the
 // framework — must hold bit for bit at every worker count (1/2/4/8) and over
 // every stream backend (in-memory, text file, flat .bex v1, block-indexed
-// .bex v2 buffered and mmap, sharded .bexd). Combined with the clique golden
+// .bex v2, sharded .bexd). Combined with the clique golden
 // suite this is the guarantee that moving the pass plumbing into
 // internal/passes changed no realized randomness anywhere — and that no
 // storage format does either.
@@ -58,9 +58,9 @@ func TestGoldenEquivalenceAcrossWorkersAndBackends(t *testing.T) {
 			t.Fatal(err)
 		}
 		g, seed := w.g, w.streamSeed
-		openPrefer := func(path string, mmap bool) func(bool) (stream.Stream, func(), error) {
+		openFile := func(path string) func(bool) (stream.Stream, func(), error) {
 			return func(cache bool) (stream.Stream, func(), error) {
-				src, err := stream.OpenAutoOpts(path, stream.OpenOptions{PreferMmap: mmap, DecodeCache: cache})
+				src, err := stream.OpenAutoOpts(path, stream.OpenOptions{DecodeCache: cache})
 				if err != nil {
 					return nil, nil, err
 				}
@@ -71,11 +71,10 @@ func TestGoldenEquivalenceAcrossWorkersAndBackends(t *testing.T) {
 			{"memory", func(bool) (stream.Stream, func(), error) {
 				return stream.FromGraphShuffled(g, seed), func() {}, nil
 			}, 0, false},
-			{"text", openPrefer(txt, false), 1, false},
-			{"bex1", openPrefer(bex1, false), 0, false},
-			{"bex2", openPrefer(bex2, false), 0, true},
-			{"bex2-mmap", openPrefer(bex2, true), 0, true},
-			{"bexd", openPrefer(bexd, false), 0, true},
+			{"text", openFile(txt), 1, false},
+			{"bex1", openFile(bex1), 0, false},
+			{"bex2", openFile(bex2), 0, true},
+			{"bexd", openFile(bexd), 0, true},
 		}
 	}
 

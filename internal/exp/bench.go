@@ -211,41 +211,8 @@ func BenchSweep(opts BenchOptions) (*benchfmt.File, *Table, error) {
 			Value: bk.EdgesPerS2, Unit: "edges/s",
 			Better: benchfmt.BetterHigher, Class: benchfmt.ClassTiming, RelTol: 0.60,
 		}
-		bw.Metrics["edges_per_s.bex2_mmap"] = benchfmt.Metric{
-			Value: bk.EdgesPerSMmap, Unit: "edges/s",
-			Better: benchfmt.BetterHigher, Class: benchfmt.ClassTiming, RelTol: 0.60,
-		}
-		best2 := bk.EdgesPerS2
-		if bk.EdgesPerSMmap > best2 {
-			best2 = bk.EdgesPerSMmap
-		}
 		bw.Metrics["speedup.bex2_vs_bex1"] = benchfmt.Metric{
-			Value: best2 / bk.EdgesPerS1, Unit: "x",
-			Better: benchfmt.BetterHigher, Class: benchfmt.ClassTiming, RelTol: 0.60,
-		}
-
-		// Hot re-scan throughput (PR 10): same open stream, warm decoded-block
-		// cache for v2, median of nine re-scans. The hot speedup is the decode
-		// engine's headline number — the tentpole goal is ratio >= 1 (v2 at
-		// least at v1 parity once re-scans skip the decode). Warn-only.
-		bw.Metrics["edges_per_s.hot.bex1"] = benchfmt.Metric{
-			Value: bk.HotEdgesPerS1, Unit: "edges/s",
-			Better: benchfmt.BetterHigher, Class: benchfmt.ClassTiming, RelTol: 0.60,
-		}
-		bw.Metrics["edges_per_s.hot.bex2"] = benchfmt.Metric{
-			Value: bk.HotEdgesPerS2, Unit: "edges/s",
-			Better: benchfmt.BetterHigher, Class: benchfmt.ClassTiming, RelTol: 0.60,
-		}
-		bw.Metrics["edges_per_s.hot.bex2_mmap"] = benchfmt.Metric{
-			Value: bk.HotEdgesPerSMmap, Unit: "edges/s",
-			Better: benchfmt.BetterHigher, Class: benchfmt.ClassTiming, RelTol: 0.60,
-		}
-		hot2 := bk.HotEdgesPerS2
-		if bk.HotEdgesPerSMmap > hot2 {
-			hot2 = bk.HotEdgesPerSMmap
-		}
-		bw.Metrics["speedup.hot.bex2_vs_bex1"] = benchfmt.Metric{
-			Value: hot2 / bk.HotEdgesPerS1, Unit: "x",
+			Value: bk.EdgesPerS2 / bk.EdgesPerS1, Unit: "x",
 			Better: benchfmt.BetterHigher, Class: benchfmt.ClassTiming, RelTol: 0.60,
 		}
 		bw.Metrics["wall_ms.sweep"] = benchfmt.Metric{
@@ -386,23 +353,19 @@ func benchInvariance(w Workload) error {
 // the same canonical stream in the v1 and v2 formats (deterministic) and raw
 // scan throughput per format (timing).
 type BackendBench struct {
-	Bytes1, Bytes2                        int64
-	EdgesPerS1, EdgesPerS2, EdgesPerSMmap float64
-	// Hot re-scan throughput (PR 10): the same open stream re-scanned after
-	// a warm-up pass, so v2 serves from the decoded-block cache and v1 from
-	// the page cache — the estimator's 2nd..Nth logical pass economy.
-	HotEdgesPerS1, HotEdgesPerS2, HotEdgesPerSMmap float64
+	Bytes1, Bytes2         int64
+	EdgesPerS1, EdgesPerS2 float64
 }
 
 // benchBackends re-encodes the workload's cached .bex v2 file as legacy v1 in
-// a scratch directory, then times a cold-open full scan per backend — v1, v2
-// buffered, and v2 mmap — and keeps the median of nine rounds. Every round
-// opens the file fresh, so each one pays the backend's true first-scan cost
-// (v2 re-verifies block CRCs, v1 re-reads its 2.5x bigger byte stream); the
-// rounds run back to back per backend, the way a real scan runs one decode
-// kernel continuously, and the median damps the scheduling noise a
-// sub-millisecond sample picks up on a shared core. The cached file itself
-// is the v2 side, so the sizes compare identical canonical edge sequences.
+// a scratch directory, then times a cold-open full scan per format — v1 and
+// v2 — and keeps the median of nine rounds. Every round opens the file
+// fresh, so each one pays the format's true first-scan cost (v2 re-verifies
+// block CRCs, v1 re-reads its 2.5x bigger byte stream); the rounds run back
+// to back per format, the way a real scan runs one decode kernel
+// continuously, and the median damps the scheduling noise a sub-millisecond
+// sample picks up on a shared core. The cached file itself is the v2 side,
+// so the sizes compare identical canonical edge sequences.
 func benchBackends(w Workload) (BackendBench, error) {
 	var bk BackendBench
 	src, err := stream.OpenAuto(w.Path)
@@ -458,55 +421,6 @@ func benchBackends(w Workload) (BackendBench, error) {
 		return bk, err
 	}
 	if bk.EdgesPerS2, err = time1(func() (stream.FileBacked, error) { return stream.OpenBex2(w.Path) }); err != nil {
-		return bk, err
-	}
-	if bk.EdgesPerSMmap, err = time1(func() (stream.FileBacked, error) { return stream.OpenBexMap(w.Path) }); err != nil {
-		return bk, err
-	}
-
-	// Hot re-scan: one open stream, one warm-up pass, then the median of nine
-	// timed re-scans. This is the pass the estimator actually repeats O(log n)
-	// times: v2 streams run with the decoded-block cache so warm blocks skip
-	// the varint decode entirely, v1 re-reads its flat bytes from the page
-	// cache. The tentpole goal — v2 hot re-scan at least at v1 parity — is
-	// recorded as a warn-only timing metric, like every other throughput.
-	timeHot := func(open func() (stream.FileBacked, error)) (float64, error) {
-		s, err := open()
-		if err != nil {
-			return 0, fmt.Errorf("exp: bench %s: %w", w.Name, err)
-		}
-		defer s.Close()
-		if _, err := stream.CountEdges(s); err != nil { // warm-up pass
-			return 0, fmt.Errorf("exp: bench %s: %w", w.Name, err)
-		}
-		const rounds = 9
-		rates := make([]float64, 0, rounds)
-		for r := 0; r < rounds; r++ {
-			start := time.Now()
-			m, err := stream.CountEdges(s)
-			elapsed := time.Since(start).Seconds()
-			if err != nil {
-				return 0, fmt.Errorf("exp: bench %s: %w", w.Name, err)
-			}
-			if elapsed <= 0 {
-				elapsed = 1e-9
-			}
-			rates = append(rates, float64(m)/elapsed)
-		}
-		sort.Float64s(rates)
-		return rates[rounds/2], nil
-	}
-	if bk.HotEdgesPerS1, err = timeHot(func() (stream.FileBacked, error) { return stream.OpenBex(v1Path) }); err != nil {
-		return bk, err
-	}
-	if bk.HotEdgesPerS2, err = timeHot(func() (stream.FileBacked, error) {
-		return stream.OpenAutoOpts(w.Path, stream.OpenOptions{DecodeCache: true})
-	}); err != nil {
-		return bk, err
-	}
-	if bk.HotEdgesPerSMmap, err = timeHot(func() (stream.FileBacked, error) {
-		return stream.OpenAutoOpts(w.Path, stream.OpenOptions{PreferMmap: true, DecodeCache: true})
-	}); err != nil {
 		return bk, err
 	}
 	return bk, nil

@@ -38,11 +38,16 @@ type metrics struct {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	m := &s.met
+	header := func(name, typ, help string) {
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+	}
 	counter := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
+		header(name, "counter", help)
+		fmt.Fprintf(w, "%s %d\n", name, v)
 	}
 	gauge := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
+		header(name, "gauge", help)
+		fmt.Fprintf(w, "%s %d\n", name, v)
 	}
 	counter("triangled_requests_total", "Requests that reached a handler.", m.requests.Load())
 	counter("triangled_responses_ok_total", "Complete 200 responses.", m.ok.Load())
@@ -82,14 +87,35 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		gauge("triangled_draining", "1 while the daemon is draining.", 0)
 	}
 
-	for _, name := range s.names {
-		st := s.entries[name].snapshot()
+	// Per-graph series. The text format wants each family as one contiguous
+	// group under its HELP and TYPE, so the loop runs family by family, not
+	// graph by graph.
+	graphs := make([]graphStatus, len(s.names))
+	for i, name := range s.names {
+		graphs[i] = s.entries[name].snapshot()
+	}
+	header("triangled_graph_backend", "gauge", "Storage backend and decode engine of each opened graph (value always 1).")
+	for _, st := range graphs {
 		if st.Backend != "" {
-			fmt.Fprintf(w, "triangled_graph_backend{graph=%q,backend=%q} 1\n", name, st.Backend)
+			fmt.Fprintf(w, "triangled_graph_backend{graph=%q,backend=%q} 1\n", st.Name, st.Backend)
 		}
-		fmt.Fprintf(w, "triangled_graph_scans_total{graph=%q} %d\n", name, st.Scans)
-		fmt.Fprintf(w, "triangled_graph_carried_total{graph=%q} %d\n", name, st.Carried)
-		fmt.Fprintf(w, "triangled_graph_live_clients{graph=%q} %d\n", name, st.Live)
-		fmt.Fprintf(w, "triangled_graph_peak_space_words{graph=%q} %d\n", name, st.PeakSpaceWords)
+	}
+	for _, f := range []struct {
+		name, typ, help string
+		value           func(graphStatus) int64
+	}{
+		{"triangled_graph_scans_total", "counter", "Physical scans of the graph's current ScanGroup.",
+			func(st graphStatus) int64 { return int64(st.Scans) }},
+		{"triangled_graph_carried_total", "counter", "Fused requests carried by the graph's scheduler waves.",
+			func(st graphStatus) int64 { return int64(st.Carried) }},
+		{"triangled_graph_live_clients", "gauge", "Scheduler clients currently registered on the graph.",
+			func(st graphStatus) int64 { return int64(st.Live) }},
+		{"triangled_graph_peak_space_words", "gauge", "Peak concurrently retained words across the graph's fused runs.",
+			func(st graphStatus) int64 { return st.PeakSpaceWords }},
+	} {
+		header(f.name, f.typ, f.help)
+		for _, st := range graphs {
+			fmt.Fprintf(w, "%s{graph=%q} %d\n", f.name, st.Name, f.value(st))
+		}
 	}
 }

@@ -83,7 +83,6 @@ func (e *graphEntry) acquire(ctx context.Context) (*triangle.ScanGroup, func(), 
 		g, err := triangle.OpenScanGroup(gctx, e.path, triangle.GroupOptions{
 			Workers:       e.srv.cfg.Workers,
 			RetryAttempts: e.srv.cfg.RetryAttempts,
-			PreferMmap:    e.srv.cfg.PreferMmap,
 			DecodeCache:   e.srv.cfg.decodeCacheEnabled(),
 		})
 

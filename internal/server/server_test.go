@@ -512,3 +512,82 @@ func TestDecodeEngineSurface(t *testing.T) {
 		t.Errorf("uncached backend = %q, want %q", graphs[0].Backend, want)
 	}
 }
+
+// TestMetricsFamiliesContiguousAndTyped pins the /metrics exposition against
+// the Prometheus text format with more than one graph registered: every
+// sample belongs to a family announced by HELP and TYPE lines before it, and
+// each family's samples form one contiguous group (a family never reappears
+// after another has started).
+func TestMetricsFamiliesContiguousAndTyped(t *testing.T) {
+	dir := t.TempDir()
+	graphs := map[string]string{}
+	for i, name := range []string{"a", "b"} {
+		path := filepath.Join(dir, name+".txt")
+		writeGraph(t, path, 400, 4, uint64(i+1))
+		graphs[name] = path
+	}
+	s, err := New(Config{Graphs: graphs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for name := range graphs {
+		if code := get(t, ts.Client(), ts.URL+"/estimate?graph="+name+"&seed=2", nil); code != http.StatusOK {
+			t.Fatalf("estimate %s: status %d", name, code)
+		}
+	}
+
+	resp, err := ts.Client().Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	helped, typed := map[string]bool{}, map[string]bool{}
+	done := map[string]bool{} // families whose group has ended
+	perGraph := map[string]int{}
+	current := ""
+	for _, line := range strings.Split(strings.TrimSpace(string(body)), "\n") {
+		if f := strings.Fields(line); len(f) >= 3 && f[0] == "#" {
+			switch f[1] {
+			case "HELP":
+				helped[f[2]] = true
+			case "TYPE":
+				typed[f[2]] = true
+			}
+			continue
+		}
+		family := line[:strings.IndexAny(line, "{ ")]
+		if !helped[family] || !typed[family] {
+			t.Errorf("sample %q has no HELP/TYPE for %s before it", line, family)
+		}
+		if family != current {
+			if done[family] {
+				t.Errorf("family %s reappears after another family started: %q", family, line)
+			}
+			if current != "" {
+				done[current] = true
+			}
+			current = family
+		}
+		if strings.HasPrefix(family, "triangled_graph_") {
+			perGraph[family]++
+		}
+	}
+	for _, family := range []string{
+		"triangled_graph_backend",
+		"triangled_graph_scans_total",
+		"triangled_graph_carried_total",
+		"triangled_graph_live_clients",
+		"triangled_graph_peak_space_words",
+	} {
+		if perGraph[family] != len(graphs) {
+			t.Errorf("%s has %d samples, want one per graph (%d)", family, perGraph[family], len(graphs))
+		}
+	}
+}

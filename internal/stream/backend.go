@@ -4,12 +4,11 @@ package stream
 // strings are stable: they appear in trianglecount output, triangled
 // /metrics and status JSON, and the bench sweep's metric keys.
 const (
-	BackendMemory   = "memory"
-	BackendText     = "text"
-	BackendBex1     = "bex1"
-	BackendBex2     = "bex2"
-	BackendBex2Mmap = "bex2-mmap"
-	BackendBexd     = "bexd"
+	BackendMemory = "memory"
+	BackendText   = "text"
+	BackendBex1   = "bex1"
+	BackendBex2   = "bex2"
+	BackendBexd   = "bexd"
 )
 
 // Backender is implemented by streams that know which storage backend they
@@ -37,7 +36,7 @@ func BackendOf(s Stream) string {
 // the decoded edges do.
 func DescribeBackend(backend string, cache bool) string {
 	switch backend {
-	case BackendBex2, BackendBex2Mmap, BackendBexd:
+	case BackendBex2, BackendBexd:
 		d := backend + "/" + DecodeKernelName()
 		if cache {
 			d += "+cache"

@@ -194,11 +194,6 @@ func BenchmarkBex2StreamPass(b *testing.B) {
 	benchmarkBex2Pass(b, func(p string) (FileBacked, error) { return OpenBex2(p) })
 }
 
-// BenchmarkBexMapStreamPass measures the mmap-backed v2 reader.
-func BenchmarkBexMapStreamPass(b *testing.B) {
-	benchmarkBex2Pass(b, func(p string) (FileBacked, error) { return OpenBexMap(p) })
-}
-
 // BenchmarkBexdStreamPass measures the sharded multi-file reader (4 parts).
 func BenchmarkBexdStreamPass(b *testing.B) {
 	edges := benchEdges(1 << 15)

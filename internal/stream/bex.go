@@ -371,23 +371,12 @@ type FileBacked interface {
 // a v1 file written by an old tool both open correctly. The text path
 // defers errors to the first Reset, matching OpenFile.
 func OpenAuto(path string) (FileBacked, error) {
-	return OpenAutoPrefer(path, false)
-}
-
-// OpenAutoPrefer is OpenAuto with a reader preference: when mmap is true,
-// .bex v2 files (including the parts behind a .bexd directory) are served
-// by the mmap-backed reader instead of buffered positioned reads. Formats
-// with no mmap reader (text, v1) ignore the preference.
-func OpenAutoPrefer(path string, mmap bool) (FileBacked, error) {
-	return OpenAutoOpts(path, OpenOptions{PreferMmap: mmap})
+	return OpenAutoOpts(path, OpenOptions{})
 }
 
 // OpenOptions configure how OpenAutoOpts serves a file. The zero value is
-// OpenAuto's behavior: buffered reads, no decoded-block cache.
+// OpenAuto's behavior: no decoded-block cache.
 type OpenOptions struct {
-	// PreferMmap serves .bex v2 containers (and .bexd parts) through the
-	// mmap-backed reader instead of buffered positioned reads.
-	PreferMmap bool
 	// DecodeCache lets the v2-family readers serve repeat block reads from
 	// the process-wide decoded-block cache (see SetDecodeCacheBudget):
 	// multi-pass scans of the same file skip decode entirely after the
@@ -398,18 +387,15 @@ type OpenOptions struct {
 // OpenAutoOpts is OpenAuto with explicit reader options.
 func OpenAutoOpts(path string, o OpenOptions) (FileBacked, error) {
 	if info, err := os.Stat(path); err == nil && info.IsDir() {
-		return openBexdOpts(path, o.PreferMmap, o.DecodeCache)
+		return openBexdCache(path, o.DecodeCache)
 	}
 	if strings.HasSuffix(strings.ToLower(path), BexdExt) {
-		return openBexdOpts(path, o.PreferMmap, o.DecodeCache)
+		return openBexdCache(path, o.DecodeCache)
 	}
 	switch sniffMagic(path) {
 	case bexMagic:
 		return OpenBex(path)
 	case bex2Magic:
-		if o.PreferMmap {
-			return openBexMapCache(path, o.DecodeCache)
-		}
 		return openBex2Cache(path, o.DecodeCache)
 	}
 	if strings.HasSuffix(strings.ToLower(path), BexExt) {

@@ -104,9 +104,9 @@ var bex2GVMask = [4]uint64{0xff, 0xffff, 0xffffff, 0xffffffff}
 func bex2CtrlLen(count int) int { return (2*count + 3) / 4 }
 
 // simdDecode gates the vectorized block-decode kernel (internal/stream/
-// gvdecode). On by default wherever the kernel exists; SetSIMDDecode(false)
-// is the -no-simd escape hatch. Atomic because daemons flip it at startup
-// while tests flip it per-case.
+// gvdecode). On wherever the CPU has the kernel; SetSIMDDecode(false) is
+// the test hook that pins the scalar kernel. Atomic because tests flip it
+// per case while other streams may be decoding.
 var simdDecode atomic.Bool
 
 func init() { simdDecode.Store(gvdecode.Available()) }
@@ -147,13 +147,11 @@ type bex2Meta struct {
 	m          int
 	blockEdges int
 	blocks     []bex2Block
-	// ident is the file's stat identity at open (path, size, mtime) — the
-	// same key shape the text path's index cache uses — and keys this file's
-	// blocks in the decoded-block cache. A rewritten file gets a new
-	// identity, so its old decoded blocks become unreachable rather than
-	// stale. identOK guards the degenerate case of an unstattable source.
-	ident   fileIndexKey
-	identOK bool
+	// ident is the file's stat identity at open (path, size, mtime) and
+	// keys this file's blocks in the decoded-block cache. A rewritten file
+	// gets a new identity, so its old decoded blocks become unreachable
+	// rather than stale.
+	ident fileIdentity
 	// verified[k] records that block k's payload CRC has been checked since
 	// open. A block is verified the first time any cursor reads it and never
 	// re-hashed on later passes — multi-pass algorithms (the whole point of
@@ -466,8 +464,7 @@ func readBex2Meta(file *os.File, path string) (*bex2Meta, error) {
 	}
 	return &bex2Meta{
 		path: path, m: m, blockEdges: blockEdges, blocks: blocks,
-		ident:    fileIndexKey{path: path, size: size, mtime: info.ModTime().UnixNano()},
-		identOK:  true,
+		ident:    fileIdentity{path: path, size: size, mtime: info.ModTime().UnixNano()},
 		verified: make([]atomic.Bool, blockCount),
 	}, nil
 }
@@ -589,25 +586,6 @@ func decodeBex2Block(path string, idx int, b bex2Block, raw []byte, dst []graph.
 	return nil
 }
 
-// bex2Source yields the raw bytes of block k. The buffered implementation
-// reads them from the file; the mmap implementation slices the mapping.
-type bex2Source interface {
-	// open readies the source for reads (called by Reset; idempotent).
-	open() error
-	// block returns block k's raw bytes, valid until the next block call.
-	block(k int) ([]byte, error)
-	// close releases the source's resources; open may be called again after.
-	close() error
-}
-
-// rangeAdviser is optionally implemented by block sources that can hint the
-// OS about a cursor's upcoming access pattern (the mmap source issues
-// madvise). advise is called by reset, after open, with the cursor's
-// position window.
-type rangeAdviser interface {
-	advise(lo, hi int)
-}
-
 // bex2ReadAhead is how far the buffered source reads past a requested block
 // in one positioned read (capped by the cursor's window): compressed blocks
 // are small, so one syscall typically serves many consecutive blocks.
@@ -626,6 +604,7 @@ type bex2FileSource struct {
 	bufOff   int64 // file offset of buf[0]
 }
 
+// open readies the source for reads (called by Reset; idempotent).
 func (s *bex2FileSource) open() error {
 	if s.file != nil {
 		return nil
@@ -638,6 +617,7 @@ func (s *bex2FileSource) open() error {
 	return nil
 }
 
+// block returns block k's raw bytes, valid until the next block call.
 func (s *bex2FileSource) block(k int) ([]byte, error) {
 	b := s.meta.blocks[k]
 	end := b.off + int64(b.length)
@@ -663,6 +643,7 @@ func (s *bex2FileSource) block(k int) ([]byte, error) {
 	return raw[:b.length], nil
 }
 
+// close releases the file handle; open may be called again after.
 func (s *bex2FileSource) close() error {
 	s.buf, s.bufOff = nil, 0
 	if s.file == nil {
@@ -674,12 +655,12 @@ func (s *bex2FileSource) close() error {
 }
 
 // bex2Cursor is the shared pass machinery of every v2 reader: a window
-// [lo, hi) of stream positions served block by block from a bex2Source.
+// [lo, hi) of stream positions served block by block from a file source.
 // The full-file stream is the window [0, m); range sub-streams are smaller
 // windows with their own source.
 type bex2Cursor struct {
 	meta    *bex2Meta
-	src     bex2Source
+	src     *bex2FileSource
 	lo, hi  int
 	pos     int // next position to deliver
 	blk     int // block that decoded holds, -1 when none
@@ -714,17 +695,11 @@ func (c *bex2Cursor) reset() error {
 	if c.lo == c.hi {
 		return nil
 	}
-	if fs, ok := c.src.(*bex2FileSource); ok && fs.limitOff == 0 {
+	if c.src.limitOff == 0 {
 		last := c.meta.blocks[c.meta.findBlock(c.hi-1)]
-		fs.limitOff = last.off + int64(last.length)
+		c.src.limitOff = last.off + int64(last.length)
 	}
-	if err := c.src.open(); err != nil {
-		return err
-	}
-	if ad, ok := c.src.(rangeAdviser); ok {
-		ad.advise(c.lo, c.hi)
-	}
-	return nil
+	return c.src.open()
 }
 
 // load decodes (or cache-fetches) the block containing c.pos and positions
@@ -735,9 +710,8 @@ func (c *bex2Cursor) reset() error {
 func (c *bex2Cursor) load() error {
 	k := c.meta.findBlock(c.pos)
 	b := c.meta.blocks[k]
-	useCache := c.cache && c.meta.identOK
 	var key blockCacheKey
-	if useCache {
+	if c.cache {
 		key = blockCacheKey{file: c.meta.ident, blk: k}
 		if ent, ok := decodeCache.get(key); ok {
 			c.unpin()
@@ -755,7 +729,7 @@ func (c *bex2Cursor) load() error {
 	// Cached blocks are decoded into a fresh slice (entries are immutable
 	// and shared); uncached loads reuse the cursor's scratch buffer.
 	var dst []graph.Edge
-	if useCache {
+	if c.cache {
 		dst = make([]graph.Edge, b.count)
 	} else {
 		if cap(c.scratch) < b.count {
@@ -771,7 +745,7 @@ func (c *bex2Cursor) load() error {
 		c.meta.verified[k].Store(true)
 	}
 	c.unpin()
-	if useCache {
+	if c.cache {
 		// Insert only after the complete, verified decode above: an error,
 		// cancellation, or injected fault returns before this line, so a
 		// partially-decoded block is never visible to other cursors. A

@@ -19,9 +19,8 @@ import (
 // Coherence rules, in order of subtlety:
 //
 //   - Generation invalidation is structural: the key embeds the file's
-//     (path, size, mtime) identity captured at open — the same identity the
-//     text path's index cache uses — so a rewritten file's blocks simply
-//     miss and the stale generation ages out of the LRU.
+//     (path, size, mtime) identity captured at open, so a rewritten file's
+//     blocks simply miss and the stale generation ages out of the LRU.
 //   - Shard-boundary preservation: the cache stores whole decoded blocks and
 //     the cursor slices them by stream position exactly as it slices its own
 //     decode buffer, so batch and shard boundaries — and therefore results
@@ -44,10 +43,18 @@ import (
 // while staying noise next to the page cache the raw bytes already occupy.
 const DefaultDecodeCacheBytes = 64 << 20
 
+// fileIdentity identifies one on-disk file by path plus stat identity, so a
+// rewritten file keys differently from the generation it replaced.
+type fileIdentity struct {
+	path  string
+	size  int64
+	mtime int64
+}
+
 // blockCacheKey identifies one decoded block: the file's stat identity at
 // open plus the block ordinal within the file.
 type blockCacheKey struct {
-	file fileIndexKey
+	file fileIdentity
 	blk  int
 }
 
@@ -155,26 +162,14 @@ func (c *blockCache) evictLocked() {
 	}
 }
 
-// setBudget replaces the byte budget, evicting down if it shrank.
+// setBudget replaces the byte budget, evicting down if it shrank. A budget
+// of zero or less drops every unpinned entry: each holds at least one edge
+// (v2 blocks are non-empty, checked at open), so used stays above the
+// budget until evictLocked has walked the whole list.
 func (c *blockCache) setBudget(budget int64) {
 	c.mu.Lock()
 	c.budget = budget
 	c.evictLocked()
-	if budget <= 0 {
-		// Fully disabled: drop everything droppable now rather than waiting
-		// for the next insert that will never come.
-		for el := c.order.Back(); el != nil; {
-			prev := el.Prev()
-			e := el.Value.(*blockCacheEntry)
-			if e.refs == 0 {
-				c.order.Remove(el)
-				delete(c.entries, e.key)
-				c.used -= e.bytes()
-				c.evictions.Add(1)
-			}
-			el = prev
-		}
-	}
 	c.mu.Unlock()
 }
 

@@ -40,11 +40,9 @@ func statsDelta(fn func()) DecodeCacheStats {
 var cacheOpeners = []struct {
 	name  string
 	write func(t *testing.T, dir string, edges []graph.Edge) string
-	mmap  bool
 }{
-	{"bex2", writeV2File, false},
-	{"bex2-mmap", writeV2File, true},
-	{"bexd", writeBexdDir, false},
+	{"bex2", writeV2File},
+	{"bexd", writeBexdDir},
 }
 
 func writeV2File(t *testing.T, dir string, edges []graph.Edge) string {
@@ -76,7 +74,7 @@ func TestDecodeCacheServesRepeatScans(t *testing.T) {
 			resetDecodeEngine(t, DefaultDecodeCacheBytes)
 			path := tc.write(t, t.TempDir(), edges)
 
-			s, err := OpenAutoOpts(path, OpenOptions{PreferMmap: tc.mmap, DecodeCache: true})
+			s, err := OpenAutoOpts(path, OpenOptions{DecodeCache: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -95,7 +93,7 @@ func TestDecodeCacheServesRepeatScans(t *testing.T) {
 			}
 
 			// A second reader of the same file shares the decoded blocks.
-			s2, err := OpenAutoOpts(path, OpenOptions{PreferMmap: tc.mmap, DecodeCache: true})
+			s2, err := OpenAutoOpts(path, OpenOptions{DecodeCache: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -106,7 +104,7 @@ func TestDecodeCacheServesRepeatScans(t *testing.T) {
 			}
 
 			// Plain opens bypass the cache entirely: no hits, no misses.
-			plain, err := OpenAutoOpts(path, OpenOptions{PreferMmap: tc.mmap})
+			plain, err := OpenAutoOpts(path, OpenOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -245,7 +243,7 @@ func TestBex2SIMDScalarStreamEquivalence(t *testing.T) {
 			for _, cache := range []bool{false, true} {
 				for _, simd := range []bool{true, false} {
 					SetSIMDDecode(simd)
-					s, err := OpenAutoOpts(path, OpenOptions{PreferMmap: tc.mmap, DecodeCache: cache})
+					s, err := OpenAutoOpts(path, OpenOptions{DecodeCache: cache})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -257,12 +255,12 @@ func TestBex2SIMDScalarStreamEquivalence(t *testing.T) {
 	}
 }
 
-// TestBexMapCachedReadsStillVerifyCRCs pins the mmap + madvise + cache path
-// against silent corruption: CRCs are verified lazily per block on first
-// touch, so a bit flip inside a block payload surfaces as ErrCorruptBlock on
-// the read — through the mmap reader, with the cache enabled — and the
-// damaged block is never inserted into the cache.
-func TestBexMapCachedReadsStillVerifyCRCs(t *testing.T) {
+// TestBex2CachedReadsStillVerifyCRCs pins the cached read path against
+// silent corruption: CRCs are verified lazily per block on first touch, so a
+// bit flip inside a block payload surfaces as ErrCorruptBlock on the read —
+// with the cache enabled — and the damaged block is never inserted into the
+// cache.
+func TestBex2CachedReadsStillVerifyCRCs(t *testing.T) {
 	edges := bex2TestEdges(1000)
 	resetDecodeEngine(t, DefaultDecodeCacheBytes)
 	dir := t.TempDir()
@@ -282,16 +280,13 @@ func TestBexMapCachedReadsStillVerifyCRCs(t *testing.T) {
 		return b
 	})
 
-	s, err := OpenAutoOpts(path, OpenOptions{PreferMmap: true, DecodeCache: true})
+	s, err := OpenAutoOpts(path, OpenOptions{DecodeCache: true})
 	if err != nil {
 		t.Fatalf("block corruption must not fail at open: %v", err)
 	}
 	defer s.Close()
-	if _, ok := s.(*BexMapStream); !ok {
-		t.Fatalf("open returned %T, want the mmap reader", s)
-	}
 	if _, err := Collect(s); !errors.Is(err, ErrCorruptBlock) {
-		t.Fatalf("cached mmap pass error %v, want ErrCorruptBlock", err)
+		t.Fatalf("cached pass error %v, want ErrCorruptBlock", err)
 	}
 	// The failed pass cached the verified blocks before the damage but must
 	// not have inserted the damaged block: a re-read still fails.
@@ -304,7 +299,7 @@ func TestBexMapCachedReadsStillVerifyCRCs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("range over clean blocks: %v", err)
 	}
-	sameEdges(t, got, edges[:192], "clean range through cached mmap")
+	sameEdges(t, got, edges[:192], "clean cached range")
 }
 
 // TestDecodeCachePinnedEntriesSurviveEviction pins the refcount contract: an
@@ -338,5 +333,10 @@ func TestDecodeCachePinnedEntriesSurviveEviction(t *testing.T) {
 	sameEdges(t, collectAll(t, s), edges, "pass under collapsed budget")
 	if st := ReadDecodeCacheStats(); st.Entries > 1 {
 		t.Fatalf("collapsed cache retains %d entries", st.Entries)
+	}
+	// With no pins left, disabling the cache drops everything.
+	SetDecodeCacheBudget(0)
+	if st := ReadDecodeCacheStats(); st.Entries != 0 || st.Bytes != 0 {
+		t.Fatalf("disabled cache with no pins holds residency: %+v", st)
 	}
 }

@@ -12,6 +12,20 @@ import (
 	"degentri/internal/graph"
 )
 
+func writeEdgeFileAt(t *testing.T, path string, edges []graph.Edge) {
+	t.Helper()
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range edges {
+		fmt.Fprintf(f, "%d %d\n", e.U, e.V)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // cappedOpener opens files through handles that report a clean io.EOF once
 // the absolute offset reaches limit — a silent short read below the text
 // parser, indistinguishable from a well-formed end of file.
@@ -50,13 +64,14 @@ func (c *cappedHandle) Seek(offset int64, whence int) (int64, error) {
 
 func (c *cappedHandle) Close() error { return c.f.Close() }
 
-// TestShortReadDoesNotPoisonIndexCache pins the cache-publication guard: a
+// TestShortReadIsTransientAndBuildsNoIndex pins the short-read guard: a
 // pass whose reader silently drops the file's tail (clean EOF at a line
 // boundary — the parser cannot tell) must fail with a transient truncation
-// error and must NOT publish its partial position→offset index under the
-// file's cache key, or every later open of the healthy file would shard it
-// through wrong offsets.
-func TestShortReadDoesNotPoisonIndexCache(t *testing.T) {
+// error and must NOT keep its partial position→offset index or length, or
+// the stream's later sharded passes would seek through wrong offsets. Once
+// the reader heals, a clean pass on the same stream sees every edge and
+// serves exact ranges.
+func TestShortReadIsTransientAndBuildsNoIndex(t *testing.T) {
 	edges := make([]graph.Edge, 2*fileIndexGranularity+5)
 	for i := range edges {
 		edges[i] = graph.Edge{U: i, V: i + 1}
@@ -66,52 +81,54 @@ func TestShortReadDoesNotPoisonIndexCache(t *testing.T) {
 
 	// Cut at the line boundary after granularity+3 edges, so the capped pass
 	// spans at least one full index stride (it has offsets it would love to
-	// publish) and ends looking exactly like a complete file.
+	// keep) and ends looking exactly like a complete file.
 	cut := fileIndexGranularity + 3
 	var limit int64
 	for _, e := range edges[:cut] {
 		limit += int64(len(fmt.Sprintf("%d %d\n", e.U, e.V)))
 	}
 
-	short := OpenFileWith(path, cappedOpener(limit))
-	n, err := CountEdges(short)
+	capped := true
+	fs := OpenFileWith(path, func(path string) (io.ReadSeekCloser, error) {
+		if capped {
+			return cappedOpener(limit)(path)
+		}
+		return os.Open(path)
+	})
+	defer fs.Close()
+	n, err := CountEdges(fs)
 	if err == nil {
 		t.Fatalf("capped pass returned no error (%d edges)", n)
 	}
 	if !IsTransient(err) || !errors.Is(err, ErrTruncated) {
 		t.Fatalf("capped pass error = %v, want transient ErrTruncated", err)
 	}
-	if _, ok := short.RangeStream(0, 0); ok {
+	if _, ok := fs.RangeStream(0, 0); ok {
 		t.Fatal("capped stream kept range access from an incomplete pass")
 	}
-	if err := short.Close(); err != nil {
-		t.Fatal(err)
+	if m, known := fs.Len(); known {
+		t.Fatalf("capped stream recorded length %d from an incomplete pass", m)
 	}
 
-	// A fresh open of the (healthy) file must not find a cached index…
-	second := OpenFile(path)
-	if _, ok := second.RangeStream(0, 0); ok {
-		t.Fatal("incomplete pass published an index under the file's cache key")
+	// Heal the reader: Close drops the capped handle, so the next pass (and
+	// every range it hands out) opens the whole file.
+	if err := fs.Close(); err != nil {
+		t.Fatal(err)
 	}
-	// …and a clean pass over it sees every edge.
-	if n, err := CountEdges(second); err != nil || n != len(edges) {
+	capped = false
+	if n, err := CountEdges(fs); err != nil || n != len(edges) {
 		t.Fatalf("clean pass after capped pass: %d, %v (want %d, nil)", n, err, len(edges))
 	}
-	sub, ok := second.RangeStream(cut-2, cut+2)
-	if !ok {
-		t.Fatal("range access unavailable after a clean pass")
-	}
-	got, err := Collect(sub)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, e := range got {
-		if want := edges[cut-2+i]; e != want {
-			t.Fatalf("range edge %d = %v, want %v", i, e, want)
+	for _, r := range [][2]int{{cut - 2, cut + 2}, {2*fileIndexGranularity - 1, len(edges)}} {
+		sub, ok := fs.RangeStream(r[0], r[1])
+		if !ok {
+			t.Fatalf("range [%d,%d) unavailable after a clean pass", r[0], r[1])
 		}
-	}
-	if err := second.Close(); err != nil {
-		t.Fatal(err)
+		got, err := Collect(sub)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameEdges(t, got, edges[r[0]:r[1]], "range after healed pass")
 	}
 }
 

@@ -3,12 +3,10 @@ package stream
 import (
 	"bufio"
 	"bytes"
-	"container/list"
 	"errors"
 	"fmt"
 	"io"
 	"os"
-	"sync"
 
 	"degentri/internal/graph"
 )
@@ -33,115 +31,10 @@ const (
 // errLineTooLong is wrapped with the file path by the stream that hits it.
 var errLineTooLong = errors.New("line longer than 16 MiB (not an edge list?)")
 
-// fileIndexKey identifies one on-disk edge list by path plus stat identity,
-// so a rewritten file misses the cache instead of serving a stale index.
-type fileIndexKey struct {
-	path  string
-	size  int64
-	mtime int64
-}
-
-// fileIndexEntry is a completed position→offset shard index. Entries are
-// immutable once stored: a FileStream whose index is done never mutates its
-// slices, so adopters share them without copying.
-type fileIndexEntry struct {
-	index      []int64
-	indexLines []int32
-	m          int
-}
-
-// defaultIndexCacheCap bounds how many distinct files the process-wide index
-// cache retains. An entry costs ~12 bytes per 1024 edges of its file, so the
-// bound is about working-set hygiene in long-lived processes (a daemon
-// serving an open-ended registry of graph files), not about any single
-// entry's size: without it the cache grows monotonically with every file the
-// process ever touched — a slow leak.
-const defaultIndexCacheCap = 64
-
-// fileIndexCache caches completed shard indexes per file across FileStream
-// instances of one process: repeated opens of the same edge list (trial
-// sweeps, geometric-search harnesses re-opening their input, daemon requests
-// against a registered graph) get range access — and with it parallel
-// sharded passes — from their very first pass instead of re-probing the
-// index on a sequential scan each time. The cache is LRU-bounded (see
-// defaultIndexCacheCap): the least recently touched file's index is evicted
-// first, and an evicted file merely rebuilds its index on its next full
-// pass.
-//
-// The cache restores the *physical* capability only. Logical knowledge is
-// deliberately not cached: Len() still reports unknown until the stream
-// completes a pass of its own, so a fresh run's pass accounting (the paper's
-// metric charges a counting pass for a length-unknown source) is identical
-// with or without the cache.
-var fileIndexCache = newIndexCache(defaultIndexCacheCap)
-
-// indexCache is a mutex-guarded LRU map from file identity to completed
-// shard index. Load and Store both count as a touch.
-type indexCache struct {
-	mu      sync.Mutex
-	cap     int
-	entries map[fileIndexKey]*list.Element // value: *indexCacheNode
-	order   list.List                      // front = most recently used
-}
-
-type indexCacheNode struct {
-	key   fileIndexKey
-	entry *fileIndexEntry
-}
-
-func newIndexCache(cap int) *indexCache {
-	c := &indexCache{cap: cap, entries: make(map[fileIndexKey]*list.Element)}
-	c.order.Init()
-	return c
-}
-
-func (c *indexCache) Load(key fileIndexKey) (*fileIndexEntry, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		return nil, false
-	}
-	c.order.MoveToFront(el)
-	return el.Value.(*indexCacheNode).entry, true
-}
-
-func (c *indexCache) Store(key fileIndexKey, entry *fileIndexEntry) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		el.Value.(*indexCacheNode).entry = entry
-		c.order.MoveToFront(el)
-		return
-	}
-	c.entries[key] = c.order.PushFront(&indexCacheNode{key: key, entry: entry})
-	for len(c.entries) > c.cap {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.entries, oldest.Value.(*indexCacheNode).key)
-	}
-}
-
-// Len reports how many files currently have a cached index.
-func (c *indexCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
-// statFileKey builds the cache key from the path's current stat.
-func statFileKey(path string) (fileIndexKey, bool) {
-	info, err := os.Stat(path)
-	if err != nil || !info.Mode().IsRegular() {
-		return fileIndexKey{}, false
-	}
-	return fileIndexKey{path: path, size: info.Size(), mtime: info.ModTime().UnixNano()}, true
-}
-
 // Opener opens the underlying byte source of a file-backed pass. The default
 // is os.Open; tests and internal/faultio substitute one that wraps the handle
 // to inject read faults *below* the stream parser (short reads, transient
-// errors), which is how the index-cache poisoning guard is exercised.
+// errors), which is how the short-read guard is exercised.
 type Opener func(path string) (io.ReadSeekCloser, error)
 
 func defaultOpener(path string) (io.ReadSeekCloser, error) { return os.Open(path) }
@@ -238,8 +131,7 @@ type FileStream struct {
 	indexing   bool // current pass is recording the index
 	broken     bool // current pass hit a parse/read error; don't trust pos at EOF
 
-	cacheKey   fileIndexKey // stat identity captured at open, keys the index cache
-	cacheKeyOK bool
+	size int64 // file size stat'ed at open (-1 if not a regular file)
 }
 
 // OpenFile returns a FileStream over the given edge-list file. The file is
@@ -262,28 +154,6 @@ func OpenFileWith(path string, open Opener) *FileStream {
 // Backend implements Backender.
 func (f *FileStream) Backend() string { return BackendText }
 
-// adoptCachedIndex makes a previously recorded shard index of this file (any
-// FileStream of the process that completed a pass) available to this stream,
-// if the file's stat identity still matches.
-func (f *FileStream) adoptCachedIndex() {
-	if f.indexDone {
-		return
-	}
-	key, ok := statFileKey(f.path)
-	if !ok {
-		return
-	}
-	if e, hit := fileIndexCache.Load(key); hit {
-		f.index, f.indexLines = e.index, e.indexLines
-		f.indexDone = true
-		// m is adopted for RangeStream bounds checking only; mKnown stays
-		// false so logical pass accounting is unchanged (see fileIndexCache).
-		if !f.mKnown {
-			f.m = e.m
-		}
-	}
-}
-
 // Reset implements Stream by rewinding (or opening) the file.
 func (f *FileStream) Reset() error {
 	if f.file == nil {
@@ -292,8 +162,10 @@ func (f *FileStream) Reset() error {
 			return fmt.Errorf("stream: open %s: %w", f.path, err)
 		}
 		f.file = file
-		f.cacheKey, f.cacheKeyOK = statFileKey(f.path)
-		f.adoptCachedIndex()
+		f.size = -1
+		if info, err := os.Stat(f.path); err == nil && info.Mode().IsRegular() {
+			f.size = info.Size()
+		}
 	} else if _, err := f.file.Seek(0, io.SeekStart); err != nil {
 		return fmt.Errorf("stream: rewind %s: %w", f.path, err)
 	}
@@ -331,16 +203,15 @@ func (f *FileStream) deliver(start int64) {
 // known and the shard index is complete. A pass that saw EOF before
 // consuming the bytes the open-time stat promised is NOT clean — a short
 // read below the parser (an injected fault, a file shrunk after open) looks
-// like a normal EOF up here. Trusting it would record a wrong m and, worse,
-// publish a partial position→offset index under the real file's cache key,
-// poisoning every later open of the file. Such a pass returns an error
-// (transient: a re-run through a healed reader sees the whole file) and
-// discards its index instead.
+// like a normal EOF up here. Trusting it would record a wrong m and install
+// a partial position→offset index, so every later sharded pass would seek
+// through it. Such a pass returns an error (transient: a re-run through a
+// healed reader sees the whole file) and discards its index instead.
 func (f *FileStream) endOfPass() error {
 	if f.broken {
 		return nil
 	}
-	if f.cacheKeyOK && f.lr.abs != f.cacheKey.size {
+	if f.size >= 0 && f.lr.abs != f.size {
 		f.abortPass()
 		if f.indexing {
 			// Discard the partial index of this aborted build. A previously
@@ -351,21 +222,13 @@ func (f *FileStream) endOfPass() error {
 			f.indexLines = f.indexLines[:0]
 		}
 		return MarkTransient(fmt.Errorf("stream: %s: pass consumed %d of %d bytes: %w",
-			f.path, f.lr.abs, f.cacheKey.size, ErrTruncated))
+			f.path, f.lr.abs, f.size, ErrTruncated))
 	}
 	f.m = f.pos
 	f.mKnown = true
 	if f.indexing {
 		f.indexing = false
 		f.indexDone = true
-		// Publish the completed index for other FileStreams over this file.
-		// From here on this stream never mutates the slices (Reset only
-		// truncates while !indexDone), so sharing them is safe.
-		if f.cacheKeyOK {
-			fileIndexCache.Store(f.cacheKey, &fileIndexEntry{
-				index: f.index, indexLines: f.indexLines, m: f.m,
-			})
-		}
 	}
 	return nil
 }
@@ -542,23 +405,19 @@ func (f *FileStream) SetLen(m int) {
 	f.mKnown = true
 }
 
-// RangeStream implements RangeStreamer once an indexing pass has completed —
-// by this stream, or by any earlier FileStream of the process over the same
-// file (the process-wide index cache): the sub-stream opens its own file
-// handle, seeks to the indexed line nearest lo, skips forward, and delivers
-// exactly hi-lo edges. Before any complete pass it reports ok=false and
-// sharded passes fall back to one sequential scan (which itself builds and
-// publishes the index).
+// RangeStream implements RangeStreamer once this stream has completed an
+// indexing pass: the sub-stream opens its own file handle, seeks to the
+// indexed line nearest lo, skips forward, and delivers exactly hi-lo edges.
+// Before any complete pass it reports ok=false and sharded passes fall back
+// to one sequential scan (which itself builds the index).
 func (f *FileStream) RangeStream(lo, hi int) (Stream, bool) {
-	if !f.indexDone {
-		f.adoptCachedIndex()
-	}
 	if !f.indexDone || lo < 0 || hi < lo || hi > f.m {
 		return nil, false
 	}
 	if lo/fileIndexGranularity >= len(f.index) {
-		// The index does not cover the requested start (defensive: an index
-		// invalidated or raced away). Sequential fallback, never a bad seek.
+		// No index entry at or before lo: only an empty range at the end of
+		// a file whose length is a multiple of the stride (or an empty
+		// file). Sequential fallback, never a bad seek.
 		return nil, false
 	}
 	return &fileRange{path: f.path, open: f.open, lo: lo, hi: hi, index: f.index, indexLines: f.indexLines}, true
@@ -757,8 +616,17 @@ func WriteGraphFile(path string, g *graph.Graph, comment string) error {
 	if err != nil {
 		return fmt.Errorf("stream: create %s: %w", path, err)
 	}
-	defer file.Close()
-	bw := bufio.NewWriter(file)
+	werr := writeGraph(file, g, comment)
+	cerr := file.Close()
+	if werr != nil {
+		return werr
+	}
+	return cerr
+}
+
+// writeGraph writes WriteGraphFile's edge list to w.
+func writeGraph(w io.Writer, g *graph.Graph, comment string) error {
+	bw := bufio.NewWriter(w)
 	if comment != "" {
 		if _, err := fmt.Fprintf(bw, "# %s\n", comment); err != nil {
 			return err

@@ -168,6 +168,57 @@ func TestFileRangeStream(t *testing.T) {
 	}
 }
 
+// TestFileIndexCacheAcrossOpens pins that the shard index lives with one
+// FileStream and is not shared between opens: a fresh stream over a path
+// another stream has already indexed gets no range access and no length
+// until it completes a pass of its own, and then its ranges deliver exactly
+// the edges of a sequential pass, across index strides and at the file end.
+func TestFileIndexCacheAcrossOpens(t *testing.T) {
+	edges := make([]graph.Edge, 3*fileIndexGranularity+17)
+	for i := range edges {
+		edges[i] = graph.Edge{U: i, V: i + 1}
+	}
+	path := filepath.Join(t.TempDir(), "reopened.txt")
+	writeEdgeFileAt(t, path, edges)
+
+	for open := 0; open < 2; open++ {
+		fs := OpenFile(path)
+		if _, ok := fs.RangeStream(0, 0); ok {
+			t.Fatalf("open %d: range access available before any pass completed", open)
+		}
+		if _, known := fs.Len(); known {
+			t.Fatalf("open %d: length known before any pass completed", open)
+		}
+		if n, err := CountEdges(fs); err != nil || n != len(edges) {
+			t.Fatalf("open %d: counting pass: %d, %v", open, n, err)
+		}
+		for _, r := range [][2]int{{0, 5}, {fileIndexGranularity - 1, fileIndexGranularity + 3}, {len(edges) - 4, len(edges)}} {
+			sub, ok := fs.RangeStream(r[0], r[1])
+			if !ok {
+				t.Fatalf("open %d: range [%d,%d) unavailable", open, r[0], r[1])
+			}
+			got, err := Collect(sub)
+			if c, isCloser := sub.(interface{ Close() error }); isCloser {
+				c.Close()
+			}
+			if err != nil {
+				t.Fatalf("open %d: range [%d,%d): %v", open, r[0], r[1], err)
+			}
+			if len(got) != r[1]-r[0] {
+				t.Fatalf("open %d: range [%d,%d): %d edges", open, r[0], r[1], len(got))
+			}
+			for i, e := range got {
+				if want := edges[r[0]+i]; e != want {
+					t.Fatalf("open %d: range [%d,%d) edge %d = %v, want %v", open, r[0], r[1], i, e, want)
+				}
+			}
+		}
+		if err := fs.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestBexRoundTrip(t *testing.T) {
 	edges := shardTestEdges(20000)
 	dir := t.TempDir()

@@ -75,11 +75,6 @@ type Options struct {
 	// run is bit-identical to an undisturbed one — Result.Retries reports
 	// only the extra I/O spent.
 	RetryAttempts int
-	// PreferMmap serves .bex v2 inputs (and the parts of a .bexd directory)
-	// through the mmap-backed reader instead of buffered positioned reads.
-	// Purely an I/O preference: estimates are bit-identical either way.
-	// Formats without an mmap reader (text, .bex v1) ignore it.
-	PreferMmap bool
 	// DecodeCache serves repeat block reads of .bex v2 inputs from the
 	// process-wide decoded-block cache (stream.SetDecodeCacheBudget sets
 	// the budget), so the 2nd..Nth pass of the multi-pass algorithm skips
@@ -133,7 +128,7 @@ type Result struct {
 	// positionally); the count is resource accounting, like Passes and Scans.
 	Retries int
 	// Backend is the storage backend the stream was served from ("memory",
-	// "text", "bex1", "bex2", "bex2-mmap", "bexd"). Reporting only — the
+	// "text", "bex1", "bex2", "bexd"). Reporting only — the
 	// estimate is bit-identical across backends.
 	Backend string
 }
@@ -298,7 +293,7 @@ func EstimateFile(path string, opts Options) (Result, error) {
 // EstimateFileCtx is EstimateFile honoring a context; see EstimateCtx for
 // the cancellation, degradation, and retry semantics.
 func EstimateFileCtx(ctx context.Context, path string, opts Options) (Result, error) {
-	fs, err := stream.OpenAutoOpts(path, stream.OpenOptions{PreferMmap: opts.PreferMmap, DecodeCache: opts.DecodeCache})
+	fs, err := stream.OpenAutoOpts(path, stream.OpenOptions{DecodeCache: opts.DecodeCache})
 	if err != nil {
 		return Result{}, err
 	}
