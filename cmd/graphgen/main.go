@@ -66,8 +66,12 @@ func main() {
 		}
 		src, err := stream.OpenAuto(*convert)
 		exitOn(err)
-		defer src.Close()
 		edges, err := writeOut(*out, src, *format, *blockEdges)
+		// Close before exitOn: os.Exit skips deferred calls, and closing a
+		// text source removes the .bex v2 copy its pass wrote to TMPDIR.
+		if cerr := src.Close(); err == nil {
+			err = cerr
+		}
 		exitOn(err)
 		fmt.Printf("converted %s -> %s (%d edges)\n", *convert, *out, edges)
 		return

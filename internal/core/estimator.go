@@ -114,8 +114,8 @@ func (est *Estimator) RunCtx(ctx context.Context, src stream.Stream) (Result, er
 
 	// Discover m. If the source knows its length this is free; otherwise it
 	// costs one counting pass (the paper assumes m is known when setting
-	// parameters). The counting pass also lets file-backed streams build
-	// their shard index, so the passes below can run with concurrent workers.
+	// parameters). The counting pass also lets a text stream write its .bex
+	// v2 copy, so the passes below can run with concurrent workers.
 	// The count is state-free, so a transient failure re-runs the whole pass.
 	m, known := counter.Len()
 	prelude := 0

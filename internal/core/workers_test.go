@@ -42,8 +42,8 @@ func TestWorkerCountInvariance(t *testing.T) {
 }
 
 // TestWorkerCountInvarianceFileStreams runs the same invariance check over
-// the disk-backed sources: the text stream (whose shard index is built by the
-// counting pass, after which passes go parallel) and the .bex binary stream
+// the disk-backed sources: the text stream (whose .bex v2 copy is written by
+// the counting pass, after which passes go parallel) and the .bex binary stream
 // (range-addressable from the start). All sources must agree with the
 // in-memory stream as well.
 func TestWorkerCountInvarianceFileStreams(t *testing.T) {
@@ -89,5 +89,45 @@ func TestWorkerCountInvarianceFileStreams(t *testing.T) {
 					filepath.Base(path), workers, res, ref)
 			}
 		}
+	}
+}
+
+// TestWorkerCountInvarianceTextWithoutCopy runs the text stream with TMPDIR
+// pointing at a missing directory: the stream cannot write its .bex v2 copy,
+// so every pass re-parses the text sequentially and RangeStream stays
+// unavailable. The passes must still complete, and a 4-worker estimate must
+// match the in-memory stream's bit for bit.
+func TestWorkerCountInvarianceTextWithoutCopy(t *testing.T) {
+	g := gen.HolmeKim(3000, 4, 0.5, 17)
+	dir := t.TempDir()
+	txt := filepath.Join(dir, "g.txt")
+	if err := stream.WriteGraphFile(txt, g, "no copy"); err != nil {
+		t.Fatal(err)
+	}
+	t.Setenv("TMPDIR", filepath.Join(dir, "missing"))
+
+	cfg := core.DefaultConfig(0.1, g.Degeneracy(), g.TriangleCount())
+	cfg.CR, cfg.CL, cfg.CS = 16, 16, 8
+	cfg.Seed = 5
+	ref, err := core.EstimateTriangles(stream.FromGraph(g), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := stream.OpenFile(txt)
+	defer src.Close()
+	cfg.Workers = 4
+	res, err := core.EstimateTriangles(src, cfg)
+	if err != nil {
+		t.Fatalf("text without a copy: %v", err)
+	}
+	if _, ok := src.RangeStream(0, 0); ok {
+		t.Fatal("text stream offered range access without a copy")
+	}
+	// The text starts with an unknown length, so it spends one extra counting
+	// pass (and scan); everything else must match the in-memory run exactly.
+	res.Passes = ref.Passes
+	res.Scans = ref.Scans
+	if res != ref {
+		t.Errorf("text without a copy diverges from the in-memory run:\n  %+v\n  %+v", res, ref)
 	}
 }

@@ -70,7 +70,7 @@ type Options struct {
 	Workers int
 	// KnownVertices, when positive, is n = 1 + the largest vertex ID of the
 	// stream, already discovered by the caller (typically fused into its
-	// edge-counting scan via stream.CountEdgesAndMaxID); the peel then skips
+	// edge-counting scan via stream.CountEdgesAndMaxIDCtx); the peel then skips
 	// its own discovery pass. Zero means unknown: one MaxVertexID pass is
 	// spent discovering it.
 	KnownVertices int

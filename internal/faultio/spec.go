@@ -2,13 +2,9 @@ package faultio
 
 import (
 	"fmt"
-	"io"
-	"os"
 	"strconv"
 	"strings"
 	"time"
-
-	"degentri/internal/stream"
 )
 
 // ParsePlan parses the compact fault-schedule spec the hidden
@@ -81,48 +77,3 @@ func parseKind(name string) (Kind, error) {
 		return kindNone, fmt.Errorf("unknown fault kind %q", name)
 	}
 }
-
-// ShortReadOpener returns a stream.Opener whose file handles report a clean
-// io.EOF once the absolute offset reaches limit — a silent short read below
-// the text parser, indistinguishable from end-of-file. This is the vector the
-// FileStream position-index poisoning guard exists for: the parser sees a
-// well-formed early EOF, and only the consumed-bytes-vs-size check can tell
-// the pass was incomplete.
-// A nil open means os.Open.
-func ShortReadOpener(open stream.Opener, limit int64) stream.Opener {
-	if open == nil {
-		open = func(path string) (io.ReadSeekCloser, error) { return os.Open(path) }
-	}
-	return func(path string) (io.ReadSeekCloser, error) {
-		f, err := open(path)
-		if err != nil {
-			return nil, err
-		}
-		return &cappedFile{f: f, limit: limit}, nil
-	}
-}
-
-type cappedFile struct {
-	f     io.ReadSeekCloser
-	limit int64
-}
-
-func (c *cappedFile) Read(p []byte) (int, error) {
-	off, err := c.f.Seek(0, io.SeekCurrent)
-	if err != nil {
-		return 0, err
-	}
-	if off >= c.limit {
-		return 0, io.EOF
-	}
-	if int64(len(p)) > c.limit-off {
-		p = p[:c.limit-off]
-	}
-	return c.f.Read(p)
-}
-
-func (c *cappedFile) Seek(offset int64, whence int) (int64, error) {
-	return c.f.Seek(offset, whence)
-}
-
-func (c *cappedFile) Close() error { return c.f.Close() }

@@ -89,11 +89,17 @@ func TestNextBatchEquivalence(t *testing.T) {
 	edges := testEdges(97) // prime count: every buffer size ends with a partial batch
 	path := writeEdgeFile(t, edges)
 
+	// A file stream keeps a .bex v2 copy in the temp directory until closed.
+	openFile := func() *FileStream {
+		fs := OpenFile(path)
+		t.Cleanup(func() { fs.Close() })
+		return fs
+	}
 	streams := map[string]func() Stream{
 		"memory":             func() Stream { return FromEdges(edges) },
-		"file":               func() Stream { return OpenFile(path) },
+		"file":               func() Stream { return openFile() },
 		"passcounter-memory": func() Stream { return NewPassCounter(FromEdges(edges)) },
-		"passcounter-file":   func() Stream { return NewPassCounter(OpenFile(path)) },
+		"passcounter-file":   func() Stream { return NewPassCounter(openFile()) },
 	}
 	for name, mk := range streams {
 		want := collectViaNext(t, mk())

@@ -108,8 +108,10 @@ func BenchmarkForEachBatch(b *testing.B) {
 	b.ReportMetric(float64(len(edges))*float64(b.N)/b.Elapsed().Seconds(), "edges/s")
 }
 
-// BenchmarkFileStreamPass measures a full batched pass over a text edge list,
-// parser included.
+// BenchmarkFileStreamPass measures the one full batched pass that parses a
+// text edge list: the parser plus writing the .bex v2 copy that serves every
+// later pass. Each iteration opens a fresh stream, since a second pass over
+// the same stream would read the copy instead.
 func BenchmarkFileStreamPass(b *testing.B) {
 	edges := benchEdges(1 << 15)
 	path := b.TempDir() + "/bench-edges.txt"
@@ -117,12 +119,12 @@ func BenchmarkFileStreamPass(b *testing.B) {
 	if err := WriteGraphFile(path, g, "bench"); err != nil {
 		b.Fatal(err)
 	}
-	fs := OpenFile(path)
-	defer fs.Close()
 	m := g.NumEdges()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		fs := OpenFile(path)
 		n, err := CountEdges(fs)
+		fs.Close()
 		if err != nil {
 			b.Fatal(err)
 		}

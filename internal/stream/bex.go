@@ -113,16 +113,10 @@ func WriteBexFile(path string, s Stream) (int, error) {
 
 // BexStream streams edges from a .bex file. The edge count is known from the
 // header without a pass, and contiguous position ranges are directly
-// addressable, so BexStream is the preferred on-disk format for sharded
-// passes.
+// addressable. The whole file is its own range [0, m): BexStream is a
+// bexRange that opened its handle eagerly and checked the header.
 type BexStream struct {
-	path   string
-	file   *os.File
-	m      int
-	pos    int
-	active bool
-	raw    []byte
-	batch  []graph.Edge
+	bexRange
 }
 
 // OpenBex opens a .bex file, validating the header eagerly (unlike OpenFile,
@@ -148,7 +142,7 @@ func OpenBex(path string) (*BexStream, error) {
 				path, m, want, info.Size(), ErrCorruptHeader)
 		}
 	}
-	return &BexStream{path: path, file: file, m: m}, nil
+	return &BexStream{bexRange{path: path, file: file, hi: m}}, nil
 }
 
 func readBexHeader(file *os.File, path string) (int, error) {
@@ -166,71 +160,6 @@ func readBexHeader(file *os.File, path string) (int, error) {
 	return int(count), nil
 }
 
-// Reset implements Stream.
-func (b *BexStream) Reset() error {
-	if b.file == nil {
-		file, err := os.Open(b.path)
-		if err != nil {
-			return fmt.Errorf("stream: open %s: %w", b.path, err)
-		}
-		b.file = file
-	}
-	if _, err := b.file.Seek(bexHeaderSize, io.SeekStart); err != nil {
-		return fmt.Errorf("stream: rewind %s: %w", b.path, err)
-	}
-	b.pos = 0
-	b.active = true
-	return nil
-}
-
-// Next implements Stream.
-func (b *BexStream) Next() (graph.Edge, error) {
-	if !b.active {
-		return graph.Edge{}, ErrNoPass
-	}
-	if b.pos >= b.m {
-		return graph.Edge{}, ErrEndOfPass
-	}
-	var rec [bexRecordSize]byte
-	if _, err := io.ReadFull(b.file, rec[:]); err != nil {
-		return graph.Edge{}, fmt.Errorf("stream: %s truncated at edge %d: %w (%w)", b.path, b.pos, err, ErrTruncated)
-	}
-	b.pos++
-	return decodeBexRecord(rec[:]), nil
-}
-
-// NextBatch implements Stream.
-func (b *BexStream) NextBatch(buf []graph.Edge) ([]graph.Edge, error) {
-	if !b.active {
-		return nil, ErrNoPass
-	}
-	if b.pos >= b.m {
-		return nil, ErrEndOfPass
-	}
-	want := b.m - b.pos
-	if len(buf) == 0 {
-		if b.batch == nil {
-			b.batch = make([]graph.Edge, bexBatchEdges)
-		}
-		buf = b.batch
-	}
-	if want > len(buf) {
-		want = len(buf)
-	}
-	if cap(b.raw) < want*bexRecordSize {
-		b.raw = make([]byte, want*bexRecordSize)
-	}
-	raw := b.raw[:want*bexRecordSize]
-	if _, err := io.ReadFull(b.file, raw); err != nil {
-		return nil, fmt.Errorf("stream: %s truncated at edge %d: %w (%w)", b.path, b.pos, err, ErrTruncated)
-	}
-	for i := 0; i < want; i++ {
-		buf[i] = decodeBexRecord(raw[i*bexRecordSize:])
-	}
-	b.pos += want
-	return buf[:want], nil
-}
-
 func decodeBexRecord(rec []byte) graph.Edge {
 	return graph.Edge{
 		U: int(int32(binary.LittleEndian.Uint32(rec))),
@@ -238,26 +167,12 @@ func decodeBexRecord(rec []byte) graph.Edge {
 	}
 }
 
-// Len implements Stream; a .bex stream always knows its length.
-func (b *BexStream) Len() (int, bool) { return b.m, true }
-
 // RangeStream implements RangeStreamer with pure offset arithmetic.
 func (b *BexStream) RangeStream(lo, hi int) (Stream, bool) {
-	if lo < 0 || hi < lo || hi > b.m {
+	if lo < 0 || hi < lo || hi > b.hi {
 		return nil, false
 	}
 	return &bexRange{path: b.path, lo: lo, hi: hi}, true
-}
-
-// Close releases the file handle; the stream can be Reset afterwards.
-func (b *BexStream) Close() error {
-	if b.file == nil {
-		return nil
-	}
-	err := b.file.Close()
-	b.file = nil
-	b.active = false
-	return err
 }
 
 // bexRange is an independent stream over edge positions [lo, hi) of a .bex
@@ -293,20 +208,7 @@ func (r *bexRange) Reset() error {
 }
 
 // Next implements Stream.
-func (r *bexRange) Next() (graph.Edge, error) {
-	if !r.active {
-		return graph.Edge{}, ErrNoPass
-	}
-	if r.pos >= r.hi {
-		return graph.Edge{}, ErrEndOfPass
-	}
-	var rec [bexRecordSize]byte
-	if _, err := io.ReadFull(r.file, rec[:]); err != nil {
-		return graph.Edge{}, fmt.Errorf("stream: %s truncated at edge %d: %w (%w)", r.path, r.pos, err, ErrTruncated)
-	}
-	r.pos++
-	return decodeBexRecord(rec[:]), nil
-}
+func (r *bexRange) Next() (graph.Edge, error) { return nextEdge(r) }
 
 // NextBatch implements Stream.
 func (r *bexRange) NextBatch(buf []graph.Edge) ([]graph.Edge, error) {

@@ -55,8 +55,9 @@ import (
 // offset — but the footer index maps any position range to its covering
 // blocks with a binary search, so RangeStream still seeks directly (to a
 // block boundary, decoding at most one block of prefix), with no index to
-// build and no first-scan special case. The lazy position→offset index of
-// the text path (FileStream) has no v2 counterpart by construction.
+// build and no first-scan special case. Text gets its ranges from this
+// format too: FileStream writes a private v2 copy during its first pass and
+// serves every later pass and range from it.
 //
 // Integrity: the tail magic, footer geometry (offset/count vs file size),
 // and footer CRC are all validated at open — a truncated or resized file
@@ -196,20 +197,11 @@ func WriteBex2(w io.Writer, s Stream, blockEdges int) (int, error) {
 			base = off
 		}
 	}
-	header := make([]byte, bex2HeaderSize)
-	copy(header, bex2Magic)
-	binary.LittleEndian.PutUint32(header[4:], uint32(blockEdges))
-	binary.LittleEndian.PutUint64(header[8:], uint64(m))
-	if _, err := w.Write(header); err != nil {
+	if _, err := w.Write(bex2Header(blockEdges, m)); err != nil {
 		return 0, err
 	}
 
-	enc := bex2Encoder{
-		w:          w,
-		off:        base + bex2HeaderSize,
-		blockEdges: blockEdges,
-		pend:       make([]graph.Edge, 0, blockEdges),
-	}
+	enc := newBex2Encoder(w, base+bex2HeaderSize, blockEdges)
 	n, err := ForEachBatch(s, enc.add)
 	if err != nil {
 		return n, err
@@ -224,8 +216,7 @@ func WriteBex2(w io.Writer, s Stream, blockEdges int) (int, error) {
 		if _, err := seeker.Seek(base, io.SeekStart); err != nil {
 			return n, err
 		}
-		binary.LittleEndian.PutUint64(header[8:], uint64(n))
-		if _, err := w.Write(header); err != nil {
+		if _, err := w.Write(bex2Header(blockEdges, n)); err != nil {
 			return n, err
 		}
 		if _, err := seeker.Seek(enc.off+int64(len(enc.footer))+bex2TailSize, io.SeekStart); err != nil {
@@ -233,6 +224,16 @@ func WriteBex2(w io.Writer, s Stream, blockEdges int) (int, error) {
 		}
 	}
 	return n, nil
+}
+
+// bex2Header returns the container header for m edges in blocks of
+// blockEdges.
+func bex2Header(blockEdges, m int) []byte {
+	header := make([]byte, bex2HeaderSize)
+	copy(header, bex2Magic)
+	binary.LittleEndian.PutUint32(header[4:], uint32(blockEdges))
+	binary.LittleEndian.PutUint64(header[8:], uint64(m))
+	return header
 }
 
 // bex2Encoder buffers edges into blocks and writes each full block followed,
@@ -245,6 +246,12 @@ type bex2Encoder struct {
 	pos        int // stream position of pend[0]
 	buf        []byte
 	footer     []byte
+}
+
+// newBex2Encoder returns an encoder whose first block lands at byte off of w
+// (just past a header written by the caller).
+func newBex2Encoder(w io.Writer, off int64, blockEdges int) bex2Encoder {
+	return bex2Encoder{w: w, off: off, blockEdges: blockEdges, pend: make([]graph.Edge, 0, blockEdges)}
 }
 
 func (e *bex2Encoder) add(batch []graph.Edge) error {
@@ -807,16 +814,6 @@ func (c *bex2Cursor) nextBatch(buf []graph.Edge) ([]graph.Edge, error) {
 	return buf, nil
 }
 
-func (c *bex2Cursor) next() (graph.Edge, error) {
-	chunk, err := c.nextChunk()
-	if err != nil {
-		return graph.Edge{}, err
-	}
-	c.pos++
-	c.served++
-	return chunk[0], nil
-}
-
 func (c *bex2Cursor) closeCursor() error {
 	c.active = false
 	c.blk = -1
@@ -867,7 +864,7 @@ func newBex2Stream(meta *bex2Meta, file *os.File, cache bool) *Bex2Stream {
 func (b *Bex2Stream) Reset() error { return b.cur.reset() }
 
 // Next implements Stream.
-func (b *Bex2Stream) Next() (graph.Edge, error) { return b.cur.next() }
+func (b *Bex2Stream) Next() (graph.Edge, error) { return nextEdge(b) }
 
 // NextBatch implements Stream. With an empty buf the batch aliases the
 // decoded block buffer (valid until the next call), so a full pass costs one
@@ -907,7 +904,7 @@ type bex2Range struct {
 }
 
 func (r *bex2Range) Reset() error                                     { return r.cur.reset() }
-func (r *bex2Range) Next() (graph.Edge, error)                        { return r.cur.next() }
+func (r *bex2Range) Next() (graph.Edge, error)                        { return nextEdge(r) }
 func (r *bex2Range) NextBatch(buf []graph.Edge) ([]graph.Edge, error) { return r.cur.nextBatch(buf) }
 func (r *bex2Range) Len() (int, bool)                                 { return r.cur.hi - r.cur.lo, true }
 func (r *bex2Range) Close() error                                     { return r.cur.closeCursor() }

@@ -209,8 +209,8 @@ func TestBex2RangeStream(t *testing.T) {
 // fresh v2 file serves shard ranges from byte zero — RangeStream is
 // available before any pass, and a sharded multi-worker pass costs exactly
 // one logical Reset with every edge read exactly once. The text path, by
-// contrast, needs a first full scan to build its position→offset index; v2
-// has no such path by construction.
+// contrast, needs a first full scan to write its v2 copy; v2 has no such
+// path by construction.
 func TestBex2NoFirstScanIndexBuild(t *testing.T) {
 	edges := bex2TestEdges(40_000)
 	dir := t.TempDir()

@@ -203,15 +203,14 @@ func ReadBexdManifest(dir string) (*BexdManifest, error) {
 // parts of a .bexd directory. It implements Stream, RangeStreamer, and
 // FileBacked, so the sharded pass engine, the fusion scheduler, ScanGroup,
 // and the daemon all treat a directory of parts exactly like one file.
+//
+// The whole directory is its own range: MultiBexStream is the chain of one
+// cursor per part, reset lazily as a pass reaches it.
 type MultiBexStream struct {
-	dir   string
+	chainStream
 	man   *BexdManifest
 	metas []*bex2Meta
 	cache bool // part cursors use the decoded-block cache
-
-	subs   []Stream // one cursor-backed stream per part, reset lazily
-	idx    int
-	active bool
 }
 
 // OpenBexd opens a .bexd directory with buffered part readers. Every part's
@@ -229,7 +228,7 @@ func openBexdCache(dir string, cache bool) (*MultiBexStream, error) {
 	if err != nil {
 		return nil, err
 	}
-	ms := &MultiBexStream{dir: dir, man: man, metas: make([]*bex2Meta, len(man.Parts)), cache: cache}
+	ms := &MultiBexStream{man: man, metas: make([]*bex2Meta, len(man.Parts)), cache: cache}
 	for i, p := range man.Parts {
 		path := filepath.Join(dir, p.File)
 		file, err := os.Open(path)
@@ -247,7 +246,7 @@ func openBexdCache(dir string, cache bool) (*MultiBexStream, error) {
 		}
 		ms.metas[i] = meta
 	}
-	ms.subs = make([]Stream, len(ms.metas))
+	ms.chainStream = chainStream{subs: make([]Stream, len(ms.metas)), m: man.Edges}
 	for i := range ms.metas {
 		ms.subs[i] = ms.partStream(i, 0, ms.metas[i].m)
 	}
@@ -259,65 +258,6 @@ func (ms *MultiBexStream) partStream(i, lo, hi int) Stream {
 	meta := ms.metas[i]
 	return &bex2Range{cur: bex2Cursor{meta: meta, src: &bex2FileSource{meta: meta}, lo: lo, hi: hi, cache: ms.cache}}
 }
-
-// Reset implements Stream.
-func (ms *MultiBexStream) Reset() error {
-	ms.idx = 0
-	ms.active = true
-	if len(ms.subs) == 0 {
-		return nil
-	}
-	return ms.subs[0].Reset()
-}
-
-// advance moves to the next part, resetting it for this pass.
-func (ms *MultiBexStream) advance() error {
-	ms.idx++
-	if ms.idx >= len(ms.subs) {
-		return ErrEndOfPass
-	}
-	return ms.subs[ms.idx].Reset()
-}
-
-// Next implements Stream.
-func (ms *MultiBexStream) Next() (graph.Edge, error) {
-	if !ms.active {
-		return graph.Edge{}, ErrNoPass
-	}
-	for ms.idx < len(ms.subs) {
-		e, err := ms.subs[ms.idx].Next()
-		if err == ErrEndOfPass {
-			if aerr := ms.advance(); aerr != nil {
-				return graph.Edge{}, aerr
-			}
-			continue
-		}
-		return e, err
-	}
-	return graph.Edge{}, ErrEndOfPass
-}
-
-// NextBatch implements Stream. Batches never span a part boundary; callers
-// already handle short batches.
-func (ms *MultiBexStream) NextBatch(buf []graph.Edge) ([]graph.Edge, error) {
-	if !ms.active {
-		return nil, ErrNoPass
-	}
-	for ms.idx < len(ms.subs) {
-		batch, err := ms.subs[ms.idx].NextBatch(buf)
-		if err == ErrEndOfPass {
-			if aerr := ms.advance(); aerr != nil {
-				return nil, aerr
-			}
-			continue
-		}
-		return batch, err
-	}
-	return nil, ErrEndOfPass
-}
-
-// Len implements Stream; the manifest always knows the total.
-func (ms *MultiBexStream) Len() (int, bool) { return ms.man.Edges, true }
 
 // RangeStream implements RangeStreamer: a global position range maps to the
 // covering run of parts (binary search on the manifest's first positions)
@@ -353,25 +293,12 @@ func (ms *MultiBexStream) RangeStream(lo, hi int) (Stream, bool) {
 	return &chainStream{subs: subs, m: hi - lo}, true
 }
 
-// Close releases every part's resources; the stream can be Reset afterwards.
-func (ms *MultiBexStream) Close() error {
-	ms.active = false
-	var first error
-	for _, s := range ms.subs {
-		if c, ok := s.(interface{ Close() error }); ok {
-			if err := c.Close(); err != nil && first == nil {
-				first = err
-			}
-		}
-	}
-	return first
-}
-
 // Backend implements Backender.
 func (ms *MultiBexStream) Backend() string { return BackendBexd }
 
 // chainStream concatenates sub-streams into one logical pass. Sub-streams
-// are reset lazily as the pass reaches them and closed with the chain.
+// are reset lazily as the pass reaches them and closed with the chain; Close
+// leaves the chain ready to be Reset again.
 type chainStream struct {
 	subs   []Stream
 	m      int
@@ -396,23 +323,10 @@ func (c *chainStream) advance() error {
 	return c.subs[c.idx].Reset()
 }
 
-func (c *chainStream) Next() (graph.Edge, error) {
-	if !c.active {
-		return graph.Edge{}, ErrNoPass
-	}
-	for c.idx < len(c.subs) {
-		e, err := c.subs[c.idx].Next()
-		if err == ErrEndOfPass {
-			if aerr := c.advance(); aerr != nil {
-				return graph.Edge{}, aerr
-			}
-			continue
-		}
-		return e, err
-	}
-	return graph.Edge{}, ErrEndOfPass
-}
+func (c *chainStream) Next() (graph.Edge, error) { return nextEdge(c) }
 
+// NextBatch implements Stream. Batches never span a sub-stream boundary;
+// callers already handle short batches.
 func (c *chainStream) NextBatch(buf []graph.Edge) ([]graph.Edge, error) {
 	if !c.active {
 		return nil, ErrNoPass
@@ -447,8 +361,8 @@ func (c *chainStream) Close() error {
 
 // VerifyBexd re-hashes every part of a .bexd directory against the
 // manifest's SHA-256s — the deep integrity check OpenBexd deliberately
-// skips. Corpus verification and tests call this; the streaming path relies
-// on per-block CRCs instead.
+// skips. Nothing in the streaming path calls it (only tests do today); the
+// streaming path relies on per-block CRCs instead.
 func VerifyBexd(dir string) error {
 	man, err := ReadBexdManifest(dir)
 	if err != nil {

@@ -14,8 +14,9 @@ import (
 // matching:
 //
 //   - ErrTruncated: the byte stream ended before the edges it promised — a
-//     .bex file shorter than its header's count, an indexed text file that
-//     ran out before a range's positions, a fault-injected short read.
+//     .bex file shorter than its header's count, a text pass that consumed
+//     fewer bytes than the file held at open (a short read, a text truncated
+//     after its copy was written), a fault-injected short read.
 //   - ErrCorruptHeader: the container metadata itself is wrong (bad .bex
 //     magic, implausible count, header/size disagreement). Unlike truncation
 //     this is detected at open time and retrying cannot help.

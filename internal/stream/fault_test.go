@@ -67,22 +67,21 @@ func (c *cappedHandle) Close() error { return c.f.Close() }
 // TestShortReadIsTransientAndBuildsNoIndex pins the short-read guard: a
 // pass whose reader silently drops the file's tail (clean EOF at a line
 // boundary — the parser cannot tell) must fail with a transient truncation
-// error and must NOT keep its partial position→offset index or length, or
-// the stream's later sharded passes would seek through wrong offsets. Once
-// the reader heals, a clean pass on the same stream sees every edge and
-// serves exact ranges.
+// error and must NOT keep its partial .bex v2 copy or length, or the
+// stream's later passes would read a truncated graph. Once the reader heals,
+// a clean pass on the same stream sees every edge and serves exact ranges.
 func TestShortReadIsTransientAndBuildsNoIndex(t *testing.T) {
-	edges := make([]graph.Edge, 2*fileIndexGranularity+5)
+	edges := make([]graph.Edge, 2*DefaultBlockEdges+5)
 	for i := range edges {
 		edges[i] = graph.Edge{U: i, V: i + 1}
 	}
 	path := filepath.Join(t.TempDir(), "short.txt")
 	writeEdgeFileAt(t, path, edges)
 
-	// Cut at the line boundary after granularity+3 edges, so the capped pass
-	// spans at least one full index stride (it has offsets it would love to
-	// keep) and ends looking exactly like a complete file.
-	cut := fileIndexGranularity + 3
+	// Cut at the line boundary after one block+3 edges, so the capped pass
+	// fills at least one whole block of the copy (it has a block it would
+	// love to keep) and ends looking exactly like a complete file.
+	cut := DefaultBlockEdges + 3
 	var limit int64
 	for _, e := range edges[:cut] {
 		limit += int64(len(fmt.Sprintf("%d %d\n", e.U, e.V)))
@@ -119,7 +118,7 @@ func TestShortReadIsTransientAndBuildsNoIndex(t *testing.T) {
 	if n, err := CountEdges(fs); err != nil || n != len(edges) {
 		t.Fatalf("clean pass after capped pass: %d, %v (want %d, nil)", n, err, len(edges))
 	}
-	for _, r := range [][2]int{{cut - 2, cut + 2}, {2*fileIndexGranularity - 1, len(edges)}} {
+	for _, r := range [][2]int{{cut - 2, cut + 2}, {2*DefaultBlockEdges - 1, len(edges)}} {
 		sub, ok := fs.RangeStream(r[0], r[1])
 		if !ok {
 			t.Fatalf("range [%d,%d) unavailable after a clean pass", r[0], r[1])
@@ -129,6 +128,45 @@ func TestShortReadIsTransientAndBuildsNoIndex(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameEdges(t, got, edges[r[0]:r[1]], "range after healed pass")
+	}
+}
+
+// TestFileStreamTruncatedAfterCopy pins the copy's staleness guard: a text
+// truncated after the pass that copied it is re-read, not served from the
+// stale copy, so its next pass fails with the short-read guard's transient
+// ErrTruncated. The stream keeps the length of its clean pass and loses its
+// range access.
+func TestFileStreamTruncatedAfterCopy(t *testing.T) {
+	edges := make([]graph.Edge, 2*DefaultBlockEdges+5)
+	for i := range edges {
+		edges[i] = graph.Edge{U: i, V: i + 1}
+	}
+	path := filepath.Join(t.TempDir(), "shrinking.txt")
+	writeEdgeFileAt(t, path, edges)
+	copyTempDir(t)
+
+	fs := OpenFile(path)
+	defer fs.Close()
+	if n, err := CountEdges(fs); err != nil || n != len(edges) {
+		t.Fatalf("first pass: %d, %v (want %d, nil)", n, err, len(edges))
+	}
+	// Cut at a line boundary, so the shorter text still parses cleanly.
+	var limit int64
+	for _, e := range edges[:DefaultBlockEdges+3] {
+		limit += int64(len(fmt.Sprintf("%d %d\n", e.U, e.V)))
+	}
+	if err := os.Truncate(path, limit); err != nil {
+		t.Fatal(err)
+	}
+	n, err := CountEdges(fs)
+	if !IsTransient(err) || !errors.Is(err, ErrTruncated) {
+		t.Fatalf("pass over the truncated text = %d, %v; want transient ErrTruncated", n, err)
+	}
+	if m, known := fs.Len(); !known || m != len(edges) {
+		t.Fatalf("Len after the failed pass = %d,%v, want %d,true", m, known, len(edges))
+	}
+	if _, ok := fs.RangeStream(0, 0); ok {
+		t.Fatal("range access still served from the copy of a changed text")
 	}
 }
 

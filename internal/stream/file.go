@@ -16,12 +16,6 @@ const (
 	// the parse loop in large sequential reads; the old 64 KiB scanner buffer
 	// left FileStream an order of magnitude behind the in-memory path.
 	fileBufSize = 1 << 20
-	// fileIndexGranularity is the spacing of the shard index: during a full
-	// pass the stream records the byte offset (and line number) of every
-	// 1024th edge, which lets RangeStream seek near any position and skip at
-	// most 1023 edges while keeping diagnostics in real file coordinates. The
-	// index costs 12 bytes per 1024 edges (≈1.2 MB per 10⁸ edges).
-	fileIndexGranularity = 1024
 	// maxLineBytes bounds a single input line. A newline-free multi-gigabyte
 	// file (binary data, one-line JSON) fails with a clean error instead of
 	// doubling the read buffer until the process dies.
@@ -32,52 +26,50 @@ const (
 var errLineTooLong = errors.New("line longer than 16 MiB (not an edge list?)")
 
 // Opener opens the underlying byte source of a file-backed pass. The default
-// is os.Open; tests and internal/faultio substitute one that wraps the handle
-// to inject read faults *below* the stream parser (short reads, transient
-// errors), which is how the short-read guard is exercised.
+// is os.Open; tests substitute one that wraps the handle to inject read
+// faults *below* the stream parser (short reads, transient errors), which is
+// how the short-read guard is exercised.
 type Opener func(path string) (io.ReadSeekCloser, error)
 
 func defaultOpener(path string) (io.ReadSeekCloser, error) { return os.Open(path) }
 
-// lineReader yields newline-delimited lines straight out of a wide buffer,
-// tracking the absolute file offset of each line start (the raw material of
-// the shard index). Unlike bufio.Scanner it exposes those offsets and grows
-// its buffer in place for over-long lines.
+// lineReader yields newline-delimited lines straight out of a wide buffer and
+// counts the bytes it consumed (the raw material of the end-of-pass size
+// check). Unlike bufio.Scanner it grows its buffer in place for over-long
+// lines.
 type lineReader struct {
 	file io.Reader
 	buf  []byte
 	r, w int
-	abs  int64 // file offset of buf[r]
+	abs  int64 // bytes consumed up to buf[r]
 	eof  bool
 }
 
-func (lr *lineReader) init(file io.Reader, off int64, buf []byte) {
+func (lr *lineReader) init(file io.Reader, buf []byte) {
 	if buf == nil {
 		buf = make([]byte, fileBufSize)
 	}
-	*lr = lineReader{file: file, buf: buf, abs: off}
+	*lr = lineReader{file: file, buf: buf}
 }
 
-// next returns the next line (without its newline), the file offset of its
-// first byte, and ok=false at end of input.
-func (lr *lineReader) next() (line []byte, start int64, ok bool, err error) {
+// next returns the next line (without its newline) and ok=false at end of
+// input.
+func (lr *lineReader) next() (line []byte, ok bool, err error) {
 	for {
 		if i := bytes.IndexByte(lr.buf[lr.r:lr.w], '\n'); i >= 0 {
 			line = lr.buf[lr.r : lr.r+i]
-			start = lr.abs
 			lr.r += i + 1
 			lr.abs += int64(i) + 1
-			return line, start, true, nil
+			return line, true, nil
 		}
 		if lr.eof {
 			if lr.r == lr.w {
-				return nil, 0, false, nil
+				return nil, false, nil
 			}
 			line = lr.buf[lr.r:lr.w] // final line without trailing newline
-			start = lr.abs
 			lr.abs += int64(lr.w - lr.r)
 			lr.r = lr.w
-			return line, start, true, nil
+			return line, true, nil
 		}
 		if lr.r > 0 {
 			copy(lr.buf, lr.buf[lr.r:lr.w])
@@ -86,7 +78,7 @@ func (lr *lineReader) next() (line []byte, start int64, ok bool, err error) {
 		}
 		if lr.w == len(lr.buf) {
 			if len(lr.buf) >= maxLineBytes {
-				return nil, 0, false, errLineTooLong
+				return nil, false, errLineTooLong
 			}
 			grown := make([]byte, 2*len(lr.buf))
 			copy(grown, lr.buf[:lr.w])
@@ -97,25 +89,30 @@ func (lr *lineReader) next() (line []byte, start int64, ok bool, err error) {
 		if rerr == io.EOF {
 			lr.eof = true
 		} else if rerr != nil {
-			return nil, 0, false, rerr
+			return nil, false, rerr
 		}
 	}
 }
 
 // FileStream streams edges from a whitespace-separated edge-list text file:
 // one edge per line, "u v", with '#' or '%' prefixed lines treated as
-// comments. The file is rewound on every Reset, so a FileStream uses O(1)
-// memory (plus the shard index) regardless of graph size. Lines are parsed
-// byte-by-byte out of a wide read buffer without per-line allocations.
+// comments. Lines are parsed byte-by-byte out of a wide read buffer without
+// per-line allocations.
 //
-// The first pass that runs to completion additionally records a sparse
-// position→byte-offset index, after which the stream supports RangeStream
-// and sharded passes can read it with concurrent workers (each range opens
-// its own file handle).
+// The text is parsed once. While its first pass runs, the stream writes the
+// delivered edges to a private .bex v2 copy in the temp directory
+// (os.CreateTemp, so TMPDIR picks the place). Once that pass ends cleanly,
+// every later pass and every RangeStream is served by the copy, for as long
+// as the text's stat identity (path, size, mtime) matches the one taken at
+// open; Close removes the copy. A pass that fails drops its partial copy and
+// the next pass writes a new one. Without a copy — before a pass has
+// completed, or when none can be written or the text changed — every pass
+// re-parses the text and the stream offers no range access.
 type FileStream struct {
 	path    string
 	open    Opener
 	file    io.ReadSeekCloser
+	ident   fileIdentity // the text's stat at open; size -1 if not a regular file
 	lr      lineReader
 	active  bool
 	line    int
@@ -124,14 +121,13 @@ type FileStream struct {
 	mKnown  bool
 	batch   []graph.Edge // scratch for NextBatch(nil)
 	pending error        // parse/read error to surface after a partial batch
+	broken  bool         // current pass hit a parse/read error; don't trust pos at EOF
 
-	index      []int64 // byte offset of the line of every fileIndexGranularity-th edge
-	indexLines []int32 // 1-based line number of each index entry
-	indexDone  bool
-	indexing   bool // current pass is recording the index
-	broken     bool // current pass hit a parse/read error; don't trust pos at EOF
-
-	size int64 // file size stat'ed at open (-1 if not a regular file)
+	spill  *os.File    // the copy the current pass is writing, nil when none
+	enc    bex2Encoder // encodes the current pass's edges into spill
+	copy   *Bex2Stream // the finished copy, nil when none
+	onCopy bool        // the current pass reads the copy
+	noCopy bool        // no copy until Close: it could not be written, or the text changed
 }
 
 // OpenFile returns a FileStream over the given edge-list file. The file is
@@ -140,10 +136,9 @@ func OpenFile(path string) *FileStream {
 	return &FileStream{path: path, open: defaultOpener}
 }
 
-// OpenFileWith is OpenFile with a custom Opener for the underlying byte
-// source (every handle the stream and its range sub-streams open goes through
-// it). It exists for fault injection below the parser; production callers use
-// OpenFile.
+// OpenFileWith is OpenFile with a custom Opener for the text (the copy is
+// always read with os.Open). It exists for fault injection below the parser;
+// production callers use OpenFile.
 func OpenFileWith(path string, open Opener) *FileStream {
 	if open == nil {
 		open = defaultOpener
@@ -154,124 +149,170 @@ func OpenFileWith(path string, open Opener) *FileStream {
 // Backend implements Backender.
 func (f *FileStream) Backend() string { return BackendText }
 
-// Reset implements Stream by rewinding (or opening) the file.
+// statIdentity is the stat identity of the text at path. A path that is not
+// a regular file (or cannot be stat'ed) gets size -1, which turns off the
+// end-of-pass size check.
+func statIdentity(path string) fileIdentity {
+	id := fileIdentity{path: path, size: -1}
+	if info, err := os.Stat(path); err == nil && info.Mode().IsRegular() {
+		id.size, id.mtime = info.Size(), info.ModTime().UnixNano()
+	}
+	return id
+}
+
+// unchanged reports whether the text still has its open-time stat identity.
+func (f *FileStream) unchanged() bool { return statIdentity(f.path) == f.ident }
+
+// Reset implements Stream. The pass reads the copy when there is one and
+// the text is unchanged; otherwise it rewinds (or opens) the text, and the
+// first such pass writes the copy.
 func (f *FileStream) Reset() error {
+	f.dropSpill() // left by a pass that was abandoned before its end
+	f.onCopy = false
+	if f.copy != nil {
+		if f.unchanged() {
+			f.onCopy = true
+			return f.copy.Reset()
+		}
+		f.dropCopy()
+		f.noCopy = true
+	}
 	if f.file == nil {
 		file, err := f.open(f.path)
 		if err != nil {
 			return fmt.Errorf("stream: open %s: %w", f.path, err)
 		}
 		f.file = file
-		f.size = -1
-		if info, err := os.Stat(f.path); err == nil && info.Mode().IsRegular() {
-			f.size = info.Size()
-		}
+		f.ident = statIdentity(f.path)
 	} else if _, err := f.file.Seek(0, io.SeekStart); err != nil {
 		return fmt.Errorf("stream: rewind %s: %w", f.path, err)
 	}
-	f.lr.init(f.file, 0, f.lr.buf)
+	f.lr.init(f.file, f.lr.buf)
 	f.active = true
 	f.line = 0
 	f.pos = 0
 	f.pending = nil
 	f.broken = false
-	f.indexing = !f.indexDone
-	if f.indexing {
-		f.index = f.index[:0]
-		f.indexLines = f.indexLines[:0]
+	if !f.noCopy {
+		f.startSpill()
 	}
 	return nil
 }
 
-// abortPass marks the current pass unusable for length discovery and
-// indexing (a parse or read error occurred).
-func (f *FileStream) abortPass() {
-	f.indexing = false
-	f.broken = true
+// startSpill begins writing the copy. A temp file that cannot be created
+// leaves the stream without a copy.
+func (f *FileStream) startSpill() {
+	spill, err := os.CreateTemp("", "degentri-text-*.bex")
+	if err != nil {
+		f.noCopy = true
+		return
+	}
+	f.spill = spill
+	f.enc = newBex2Encoder(spill, bex2HeaderSize, DefaultBlockEdges)
+	// finishSpill patches the edge count once the pass has counted it.
+	if _, err := spill.Write(bex2Header(DefaultBlockEdges, 0)); err != nil {
+		f.failSpill()
+	}
 }
 
-// deliver records index/position bookkeeping for one decoded edge.
-func (f *FileStream) deliver(start int64) {
-	if f.indexing && f.pos%fileIndexGranularity == 0 {
-		f.index = append(f.index, start)
-		f.indexLines = append(f.indexLines, int32(f.line))
+// finishSpill completes the copy after a clean pass: it writes the footer,
+// patches the header's edge count, validates the container and installs it
+// for later passes. A copy that fails any step is dropped.
+func (f *FileStream) finishSpill() {
+	if f.spill == nil {
+		return
 	}
-	f.pos++
+	err := f.enc.finish()
+	if err == nil {
+		_, err = f.spill.WriteAt(bex2Header(DefaultBlockEdges, f.m), 0)
+	}
+	var meta *bex2Meta
+	if err == nil {
+		meta, err = readBex2Meta(f.spill, f.spill.Name())
+	}
+	if err != nil {
+		f.failSpill()
+		return
+	}
+	f.copy = newBex2Stream(meta, f.spill, false)
+	f.spill, f.enc = nil, bex2Encoder{}
+}
+
+// dropSpill abandons the copy the current pass was writing, if any.
+func (f *FileStream) dropSpill() {
+	if f.spill != nil {
+		removeTemp(f.spill)
+		f.spill, f.enc = nil, bex2Encoder{}
+	}
+}
+
+// failSpill drops a copy that could not be written (no temp directory, a
+// full disk, a vertex ID the format cannot hold); passes re-parse the text
+// until Close.
+func (f *FileStream) failSpill() {
+	f.dropSpill()
+	f.noCopy = true
+}
+
+// dropCopy closes and removes the finished copy, if any.
+func (f *FileStream) dropCopy() error {
+	if f.copy == nil {
+		return nil
+	}
+	err := f.copy.Close()
+	os.Remove(f.copy.cur.meta.path) // best effort, as in removeTemp
+	f.copy = nil
+	f.onCopy = false
+	return err
+}
+
+// removeTemp closes and deletes a temp file; both are best effort.
+func removeTemp(file *os.File) {
+	file.Close()
+	os.Remove(file.Name())
+}
+
+// abortPass marks the current pass unusable for length discovery and drops
+// its copy (a parse or read error occurred, or the pass came up short).
+func (f *FileStream) abortPass() {
+	f.broken = true
+	f.dropSpill()
 }
 
 // endOfPass finalizes a cleanly completed pass: the stream length is now
-// known and the shard index is complete. A pass that saw EOF before
-// consuming the bytes the open-time stat promised is NOT clean — a short
-// read below the parser (an injected fault, a file shrunk after open) looks
-// like a normal EOF up here. Trusting it would record a wrong m and install
-// a partial position→offset index, so every later sharded pass would seek
-// through it. Such a pass returns an error (transient: a re-run through a
-// healed reader sees the whole file) and discards its index instead.
+// known and the copy is complete. A pass that saw EOF before consuming the
+// bytes the open-time stat promised is NOT clean — a short read below the
+// parser (an injected fault, a file shrunk after open) looks like a normal
+// EOF up here. Trusting it would record a wrong m and install a partial
+// copy for every later pass to read. Such a pass returns an error
+// (transient: a re-run through a healed reader sees the whole file) and
+// drops its copy instead.
 func (f *FileStream) endOfPass() error {
 	if f.broken {
 		return nil
 	}
-	if f.size >= 0 && f.lr.abs != f.size {
+	if f.ident.size >= 0 && f.lr.abs != f.ident.size {
 		f.abortPass()
-		if f.indexing {
-			// Discard the partial index of this aborted build. A previously
-			// *completed* index (indexDone) is kept: it describes the file the
-			// open-time stat promised, and clearing it while indexDone stays
-			// true would hand RangeStream an empty index to seek through.
-			f.index = f.index[:0]
-			f.indexLines = f.indexLines[:0]
-		}
 		return MarkTransient(fmt.Errorf("stream: %s: pass consumed %d of %d bytes: %w",
-			f.path, f.lr.abs, f.size, ErrTruncated))
+			f.path, f.lr.abs, f.ident.size, ErrTruncated))
 	}
 	f.m = f.pos
 	f.mKnown = true
-	if f.indexing {
-		f.indexing = false
-		f.indexDone = true
-	}
+	f.finishSpill()
 	return nil
 }
 
 // Next implements Stream.
-func (f *FileStream) Next() (graph.Edge, error) {
-	if !f.active {
-		return graph.Edge{}, ErrNoPass
-	}
-	if err := f.pending; err != nil {
-		f.pending = nil
-		return graph.Edge{}, err
-	}
-	for {
-		line, start, ok, err := f.lr.next()
-		if err != nil {
-			f.abortPass()
-			return graph.Edge{}, fmt.Errorf("stream: reading %s: %w", f.path, err)
-		}
-		if !ok {
-			if eerr := f.endOfPass(); eerr != nil {
-				return graph.Edge{}, eerr
-			}
-			return graph.Edge{}, ErrEndOfPass
-		}
-		f.line++
-		e, isEdge, perr := parseEdgeLine(f.path, f.line, line)
-		if perr != nil {
-			f.abortPass()
-			return graph.Edge{}, perr
-		}
-		if isEdge {
-			f.deliver(start)
-			return e, nil
-		}
-	}
-}
+func (f *FileStream) Next() (graph.Edge, error) { return nextEdge(f) }
 
 // NextBatch implements Stream, filling buf (or an internal scratch buffer of
 // DefaultBatchSize edges when buf is empty). A parse or read error that
 // occurs after at least one edge was decoded is delivered on the next call,
 // so no edges are lost.
 func (f *FileStream) NextBatch(buf []graph.Edge) ([]graph.Edge, error) {
+	if f.onCopy {
+		return f.copy.NextBatch(buf)
+	}
 	if !f.active {
 		return nil, ErrNoPass
 	}
@@ -286,45 +327,50 @@ func (f *FileStream) NextBatch(buf []graph.Edge) ([]graph.Edge, error) {
 		buf = f.batch
 	}
 	n := 0
+	eof := false
+	var err error
 	for n < len(buf) {
-		line, start, ok, err := f.lr.next()
-		if err != nil {
+		line, ok, rerr := f.lr.next()
+		if rerr != nil {
 			f.abortPass()
-			err = fmt.Errorf("stream: reading %s: %w", f.path, err)
-			if n == 0 {
-				return nil, err
-			}
-			f.pending = err
-			return buf[:n], nil
+			err = fmt.Errorf("stream: reading %s: %w", f.path, rerr)
+			break
 		}
 		if !ok {
-			if eerr := f.endOfPass(); eerr != nil {
-				if n == 0 {
-					return nil, eerr
-				}
-				f.pending = eerr
-				return buf[:n], nil
-			}
-			if n == 0 {
-				return nil, ErrEndOfPass
-			}
-			return buf[:n], nil
+			eof = true
+			break
 		}
 		f.line++
 		e, isEdge, perr := parseEdgeLine(f.path, f.line, line)
 		if perr != nil {
 			f.abortPass()
-			if n == 0 {
-				return nil, perr
-			}
-			f.pending = perr
-			return buf[:n], nil
+			err = perr
+			break
 		}
 		if isEdge {
-			f.deliver(start)
 			buf[n] = e
 			n++
 		}
+	}
+	f.pos += n
+	// The batch reaches the copy before endOfPass completes it. An encoder
+	// error drops the copy, never the pass.
+	if f.spill != nil && n > 0 {
+		if werr := f.enc.add(buf[:n]); werr != nil {
+			f.failSpill()
+		}
+	}
+	if eof {
+		err = f.endOfPass()
+		if err == nil && n == 0 {
+			return nil, ErrEndOfPass
+		}
+	}
+	if err != nil {
+		if n == 0 {
+			return nil, err
+		}
+		f.pending = err
 	}
 	return buf[:n], nil
 }
@@ -394,204 +440,35 @@ func isSpace(c byte) bool {
 	return c == ' ' || c == '\t' || c == '\r' || c == '\v' || c == '\f'
 }
 
-// Len implements Stream. The length is unknown until a full pass (or
-// CountEdges) has been completed or SetLen called.
+// Len implements Stream. The length is unknown until a full pass has been
+// completed.
 func (f *FileStream) Len() (int, bool) { return f.m, f.mKnown }
 
-// SetLen records the number of edges after a counting pass so later callers
-// see a known length.
-func (f *FileStream) SetLen(m int) {
-	f.m = m
-	f.mKnown = true
-}
-
-// RangeStream implements RangeStreamer once this stream has completed an
-// indexing pass: the sub-stream opens its own file handle, seeks to the
-// indexed line nearest lo, skips forward, and delivers exactly hi-lo edges.
-// Before any complete pass it reports ok=false and sharded passes fall back
-// to one sequential scan (which itself builds the index).
+// RangeStream implements RangeStreamer through the copy: ranges are
+// available once a clean pass has written one and while the text is
+// unchanged. Before that it reports ok=false and sharded passes fall back to
+// one sequential scan (the first of which writes the copy).
 func (f *FileStream) RangeStream(lo, hi int) (Stream, bool) {
-	if !f.indexDone || lo < 0 || hi < lo || hi > f.m {
+	if f.copy == nil || !f.unchanged() {
 		return nil, false
 	}
-	if lo/fileIndexGranularity >= len(f.index) {
-		// No index entry at or before lo: only an empty range at the end of
-		// a file whose length is a multiple of the stride (or an empty
-		// file). Sequential fallback, never a bad seek.
-		return nil, false
-	}
-	return &fileRange{path: f.path, open: f.open, lo: lo, hi: hi, index: f.index, indexLines: f.indexLines}, true
+	return f.copy.RangeStream(lo, hi)
 }
 
-// Close releases the underlying file handle. The stream can be Reset again
-// afterwards (it will re-open the file); the shard index survives.
+// Close releases the text handle and removes the copy. The stream can be
+// Reset again afterwards: it re-opens the text, and its next pass writes a
+// new copy.
 func (f *FileStream) Close() error {
-	if f.file == nil {
-		return nil
-	}
-	err := f.file.Close()
-	f.file = nil
 	f.active = false
-	return err
-}
-
-// fileRange is an independent stream over edge positions [lo, hi) of an
-// indexed edge-list file, with its own file handle and parse state.
-type fileRange struct {
-	path       string
-	open       Opener
-	lo, hi     int
-	index      []int64
-	indexLines []int32
-	file       io.ReadSeekCloser
-	lr         lineReader
-	active     bool
-	line       int
-	remaining  int
-	batch      []graph.Edge
-	pending    error
-}
-
-// Reset implements Stream: seek to the indexed line at or before lo and
-// discard edges until position lo.
-func (r *fileRange) Reset() error {
-	r.remaining = r.hi - r.lo
-	r.active = true
-	r.pending = nil
-	r.line = 0
-	if r.remaining == 0 {
-		return nil
-	}
-	if r.file == nil {
-		open := r.open
-		if open == nil {
-			open = defaultOpener
+	f.noCopy = false
+	f.dropSpill()
+	err := f.dropCopy()
+	if f.file != nil {
+		if cerr := f.file.Close(); err == nil {
+			err = cerr
 		}
-		file, err := open(r.path)
-		if err != nil {
-			return fmt.Errorf("stream: open %s: %w", r.path, err)
-		}
-		r.file = file
+		f.file = nil
 	}
-	slot := r.lo / fileIndexGranularity
-	off := r.index[slot]
-	if _, err := r.file.Seek(off, io.SeekStart); err != nil {
-		return fmt.Errorf("stream: seek %s: %w", r.path, err)
-	}
-	r.lr.init(r.file, off, r.lr.buf)
-	// Resume line numbering from the indexed entry so parse errors report the
-	// same file:line a sequential pass would.
-	r.line = int(r.indexLines[slot]) - 1
-	for skip := r.lo - slot*fileIndexGranularity; skip > 0; skip-- {
-		if _, err := r.next(); err != nil {
-			if err == ErrEndOfPass {
-				return fmt.Errorf("stream: %s ended before position %d: %w", r.path, r.lo, ErrTruncated)
-			}
-			return err
-		}
-	}
-	return nil
-}
-
-// next decodes the next edge of the underlying file regardless of the range
-// budget (used both for skipping and for delivery).
-func (r *fileRange) next() (graph.Edge, error) {
-	for {
-		line, _, ok, err := r.lr.next()
-		if err != nil {
-			return graph.Edge{}, fmt.Errorf("stream: reading %s: %w", r.path, err)
-		}
-		if !ok {
-			return graph.Edge{}, ErrEndOfPass
-		}
-		r.line++
-		e, isEdge, perr := parseEdgeLine(r.path, r.line, line)
-		if perr != nil {
-			return graph.Edge{}, perr
-		}
-		if isEdge {
-			return e, nil
-		}
-	}
-}
-
-// Next implements Stream.
-func (r *fileRange) Next() (graph.Edge, error) {
-	if !r.active {
-		return graph.Edge{}, ErrNoPass
-	}
-	if err := r.pending; err != nil {
-		r.pending = nil
-		return graph.Edge{}, err
-	}
-	if r.remaining <= 0 {
-		return graph.Edge{}, ErrEndOfPass
-	}
-	e, err := r.next()
-	if err == ErrEndOfPass {
-		return graph.Edge{}, fmt.Errorf("stream: %s ended %d edges into range [%d,%d): %w",
-			r.path, r.hi-r.lo-r.remaining, r.lo, r.hi, ErrTruncated)
-	}
-	if err != nil {
-		return graph.Edge{}, err
-	}
-	r.remaining--
-	return e, nil
-}
-
-// NextBatch implements Stream.
-func (r *fileRange) NextBatch(buf []graph.Edge) ([]graph.Edge, error) {
-	if !r.active {
-		return nil, ErrNoPass
-	}
-	if err := r.pending; err != nil {
-		r.pending = nil
-		return nil, err
-	}
-	if r.remaining <= 0 {
-		return nil, ErrEndOfPass
-	}
-	if len(buf) == 0 {
-		if r.batch == nil {
-			r.batch = make([]graph.Edge, DefaultBatchSize)
-		}
-		buf = r.batch
-	}
-	// Inline decode loop (mirrors FileStream.NextBatch): this is the per-edge
-	// hot path of every shard of a parallel text-file pass, so it should not
-	// pay a call plus re-checked state per edge.
-	n := 0
-	for n < len(buf) && r.remaining > 0 {
-		e, err := r.next()
-		if err != nil {
-			if err == ErrEndOfPass {
-				err = fmt.Errorf("stream: %s ended %d edges into range [%d,%d): %w",
-					r.path, r.hi-r.lo-r.remaining, r.lo, r.hi, ErrTruncated)
-			}
-			if n == 0 {
-				return nil, err
-			}
-			r.pending = err
-			return buf[:n], nil
-		}
-		r.remaining--
-		buf[n] = e
-		n++
-	}
-	return buf[:n], nil
-}
-
-// Len implements Stream.
-func (r *fileRange) Len() (int, bool) { return r.hi - r.lo, true }
-
-// Close releases the range's file handle.
-func (r *fileRange) Close() error {
-	if r.file == nil {
-		return nil
-	}
-	err := r.file.Close()
-	r.file = nil
-	r.active = false
 	return err
 }
 

@@ -51,17 +51,7 @@ func (s *MemoryStream) Reset() error {
 }
 
 // Next implements Stream.
-func (s *MemoryStream) Next() (graph.Edge, error) {
-	if !s.begun {
-		return graph.Edge{}, ErrNoPass
-	}
-	if s.pos >= len(s.edges) {
-		return graph.Edge{}, ErrEndOfPass
-	}
-	e := s.edges[s.pos]
-	s.pos++
-	return e, nil
-}
+func (s *MemoryStream) Next() (graph.Edge, error) { return nextEdge(s) }
 
 // NextBatch implements Stream. The returned batch aliases the stream's
 // backing slice — no edges are copied — so it must not be modified. With an
@@ -123,13 +113,7 @@ func (p *PassCounter) Reset() error {
 }
 
 // Next implements Stream.
-func (p *PassCounter) Next() (graph.Edge, error) {
-	e, err := p.inner.Next()
-	if err == nil {
-		p.reads.Add(1)
-	}
-	return e, err
-}
+func (p *PassCounter) Next() (graph.Edge, error) { return nextEdge(p) }
 
 // NextBatch implements Stream, charging the whole batch to the read counter.
 func (p *PassCounter) NextBatch(buf []graph.Edge) ([]graph.Edge, error) {
@@ -165,13 +149,7 @@ type countedRange struct {
 
 func (c *countedRange) Reset() error { return c.inner.Reset() }
 
-func (c *countedRange) Next() (graph.Edge, error) {
-	e, err := c.inner.Next()
-	if err == nil {
-		c.reads.Add(1)
-	}
-	return e, err
-}
+func (c *countedRange) Next() (graph.Edge, error) { return nextEdge(c) }
 
 func (c *countedRange) NextBatch(buf []graph.Edge) ([]graph.Edge, error) {
 	batch, err := c.inner.NextBatch(buf)

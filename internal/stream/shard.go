@@ -64,7 +64,7 @@ type RangeStreamer interface {
 	Stream
 	// RangeStream returns a fresh stream over positions [lo, hi) of the pass,
 	// or ok == false when range access is currently unavailable (for example
-	// a file stream that has not yet completed the indexing pass). A returned
+	// a text stream before the pass that writes its .bex v2 copy). A returned
 	// stream must be Reset before use; if it implements io.Closer the caller
 	// is responsible for closing it.
 	RangeStream(lo, hi int) (Stream, bool)
@@ -113,9 +113,9 @@ func ShardedForEachBatch(
 // such recoveries the scan performed.
 //
 // Mid-scan resume needs position addressability: on a stream without range
-// access (a text file's very first pass) a transient read error propagates to
-// the caller, wrapped transient so a state-free caller may re-run the whole
-// pass itself.
+// access (a text file's first pass, or a text without a copy) a transient
+// read error propagates to the caller, wrapped transient so a state-free
+// caller may re-run the whole pass itself.
 func ShardedScan(
 	ctx context.Context,
 	s Stream,

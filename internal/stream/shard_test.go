@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
@@ -110,18 +111,18 @@ func TestShardedForEachBatchFileStream(t *testing.T) {
 	fs := OpenFile(path)
 	defer fs.Close()
 
-	// Before any complete pass the stream has no index: the sharded pass must
-	// fall back to the sequential scan (and build the index as it goes).
+	// Before any complete pass the stream has no copy: the sharded pass must
+	// fall back to the sequential scan (and write the copy as it goes).
 	if _, ok := fs.RangeStream(0, 0); ok {
-		t.Fatal("unindexed FileStream offered range access")
+		t.Fatal("FileStream offered range access before its first pass")
 	}
 	s := NewPassCounter(fs)
 	perShard, order := collectSharded(t, s, len(edges), 4)
 	checkShardedResult(t, edges, perShard, order, 4)
 
-	// Now indexed: the same pass must take the parallel path and agree.
+	// Now copied: the same pass must take the parallel path and agree.
 	if _, ok := fs.RangeStream(0, 0); !ok {
-		t.Fatal("FileStream still unindexed after a complete pass")
+		t.Fatal("FileStream has no range access after a complete pass")
 	}
 	perShard, order = collectSharded(t, s, len(edges), 4)
 	checkShardedResult(t, edges, perShard, order, 4)
@@ -144,7 +145,7 @@ func TestFileRangeStream(t *testing.T) {
 	if _, err := CountEdges(fs); err != nil {
 		t.Fatal(err)
 	}
-	// Ranges that straddle index granularity boundaries and file start/end.
+	// Ranges at the file start/end and straddling 1024-edge strides.
 	for _, r := range [][2]int{{0, 10}, {1020, 1030}, {1024, 2048}, {24990, 25000}, {0, 25000}, {700, 700}} {
 		sub, ok := fs.RangeStream(r[0], r[1])
 		if !ok {
@@ -168,13 +169,14 @@ func TestFileRangeStream(t *testing.T) {
 	}
 }
 
-// TestFileIndexCacheAcrossOpens pins that the shard index lives with one
+// TestFileIndexCacheAcrossOpens pins that the .bex v2 copy lives with one
 // FileStream and is not shared between opens: a fresh stream over a path
-// another stream has already indexed gets no range access and no length
+// another stream has already copied gets no range access and no length
 // until it completes a pass of its own, and then its ranges deliver exactly
-// the edges of a sequential pass, across index strides and at the file end.
+// the edges of a sequential pass, across block boundaries and at the file
+// end.
 func TestFileIndexCacheAcrossOpens(t *testing.T) {
-	edges := make([]graph.Edge, 3*fileIndexGranularity+17)
+	edges := make([]graph.Edge, 3*DefaultBlockEdges+17)
 	for i := range edges {
 		edges[i] = graph.Edge{U: i, V: i + 1}
 	}
@@ -192,7 +194,7 @@ func TestFileIndexCacheAcrossOpens(t *testing.T) {
 		if n, err := CountEdges(fs); err != nil || n != len(edges) {
 			t.Fatalf("open %d: counting pass: %d, %v", open, n, err)
 		}
-		for _, r := range [][2]int{{0, 5}, {fileIndexGranularity - 1, fileIndexGranularity + 3}, {len(edges) - 4, len(edges)}} {
+		for _, r := range [][2]int{{0, 5}, {DefaultBlockEdges - 1, DefaultBlockEdges + 3}, {len(edges) - 4, len(edges)}} {
 			sub, ok := fs.RangeStream(r[0], r[1])
 			if !ok {
 				t.Fatalf("open %d: range [%d,%d) unavailable", open, r[0], r[1])
@@ -216,6 +218,94 @@ func TestFileIndexCacheAcrossOpens(t *testing.T) {
 		if err := fs.Close(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// copyTempDir points TMPDIR at a fresh directory for the rest of the test,
+// so the test can watch the .bex v2 copies a FileStream writes there.
+func copyTempDir(t *testing.T) string {
+	t.Helper()
+	dir := filepath.Join(t.TempDir(), "tmp")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	t.Setenv("TMPDIR", dir)
+	return dir
+}
+
+// textCopies lists the FileStream copies in dir.
+func textCopies(t *testing.T, dir string) []string {
+	t.Helper()
+	copies, err := filepath.Glob(filepath.Join(dir, "degentri-text-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return copies
+}
+
+// TestFileStreamCopy pins the text path's one range mechanism: the first
+// pass leaves exactly one .bex v2 copy in TMPDIR, later passes and ranges
+// that cross block boundaries deliver exactly the first pass's edges, and
+// Close leaves TMPDIR empty.
+func TestFileStreamCopy(t *testing.T) {
+	edges := shardTestEdges(3*DefaultBlockEdges + 17)
+	path := filepath.Join(t.TempDir(), "edges.txt")
+	writeEdgeFileAt(t, path, edges)
+	tmp := copyTempDir(t)
+
+	fs := OpenFile(path)
+	defer fs.Close()
+	want := collectAll(t, fs)
+	sameEdges(t, want, edges, "first pass")
+	if copies := textCopies(t, tmp); len(copies) != 1 {
+		t.Fatalf("after the first pass TMPDIR holds copies %v, want exactly one", copies)
+	}
+	sameEdges(t, collectAll(t, fs), want, "pass served by the copy")
+	b := DefaultBlockEdges
+	for _, r := range [][2]int{{b - 3, b + 3}, {0, 2*b + 1}, {b, 2 * b}, {2*b - 1, len(edges)}, {len(edges), len(edges)}} {
+		sub, ok := fs.RangeStream(r[0], r[1])
+		if !ok {
+			t.Fatalf("range [%d,%d) unavailable after the first pass", r[0], r[1])
+		}
+		got := collectAll(t, sub)
+		if c, isCloser := sub.(interface{ Close() error }); isCloser {
+			c.Close()
+		}
+		sameEdges(t, got, want[r[0]:r[1]], fmt.Sprintf("range [%d,%d)", r[0], r[1]))
+	}
+	if err := fs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if left, err := os.ReadDir(tmp); err != nil || len(left) != 0 {
+		t.Fatalf("after Close TMPDIR holds %v (%v), want nothing", left, err)
+	}
+}
+
+// TestFileStreamUncopyableText pins the path without a copy: a vertex ID
+// the .bex v2 format cannot hold (≥ 2^31) makes the copy unwritable, so the
+// stream drops it without failing the pass, re-parses the text on every
+// pass with identical results, never offers range access, and leaves no
+// temp file behind.
+func TestFileStreamUncopyableText(t *testing.T) {
+	edges := shardTestEdges(2*DefaultBlockEdges + 9)
+	edges[DefaultBlockEdges+1] = graph.Edge{U: 1 << 31, V: 7} // the second block
+	path := filepath.Join(t.TempDir(), "wide.txt")
+	writeEdgeFileAt(t, path, edges)
+	tmp := copyTempDir(t)
+
+	fs := OpenFile(path)
+	defer fs.Close()
+	for pass := 0; pass < 3; pass++ {
+		sameEdges(t, collectAll(t, fs), edges, fmt.Sprintf("pass %d", pass))
+		if _, ok := fs.RangeStream(0, 0); ok {
+			t.Fatalf("pass %d: range access over a text with no copy", pass)
+		}
+		if copies := textCopies(t, tmp); len(copies) != 0 {
+			t.Fatalf("pass %d: TMPDIR holds copies %v, want none", pass, copies)
+		}
+	}
+	if m, ok := fs.Len(); !ok || m != len(edges) {
+		t.Fatalf("Len = %d,%v, want %d,true", m, ok, len(edges))
 	}
 }
 

@@ -61,6 +61,18 @@ type Stream interface {
 	Len() (m int, ok bool)
 }
 
+// nextEdge is the Next of every stream in this package: it reads a one-edge
+// batch through the stream's own NextBatch, so each reader has exactly one
+// read loop.
+func nextEdge(s Stream) (graph.Edge, error) {
+	var one [1]graph.Edge
+	batch, err := s.NextBatch(one[:])
+	if err != nil {
+		return graph.Edge{}, err
+	}
+	return batch[0], nil
+}
+
 // ForEach runs one full pass over the stream, invoking fn for every edge.
 // It returns the number of edges seen. If fn returns a non-nil error the
 // pass stops and the error is returned. Iteration is batched under the hood;
@@ -117,27 +129,6 @@ func CountEdges(s Stream) (int, error) {
 	return ForEachBatch(s, func([]graph.Edge) error { return nil })
 }
 
-// CountEdgesAndMaxID makes one pass over the stream and returns both the
-// number of edges and the largest vertex ID seen (-1 when no edge has a
-// non-negative endpoint). Callers that need m *and* will immediately run a
-// degeneracy peel use this to fuse the peel's vertex-ID discovery pass into
-// the edge-counting scan they had to make anyway (degen.Options.KnownVertices).
-func CountEdgesAndMaxID(s Stream) (m, maxID int, err error) {
-	maxID = -1
-	m, err = ForEachBatch(s, func(batch []graph.Edge) error {
-		for _, e := range batch {
-			if e.U > maxID {
-				maxID = e.U
-			}
-			if e.V > maxID {
-				maxID = e.V
-			}
-		}
-		return nil
-	})
-	return m, maxID, err
-}
-
 // ForEachBatchCtx is ForEachBatch with cancellation and whole-pass retry:
 // the context is checked at every batch boundary (a cancelled pass stops
 // within one batch, returning the context error wrapped with the position
@@ -187,8 +178,13 @@ func CountEdgesCtx(ctx context.Context, s Stream, retry RetryPolicy) (m, retries
 	return ForEachBatchCtx(ctx, s, retry, func([]graph.Edge) error { return nil })
 }
 
-// CountEdgesAndMaxIDCtx is CountEdgesAndMaxID with cancellation and
-// whole-pass retry (max is idempotent under replay, so re-running is sound).
+// CountEdgesAndMaxIDCtx makes one pass over the stream and returns both the
+// number of edges and the largest vertex ID seen (-1 when no edge has a
+// non-negative endpoint), with cancellation and whole-pass retry (max is
+// idempotent under replay, so re-running is sound). Callers that need m
+// *and* will immediately run a degeneracy peel use this to fuse the peel's
+// vertex-ID discovery pass into the edge-counting scan they had to make
+// anyway (degen.Options.KnownVertices).
 func CountEdgesAndMaxIDCtx(ctx context.Context, s Stream, retry RetryPolicy) (m, maxID, retries int, err error) {
 	maxID = -1
 	m, retries, err = ForEachBatchCtx(ctx, s, retry, func(batch []graph.Edge) error {

@@ -177,9 +177,8 @@ func TestFileStream(t *testing.T) {
 			t.Fatalf("edge %d = %v, want %v", i, edges[i], want[i])
 		}
 	}
-	fs.SetLen(len(edges))
 	if m, ok := fs.Len(); !ok || m != 3 {
-		t.Fatalf("Len after SetLen = %d,%v", m, ok)
+		t.Fatalf("Len after a pass = %d,%v", m, ok)
 	}
 	// Second pass after Close: stream must still be usable.
 	if err := fs.Close(); err != nil {

@@ -79,8 +79,9 @@ type Options struct {
 	// process-wide decoded-block cache (stream.SetDecodeCacheBudget sets
 	// the budget), so the 2nd..Nth pass of the multi-pass algorithm skips
 	// decode entirely. Purely a performance preference: estimates are
-	// bit-identical with the cache on or off, at any worker count. Formats
-	// without block decode (text, .bex v1) ignore it.
+	// bit-identical with the cache on or off, at any worker count. .bex v1
+	// has no block decode and ignores it; text is served from a private,
+	// uncached v2 copy (no other stream could hit its blocks).
 	DecodeCache bool
 	// WrapStream, when non-nil, wraps every stream the estimator opens before
 	// any pass runs over it. This is a development hook — it exists for fault
