@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"sync"
 
-	"degentri/internal/degen"
 	"degentri/internal/sched"
 	"degentri/internal/stream"
 )
@@ -24,6 +23,8 @@ var ErrNoEdges = errors.New("core: stream contains no edges")
 // estimate is consistent with it (estimate ≥ guess). Each halving doubles the
 // sample sizes, so the total space is within a constant factor of the space
 // the final accepted run uses, and the number of passes is 6·O(log(mκ)).
+// κ is cfg.Kappa, supplied by the caller: the search neither peels nor
+// otherwise derives a bound (the triangle facade resolves one per session).
 //
 // The search runs on the pass-fusion scan scheduler: probes are executed in
 // speculative batches of Config.SpecWidth (default 2), and because probe
@@ -34,10 +35,6 @@ var ErrNoEdges = errors.New("core: stream contains no edges")
 // first accepted (or aborted) attempt contribute neither to Result.Passes
 // (the logical, paper metric) nor to the accepted values; their scans were
 // shared anyway and are reported in Result.Scans.
-//
-// When cfg.Kappa is 0 the degeneracy bound is first approximated from the
-// stream by the peeling estimator of internal/degen (once, shared by every
-// probe run of the search), and the result carries KappaApprox = true.
 //
 // The returned Result is the accepted run's result with Passes replaced by
 // the cumulative logical pass count of the whole search, Scans by the
@@ -70,7 +67,7 @@ func AutoEstimateCtx(ctx context.Context, src stream.Stream, cfg Config) (Result
 		var err error
 		m, preludeRetries, err = stream.CountEdgesCtx(ctx, counter, cfg.Retry)
 		if err != nil {
-			return Result{Retries: preludeRetries}, wrapAbort(err)
+			return Result{Retries: preludeRetries}, WrapAbort(err)
 		}
 		prelude = 1
 	}
@@ -82,49 +79,32 @@ func AutoEstimateCtx(ctx context.Context, src stream.Stream, cfg Config) (Result
 		workers = runtime.GOMAXPROCS(0)
 	}
 	sch := sched.NewCtx(ctx, counter, m, workers, cfg.Retry)
-	res, err := AutoEstimateOn(sch, cfg)
+	c := sch.NewClient()
+	res, err := AutoEstimateFrom(c, cfg)
+	c.Done()
 	res.Passes += prelude
 	res.Scans = prelude + sch.Scans()
 	res.Retries = preludeRetries + sch.Retries()
-	return res, wrapAbort(err)
+	return res, WrapAbort(err)
 }
 
-// AutoEstimateOn is the geometric search running every pass through clients
-// of the given scheduler, so that several searches (for example independent
-// trials) fuse their probes' passes onto shared physical scans. The caller
-// owns physical-scan accounting: Result.Scans is left zero.
-func AutoEstimateOn(sch *sched.Scheduler, cfg Config) (Result, error) {
-	return autoEstimateOn(nil, sch, cfg, nil)
-}
-
-// AutoEstimateOnCtx is AutoEstimateOn with every client the search registers
-// (degeneracy peel, speculative probes, confirmation run) scoped to ctx
-// rather than to the scheduler's own context. This is the entry point of a
-// long-lived service: many requests share one scheduler over a hot stream,
-// and one request's deadline or disconnect must abandon only *its* passes —
-// mid-wave, at a batch boundary, per the per-client isolation contract —
-// while fused peers complete bit-identically. The degradation semantics are
-// those of AutoEstimateCtx: a ctx that fires after at least one usable probe
-// returns the best accepted estimate flagged Partial with a nil error.
-func AutoEstimateOnCtx(ctx context.Context, sch *sched.Scheduler, cfg Config) (Result, error) {
-	return autoEstimateOn(ctx, sch, cfg, nil)
-}
-
-// AutoEstimateFrom is AutoEstimateOn invoked from an existing scheduler
-// client (for example one trial of a fused trial group): the search parks
-// the handoff client only *after* registering its own first client, so at
-// no instant is the caller absent from the wave barrier — peers cannot slip
-// a wave past it and break the trials-fuse-in-lockstep scan bound. The
-// handoff client is left parked; the caller remains responsible for its
-// Done.
+// AutoEstimateFrom is the geometric search invoked from an existing
+// scheduler client — one trial of a fused trial group, or one request on a
+// shared scan group. Every pass runs through clients of c's scheduler, so
+// several searches fuse their probes' passes onto shared physical scans, and
+// every client the search registers is scoped to c.Context(): one request's
+// deadline or disconnect abandons only its own passes (mid-wave, at a batch
+// boundary) while fused peers complete bit-identically. The degradation
+// semantics are those of AutoEstimateCtx.
+//
+// The search parks the handoff client only *after* registering its own
+// first client, so at no instant is the caller absent from the wave barrier
+// — peers cannot slip a wave past it and break the trials-fuse-in-lockstep
+// scan bound. The handoff client is left parked; the caller remains
+// responsible for its Done. The caller also owns physical-scan accounting:
+// Result.Scans is left zero.
 func AutoEstimateFrom(c *sched.Client, cfg Config) (Result, error) {
-	return autoEstimateOn(nil, c.Scheduler(), cfg, c)
-}
-
-// autoEstimateOn runs the search. clientCtx scopes every client it registers;
-// nil means the scheduler's context (sched.NewClientCtx treats nil the same
-// way, so the two spellings are one code path).
-func autoEstimateOn(clientCtx context.Context, sch *sched.Scheduler, cfg Config, handoff *sched.Client) (Result, error) {
+	sch, clientCtx, handoff := c.Scheduler(), c.Context(), c
 	// release parks the handoff client; it must be called only once at least
 	// one search-owned client is registered (a just-registered client is
 	// born non-waiting, so it blocks waves until it submits). Early-error
@@ -144,58 +124,13 @@ func autoEstimateOn(clientCtx context.Context, sch *sched.Scheduler, cfg Config,
 	}
 	logical := 0 // cumulative passes of the sequential (paper) search
 
-	// Resolve an unknown κ once, up front: every probe run of the search
-	// reuses the same bound, so the peeling passes are paid a single time.
-	// The peel runs as a scheduler client: its rounds fuse with whatever
-	// other clients of this scheduler have pending.
-	kappaApprox := false
-	var kappaSpace int64
-	if cfg.Kappa == 0 {
-		c := sch.NewClientCtx(clientCtx)
-		release()
-		// Hold the peel's words on the scheduler's group meter while the
-		// peel is live (concurrent peels of fused searches add up there);
-		// the search's own SpaceWords folds kappaSpace in via finish.
-		peelMeter := stream.NewSpaceMeter()
-		peelMeter.Tee(sch.Meter())
-		dres, err := degen.EstimateOn(c, degen.Options{Meter: peelMeter})
-		c.Done()
-		logical += dres.Passes
-		if err != nil {
-			return Result{EdgesInStream: m, Passes: logical}, wrapAbort(err)
-		}
-		cfg.Kappa = dres.Kappa
-		if cfg.Kappa < 1 {
-			cfg.Kappa = 1
-		}
-		kappaApprox = true
-		kappaSpace = dres.SpaceWords
-		// The peel's O(n) words are subject to the same Markov cutoff the
-		// probe runs enforce (Estimator.Run charges the identical phase when
-		// it resolves κ itself).
-		if cfg.MaxSpaceWords > 0 && kappaSpace > cfg.MaxSpaceWords {
-			return Result{
-				EdgesInStream: m,
-				SpaceWords:    kappaSpace,
-				KappaBound:    cfg.Kappa,
-				KappaApprox:   true,
-				Passes:        logical,
-				Aborted:       true,
-			}, nil
-		}
-	}
 	// searchMeter tracks the concurrent peak of *this* search's probes; the
 	// scheduler's group meter additionally aggregates across everything fused
 	// onto the scheduler (for example other trials).
 	searchMeter := stream.NewSharedMeter()
 	finish := func(res Result) Result {
-		res.KappaBound = cfg.Kappa
-		res.KappaApprox = kappaApprox
 		if peak := searchMeter.Peak(); peak > res.SpaceWords {
 			res.SpaceWords = peak
-		}
-		if kappaSpace > res.SpaceWords {
-			res.SpaceWords = kappaSpace
 		}
 		res.Passes = logical
 		return res
@@ -296,7 +231,7 @@ func autoEstimateOn(clientCtx context.Context, sch *sched.Scheduler, cfg Config,
 					out.Partial = true
 					return out, nil
 				}
-				return finish(res), wrapAbort(fmt.Errorf("core: auto-estimate at guess %d: %w", guess, err))
+				return finish(res), WrapAbort(fmt.Errorf("core: auto-estimate at guess %d: %w", guess, err))
 			}
 			logical += res.Passes
 			last = res
@@ -339,7 +274,7 @@ func autoEstimateOn(clientCtx context.Context, sch *sched.Scheduler, cfg Config,
 				out.Partial = true
 				return out, nil
 			}
-			return finish(res), wrapAbort(fmt.Errorf("core: auto-estimate confirmation at guess %d: %w", confirmGuess, err))
+			return finish(res), WrapAbort(fmt.Errorf("core: auto-estimate confirmation at guess %d: %w", confirmGuess, err))
 		}
 		if !res.Aborted {
 			last = res

@@ -68,27 +68,6 @@ func TestAutoEstimateTriangleFreeConverges(t *testing.T) {
 	}
 }
 
-func TestAutoEstimateKappaPeelRespectsSpaceCutoff(t *testing.T) {
-	// With Kappa unknown, the O(n)-word peel state itself is subject to the
-	// Markov cutoff, exactly as when Estimator.Run resolves κ.
-	g := gen.Wheel(2000) // peel state ≈ n words ≫ the budget below
-	cfg := DefaultConfig(0.25, 0, 1)
-	cfg.MaxSpaceWords = 100
-	res, err := AutoEstimate(stream.FromGraphShuffled(g, 2), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Aborted {
-		t.Fatal("expected the κ peel to trip the space cutoff")
-	}
-	if !res.KappaApprox || res.KappaBound < 1 {
-		t.Fatalf("aborted result should still report the κ it derived: %+v", res)
-	}
-	if res.SpaceWords <= cfg.MaxSpaceWords {
-		t.Fatalf("accounted space %d should exceed the budget %d", res.SpaceWords, cfg.MaxSpaceWords)
-	}
-}
-
 func TestAutoEstimateRespectsSpaceCutoff(t *testing.T) {
 	g := gen.Grid(20, 20) // triangle-free, so the search wants to descend far
 	cfg := DefaultConfig(0.25, 2, 1)

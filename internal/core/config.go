@@ -13,7 +13,9 @@
 //
 // All estimators run against the stream.Stream interface, account their
 // retained state in words through a stream.SpaceMeter, and derive their
-// sample sizes from Config.
+// sample sizes from Config. As in the paper, the degeneracy bound κ is an
+// input (Config.Kappa ≥ 1): finding one for a stream that comes without it
+// is the caller's job, and the triangle facade does it once per estimate.
 package core
 
 import (
@@ -69,12 +71,10 @@ func (r AssignmentRule) String() string {
 type Config struct {
 	// Epsilon is the target relative error ε ∈ (0, 1).
 	Epsilon float64
-	// Kappa is an upper bound on the degeneracy κ(G). Experiments pass the
-	// exact value. Zero means the bound is unknown: the estimator derives one
-	// with the streaming peeling approximation of internal/degen — O(n) words
-	// and O(log n) extra passes, κ ≤ bound ≤ (2+ε)κ — before sizing its
-	// samples. Result.KappaBound reports the value used and KappaApprox
-	// whether it was estimated.
+	// Kappa is an upper bound on the degeneracy κ(G), at least 1.
+	// Experiments pass the exact value; the triangle facade passes the
+	// caller's bound, the exact κ, or the streaming peel's κ̂
+	// (internal/degen).
 	Kappa int
 	// TGuess is the current guess (lower bound) for the triangle count used
 	// to size the samples. AutoEstimate drives it by geometric search.
@@ -141,8 +141,8 @@ func (c Config) Validate() error {
 	if c.Epsilon <= 0 || c.Epsilon >= 1 {
 		return fmt.Errorf("core: epsilon must be in (0,1), got %v", c.Epsilon)
 	}
-	if c.Kappa < 0 {
-		return fmt.Errorf("core: kappa must be >= 0 (0 = estimate from the stream), got %d", c.Kappa)
+	if c.Kappa < 1 {
+		return fmt.Errorf("core: kappa must be >= 1, got %d", c.Kappa)
 	}
 	if c.TGuess < 1 {
 		return fmt.Errorf("core: TGuess must be >= 1, got %d", c.TGuess)

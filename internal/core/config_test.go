@@ -19,6 +19,7 @@ func TestConfigValidateErrors(t *testing.T) {
 		{"epsilon one", func(c *Config) { c.Epsilon = 1 }},
 		{"epsilon negative", func(c *Config) { c.Epsilon = -0.5 }},
 		{"kappa negative", func(c *Config) { c.Kappa = -1 }},
+		{"kappa zero", func(c *Config) { c.Kappa = 0 }},
 		{"tguess zero", func(c *Config) { c.TGuess = 0 }},
 		{"cr zero", func(c *Config) { c.CR = 0 }},
 		{"cl negative", func(c *Config) { c.CL = -1 }},

@@ -23,9 +23,11 @@ var (
 	ErrAborted  = errors.New("core: run aborted")
 )
 
-// wrapAbort brands an error that stems from context cancellation with the
-// matching core sentinel, leaving every other error untouched.
-func wrapAbort(err error) error {
+// WrapAbort brands an error that stems from context cancellation with the
+// matching core sentinel, leaving every other error untouched. Callers that
+// run core's estimators on their own executors use it so that every error
+// they return is classified the same way.
+func WrapAbort(err error) error {
 	switch {
 	case err == nil:
 		return nil

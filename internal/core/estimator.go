@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 
-	"degentri/internal/degen"
 	"degentri/internal/graph"
 	"degentri/internal/passes"
 	"degentri/internal/sampling"
@@ -125,7 +124,7 @@ func (est *Estimator) RunCtx(ctx context.Context, src stream.Stream) (Result, er
 		m, preludeRetries, err = stream.CountEdgesCtx(ctx, counter, est.cfg.Retry)
 		if err != nil {
 			return Result{Passes: counter.Passes(), Scans: counter.Passes(), Retries: preludeRetries},
-				wrapAbort(err)
+				WrapAbort(err)
 		}
 		prelude = 1
 	}
@@ -133,7 +132,7 @@ func (est *Estimator) RunCtx(ctx context.Context, src stream.Stream) (Result, er
 	res.Passes += prelude
 	res.Scans = res.Passes
 	res.Retries += preludeRetries
-	return res, wrapAbort(err)
+	return res, WrapAbort(err)
 }
 
 // RunOn executes the estimator's passes through the given executor, whose
@@ -172,39 +171,6 @@ func (est *Estimator) runOn(x passes.Executor) (Result, error) {
 	res.EdgesInStream = m
 	if m == 0 {
 		return res, ErrNoEdges
-	}
-
-	// Resolve an unknown degeneracy bound with the streaming peeling
-	// approximation — O(n) words, O(log n) passes — instead of materializing
-	// the graph. The peel state is transient (released before the sampling
-	// passes), so it contributes to the peak, not to the steady-state charge.
-	res.KappaBound = cfg.Kappa
-	if cfg.Kappa == 0 {
-		// The peel holds its O(n) words on the estimator's meter while it
-		// runs (so fused runs' group meters see concurrent peels live); the
-		// charge below re-applies it for the budget check, identically to
-		// the peel-free accounting.
-		dres, derr := degen.EstimateOn(x, degen.Options{Meter: est.meter})
-		if derr != nil {
-			finishPasses()
-			return res, derr
-		}
-		kappa := dres.Kappa
-		if kappa < 1 {
-			kappa = 1
-		}
-		est.cfg.Kappa = kappa
-		cfg.Kappa = kappa
-		res.KappaBound = kappa
-		res.KappaApprox = true
-		est.meter.Charge(dres.SpaceWords)
-		if est.overBudget() {
-			res.Aborted = true
-			finishPasses()
-			res.SpaceWords = est.meter.Peak()
-			return res, nil
-		}
-		est.meter.Release(dres.SpaceWords)
 	}
 
 	// ----- Pass 1: uniform edge sample R (multiset, with replacement). -----

@@ -208,7 +208,7 @@ func TestFusedConcurrentClientsMatchSoloRuns(t *testing.T) {
 
 // TestAutoEstimateSpecWidthInvariance pins that the speculative fused search
 // accepts exactly the sequential search's result: at every speculation width
-// the Estimate, logical Passes, and κ are identical over every backend; only
+// the Estimate and logical Passes are identical over every backend; only
 // Scans (down) and SpaceWords (concurrent peak, up) move.
 func TestAutoEstimateSpecWidthInvariance(t *testing.T) {
 	graphs := goldenGraphs()
@@ -250,7 +250,7 @@ func TestAutoEstimateSpecWidthInvariance(t *testing.T) {
 		},
 	}
 
-	cfg := core.DefaultConfig(0.15, 0, 1) // κ unknown: the peel is in scope too
+	cfg := core.DefaultConfig(0.15, w.g.Degeneracy(), 1)
 	cfg.CR, cfg.CL, cfg.CS = 8, 8, 8
 	cfg.Seed = 7
 

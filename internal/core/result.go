@@ -44,13 +44,6 @@ type Result struct {
 	DistinctTriangles int
 	// DR is d_R = Σ_{e∈R} d_e observed in pass 2.
 	DR int64
-	// KappaBound is the degeneracy bound κ the run sized its samples with:
-	// Config.Kappa when supplied, otherwise the streaming peeling
-	// approximation computed from the stream.
-	KappaBound int
-	// KappaApprox reports that KappaBound came from the streaming peeling
-	// approximation (Config.Kappa was 0) rather than from the caller.
-	KappaApprox bool
 	// Aborted reports that the run hit Config.MaxSpaceWords and stopped
 	// early; Estimate is then meaningless.
 	Aborted bool

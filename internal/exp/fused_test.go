@@ -100,67 +100,3 @@ func TestFusedTrialsScanBudgetOnFile(t *testing.T) {
 			ft.PeakSpaceWords, soloPeak)
 	}
 }
-
-// TestFusedTrialsWithUnknownKappaFuseThePeel runs fused trials whose configs
-// leave κ unresolved: each trial's degeneracy peel runs as scheduler passes
-// and fuses with its peers (and with their core passes when phases skew), so
-// the whole run still fits in one trial's scan budget. This is the
-// degen-fusion path of ISSUE 5 exercised end to end.
-func TestFusedTrialsWithUnknownKappaFuseThePeel(t *testing.T) {
-	g := gen.HolmeKim(5000, 4, 0.5, 13)
-	dir := t.TempDir()
-	path := filepath.Join(dir, "peel.txt")
-	if err := stream.WriteGraphFile(path, g, "fused peel"); err != nil {
-		t.Fatal(err)
-	}
-	const trials = 4
-	base := core.DefaultConfig(0.15, 0, 1) // Kappa 0: every trial resolves it in-stream
-	base.CR, base.CL, base.CS = 8, 8, 8
-	base.TGuess = int64(g.TriangleCount())
-	base.Seed = 11
-
-	unfused := make([]core.Result, trials)
-	for i := range unfused {
-		fs := stream.OpenFile(path)
-		res, err := core.EstimateTriangles(fs, trialCfg(base, i))
-		fs.Close()
-		if err != nil {
-			t.Fatalf("unfused trial %d: %v", i, err)
-		}
-		unfused[i] = res
-	}
-
-	fs := stream.OpenFile(path)
-	defer fs.Close()
-	m, err := stream.CountEdges(fs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ft, err := exp.RunTrialsFused(fs, m, trials, 2, func(c *sched.Client, trial int) (core.Result, error) {
-		est := core.NewEstimator(trialCfg(base, trial))
-		est.TeeSpace(c.Scheduler().Meter())
-		return est.RunOn(c)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	maxPasses := 0
-	for i, res := range ft.Results {
-		want := unfused[i]
-		// The unfused run pays its own counting pass; the fused run shares
-		// the harness's single counting scan, so align that before the
-		// bit-identity check.
-		got := res
-		got.Passes++
-		got.Scans = want.Scans
-		if got != want {
-			t.Errorf("trial %d: fused (κ-peeling) result diverges:\n  fused   %+v\n  unfused %+v", i, got, want)
-		}
-		if res.Passes > maxPasses {
-			maxPasses = res.Passes
-		}
-	}
-	if ft.Scans > maxPasses {
-		t.Errorf("%d fused κ-peeling trials cost %d scans, want at most %d", trials, ft.Scans, maxPasses)
-	}
-}

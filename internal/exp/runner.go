@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -129,9 +128,9 @@ func aggregateTrials(results []core.Result, errs []error, truth float64) (TrialS
 // FusedRunner runs one trial against a shared stream, executing every pass
 // through the given scheduler client. The client is registered before any
 // trial starts (which is what makes all trials fuse from their first wave);
-// a runner that delegates to its own scheduler clients — for example
-// core.AutoEstimateOn via c.Scheduler() — must first Park or Done the trial
-// client so it does not hold back its delegates' waves.
+// a runner that delegates to its own scheduler clients must Park the trial
+// client once they are registered, as core.AutoEstimateFrom does, so it
+// does not hold back its delegates' waves.
 type FusedRunner func(c *sched.Client, trial int) (core.Result, error)
 
 // FusedTrials is the outcome of a fused trial run: the per-trial results (in
@@ -148,11 +147,6 @@ type FusedTrials struct {
 	// across all fused trials (the scheduler's group meter), the honest
 	// space figure for the fused execution.
 	PeakSpaceWords int64
-	// Retries is the number of transient-fault retries the scheduler's
-	// physical scans performed across the whole fused run (resource
-	// accounting only; retried scans resume positionally and never change a
-	// trial's result).
-	Retries int
 }
 
 // Stats aggregates the fused results against a known ground truth, exactly
@@ -173,22 +167,10 @@ func (ft FusedTrials) Stats(truth float64) (TrialStats, error) {
 // workers bounds the shard workers of each fused scan (<= 0: GOMAXPROCS).
 // The first trial error (in trial order) is returned, matching RunTrials.
 func RunTrialsFused(src stream.Stream, m, trials, workers int, run FusedRunner) (FusedTrials, error) {
-	return RunTrialsFusedCtx(context.Background(), src, m, trials, workers, stream.RetryPolicy{}, run)
-}
-
-// RunTrialsFusedCtx is RunTrialsFused under a cancellation context and a
-// transient-fault retry policy: ctx cancels every trial's next wave (each
-// trial returns its own wrapped context error), and transient scan failures
-// are healed under the policy with recoveries reported in
-// FusedTrials.Retries.
-func RunTrialsFusedCtx(ctx context.Context, src stream.Stream, m, trials, workers int, retry stream.RetryPolicy, run FusedRunner) (FusedTrials, error) {
 	if trials < 1 {
 		return FusedTrials{}, fmt.Errorf("exp: trials must be positive")
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	sch := sched.NewCtx(ctx, src, m, workers, retry)
+	sch := sched.New(src, m, workers)
 	clients := make([]*sched.Client, trials)
 	for i := range clients {
 		clients[i] = sch.NewClient()
@@ -205,7 +187,7 @@ func RunTrialsFusedCtx(ctx context.Context, src stream.Stream, m, trials, worker
 		}(i)
 	}
 	wg.Wait()
-	ft := FusedTrials{Results: results, Scans: sch.Scans(), PeakSpaceWords: sch.Meter().Peak(), Retries: sch.Retries()}
+	ft := FusedTrials{Results: results, Scans: sch.Scans(), PeakSpaceWords: sch.Meter().Peak()}
 	for i, err := range errs {
 		if err != nil {
 			return ft, fmt.Errorf("exp: trial %d: %w", i, err)

@@ -32,7 +32,7 @@ func (s breakerState) String() string {
 // truncated or corrupt files, vanished paths, permission changes. Tripping
 // costs the graph its warm ScanGroup; while open, requests are rejected
 // instantly instead of each rediscovering the same broken file with a full
-// (failing) counting scan. After a backoff the next request is let through
+// (failing) scan. After a backoff the next request is let through
 // as a probe (half-open, one at a time): success closes the breaker,
 // another I/O failure reopens it with doubled backoff up to a cap.
 //

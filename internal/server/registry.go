@@ -29,8 +29,9 @@ type groupRef struct {
 
 // graphEntry is the registry's per-graph record: the path, the current warm
 // generation (nil when cold), a single-flight latch so concurrent cold
-// requests build one group instead of racing N counting scans, and the
-// breaker guarding rebuilds.
+// requests build one group instead of racing N opens (only a text file's
+// open scans it, to count its edges; a .bex group's peel makes its own
+// vertex-ID pass), and the breaker guarding rebuilds.
 type graphEntry struct {
 	name string
 	path string

@@ -55,24 +55,8 @@ func EstimateCliques(edges []Edge, opts CliqueOptions) (Result, error) {
 			kappa = 1
 		}
 	}
-	eps := opts.Epsilon
-	if eps <= 0 || eps >= 1 {
-		eps = 0.1
-	}
-	seed := opts.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	mult := opts.SampleMultiplier
-	if mult <= 0 {
-		mult = 1
-	}
-	cfg := clique.DefaultConfig(opts.K, eps, kappa, opts.CliqueGuess)
-	cfg.CR, cfg.CL = 8*mult, 8*mult
-	cfg.Seed = seed
-
-	src := stream.FromGraphShuffled(g, seed)
-	res, err := clique.Estimate(src, cfg)
+	cfg := cliqueConfig(opts, kappa)
+	res, err := clique.Estimate(stream.FromGraphShuffled(g, cfg.Seed), cfg)
 	if err != nil {
 		return Result{}, fmt.Errorf("triangle: %w", err)
 	}

@@ -42,20 +42,22 @@ type GroupKappa struct {
 	Kappa int
 	// LowerBound is the certified density lower bound ≤ κ.
 	LowerBound int
-	// Passes is what the resolution cost in logical passes.
+	// Passes is what the resolution cost in logical passes: the peel's
+	// rounds, plus its vertex-ID pass unless the group's opening scan
+	// already found the vertex count (text files).
 	Passes int
 	// SpaceWords is the peel's accounted peak space.
 	SpaceWords int64
 }
 
-// ScanGroup is a long-lived estimation session over one edge file: it owns
-// the stream, resolves the stream facts every request needs (edge count,
-// vertex count, the κ̂ peel) exactly once, and runs each request's passes as
-// clients of one pass-fusion scan scheduler — so concurrent requests against
-// the same file fuse their pending passes onto shared physical scans instead
-// of each scanning alone. This is the coalescing layer a multi-tenant
-// service puts behind each hot graph; cmd/triangled builds its registry out
-// of ScanGroups.
+// ScanGroup is an estimation session over one edge stream: it resolves the
+// stream facts every estimate needs (edge count, the κ̂ peel) exactly once,
+// and runs every estimator run as a client of one pass-fusion scan scheduler
+// — so runs over the same stream fuse their pending passes onto shared
+// physical scans instead of each scanning alone. Every facade estimate runs
+// on one: EstimateFile, EstimateFileTrials and Estimate open a private group
+// over their own stream, and a long-lived service keeps one shared group per
+// hot graph (OpenScanGroup); cmd/triangled builds its registry out of them.
 //
 // Concurrency: Estimate, EstimateCliques, and Degeneracy may be called from
 // any number of goroutines. Close must only be called once no request is in
@@ -63,60 +65,71 @@ type GroupKappa struct {
 //
 // Equivalence: a group Estimate with a given (seed, epsilon, multiplier,
 // budget) returns the same Result.Estimate bits as a standalone
-// EstimateFile with the same options — fusion cannot change results (the
-// scheduler contract, DESIGN.md §4) and the shared κ̂ equals the one a
-// standalone run would peel itself. What does differ is accounting:
-// Result.Passes excludes the group-amortized prelude (edge count, peel) and
-// Result.Scans stays zero because physical scans belong to the whole group
-// (see Scans).
+// EstimateFile with the same options — both run the same session code, and
+// fusion cannot change results (the scheduler contract, DESIGN.md §4). What
+// does differ is accounting: Result.Passes excludes the group-amortized
+// prelude (edge count, peel) and Result.Scans stays zero because physical
+// scans belong to the whole group (see Scans).
 type ScanGroup struct {
-	path     string
-	backend  string
-	src      stream.Stream
-	m        int
-	vertices int // 1 + max vertex ID, discovered by the opening scan
-	workers  int
-	retry    stream.RetryPolicy
-	sch      *sched.Scheduler
+	path        string
+	backend     string
+	src         stream.Stream
+	m           int
+	vertices    int // 1 + max vertex ID when the open counted the stream, else 0
+	opening     int // physical scans the open made: 1 for a stream without a length, else 0
+	openRetries int
+	workers     int
+	retry       stream.RetryPolicy
+	sch         *sched.Scheduler
 
 	kmu       sync.Mutex
 	kappa     *GroupKappa
 	kappaWait chan struct{} // non-nil while one request resolves κ̂
 }
 
-// OpenScanGroup opens an edge file (text or .bex) as a scan group. The
-// group's stream facts (m and the largest vertex ID) are discovered by one
-// counting scan up front; an empty stream returns ErrNoEdges. ctx is the
-// group's lifetime: cancelling it aborts every wave of every request —
-// per-request scopes are the ctx arguments of Estimate and friends.
+// OpenScanGroup opens an edge file (text or .bex) as a scan group that owns
+// the file until Close. A text file is counted by one scan up front; an
+// empty stream returns ErrNoEdges. ctx is the group's lifetime: cancelling
+// it aborts every wave of every request — per-request scopes are the ctx
+// arguments of Estimate and friends.
 func OpenScanGroup(ctx context.Context, path string, gopts GroupOptions) (*ScanGroup, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	retry := retryPolicy(Options{RetryAttempts: gopts.RetryAttempts})
 	fs, err := stream.OpenAutoOpts(path, stream.OpenOptions{DecodeCache: gopts.DecodeCache})
 	if err != nil {
 		return nil, err
 	}
-	m, maxID, _, err := stream.CountEdgesAndMaxIDCtx(ctx, fs, retry)
+	g, err := newScanGroup(ctx, fs, stream.BackendOf(fs), gopts.Workers, retryPolicy(Options{RetryAttempts: gopts.RetryAttempts}))
 	if err != nil {
 		fs.Close()
 		return nil, err
 	}
+	g.path = path
+	return g, nil
+}
+
+// newScanGroup opens a group over src, which stays the caller's to close.
+// Only a stream that does not know its length (text) is scanned at open: one
+// scan counts its edges and records its vertex count for the peel. A .bex or
+// in-memory stream is not scanned; its peel makes its own vertex-ID pass.
+func newScanGroup(ctx context.Context, src stream.Stream, backend string, workers int, retry stream.RetryPolicy) (*ScanGroup, error) {
+	g := &ScanGroup{backend: backend, src: src, workers: workers, retry: retry}
+	m, known := src.Len()
+	if !known {
+		var maxID int
+		var err error
+		m, maxID, g.openRetries, err = stream.CountEdgesAndMaxIDCtx(ctx, src, retry)
+		if err != nil {
+			return nil, err
+		}
+		g.opening, g.vertices = 1, maxID+1
+	}
 	if m == 0 {
-		fs.Close()
 		return nil, ErrNoEdges
 	}
-	g := &ScanGroup{
-		path:     path,
-		backend:  stream.BackendOf(fs),
-		src:      fs,
-		m:        m,
-		vertices: maxID + 1,
-		workers:  gopts.Workers,
-		retry:    retry,
-	}
-	g.sch = sched.NewCtx(ctx, fs, m, gopts.Workers, retry)
+	g.m = m
+	g.sch = sched.NewCtx(ctx, src, m, workers, retry)
 	return g, nil
 }
 
@@ -131,10 +144,11 @@ func (g *ScanGroup) Backend() string { return g.backend }
 func (g *ScanGroup) M() int { return g.m }
 
 // Scans returns the physical scans the group has performed to date: the
-// opening counting scan plus every scheduler wave. Requests share waves, so
-// scans are a group-level quantity — with N concurrent same-file requests
-// the figure grows far slower than the sum of the requests' logical passes.
-func (g *ScanGroup) Scans() int { return 1 + g.sch.Scans() }
+// opening counting scan (text only) plus every scheduler wave. Requests
+// share waves, so scans are a group-level quantity — with N concurrent
+// same-file requests the figure grows far slower than the sum of the
+// requests' logical passes.
+func (g *ScanGroup) Scans() int { return g.opening + g.sch.Scans() }
 
 // Carried returns the cumulative number of fused requests the group's waves
 // served; Carried/Scans is the average fused width.
@@ -146,8 +160,9 @@ func (g *ScanGroup) Carried() int { return g.sch.Carried() }
 func (g *ScanGroup) Live() int { return g.sch.Live() }
 
 // Retries returns the cumulative transient-I/O recoveries of the group's
-// scans (healed scans are bit-identical, so this is resource accounting).
-func (g *ScanGroup) Retries() int { return g.sch.Retries() }
+// scans, the opening scan included (healed scans are bit-identical, so this
+// is resource accounting).
+func (g *ScanGroup) Retries() int { return g.openRetries + g.sch.Retries() }
 
 // PeakSpaceWords returns the peak of concurrently retained words across
 // everything that ever ran fused on this group.
@@ -247,66 +262,100 @@ func (g *ScanGroup) Estimate(ctx context.Context, opts Options) (Result, error) 
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	kappa := opts.Degeneracy
-	approx := false
-	if kappa <= 0 {
-		peel, err := g.Degeneracy(ctx)
+	r, err := g.run(ctx, opts, 1)
+	if err != nil {
+		return Result{}, err
+	}
+	out := Result{
+		Edges:            g.m,
+		DegeneracyBound:  r.kappa.Kappa,
+		DegeneracyApprox: r.approx,
+		Backend:          g.backend,
+	}
+	if r.trials == nil {
+		out.Passes, out.SpaceWords, out.Aborted = r.kappa.Passes, r.kappa.SpaceWords, true
+		return out, nil
+	}
+	res := r.trials[0]
+	out.Estimate, out.Passes, out.SpaceWords = res.Estimate, res.Passes, res.SpaceWords
+	out.Aborted, out.Partial, out.Retries = res.Aborted, res.Partial, res.Retries
+	return out, nil
+}
+
+// runResult is one run of the session: the κ its trials sized their samples
+// with and the trials' results.
+type runResult struct {
+	// kappa is the bound; its Passes and SpaceWords are the peel's, zero
+	// when the caller supplied κ.
+	kappa  GroupKappa
+	approx bool          // kappa is the group's streaming κ̂
+	trials []core.Result // in trial order; nil when the peel alone exceeded the budget
+}
+
+// run is the one estimate path of the library. κ is opts.Degeneracy, else
+// the group's shared κ̂ peel, whose words count against opts.MaxSpaceWords
+// like any trial's state. Then trials estimator runs (the geometric search,
+// or one run at opts.TriangleGuess) execute fused on the group's scheduler;
+// trial i uses seed Seed + i·7919. Every error is branded with core's abort
+// sentinels.
+func (g *ScanGroup) run(ctx context.Context, opts Options, trials int) (runResult, error) {
+	out := runResult{kappa: GroupKappa{Kappa: opts.Degeneracy}}
+	// κ is resolved before any trial client registers: a registered client
+	// waiting on the peel would hold back the peel's waves.
+	if opts.Degeneracy <= 0 {
+		k, err := g.Degeneracy(ctx)
 		if err != nil {
-			return Result{}, err
+			return out, core.WrapAbort(err)
 		}
-		kappa = peel.Kappa
-		approx = true
-		if opts.MaxSpaceWords > 0 && peel.SpaceWords > opts.MaxSpaceWords {
-			// Mirror of the standalone path's Markov cutoff: the κ̂
-			// resolution this request depends on would itself have blown the
-			// request's budget, so the request aborts with the derived bound
-			// reported — bit-identical outcome to EstimateFile.
-			return Result{
-				Edges:            g.m,
-				SpaceWords:       peel.SpaceWords,
-				DegeneracyBound:  kappa,
-				DegeneracyApprox: true,
-				Passes:           peel.Passes,
-				Aborted:          true,
-				Backend:          g.backend,
-			}, nil
+		out.kappa, out.approx = k, true
+		if opts.MaxSpaceWords > 0 && k.SpaceWords > opts.MaxSpaceWords {
+			return out, nil
 		}
 	}
-	cfg := coreConfig(opts, kappa)
-	cfg.Workers = g.workers
-	cfg.Retry = g.retry
-
-	var res core.Result
-	var err error
+	cfg := coreConfig(opts, out.kappa.Kappa)
+	cfg.Workers, cfg.Retry = g.workers, g.retry
 	if opts.TriangleGuess > 0 {
 		cfg.TGuess = opts.TriangleGuess
-		c := g.sch.NewClientCtx(ctx)
-		est := core.NewEstimator(cfg)
-		est.TeeSpace(g.sch.Meter())
-		res, err = est.RunOn(c)
-		c.Done()
-	} else {
-		res, err = core.AutoEstimateOnCtx(ctx, g.sch, cfg)
 	}
-	if err != nil {
-		if errors.Is(err, core.ErrNoEdges) {
-			return Result{}, ErrNoEdges
+
+	// Every trial's client registers before any trial starts, so the trials
+	// fuse from their first wave.
+	clients := make([]*sched.Client, trials)
+	for i := range clients {
+		clients[i] = g.sch.NewClientCtx(ctx)
+	}
+	out.trials = make([]core.Result, trials)
+	errs := make([]error, trials)
+	var wg sync.WaitGroup
+	for i, c := range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer c.Done()
+			cfg := cfg
+			cfg.Seed += uint64(i) * 7919
+			if opts.TriangleGuess > 0 {
+				est := core.NewEstimator(cfg)
+				est.TeeSpace(g.sch.Meter())
+				out.trials[i], errs[i] = est.RunOn(c)
+			} else {
+				out.trials[i], errs[i] = core.AutoEstimateFrom(c, cfg)
+			}
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		switch {
+		case err == nil:
+		case errors.Is(err, core.ErrNoEdges):
+			return out, ErrNoEdges
+		case trials > 1:
+			return out, fmt.Errorf("triangle: trial %d: %w", i, core.WrapAbort(err))
+		default:
+			return out, fmt.Errorf("triangle: %w", core.WrapAbort(err))
 		}
-		return Result{}, fmt.Errorf("triangle: %w", err)
 	}
-	return Result{
-		Estimate:         res.Estimate,
-		Passes:           res.Passes,
-		Scans:            0, // physical scans are group-level; see ScanGroup.Scans
-		SpaceWords:       res.SpaceWords,
-		Edges:            g.m,
-		DegeneracyBound:  kappa,
-		DegeneracyApprox: approx,
-		Aborted:          res.Aborted,
-		Partial:          res.Partial,
-		Retries:          res.Retries,
-		Backend:          g.backend,
-	}, nil
+	return out, nil
 }
 
 // EstimateCliques runs one k-clique estimation request on the group, fused
@@ -332,21 +381,7 @@ func (g *ScanGroup) EstimateCliques(ctx context.Context, opts CliqueOptions) (Re
 		kappa = peel.Kappa
 		approx = true
 	}
-	eps := opts.Epsilon
-	if eps <= 0 || eps >= 1 {
-		eps = 0.1
-	}
-	seed := opts.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	mult := opts.SampleMultiplier
-	if mult <= 0 {
-		mult = 1
-	}
-	cfg := clique.DefaultConfig(opts.K, eps, kappa, opts.CliqueGuess)
-	cfg.CR, cfg.CL = 8*mult, 8*mult
-	cfg.Seed = seed
+	cfg := cliqueConfig(opts, kappa)
 	cfg.Workers = g.workers
 
 	c := g.sch.NewClientCtx(ctx)

@@ -2,12 +2,14 @@ package triangle_test
 
 import (
 	"context"
+	"errors"
 	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
 	"degentri/internal/clique"
+	"degentri/internal/core"
 	"degentri/internal/gen"
 	"degentri/internal/passes"
 	"degentri/internal/stream"
@@ -103,6 +105,13 @@ func TestScanGroupBudgetAbortMirrorsLibrary(t *testing.T) {
 	if !want.Aborted {
 		t.Fatalf("standalone run with budget 8 did not abort (space=%d); test premise broken", want.SpaceWords)
 	}
+	// The abort still reports the κ̂ it derived and the peel's footprint.
+	if !want.DegeneracyApprox || want.DegeneracyBound < 1 {
+		t.Errorf("standalone abort should report the streamed κ̂ it derived: %+v", want)
+	}
+	if want.SpaceWords <= opts.MaxSpaceWords {
+		t.Errorf("standalone abort accounts %d words, want more than the budget %d", want.SpaceWords, opts.MaxSpaceWords)
+	}
 
 	g, err := triangle.OpenScanGroup(context.Background(), path, triangle.GroupOptions{})
 	if err != nil {
@@ -193,8 +202,9 @@ func TestScanGroupDegeneracyAndCliques(t *testing.T) {
 }
 
 // TestScanGroupExpiredContext pins fail-fast semantics: a request whose ctx
-// is already dead never joins a wave and errors out branded, leaving the
-// group healthy for the next request.
+// is already dead never joins a wave and errors out branded — on the peel,
+// the search and the fixed-guess path alike — leaving the group healthy for
+// the next request.
 func TestScanGroupExpiredContext(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "expired.txt")
 	writeHolmeKimFile(t, path, 2000, 4)
@@ -207,11 +217,19 @@ func TestScanGroupExpiredContext(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer cancel()
 	<-ctx.Done()
-	if _, err := g.Estimate(ctx, triangle.Options{Seed: 2}); err == nil {
-		t.Fatal("estimate under an expired context returned nil error")
-	}
-	if g.Live() != 0 {
-		t.Fatalf("Live() = %d after failed request, want 0", g.Live())
+	for _, opts := range []triangle.Options{
+		{Seed: 2}, // the group has not peeled yet: the κ̂ peel fails
+		{Seed: 2, Degeneracy: 4},
+		{Seed: 2, Degeneracy: 4, TriangleGuess: 100},
+	} {
+		_, err := g.Estimate(ctx, opts)
+		if !errors.Is(err, context.DeadlineExceeded) || !errors.Is(err, core.ErrDeadline) {
+			t.Errorf("κ=%d guess=%d: error %v, want one wrapping context.DeadlineExceeded and core.ErrDeadline",
+				opts.Degeneracy, opts.TriangleGuess, err)
+		}
+		if g.Live() != 0 {
+			t.Fatalf("Live() = %d after failed request, want 0", g.Live())
+		}
 	}
 
 	res, err := g.Estimate(context.Background(), triangle.Options{Seed: 2})

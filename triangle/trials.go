@@ -6,10 +6,6 @@ import (
 	"math"
 
 	"degentri/internal/core"
-	"degentri/internal/degen"
-	"degentri/internal/exp"
-	"degentri/internal/passes"
-	"degentri/internal/sched"
 	"degentri/internal/stream"
 )
 
@@ -28,7 +24,8 @@ type TrialsResult struct {
 	// estimate a plain EstimateFile call with the same options returns.
 	Estimates []float64
 	// Passes is the total number of logical stream passes: the shared
-	// prelude (edge counting, degeneracy peel) plus every trial's own passes.
+	// prelude (the edge-counting scan of a text file, the degeneracy peel)
+	// plus every trial's own passes.
 	Passes int
 	// Scans is the number of physical scans of the file that served those
 	// passes. All trials run fused on the scan scheduler, so Scans is far
@@ -63,10 +60,9 @@ type TrialsResult struct {
 
 // EstimateFileTrials runs the streaming estimator several times over one
 // edge file with keyed per-trial seeds and reports the mean estimate with
-// its standard error. The trials share everything shareable: the stream
-// length and the degeneracy bound are resolved once (the peel's vertex-ID
-// discovery pass is fused into the edge-counting scan), and the trials
-// themselves run fused on the pass-fusion scan scheduler — every physical
+// its standard error. The trials share everything shareable: they run on one
+// private ScanGroup, which finds the stream length and the degeneracy bound
+// once, and run fused on its pass-fusion scan scheduler — every physical
 // scan of the file serves the pending pass of every live trial, so R trials
 // cost roughly the scans of one trial rather than R×.
 //
@@ -90,135 +86,56 @@ func EstimateFileTrialsCtx(ctx context.Context, path string, opts Options, trial
 		return TrialsResult{}, err
 	}
 	defer fs.Close()
-	var src stream.Stream = fs
+	return estimateTrials(ctx, fs, stream.BackendOf(fs), opts, trials)
+}
+
+// estimateTrials runs trials estimates on a private ScanGroup over src; every
+// facade estimate lands here. The accounting is the whole session's: Passes
+// counts the opening scan, the peel and every trial's passes, and Scans,
+// Retries and SpaceWords are the group's.
+func estimateTrials(ctx context.Context, src stream.Stream, backend string, opts Options, trials int) (TrialsResult, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	out := TrialsResult{Trials: trials, Backend: backend}
 	if opts.WrapStream != nil {
 		src = opts.WrapStream(src)
 	}
-	retry := retryPolicy(opts)
-
-	seed := opts.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	out := TrialsResult{Trials: trials, Backend: stream.BackendOf(fs)}
-	preludePasses := 0
-
-	// Discover m, fusing the degeneracy peel's vertex-ID discovery into the
-	// counting scan when both are needed.
-	needPeel := opts.Degeneracy <= 0 && !opts.ExactDegeneracy
-	m, known := src.Len()
-	maxID := -1
-	if !known {
-		var err error
-		var r int
-		if needPeel {
-			m, maxID, r, err = stream.CountEdgesAndMaxIDCtx(ctx, src, retry)
-		} else {
-			m, r, err = stream.CountEdgesCtx(ctx, src, retry)
-		}
-		out.Retries += r
+	if opts.Degeneracy <= 0 && opts.ExactDegeneracy {
+		// Materializing is a text's first pass, so the group below finds the
+		// length known and does not scan again.
+		full, err := stream.Materialize(src)
 		if err != nil {
 			return out, err
 		}
-		preludePasses++
+		opts.Degeneracy = max(full.Degeneracy(), 1)
 	}
-	if m == 0 {
-		return out, ErrNoEdges
-	}
-	out.Edges = m
-
-	// Resolve κ once, shared by every trial (it is a deterministic function
-	// of the stream, so per-trial peels would all produce the same bound).
-	kappa := opts.Degeneracy
-	switch {
-	case kappa > 0:
-	case opts.ExactDegeneracy:
-		g, err := stream.Materialize(src)
-		if err != nil {
-			return out, err
-		}
-		kappa = g.Degeneracy()
-		if kappa < 1 {
-			kappa = 1
-		}
-	default:
-		dopts := degen.Options{Workers: opts.Workers}
-		if maxID >= 0 {
-			dopts.KnownVertices = maxID + 1
-		}
-		peelX := passes.NewDirectCtx(ctx, src, m, opts.Workers, retry)
-		dres, err := degen.EstimateOn(peelX, dopts)
-		out.Retries += peelX.Retries()
-		if err != nil {
-			return out, err
-		}
-		kappa = dres.Kappa
-		if kappa < 1 {
-			kappa = 1
-		}
-		preludePasses += dres.Passes
-		out.DegeneracyApprox = true
-		if opts.MaxSpaceWords > 0 && dres.SpaceWords > opts.MaxSpaceWords {
-			out.DegeneracyBound = kappa
-			out.SpaceWords = dres.SpaceWords
-			out.Passes = preludePasses
-			out.Scans = preludePasses
-			out.Aborted = true
-			return out, nil
-		}
-		if dres.SpaceWords > out.SpaceWords {
-			out.SpaceWords = dres.SpaceWords
-		}
-	}
-	out.DegeneracyBound = kappa
-
-	// One trial = one full estimator run (geometric search unless a guess
-	// was supplied) with the trial's keyed seed, fused with its peers. The
-	// shared coreConfig mapping is what makes trial 0 bit-identical to a
-	// plain EstimateFile run with the same options.
-	baseCfg := coreConfig(opts, kappa)
-	runTrial := func(c *sched.Client, trial int) (core.Result, error) {
-		cfg := baseCfg
-		cfg.Seed = seed + uint64(trial)*7919
-		if opts.TriangleGuess > 0 {
-			cfg.TGuess = opts.TriangleGuess
-			est := core.NewEstimator(cfg)
-			est.TeeSpace(c.Scheduler().Meter())
-			return est.RunOn(c)
-		}
-		// The geometric search registers its own probe clients and parks the
-		// trial client only once the first of them exists, so the trial is
-		// never absent from the wave barrier (lockstep fusion holds).
-		return core.AutoEstimateFrom(c, cfg)
-	}
-	// ft.Retries is the scheduler-wide total; per-trial Result.Retries under
-	// fusion reports the same shared counter and must not be summed on top.
-	ft, err := exp.RunTrialsFusedCtx(ctx, src, m, trials, opts.Workers, retry, runTrial)
-	out.Retries += ft.Retries
+	g, err := newScanGroup(ctx, src, backend, opts.Workers, retryPolicy(opts))
 	if err != nil {
-		return out, fmt.Errorf("triangle: %w", err)
+		return out, core.WrapAbort(err)
+	}
+	out.Edges = g.m
+	r, err := g.run(ctx, opts, trials)
+	out.Retries = g.Retries()
+	if err != nil {
+		return out, err
+	}
+	out.DegeneracyBound, out.DegeneracyApprox = r.kappa.Kappa, r.approx
+	out.Passes = g.opening + r.kappa.Passes
+	out.Scans, out.SpaceWords = g.Scans(), g.PeakSpaceWords()
+	if r.trials == nil {
+		out.Aborted = true
+		return out, nil
 	}
 
 	out.Estimates = make([]float64, trials)
-	for i, res := range ft.Results {
+	var sum float64
+	for i, res := range r.trials {
 		out.Estimates[i] = res.Estimate
 		out.Passes += res.Passes
-		if res.Aborted {
-			out.Aborted = true
-		}
-		if res.Partial {
-			out.Partial = true
-		}
-	}
-	out.Passes += preludePasses
-	out.Scans = preludePasses + ft.Scans
-	if ft.PeakSpaceWords > out.SpaceWords {
-		out.SpaceWords = ft.PeakSpaceWords
-	}
-
-	var sum float64
-	for _, e := range out.Estimates {
-		sum += e
+		out.Aborted = out.Aborted || res.Aborted
+		out.Partial = out.Partial || res.Partial
+		sum += res.Estimate
 	}
 	out.Mean = sum / float64(trials)
 	if trials > 1 {

@@ -1,7 +1,9 @@
 package triangle_test
 
 import (
+	"fmt"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 
 	"degentri/internal/gen"
@@ -153,5 +155,77 @@ func TestEstimateFileTrialsWithGuess(t *testing.T) {
 	}
 	if maxWant := prelude + perTrial; res.Scans > maxWant {
 		t.Errorf("scans = %d, want at most prelude+one trial = %d (passes=%d)", res.Scans, maxWant, res.Passes)
+	}
+}
+
+// resetCounter counts the top-level Resets of the stream it wraps. At one
+// worker every physical scan begins with exactly one such Reset: sharded
+// passes run sequentially, and only a mid-scan resume (never needed without
+// faults) would read through RangeStream, which is forwarded so the wrapped
+// stream keeps its range access.
+type resetCounter struct {
+	stream.Stream
+	resets atomic.Int64
+}
+
+func (r *resetCounter) Reset() error {
+	r.resets.Add(1)
+	return r.Stream.Reset()
+}
+
+func (r *resetCounter) RangeStream(lo, hi int) (stream.Stream, bool) {
+	if rs, ok := r.Stream.(stream.RangeStreamer); ok {
+		return rs.RangeStream(lo, hi)
+	}
+	return nil, false
+}
+
+// TestEstimateScansMatchStreamScans pins that the reported Scans are the
+// physical scans the stream saw — the opening count of a text file
+// included — for single estimates and fused trials, over text and .bex v2,
+// with the streamed or a supplied κ, searching or at a fixed guess.
+// ExactDegeneracy is left out: its materializing pass computes κ before the
+// estimate starts and is not part of the estimate's accounting.
+func TestEstimateScansMatchStreamScans(t *testing.T) {
+	dir := t.TempDir()
+	txt := filepath.Join(dir, "g.txt")
+	truth := writeHolmeKimFile(t, txt, 2000, 4)
+	bex2 := filepath.Join(dir, "g.bex")
+	src, err := stream.OpenAuto(txt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = stream.WriteBex2File(bex2, src, 128)
+	src.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, path := range []string{txt, bex2} {
+		for _, kappa := range []int{0, 4} {
+			for _, guess := range []int64{0, truth} {
+				name := fmt.Sprintf("%s/kappa=%d/guess=%d", filepath.Base(path), kappa, guess)
+				var counter *resetCounter
+				opts := triangle.Options{Epsilon: 0.3, Seed: 3, Workers: 1, Degeneracy: kappa, TriangleGuess: guess,
+					WrapStream: func(s stream.Stream) stream.Stream {
+						counter = &resetCounter{Stream: s}
+						return counter
+					}}
+				res, err := triangle.EstimateFile(path, opts)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if seen := int(counter.resets.Load()); res.Scans != seen {
+					t.Errorf("%s: EstimateFile reports %d scans, the stream saw %d", name, res.Scans, seen)
+				}
+				tr, err := triangle.EstimateFileTrials(path, opts, 3)
+				if err != nil {
+					t.Fatalf("%s trials: %v", name, err)
+				}
+				if seen := int(counter.resets.Load()); tr.Scans != seen {
+					t.Errorf("%s: EstimateFileTrials reports %d scans, the stream saw %d", name, tr.Scans, seen)
+				}
+			}
+		}
 	}
 }

@@ -22,8 +22,8 @@ package triangle
 import (
 	"context"
 	"errors"
-	"fmt"
 
+	"degentri/internal/clique"
 	"degentri/internal/core"
 	"degentri/internal/graph"
 	"degentri/internal/stream"
@@ -251,28 +251,16 @@ func EstimateCtx(ctx context.Context, edges []Edge, opts Options) (Result, error
 		// the stream is as empty as a nil input.
 		return Result{}, ErrNoEdges
 	}
+	if opts.Degeneracy <= 0 && opts.ExactDegeneracy {
+		// The graph is already materialized here, so "exact" is free.
+		opts.Degeneracy = max(g.Degeneracy(), 1)
+	}
 	seed := opts.Seed
 	if seed == 0 {
 		seed = 1
 	}
-	var src stream.Stream = stream.FromGraphShuffled(g, seed)
-	if opts.WrapStream != nil {
-		src = opts.WrapStream(src)
-	}
-	kappa := opts.Degeneracy
-	if kappa <= 0 {
-		kappa = 0
-		if opts.ExactDegeneracy {
-			// The graph is already materialized here, so "exact" is free.
-			kappa = g.Degeneracy()
-			if kappa < 1 {
-				kappa = 1
-			}
-		}
-	}
-	res, err := estimateStream(ctx, src, opts, kappa)
-	res.Backend = stream.BackendMemory
-	return res, err
+	tr, err := estimateTrials(ctx, stream.FromGraphShuffled(g, seed), stream.BackendMemory, opts, 1)
+	return tr.single(), err
 }
 
 // EstimateFile runs the streaming estimator over an edge file (text edge
@@ -294,52 +282,31 @@ func EstimateFile(path string, opts Options) (Result, error) {
 // EstimateFileCtx is EstimateFile honoring a context; see EstimateCtx for
 // the cancellation, degradation, and retry semantics.
 func EstimateFileCtx(ctx context.Context, path string, opts Options) (Result, error) {
-	fs, err := stream.OpenAutoOpts(path, stream.OpenOptions{DecodeCache: opts.DecodeCache})
-	if err != nil {
-		return Result{}, err
+	tr, err := EstimateFileTrialsCtx(ctx, path, opts, 1)
+	return tr.single(), err
+}
+
+// single reports a one-trial session as a Result; the mean of one trial is
+// its estimate.
+func (tr TrialsResult) single() Result {
+	return Result{
+		Estimate:         tr.Mean,
+		Passes:           tr.Passes,
+		Scans:            tr.Scans,
+		SpaceWords:       tr.SpaceWords,
+		Edges:            tr.Edges,
+		DegeneracyBound:  tr.DegeneracyBound,
+		DegeneracyApprox: tr.DegeneracyApprox,
+		Aborted:          tr.Aborted,
+		Partial:          tr.Partial,
+		Retries:          tr.Retries,
+		Backend:          tr.Backend,
 	}
-	defer fs.Close()
-	backend := stream.BackendOf(fs)
-	var src stream.Stream = fs
-	if opts.WrapStream != nil {
-		src = opts.WrapStream(src)
-	}
-	kappa := opts.Degeneracy
-	if kappa <= 0 {
-		kappa = 0
-		if opts.ExactDegeneracy {
-			g, err := stream.Materialize(src)
-			if err != nil {
-				return Result{}, err
-			}
-			kappa = g.Degeneracy()
-			if kappa < 1 {
-				kappa = 1
-			}
-		}
-	}
-	preludeRetries := 0
-	m, known := src.Len()
-	if !known {
-		var err error
-		m, preludeRetries, err = stream.CountEdgesCtx(ctx, src, retryPolicy(opts))
-		if err != nil {
-			return Result{}, err
-		}
-	}
-	if m == 0 {
-		return Result{}, ErrNoEdges
-	}
-	res, err := estimateStream(ctx, src, opts, kappa)
-	res.Retries += preludeRetries
-	res.Backend = backend
-	return res, err
 }
 
 // coreConfig maps the facade options onto an estimator configuration. It is
 // the single source of the library defaults (ε = 0.1, CR/CL/CS = 8/8/4 ×
-// multiplier, seed 1): EstimateFileTrials shares it, which is what makes a
-// trial with seed s bit-identical to a plain run with the same seed.
+// multiplier, seed 1), which cliqueConfig shares.
 func coreConfig(opts Options, kappa int) core.Config {
 	eps := opts.Epsilon
 	if eps <= 0 || eps >= 1 {
@@ -362,6 +329,17 @@ func coreConfig(opts Options, kappa int) core.Config {
 	return cfg
 }
 
+// cliqueConfig maps the clique options onto the k-clique estimator's
+// configuration, with coreConfig's defaults for ε, seed and the CR/CL
+// multipliers.
+func cliqueConfig(opts CliqueOptions, kappa int) clique.Config {
+	c := coreConfig(Options{Epsilon: opts.Epsilon, Seed: opts.Seed, SampleMultiplier: opts.SampleMultiplier}, kappa)
+	cfg := clique.DefaultConfig(opts.K, c.Epsilon, kappa, opts.CliqueGuess)
+	cfg.CR, cfg.CL = c.CR, c.CL
+	cfg.Seed = c.Seed
+	return cfg
+}
+
 // retryPolicy maps Options.RetryAttempts onto the scan engine's policy:
 // zero = the library default, negative = disabled, positive = that attempt
 // bound with the default backoff schedule.
@@ -376,35 +354,4 @@ func retryPolicy(opts Options) stream.RetryPolicy {
 		p.MaxAttempts = opts.RetryAttempts
 		return p
 	}
-}
-
-func estimateStream(ctx context.Context, src stream.Stream, opts Options, kappa int) (Result, error) {
-	cfg := coreConfig(opts, kappa)
-
-	var res core.Result
-	var err error
-	if opts.TriangleGuess > 0 {
-		cfg.TGuess = opts.TriangleGuess
-		res, err = core.NewEstimator(cfg).RunCtx(ctx, src)
-	} else {
-		res, err = core.AutoEstimateCtx(ctx, src, cfg)
-	}
-	if err != nil {
-		if errors.Is(err, core.ErrNoEdges) {
-			return Result{}, ErrNoEdges
-		}
-		return Result{}, fmt.Errorf("triangle: %w", err)
-	}
-	return Result{
-		Estimate:         res.Estimate,
-		Passes:           res.Passes,
-		Scans:            res.Scans,
-		SpaceWords:       res.SpaceWords,
-		Edges:            res.EdgesInStream,
-		DegeneracyBound:  res.KappaBound,
-		DegeneracyApprox: res.KappaApprox,
-		Aborted:          res.Aborted,
-		Partial:          res.Partial,
-		Retries:          res.Retries,
-	}, nil
 }
