@@ -185,11 +185,15 @@ func HeavyLight(src stream.Stream, cfg HeavyLightConfig) (core.Result, error) {
 		lightGroups := graph.NewVertexGroups(lightVerts)
 		if _, err := stream.ForEachBatch(counter, func(batch []graph.Edge) error {
 			for _, e := range batch {
-				for _, idx := range lightGroups.Lookup(e.U) {
-					lights[idx].offer(e.V, rng)
+				if lightGroups.MayContain(e.U) {
+					for _, idx := range lightGroups.Lookup(e.U) {
+						lights[idx].offer(e.V, rng)
+					}
 				}
-				for _, idx := range lightGroups.Lookup(e.V) {
-					lights[idx].offer(e.U, rng)
+				if lightGroups.MayContain(e.V) {
+					for _, idx := range lightGroups.Lookup(e.V) {
+						lights[idx].offer(e.U, rng)
+					}
 				}
 			}
 			return nil
@@ -213,8 +217,10 @@ func HeavyLight(src stream.Stream, cfg HeavyLightConfig) (core.Result, error) {
 		meter.Charge(int64(closure.Keys()) * (stream.WordsPerEdge + stream.WordsPerScalar))
 		if _, err := stream.ForEachBatch(counter, func(batch []graph.Edge) error {
 			for _, e := range batch {
-				for _, it := range closure.Lookup(e.Normalize()) {
-					lights[closureItem[it]].closed = true
+				if closure.MayContain(e) {
+					for _, it := range closure.Lookup(e.Normalize()) {
+						lights[closureItem[it]].closed = true
+					}
 				}
 			}
 			return nil

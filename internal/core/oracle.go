@@ -129,11 +129,15 @@ func IdealEstimator(src stream.Stream, oracle DegreeOracle, cfg Config, k int) (
 	// Pass 2: uniform neighbor of the light endpoint, per instance.
 	if _, err := stream.ForEachBatch(counter, func(batch []graph.Edge) error {
 		for _, e := range batch {
-			for _, idx := range lightGroups.Lookup(e.U) {
-				instances[active[idx]].neighbor.Offer(e.V)
+			if lightGroups.MayContain(e.U) {
+				for _, idx := range lightGroups.Lookup(e.U) {
+					instances[active[idx]].neighbor.Offer(e.V)
+				}
 			}
-			for _, idx := range lightGroups.Lookup(e.V) {
-				instances[active[idx]].neighbor.Offer(e.U)
+			if lightGroups.MayContain(e.V) {
+				for _, idx := range lightGroups.Lookup(e.V) {
+					instances[active[idx]].neighbor.Offer(e.U)
+				}
 			}
 		}
 		return nil
@@ -157,8 +161,10 @@ func IdealEstimator(src stream.Stream, oracle DegreeOracle, cfg Config, k int) (
 	meter.Charge(int64(closure.Keys()) * (stream.WordsPerEdge + stream.WordsPerScalar))
 	if _, err := stream.ForEachBatch(counter, func(batch []graph.Edge) error {
 		for _, e := range batch {
-			for _, it := range closure.Lookup(e.Normalize()) {
-				instances[closureInst[it]].closed = true
+			if closure.MayContain(e) {
+				for _, it := range closure.Lookup(e.Normalize()) {
+					instances[closureInst[it]].closed = true
+				}
 			}
 		}
 		return nil

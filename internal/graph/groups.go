@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math/bits"
 	"slices"
 
 	"degentri/internal/radix"
@@ -8,38 +9,106 @@ import (
 
 // This file provides the small dense lookup structures the streaming
 // estimators use in their per-edge hot loops in place of hash maps: a sorted
-// key array with an optional direct-index rank table (SortedCounter),
-// vertex-keyed item groups (VertexGroups) and edge-keyed item groups
-// (EdgeIndex), the latter two in the same offsets+items CSR layout as Graph
-// itself. Vertex IDs are dense integers throughout this repository, so the
-// rank table — rank[v] = position of v among the sorted keys, plus one —
-// usually applies and a lookup is a single bounds-checked array read; when
-// the ID space is too sparse for a table the structures fall back to binary
-// search over the sorted keys.
+// key array with one counter per key (SortedCounter), vertex-keyed item
+// groups (VertexGroups) and edge-keyed item groups (EdgeIndex), the latter
+// two in the same offsets+items CSR layout as Graph itself.
+//
+// A pass reads every stream edge, but almost no edge touches a key: an
+// estimate tracks a few thousand of a graph's vertices. So each structure
+// keeps a membership bitset over the IDs its keys can hold (an idFilter), and
+// its MayContain method tests one bit. The test sits in its own method
+// because Inc or Lookup with the test inside would not inline: their call to
+// the out-of-line hit path alone costs 57 of the compiler's inline budget of
+// 80. So every per-edge loop calls MayContain first and reaches the hit path
+// only on a hit. SortedCounter and VertexGroups pair the bitset with a count
+// of the keys below each 64-ID word (a rankSet, the rank directory of Vigna's
+// broadword rank/select), so a hit's key index is one popcount away.
+// EdgeIndex filters on its keys' smaller endpoints and finds a hit in its hash
+// table. When the IDs are too sparse for a bitset, the structures have none
+// and binary-search their sorted keys.
 
-// rankTableLimit bounds the direct-index rank table: the table covers
-// [0, maxKey] and is built whenever that range stays within a flat 8M-entry
-// (32 MB) budget — an int32 per possible vertex is cheap next to the O(n+m)
-// graph itself, and the O(1) lookup beats binary search by an order of
-// magnitude in the per-edge loops. Beyond the budget (sparse or huge ID
-// spaces), lookups binary-search the sorted keys.
+// rankTableLimit bounds the ID bitsets: a rankSet or an EdgeIndex filter
+// covers [0, maxID] and is built only when maxID < 8M. Their size follows the
+// largest ID, not the key count, so the bound caps one structure at 1.5 MB (a
+// rankSet's 1.5 bits per ID: one bit, plus an int32 per 64-ID word). Vertex
+// IDs are dense throughout this repository, so every graph of up to 8M
+// vertices stays under it. Beyond it (sparse or huge ID spaces), lookups
+// binary-search the sorted keys.
 const rankTableLimit = 1 << 23
 
-// buildRank returns the rank table for the sorted distinct keys, or nil when
-// the key range is too sparse.
-func buildRank(sorted []int) []int32 {
-	if len(sorted) == 0 || sorted[0] < 0 {
+// idFilter is a membership bitset over the IDs [0, 64·len(f)). A nil filter
+// means "no bitset": every ID may be a member.
+type idFilter []uint64
+
+// newIDFilter returns an empty filter over the IDs [0, maxID], or nil when
+// that range exceeds rankTableLimit. A negative maxID gives a non-nil filter
+// with no words, which contains nothing.
+func newIDFilter(maxID int) idFilter {
+	if maxID >= rankTableLimit {
 		return nil
 	}
-	maxKey := sorted[len(sorted)-1]
-	if maxKey+1 > rankTableLimit {
-		return nil
+	return make(idFilter, (maxID+64)/64)
+}
+
+// add sets the bit of id, which must be in the filter's range.
+func (f idFilter) add(id int) {
+	f[uint(id)>>6] |= 1 << (uint(id) & 63)
+}
+
+// mayContain reports whether id can be a member: its bit, or true for a nil
+// filter. It is small enough to inline into the per-edge loops.
+func (f idFilter) mayContain(id int) bool {
+	if w := uint(id) >> 6; w < uint(len(f)) {
+		return f[w]&(1<<(uint(id)&63)) != 0
 	}
-	rank := make([]int32, maxKey+1)
-	for i, v := range sorted {
-		rank[v] = int32(i) + 1
+	return f == nil
+}
+
+// rankSet is a membership bitset over the keys plus, for every 64-ID word,
+// the number of keys in the words below it: the index of key v among the
+// sorted keys is base[v/64] plus the set bits of its word below v.
+type rankSet struct {
+	bits idFilter // nil when the keys are too sparse (or negative) for a bitset
+	base []int32
+}
+
+// newRankSet returns the rank-set of the sorted distinct keys, or one with a
+// nil filter when some key is negative or the largest reaches rankTableLimit.
+func newRankSet(sorted []int) rankSet {
+	maxKey := -1
+	if len(sorted) > 0 {
+		if sorted[0] < 0 {
+			return rankSet{}
+		}
+		maxKey = sorted[len(sorted)-1]
 	}
-	return rank
+	f := newIDFilter(maxKey)
+	if f == nil {
+		return rankSet{}
+	}
+	for _, v := range sorted {
+		f.add(v)
+	}
+	base := make([]int32, len(f))
+	n := int32(0)
+	for w, word := range f {
+		base[w] = n
+		n += int32(bits.OnesCount64(word))
+	}
+	return rankSet{bits: f, base: base}
+}
+
+// find returns the index of v in sorted, the keys s was built from, or -1
+// when v is not a key.
+func (s *rankSet) find(sorted []int, v int) int {
+	if s.bits == nil {
+		return FindSorted(sorted, v)
+	}
+	if !s.bits.mayContain(v) {
+		return -1
+	}
+	w := uint(v) >> 6
+	return int(s.base[w]) + bits.OnesCount64(s.bits[w]&(1<<(uint(v)&63)-1))
 }
 
 // FindSorted returns the index of v in the sorted slice a, or -1 when v is
@@ -60,25 +129,13 @@ func FindSorted(a []int, v int) int {
 	return -1
 }
 
-// findRanked locates v using the rank table when present, falling back to
-// binary search.
-func findRanked(sorted []int, rank []int32, v int) int {
-	if rank != nil {
-		if v < 0 || v >= len(rank) {
-			return -1
-		}
-		return int(rank[v]) - 1
-	}
-	return FindSorted(sorted, v)
-}
-
 // SortedCounter is a set of integer keys fixed at construction with one
 // counter per key — the dense replacement for a map[int]int whose key set is
 // known up front (e.g. "degrees of the endpoints of the sampled edges").
 type SortedCounter struct {
 	keys   []int
 	counts []int
-	rank   []int32
+	set    rankSet
 }
 
 // NewSortedCounter builds a counter over the distinct values of keys, which
@@ -86,15 +143,15 @@ type SortedCounter struct {
 func NewSortedCounter(keys []int) *SortedCounter {
 	slices.Sort(keys)
 	keys = slices.Compact(keys)
-	return &SortedCounter{keys: keys, counts: make([]int, len(keys)), rank: buildRank(keys)}
+	return &SortedCounter{keys: keys, counts: make([]int, len(keys)), set: newRankSet(keys)}
 }
 
 // Fork returns a counter over the same key set with all counts zero. The key
-// array and rank table are shared (they are read-only after construction), so
+// array and rank-set are shared (they are read-only after construction), so
 // a Fork is cheap: it is the per-shard accumulator of a sharded pass, merged
 // back with Merge.
 func (c *SortedCounter) Fork() *SortedCounter {
-	return &SortedCounter{keys: c.keys, counts: make([]int, len(c.keys)), rank: c.rank}
+	return &SortedCounter{keys: c.keys, counts: make([]int, len(c.keys)), set: c.set}
 }
 
 // Merge adds the counts of other — a Fork of the same counter (or any counter
@@ -117,25 +174,22 @@ func (c *SortedCounter) ResetCounts() {
 // Len returns the number of distinct keys.
 func (c *SortedCounter) Len() int { return len(c.keys) }
 
+// MayContain reports whether v can be a tracked key: false means Inc(v) is a
+// no-op. It tests v's bit, and is true for every v when the counter has no
+// bitset. It inlines, so a per-edge loop calls it first and pays the Inc call
+// only on a hit.
+func (c *SortedCounter) MayContain(v int) bool { return c.set.bits.mayContain(v) }
+
 // Inc increments the counter of v if v is a tracked key.
 func (c *SortedCounter) Inc(v int) {
-	// Inlined fast path: one bounds-checked read of the rank table.
-	if c.rank != nil {
-		if uint(v) < uint(len(c.rank)) {
-			if r := c.rank[v]; r > 0 {
-				c.counts[r-1]++
-			}
-		}
-		return
-	}
-	if i := FindSorted(c.keys, v); i >= 0 {
+	if i := c.set.find(c.keys, v); i >= 0 {
 		c.counts[i]++
 	}
 }
 
 // Get returns the count of v and whether v is a tracked key.
 func (c *SortedCounter) Get(v int) (int, bool) {
-	i := findRanked(c.keys, c.rank, v)
+	i := c.set.find(c.keys, v)
 	if i < 0 {
 		return 0, false
 	}
@@ -151,7 +205,7 @@ type VertexGroups struct {
 	verts   []int
 	offsets []int32
 	items   []int32
-	rank    []int32
+	set     rankSet
 }
 
 // NewVertexGroups groups items 0..len(vertexOf)-1 by their vertex: vertexOf[i]
@@ -168,10 +222,10 @@ func NewVertexGroups(vertexOf []int) *VertexGroups {
 		verts:   distinct,
 		offsets: make([]int32, len(distinct)+1),
 		items:   make([]int32, len(vertexOf)),
-		rank:    buildRank(distinct),
+		set:     newRankSet(distinct),
 	}
 	for _, v := range vertexOf {
-		g.offsets[findRanked(distinct, g.rank, v)+1]++
+		g.offsets[g.set.find(distinct, v)+1]++
 	}
 	for i := 0; i < len(distinct); i++ {
 		g.offsets[i+1] += g.offsets[i]
@@ -179,7 +233,7 @@ func NewVertexGroups(vertexOf []int) *VertexGroups {
 	cursor := make([]int32, len(distinct))
 	copy(cursor, g.offsets[:len(distinct)])
 	for i, v := range vertexOf {
-		slot := findRanked(distinct, g.rank, v)
+		slot := g.set.find(distinct, v)
 		g.items[cursor[slot]] = int32(i)
 		cursor[slot]++
 	}
@@ -189,18 +243,15 @@ func NewVertexGroups(vertexOf []int) *VertexGroups {
 // Groups returns the number of distinct vertices.
 func (g *VertexGroups) Groups() int { return len(g.verts) }
 
+// MayContain reports whether v can be a key: false means Lookup(v) is nil.
+// Like SortedCounter.MayContain it tests v's bit, is true for every v without
+// a bitset, and inlines into the per-edge loops.
+func (g *VertexGroups) MayContain(v int) bool { return g.set.bits.mayContain(v) }
+
 // Lookup returns the item indices grouped under v (nil when v is not a key).
 // The returned slice aliases internal storage and must not be modified.
 func (g *VertexGroups) Lookup(v int) []int32 {
-	var i int
-	if g.rank != nil {
-		if uint(v) >= uint(len(g.rank)) {
-			return nil
-		}
-		i = int(g.rank[v]) - 1
-	} else {
-		i = FindSorted(g.verts, v)
-	}
+	i := g.set.find(g.verts, v)
 	if i < 0 {
 		return nil
 	}
@@ -210,9 +261,9 @@ func (g *VertexGroups) Lookup(v int) []int32 {
 // EdgeIndex maps normalized edges to groups of item indices, in the same
 // CSR layout as VertexGroups. Edge keys are packed into uint64 (U in the
 // high half) when both endpoints fit in 32 bits — always the case for the
-// dense vertex IDs used here — so a lookup is a binary search over machine
-// words. It replaces a map[Edge][]T probed once per stream edge (closure
-// checks).
+// dense vertex IDs used here — so a lookup hashes one machine word, after a
+// bit test on the edge's smaller endpoint rejects almost every stream edge.
+// It replaces a map[Edge][]T probed once per stream edge (closure checks).
 type EdgeIndex struct {
 	packed  []uint64 // sorted packed keys; nil when some endpoint overflows
 	keys    []Edge   // sorted keys, only populated when packed == nil
@@ -223,6 +274,10 @@ type EdgeIndex struct {
 	// an empty slot. Built only in the packed case.
 	table []int32
 	shift uint
+	// lows has the bit of every key's smaller endpoint (key>>32). It is nil
+	// when the keys do not pack or their smaller endpoints reach
+	// rankTableLimit.
+	lows idFilter
 }
 
 // hashPacked mixes a packed edge key into a table slot (Fibonacci hashing).
@@ -299,6 +354,17 @@ func newPackedEdgeIndex(edgeOf []Edge) *EdgeIndex {
 	}
 	ix.offsets = append(ix.offsets, int32(len(pairs)))
 
+	// The keys are sorted, so the last has the largest smaller endpoint.
+	maxLow := -1
+	if len(ix.packed) > 0 {
+		maxLow = int(ix.packed[len(ix.packed)-1] >> 32)
+	}
+	if ix.lows = newIDFilter(maxLow); ix.lows != nil {
+		for _, key := range ix.packed {
+			ix.lows.add(int(key >> 32))
+		}
+	}
+
 	// Size the hash table at ≥2× the key count for short probe runs.
 	bits := uint(2)
 	for 1<<bits < 2*len(ix.packed) {
@@ -320,10 +386,20 @@ func newPackedEdgeIndex(edgeOf []Edge) *EdgeIndex {
 // Keys returns the number of distinct edge keys.
 func (ix *EdgeIndex) Keys() int { return len(ix.offsets) - 1 }
 
+// MayContain reports whether the edge e, in either orientation, can be a
+// key: false means Lookup(e.Normalize()) is nil. It tests the bit of e's
+// smaller endpoint, is true for every e when the index has no filter, and
+// inlines, so a per-edge loop calls it before normalizing e and paying the
+// Lookup call.
+func (ix *EdgeIndex) MayContain(e Edge) bool { return ix.lows.mayContain(min(e.U, e.V)) }
+
 // Lookup returns the item indices grouped under the normalized edge e (nil
 // when e is not a key). The returned slice aliases internal storage and must
 // not be modified.
 func (ix *EdgeIndex) Lookup(e Edge) []int32 {
+	if !ix.lows.mayContain(e.U) {
+		return nil
+	}
 	if ix.packed != nil {
 		if uint64(e.U) > 0xffffffff || uint64(e.V) > 0xffffffff {
 			return nil

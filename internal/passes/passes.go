@@ -184,8 +184,12 @@ func CountDegrees(x Executor, deg *graph.SortedCounter) error {
 		deg.Fork, (*graph.SortedCounter).ResetCounts,
 		func(c *graph.SortedCounter, _ int, batch []graph.Edge) {
 			for _, e := range batch {
-				c.Inc(e.U)
-				c.Inc(e.V)
+				if c.MayContain(e.U) {
+					c.Inc(e.U)
+				}
+				if c.MayContain(e.V) {
+					c.Inc(e.V)
+				}
 			}
 		},
 		func(c *graph.SortedCounter, _ int) { deg.Merge(c) })
@@ -357,11 +361,15 @@ func SampleNeighbors(
 				r.Offer(v)
 			}
 			for _, e := range batch {
-				for _, idx := range groups.Lookup(e.U) {
-					offer(idx, e.V)
+				if groups.MayContain(e.U) {
+					for _, idx := range groups.Lookup(e.U) {
+						offer(idx, e.V)
+					}
 				}
-				for _, idx := range groups.Lookup(e.V) {
-					offer(idx, e.U)
+				if groups.MayContain(e.V) {
+					for _, idx := range groups.Lookup(e.V) {
+						offer(idx, e.U)
+					}
 				}
 			}
 		},
@@ -413,11 +421,15 @@ func SampleNeighborBanks(
 				b.Offer(v)
 			}
 			for _, e := range batch {
-				for _, idx := range groups.Lookup(e.U) {
-					offer(idx, e.V)
+				if groups.MayContain(e.U) {
+					for _, idx := range groups.Lookup(e.U) {
+						offer(idx, e.V)
+					}
 				}
-				for _, idx := range groups.Lookup(e.V) {
-					offer(idx, e.U)
+				if groups.MayContain(e.V) {
+					for _, idx := range groups.Lookup(e.V) {
+						offer(idx, e.U)
+					}
 				}
 			}
 		},
@@ -464,14 +476,18 @@ func ClosureBits(
 		},
 		func(st *closureShard, _ int, batch []graph.Edge) {
 			for _, e := range batch {
-				if hits := closure.Lookup(e.Normalize()); hits != nil {
-					for _, it := range hits {
+				if closure.MayContain(e) {
+					for _, it := range closure.Lookup(e.Normalize()) {
 						st.bits.Set(int(it))
 					}
 				}
 				if st.deg != nil {
-					st.deg.Inc(e.U)
-					st.deg.Inc(e.V)
+					if st.deg.MayContain(e.U) {
+						st.deg.Inc(e.U)
+					}
+					if st.deg.MayContain(e.V) {
+						st.deg.Inc(e.V)
+					}
 				}
 			}
 		},
@@ -501,8 +517,10 @@ func ClosureCounts(
 		func(c []int32) { clear(c) },
 		func(c []int32, _ int, batch []graph.Edge) {
 			for _, e := range batch {
-				for _, it := range closure.Lookup(e.Normalize()) {
-					c[it]++
+				if closure.MayContain(e) {
+					for _, it := range closure.Lookup(e.Normalize()) {
+						c[it]++
+					}
 				}
 			}
 		},

@@ -25,33 +25,87 @@ func testGraph(t *testing.T) *graph.Graph {
 
 var workerSweep = []int{1, 2, 4, 8}
 
-func TestCountDegrees(t *testing.T) {
-	g := testGraph(t)
-	edges := g.Edges()
-	m := len(edges)
+// sparseOffset lifts vertex IDs past the 2^23-ID bound on the lookup
+// structures' bitsets (graph's rankTableLimit): a key set holding such an ID
+// has no bitset, so its pass binary-searches the keys on every stream edge.
+const sparseOffset = 1 << 24
 
-	// Track a subset of vertices, including some out-of-graph keys.
-	keys := []int{0, 1, 2, 3, 500, 1000, 2500, 4999, 7777}
-	want := map[int]int{}
-	for _, k := range keys {
-		want[k] = 0
+// sparseID relabels every vertex not divisible by 4 to v + sparseOffset, so a
+// relabeled key set mixes small and huge IDs.
+func sparseID(v int) int {
+	if v%4 == 0 {
+		return v
 	}
-	for _, e := range edges {
-		for _, v := range []int{e.U, e.V} {
-			if _, ok := want[v]; ok {
-				want[v]++
+	return v + sparseOffset
+}
+
+// passInput is one edge stream a pass test runs on: id maps the vertex IDs the
+// test picks to the stream's IDs.
+type passInput struct {
+	name  string
+	edges []graph.Edge
+	id    func(v int) int
+}
+
+// ids maps vs through in.id.
+func (in passInput) ids(vs []int) []int {
+	out := make([]int, len(vs))
+	for i, v := range vs {
+		out[i] = in.id(v)
+	}
+	return out
+}
+
+// edge returns the normalized edge (in.id(u), in.id(v)).
+func (in passInput) edge(u, v int) graph.Edge { return graph.NewEdge(in.id(u), in.id(v)) }
+
+// relabeled returns edges with both endpoints mapped through sparseID.
+func relabeled(edges []graph.Edge) []graph.Edge {
+	out := make([]graph.Edge, len(edges))
+	for i, e := range edges {
+		out[i] = graph.Edge{U: sparseID(e.U), V: sparseID(e.V)}
+	}
+	return out
+}
+
+// passInputs returns the stream as given, whose lookups go through the
+// structures' bitsets, and the same stream relabeled by sparseID, whose
+// lookups fall back to binary search.
+func passInputs(edges []graph.Edge) []passInput {
+	return []passInput{
+		{name: "dense", edges: edges, id: func(v int) int { return v }},
+		{name: "sparse", edges: relabeled(edges), id: sparseID},
+	}
+}
+
+func TestCountDegrees(t *testing.T) {
+	for _, in := range passInputs(testGraph(t).Edges()) {
+		edges := in.edges
+		m := len(edges)
+
+		// Track a subset of vertices, including some out-of-graph keys.
+		keys := in.ids([]int{0, 1, 2, 3, 500, 1000, 2500, 4999, 7777})
+		want := map[int]int{}
+		for _, k := range keys {
+			want[k] = 0
+		}
+		for _, e := range edges {
+			for _, v := range []int{e.U, e.V} {
+				if _, ok := want[v]; ok {
+					want[v]++
+				}
 			}
 		}
-	}
-	for _, workers := range workerSweep {
-		deg := graph.NewSortedCounter(slices.Clone(keys))
-		if err := passes.CountDegrees(passes.NewDirect(stream.FromGraph(g), m, workers), deg); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		for _, k := range keys {
-			got, ok := deg.Get(k)
-			if !ok || got != want[k] {
-				t.Errorf("workers=%d: deg[%d] = %d (ok=%v), want %d", workers, k, got, ok, want[k])
+		for _, workers := range workerSweep {
+			deg := graph.NewSortedCounter(slices.Clone(keys))
+			if err := passes.CountDegrees(passes.NewDirect(stream.FromEdges(edges), m, workers), deg); err != nil {
+				t.Fatalf("%s workers=%d: %v", in.name, workers, err)
+			}
+			for _, k := range keys {
+				got, ok := deg.Get(k)
+				if !ok || got != want[k] {
+					t.Errorf("%s workers=%d: deg[%d] = %d (ok=%v), want %d", in.name, workers, k, got, ok, want[k])
+				}
 			}
 		}
 	}
@@ -190,51 +244,52 @@ func adjacency(edges []graph.Edge, v int) []int {
 }
 
 func TestSampleNeighbors(t *testing.T) {
-	g := testGraph(t)
-	edges := g.Edges()
-	m := len(edges)
+	for _, in := range passInputs(testGraph(t).Edges()) {
+		edges := in.edges
+		m := len(edges)
 
-	// A few instances per vertex, including a vertex with no edges.
-	vertices := []int{0, 1, 7, 100, 2500, 4999, 9999}
-	var instVertex []int
-	for _, v := range vertices {
-		instVertex = append(instVertex, v, v)
-	}
-	groups := graph.NewVertexGroups(slices.Clone(instVertex))
-	n := len(instVertex)
-
-	var base []sampling.Res1Merger
-	for _, workers := range workerSweep {
-		merged, err := passes.SampleNeighbors(
-			passes.NewDirect(stream.FromGraph(g), m, workers), groups, n, 12345, 3, 4)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+		// A few instances per vertex, including a vertex with no edges.
+		vertices := in.ids([]int{0, 1, 7, 100, 2500, 4999, 9999})
+		var instVertex []int
+		for _, v := range vertices {
+			instVertex = append(instVertex, v, v)
 		}
-		for i, v := range instVertex {
-			adj := adjacency(edges, v)
-			if len(adj) == 0 {
-				if merged[i].Has() {
-					t.Errorf("workers=%d: instance %d (vertex %d) sampled from an empty neighborhood", workers, i, v)
+		groups := graph.NewVertexGroups(slices.Clone(instVertex))
+		n := len(instVertex)
+
+		var base []sampling.Res1Merger
+		for _, workers := range workerSweep {
+			merged, err := passes.SampleNeighbors(
+				passes.NewDirect(stream.FromEdges(edges), m, workers), groups, n, 12345, 3, 4)
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", in.name, workers, err)
+			}
+			for i, v := range instVertex {
+				adj := adjacency(edges, v)
+				if len(adj) == 0 {
+					if merged[i].Has() {
+						t.Errorf("%s workers=%d: instance %d (vertex %d) sampled from an empty neighborhood", in.name, workers, i, v)
+					}
+					continue
 				}
-				continue
+				if !merged[i].Has() {
+					t.Errorf("%s workers=%d: instance %d (vertex %d) sampled nothing from %d neighbors", in.name, workers, i, v, len(adj))
+					continue
+				}
+				if !slices.Contains(adj, merged[i].W) {
+					t.Errorf("%s workers=%d: instance %d sampled %d, not a neighbor of %d", in.name, workers, i, merged[i].W, v)
+				}
+				if merged[i].N != int64(len(adj)) {
+					t.Errorf("%s workers=%d: instance %d saw %d offers, want %d", in.name, workers, i, merged[i].N, len(adj))
+				}
 			}
-			if !merged[i].Has() {
-				t.Errorf("workers=%d: instance %d (vertex %d) sampled nothing from %d neighbors", workers, i, v, len(adj))
-				continue
-			}
-			if !slices.Contains(adj, merged[i].W) {
-				t.Errorf("workers=%d: instance %d sampled %d, not a neighbor of %d", workers, i, merged[i].W, v)
-			}
-			if merged[i].N != int64(len(adj)) {
-				t.Errorf("workers=%d: instance %d saw %d offers, want %d", workers, i, merged[i].N, len(adj))
-			}
-		}
-		if base == nil {
-			base = merged
-		} else {
-			for i := range merged {
-				if merged[i].N != base[i].N || merged[i].W != base[i].W {
-					t.Errorf("workers=%d: instance %d sample diverges from workers=1", workers, i)
+			if base == nil {
+				base = merged
+			} else {
+				for i := range merged {
+					if merged[i].N != base[i].N || merged[i].W != base[i].W {
+						t.Errorf("%s workers=%d: instance %d sample diverges from workers=1", in.name, workers, i)
+					}
 				}
 			}
 		}
@@ -242,45 +297,46 @@ func TestSampleNeighbors(t *testing.T) {
 }
 
 func TestSampleNeighborBanks(t *testing.T) {
-	g := testGraph(t)
-	edges := g.Edges()
-	m := len(edges)
-	const k = 3
+	for _, in := range passInputs(testGraph(t).Edges()) {
+		edges := in.edges
+		m := len(edges)
+		const k = 3
 
-	vertices := []int{0, 3, 42, 1234, 4998}
-	groups := graph.NewVertexGroups(slices.Clone(vertices))
-	n := len(vertices)
+		vertices := in.ids([]int{0, 3, 42, 1234, 4998})
+		groups := graph.NewVertexGroups(slices.Clone(vertices))
+		n := len(vertices)
 
-	var base [][]int
-	for _, workers := range workerSweep {
-		merged, err := passes.SampleNeighborBanks(
-			passes.NewDirect(stream.FromGraph(g), m, workers), groups, n, k, 999, 30, 31)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		banks := make([][]int, n)
-		for i, v := range vertices {
-			adj := adjacency(edges, v)
-			if !merged[i].Has() {
-				t.Fatalf("workers=%d: vertex %d has %d neighbors but no samples", workers, v, len(adj))
+		var base [][]int
+		for _, workers := range workerSweep {
+			merged, err := passes.SampleNeighborBanks(
+				passes.NewDirect(stream.FromEdges(edges), m, workers), groups, n, k, 999, 30, 31)
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", in.name, workers, err)
 			}
-			if len(merged[i].W) != k {
-				t.Fatalf("workers=%d: vertex %d bank holds %d samples, want %d", workers, v, len(merged[i].W), k)
-			}
-			for j, w := range merged[i].W {
-				if !slices.Contains(adj, w) {
-					t.Errorf("workers=%d: bank[%d][%d] = %d, not a neighbor of %d", workers, i, j, w, v)
+			banks := make([][]int, n)
+			for i, v := range vertices {
+				adj := adjacency(edges, v)
+				if !merged[i].Has() {
+					t.Fatalf("%s workers=%d: vertex %d has %d neighbors but no samples", in.name, workers, v, len(adj))
 				}
+				if len(merged[i].W) != k {
+					t.Fatalf("%s workers=%d: vertex %d bank holds %d samples, want %d", in.name, workers, v, len(merged[i].W), k)
+				}
+				for j, w := range merged[i].W {
+					if !slices.Contains(adj, w) {
+						t.Errorf("%s workers=%d: bank[%d][%d] = %d, not a neighbor of %d", in.name, workers, i, j, w, v)
+					}
+				}
+				banks[i] = slices.Clone(merged[i].W)
 			}
-			banks[i] = slices.Clone(merged[i].W)
-		}
-		if base == nil {
-			base = banks
-		} else {
-			for i := range banks {
-				if !slices.Equal(banks[i], base[i]) {
-					t.Errorf("workers=%d: bank %d diverges from workers=1: %v vs %v",
-						workers, i, banks[i], base[i])
+			if base == nil {
+				base = banks
+			} else {
+				for i := range banks {
+					if !slices.Equal(banks[i], base[i]) {
+						t.Errorf("%s workers=%d: bank %d diverges from workers=1: %v vs %v",
+							in.name, workers, i, banks[i], base[i])
+					}
 				}
 			}
 		}
@@ -288,49 +344,50 @@ func TestSampleNeighborBanks(t *testing.T) {
 }
 
 func TestClosureBits(t *testing.T) {
-	g := testGraph(t)
-	edges := g.Edges()
-	m := len(edges)
+	for _, in := range passInputs(testGraph(t).Edges()) {
+		edges := in.edges
+		m := len(edges)
 
-	// Half the keys are real edges, half are fabricated non-edges.
-	var keys []graph.Edge
-	for i := 0; i < 40; i++ {
-		keys = append(keys, edges[(i*997)%m])
-	}
-	for i := 0; i < 40; i++ {
-		keys = append(keys, graph.NewEdge(6000+i, 7000+i))
-	}
-	idx := graph.NewEdgeIndex(keys)
+		// Half the keys are real edges, half are fabricated non-edges.
+		var keys []graph.Edge
+		for i := 0; i < 40; i++ {
+			keys = append(keys, edges[(i*997)%m])
+		}
+		for i := 0; i < 40; i++ {
+			keys = append(keys, in.edge(6000+i, 7000+i))
+		}
+		idx := graph.NewEdgeIndex(keys)
 
-	present := map[graph.Edge]bool{}
-	for _, e := range edges {
-		present[e.Normalize()] = true
-	}
-	degKeys := []int{0, 10, 20}
-	wantDeg := map[int]int{}
-	for _, e := range edges {
-		for _, v := range []int{e.U, e.V} {
-			if slices.Contains(degKeys, v) {
-				wantDeg[v]++
+		present := map[graph.Edge]bool{}
+		for _, e := range edges {
+			present[e.Normalize()] = true
+		}
+		degKeys := in.ids([]int{0, 10, 20})
+		wantDeg := map[int]int{}
+		for _, e := range edges {
+			for _, v := range []int{e.U, e.V} {
+				if slices.Contains(degKeys, v) {
+					wantDeg[v]++
+				}
 			}
 		}
-	}
 
-	for _, workers := range workerSweep {
-		extraDeg := graph.NewSortedCounter(slices.Clone(degKeys))
-		bits, err := passes.ClosureBits(passes.NewDirect(stream.FromGraph(g), m, workers), idx, len(keys), extraDeg)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		for i, key := range keys {
-			if bits.Test(i) != present[key.Normalize()] {
-				t.Errorf("workers=%d: item %d (%v) hit=%v, want %v",
-					workers, i, key, bits.Test(i), present[key.Normalize()])
+		for _, workers := range workerSweep {
+			extraDeg := graph.NewSortedCounter(slices.Clone(degKeys))
+			bits, err := passes.ClosureBits(passes.NewDirect(stream.FromEdges(edges), m, workers), idx, len(keys), extraDeg)
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", in.name, workers, err)
 			}
-		}
-		for _, v := range degKeys {
-			if got, _ := extraDeg.Get(v); got != wantDeg[v] {
-				t.Errorf("workers=%d: extraDeg[%d] = %d, want %d", workers, v, got, wantDeg[v])
+			for i, key := range keys {
+				if bits.Test(i) != present[key.Normalize()] {
+					t.Errorf("%s workers=%d: item %d (%v) hit=%v, want %v",
+						in.name, workers, i, key, bits.Test(i), present[key.Normalize()])
+				}
+			}
+			for _, v := range degKeys {
+				if got, _ := extraDeg.Get(v); got != wantDeg[v] {
+					t.Errorf("%s workers=%d: extraDeg[%d] = %d, want %d", in.name, workers, v, got, wantDeg[v])
+				}
 			}
 		}
 	}
@@ -338,35 +395,38 @@ func TestClosureBits(t *testing.T) {
 
 func TestClosureCounts(t *testing.T) {
 	// A stream with deliberate duplicates: counts must tally multiplicity.
-	var edges []graph.Edge
+	var dups []graph.Edge
 	for i := 0; i < 20000; i++ {
-		edges = append(edges, graph.NewEdge(i%100, 100+i%7))
+		dups = append(dups, graph.NewEdge(i%100, 100+i%7))
 	}
-	m := len(edges)
+	for _, in := range passInputs(dups) {
+		edges := in.edges
+		m := len(edges)
 
-	keys := []graph.Edge{
-		graph.NewEdge(0, 100),
-		graph.NewEdge(1, 101),
-		graph.NewEdge(55, 103),
-		graph.NewEdge(9999, 9998), // absent
-	}
-	idx := graph.NewEdgeIndex(keys)
-	want := make([]int, len(keys))
-	for _, e := range edges {
-		for i, key := range keys {
-			if e.Normalize() == key.Normalize() {
-				want[i]++
+		keys := []graph.Edge{
+			in.edge(0, 100),
+			in.edge(1, 101),
+			in.edge(55, 103),
+			in.edge(9999, 9998), // absent
+		}
+		idx := graph.NewEdgeIndex(keys)
+		want := make([]int, len(keys))
+		for _, e := range edges {
+			for i, key := range keys {
+				if e.Normalize() == key.Normalize() {
+					want[i]++
+				}
 			}
 		}
-	}
 
-	for _, workers := range workerSweep {
-		counts, err := passes.ClosureCounts(passes.NewDirect(stream.FromEdges(slices.Clone(edges)), m, workers), idx, len(keys))
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !slices.Equal(counts, want) {
-			t.Errorf("workers=%d: counts = %v, want %v", workers, counts, want)
+		for _, workers := range workerSweep {
+			counts, err := passes.ClosureCounts(passes.NewDirect(stream.FromEdges(slices.Clone(edges)), m, workers), idx, len(keys))
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", in.name, workers, err)
+			}
+			if !slices.Equal(counts, want) {
+				t.Errorf("%s workers=%d: counts = %v, want %v", in.name, workers, counts, want)
+			}
 		}
 	}
 }
