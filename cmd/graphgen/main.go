@@ -1,12 +1,10 @@
 // Command graphgen generates the synthetic graph families used by the
 // experiments and writes them as edge-list files consumable by trianglecount
-// and by any other edge-list tool. Outputs ending in .bex are written in the
-// block-indexed compressed binary format (.bex v2), which parses an order of
-// magnitude faster than text and supports sharded parallel passes natively;
-// .bexd outputs become sharded multi-file directories. -format overrides the
-// extension-based choice (bex1 selects the legacy flat int32-pair format),
-// and -convert translates an existing file or directory between any of the
-// formats.
+// and by any other edge-list tool. The output's extension picks the format:
+// .bex writes the block-indexed compressed binary format (.bex v2), which
+// parses an order of magnitude faster than text and supports sharded
+// parallel passes natively; any other name writes text. -convert translates
+// an existing text or .bex v2 file to either format.
 //
 // Usage:
 //
@@ -15,8 +13,7 @@
 //	graphgen -family chunglu -n 50000 -avgdeg 8 -beta 2.5 -out cl.txt
 //	graphgen -family book -pages 10000 -out book.txt
 //	graphgen -convert ba.txt -out ba.bex
-//	graphgen -convert ba.bex -format bexd -out ba.bexd
-//	graphgen -convert old.bex -format bex1 -out legacy.bex
+//	graphgen -convert ba.bex -out ba.txt
 //
 // Exit codes: 0 success; 1 internal error; 2 usage error; 3 I/O error
 // (missing, unreadable, truncated, or corrupt input, or an unwritable
@@ -47,10 +44,9 @@ func main() {
 		beta       = flag.Float64("beta", 2.5, "power-law exponent for chunglu")
 		m          = flag.Int("m", 0, "edge count for gnm (default 4n)")
 		seed       = flag.Uint64("seed", 1, "random seed")
-		out        = flag.String("out", "", "output path (default stdout); .bex selects the binary format, .bexd the sharded directory layout")
-		format     = flag.String("format", "auto", "output format: auto (by extension), text, bex1, bex2, bexd")
+		out        = flag.String("out", "", "output path (default stdout); a .bex name selects the binary .bex v2 format, any other name text")
 		blockEdges = flag.Int("block-edges", 0, "edges per .bex v2 block (default 8192)")
-		convert    = flag.String("convert", "", "convert this edge file (text, .bex, or .bexd) to -out instead of generating")
+		convert    = flag.String("convert", "", "convert this edge file (text or .bex v2) to -out instead of generating")
 		version    = flag.Bool("version", false, "print version and exit")
 	)
 	flag.Parse()
@@ -66,7 +62,7 @@ func main() {
 		}
 		src, err := stream.OpenAuto(*convert)
 		exitOn(err)
-		edges, err := writeOut(*out, src, *format, *blockEdges)
+		edges, err := writeOut(*out, src, *blockEdges)
 		// Close before exitOn: os.Exit skips deferred calls, and closing a
 		// text source removes the .bex v2 copy its pass wrote to TMPDIR.
 		if cerr := src.Close(); err == nil {
@@ -120,56 +116,32 @@ func main() {
 		fmt.Fprintln(os.Stderr, "# "+comment)
 		return
 	}
-	if resolveFormat(*format, *out) == "text" {
-		exitOn(stream.WriteGraphFile(*out, g, comment))
-	} else {
-		_, err := writeOut(*out, stream.FromGraph(g), *format, *blockEdges)
+	if isBex(*out) {
+		_, err := stream.WriteBex2File(*out, stream.FromGraph(g), *blockEdges)
 		exitOn(err)
+	} else {
+		exitOn(stream.WriteGraphFile(*out, g, comment))
 	}
 	fmt.Printf("wrote %s: %s\n", *out, comment)
 }
 
-// resolveFormat maps the -format flag (and, for "auto", the output path's
-// extension) to a concrete format name.
-func resolveFormat(format, out string) string {
-	if format != "auto" {
-		return format
-	}
-	lower := strings.ToLower(out)
-	switch {
-	case strings.HasSuffix(lower, stream.BexdExt):
-		return "bexd"
-	case strings.HasSuffix(lower, stream.BexExt):
-		return "bex2"
-	default:
-		return "text"
-	}
-}
+// isBex reports whether out names a .bex v2 file; any other name is text.
+func isBex(out string) bool { return strings.HasSuffix(strings.ToLower(out), stream.BexExt) }
 
-// writeOut writes the stream to out in the resolved format.
-func writeOut(out string, s stream.Stream, format string, blockEdges int) (int, error) {
-	switch resolveFormat(format, out) {
-	case "text":
-		file, err := os.Create(out)
-		if err != nil {
-			return 0, err
-		}
-		edges, err := stream.WriteEdgeList(file, s)
-		if cerr := file.Close(); err == nil {
-			err = cerr
-		}
-		return edges, err
-	case "bex1":
-		return stream.WriteBexFile(out, s)
-	case "bex2":
+// writeOut writes the stream to out in the format its extension picks.
+func writeOut(out string, s stream.Stream, blockEdges int) (int, error) {
+	if isBex(out) {
 		return stream.WriteBex2File(out, s, blockEdges)
-	case "bexd":
-		return stream.WriteBexd(out, s, blockEdges, 0)
-	default:
-		fmt.Fprintf(os.Stderr, "graphgen: unknown format %q\n", format)
-		os.Exit(2)
-		return 0, nil
 	}
+	file, err := os.Create(out)
+	if err != nil {
+		return 0, err
+	}
+	edges, err := stream.WriteEdgeList(file, s)
+	if cerr := file.Close(); err == nil {
+		err = cerr
+	}
+	return edges, err
 }
 
 func exitOn(err error) {

@@ -1,6 +1,7 @@
 // Command trianglecount estimates (or exactly counts) the triangles of a
-// graph given as a whitespace-separated edge-list file or a binary .bex file
-// (see cmd/graphgen -convert).
+// graph given as a whitespace-separated edge-list file or a binary .bex v2
+// file (see cmd/graphgen -convert). Any other binary input, such as a
+// retired .bex v1 file or a directory, is rejected at open with exit code 3.
 //
 // Usage:
 //

@@ -34,7 +34,7 @@ func TestFusedCliqueMatchesDirect(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := stream.WriteBexFile(bex, stream.FromGraphShuffled(g, streamSeed)); err != nil {
+	if _, err := stream.WriteBex2File(bex, stream.FromGraphShuffled(g, streamSeed), 64); err != nil {
 		t.Fatal(err)
 	}
 

@@ -98,9 +98,8 @@ func TestEstimateGolden(t *testing.T) {
 // TestEstimateGoldenFileBackends re-runs the golden pins over the disk-backed
 // stream sources, with the files written in the exact shuffled order the
 // in-memory goldens use: the text stream spends one extra counting pass
-// (length unknown up front), the binary streams (flat .bex v1, block-indexed
-// .bex v2, sharded .bexd) none, and everything else must
-// match the goldens bit for bit.
+// (length unknown up front), the block-indexed .bex v2 stream none, and
+// everything else must match the goldens bit for bit.
 func TestEstimateGoldenFileBackends(t *testing.T) {
 	graphs := cliqueGoldenGraphs()
 	dir := t.TempDir()
@@ -113,13 +112,10 @@ func TestEstimateGoldenFileBackends(t *testing.T) {
 	written := map[string]bool{}
 	writeBackends := func(gc cliqueGolden) []fileBackend {
 		base := filepath.Join(dir, gc.workload)
-		txt, bex1 := base+".txt", base+".v1"+stream.BexExt
-		bex2, bexd := base+stream.BexExt, base+stream.BexdExt
+		txt, bex2 := base+".txt", base+stream.BexExt
 		fbs := []fileBackend{
 			{"text", txt, 1},
-			{"bex1", bex1, 0},
 			{"bex2", bex2, 0},
-			{"bexd", bexd, 0},
 		}
 		if written[gc.workload] {
 			return fbs
@@ -135,15 +131,9 @@ func TestEstimateGoldenFileBackends(t *testing.T) {
 		if err := f.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := stream.WriteBexFile(bex1, stream.FromGraphShuffled(g, gc.streamSeed)); err != nil {
-			t.Fatal(err)
-		}
-		// Tiny blocks/parts so the goldens exercise multi-block and
-		// multi-part reads, not just a single-block fast path.
+		// Tiny blocks so the goldens exercise multi-block reads, not just a
+		// single-block fast path.
 		if _, err := stream.WriteBex2File(bex2, stream.FromGraphShuffled(g, gc.streamSeed), 16); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := stream.WriteBexd(bexd, stream.FromGraphShuffled(g, gc.streamSeed), 16, 64); err != nil {
 			t.Fatal(err)
 		}
 		written[gc.workload] = true

@@ -97,13 +97,17 @@ func AutoEstimateCtx(ctx context.Context, src stream.Stream, cfg Config) (Result
 // boundary) while fused peers complete bit-identically. The degradation
 // semantics are those of AutoEstimateCtx.
 //
+// Every probe's words are charged to the scheduler's group meter and to
+// tees, the further group meters a caller passes (a session's, say, so it
+// can hand its words back once the search has returned).
+//
 // The search parks the handoff client only *after* registering its own
 // first client, so at no instant is the caller absent from the wave barrier
 // — peers cannot slip a wave past it and break the trials-fuse-in-lockstep
 // scan bound. The handoff client is left parked; the caller remains
 // responsible for its Done. The caller also owns physical-scan accounting:
 // Result.Scans is left zero.
-func AutoEstimateFrom(c *sched.Client, cfg Config) (Result, error) {
+func AutoEstimateFrom(c *sched.Client, cfg Config, tees ...*stream.SharedMeter) (Result, error) {
 	sch, clientCtx, handoff := c.Scheduler(), c.Context(), c
 	// release parks the handoff client; it must be called only once at least
 	// one search-owned client is registered (a just-registered client is
@@ -137,15 +141,18 @@ func AutoEstimateFrom(c *sched.Client, cfg Config) (Result, error) {
 	}
 
 	// runProbe executes one estimator run as a scheduler client; its meter is
-	// teed into the search and scheduler group meters so the concurrent peak
-	// is accounted at both granularities. The client must be registered
-	// before the probe goroutine starts (see runBatch) so a whole batch fuses
-	// from its first wave.
+	// teed into the search and scheduler group meters (and the caller's
+	// tees) so the concurrent peak is accounted at every granularity. The
+	// client must be registered before the probe goroutine starts (see
+	// runBatch) so a whole batch fuses from its first wave.
 	runProbe := func(c *sched.Client, runCfg Config) (Result, error) {
 		defer c.Done()
 		est := NewEstimator(runCfg)
 		est.TeeSpace(searchMeter)
 		est.TeeSpace(sch.Meter())
+		for _, g := range tees {
+			est.TeeSpace(g)
+		}
 		return est.RunOn(c)
 	}
 	// runBatch runs the probes of one speculative batch concurrently, fused.

@@ -3,11 +3,10 @@ package core_test
 // Refactor-equivalence pins for the shared pass framework (internal/passes):
 // the golden cases of golden_test.go — whose expected values predate the
 // framework — must hold bit for bit at every worker count (1/2/4/8) and over
-// every stream backend (in-memory, text file, flat .bex v1, block-indexed
-// .bex v2, sharded .bexd). Combined with the clique golden
-// suite this is the guarantee that moving the pass plumbing into
-// internal/passes changed no realized randomness anywhere — and that no
-// storage format does either.
+// every stream backend (in-memory, text file, block-indexed .bex v2 in every
+// decode mode). Combined with the clique golden suite this is the guarantee
+// that moving the pass plumbing into internal/passes changed no realized
+// randomness anywhere — and that no storage format does either.
 
 import (
 	"os"
@@ -33,9 +32,7 @@ func TestGoldenEquivalenceAcrossWorkersAndBackends(t *testing.T) {
 	backends := map[string][]backend{}
 	for name, w := range graphs {
 		txt := filepath.Join(dir, name+".txt")
-		bex1 := filepath.Join(dir, name+".v1"+stream.BexExt)
 		bex2 := filepath.Join(dir, name+stream.BexExt)
-		bexd := filepath.Join(dir, name+stream.BexdExt)
 		f, err := os.Create(txt)
 		if err != nil {
 			t.Fatal(err)
@@ -46,15 +43,9 @@ func TestGoldenEquivalenceAcrossWorkersAndBackends(t *testing.T) {
 		if err := f.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := stream.WriteBexFile(bex1, stream.FromGraphShuffled(w.g, w.streamSeed)); err != nil {
-			t.Fatal(err)
-		}
-		// Tiny blocks and parts so even these small goldens span several
-		// blocks and .bexd parts (the interesting decode/chain paths).
+		// Tiny blocks so even these small goldens span several blocks and
+		// shard ranges straddle block boundaries.
 		if _, err := stream.WriteBex2File(bex2, stream.FromGraphShuffled(w.g, w.streamSeed), 16); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := stream.WriteBexd(bexd, stream.FromGraphShuffled(w.g, w.streamSeed), 16, 64); err != nil {
 			t.Fatal(err)
 		}
 		g, seed := w.g, w.streamSeed
@@ -72,13 +63,11 @@ func TestGoldenEquivalenceAcrossWorkersAndBackends(t *testing.T) {
 				return stream.FromGraphShuffled(g, seed), func() {}, nil
 			}, 0, false},
 			{"text", openFile(txt), 1, false},
-			{"bex1", openFile(bex1), 0, false},
 			{"bex2", openFile(bex2), 0, true},
-			{"bexd", openFile(bexd), 0, true},
 		}
 	}
 
-	// Decode modes: the v2-family backends additionally run under every
+	// Decode modes: the .bex v2 backend additionally runs under every
 	// {kernel} × {decoded-block cache} combination — all four must realize
 	// the golden values bit for bit (PR 10's decode engine is an I/O
 	// optimization, never an estimator change). Other backends have no block

@@ -43,7 +43,7 @@ func TestFusedSoloClientMatchesDirectRun(t *testing.T) {
 		if err := f.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := stream.WriteBexFile(bex, stream.FromGraphShuffled(w.g, w.streamSeed)); err != nil {
+		if _, err := stream.WriteBex2File(bex, stream.FromGraphShuffled(w.g, w.streamSeed), 64); err != nil {
 			t.Fatal(err)
 		}
 		g, seed := w.g, w.streamSeed
@@ -226,7 +226,7 @@ func TestAutoEstimateSpecWidthInvariance(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := stream.WriteBexFile(bex, stream.FromGraphShuffled(w.g, w.streamSeed)); err != nil {
+	if _, err := stream.WriteBex2File(bex, stream.FromGraphShuffled(w.g, w.streamSeed), 64); err != nil {
 		t.Fatal(err)
 	}
 

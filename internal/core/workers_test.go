@@ -54,7 +54,7 @@ func TestWorkerCountInvarianceFileStreams(t *testing.T) {
 	if err := stream.WriteGraphFile(txt, g, "invariance"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := stream.WriteBexFile(bex, stream.FromGraph(g)); err != nil {
+	if _, err := stream.WriteBex2File(bex, stream.FromGraph(g), 64); err != nil {
 		t.Fatal(err)
 	}
 

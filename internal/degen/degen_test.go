@@ -123,7 +123,7 @@ func TestWorkerInvarianceAcrossBackends(t *testing.T) {
 		t.Fatal(err)
 	}
 	bexPath := filepath.Join(dir, "edges.bex")
-	if _, err := stream.WriteBexFile(bexPath, stream.FromGraph(g)); err != nil {
+	if _, err := stream.WriteBex2File(bexPath, stream.FromGraph(g), 64); err != nil {
 		t.Fatal(err)
 	}
 
@@ -131,7 +131,7 @@ func TestWorkerInvarianceAcrossBackends(t *testing.T) {
 		"memory": func() stream.Stream { return stream.FromGraph(g) },
 		"text":   func() stream.Stream { return stream.OpenFile(textPath) },
 		"bex": func() stream.Stream {
-			bs, err := stream.OpenBex(bexPath)
+			bs, err := stream.OpenBex2(bexPath)
 			if err != nil {
 				t.Fatal(err)
 			}

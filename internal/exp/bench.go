@@ -3,8 +3,6 @@ package exp
 import (
 	"fmt"
 	"os"
-	"path/filepath"
-	"sort"
 	"time"
 
 	"degentri/internal/benchfmt"
@@ -94,7 +92,7 @@ func BenchSweep(opts BenchOptions) (*benchfmt.File, *Table, error) {
 	table := NewTable("bench",
 		fmt.Sprintf("Corpus sweep (%d trials per ε, %s scans, workers=1)", trials, mode),
 		"graph", "source", "n", "m", "T", "κ", "κ̂",
-		"err ε=.20", "err ε=.10", "err ε=.05", "passes", "scans", "space (w)", "edges/s", "bytes v2/v1")
+		"err ε=.20", "err ε=.10", "err ε=.05", "passes", "scans", "space (w)", "edges/s", "bytes")
 
 	for _, spec := range specs {
 		sweepStart := time.Now()
@@ -182,38 +180,16 @@ func BenchSweep(opts BenchOptions) (*benchfmt.File, *Table, error) {
 			Better: benchfmt.BetterHigher, Class: benchfmt.ClassTiming, RelTol: 0.60,
 		}
 
-		// Backend comparison: bytes on disk v1 vs v2 (deterministic encodings
-		// of the same canonical stream) and per-format scan throughput
-		// (timing: warn-only). v2 must be strictly smaller than v1 on every
-		// corpus graph — that is an acceptance invariant, not a tolerance.
-		bk, err := benchBackends(w)
+		// Bytes on disk of the cached .bex v2 file: a deterministic encoding
+		// of the canonical stream.
+		st, err := os.Stat(w.Path)
 		if err != nil {
-			return nil, nil, err
-		}
-		if bk.Bytes2 >= bk.Bytes1 {
-			return nil, nil, fmt.Errorf("exp: bench %s: .bex v2 is %d bytes, v1 is %d — v2 must be strictly smaller",
-				w.Name, bk.Bytes2, bk.Bytes1)
-		}
-		bw.Metrics["bytes_on_disk.bex1"] = benchfmt.Metric{
-			Value: float64(bk.Bytes1), Unit: "bytes",
-			Better: benchfmt.BetterLower, Class: benchfmt.ClassDeterministic,
+			return nil, nil, fmt.Errorf("exp: bench %s: %w", w.Name, err)
 		}
 		bw.Metrics["bytes_on_disk.bex2"] = benchfmt.Metric{
-			Value: float64(bk.Bytes2), Unit: "bytes",
+			Value: float64(st.Size()), Unit: "bytes",
 			Better: benchfmt.BetterLower, Class: benchfmt.ClassDeterministic,
 			RelTol: 0.10, // block-size retunes move the footer overhead a little
-		}
-		bw.Metrics["edges_per_s.bex1"] = benchfmt.Metric{
-			Value: bk.EdgesPerS1, Unit: "edges/s",
-			Better: benchfmt.BetterHigher, Class: benchfmt.ClassTiming, RelTol: 0.60,
-		}
-		bw.Metrics["edges_per_s.bex2"] = benchfmt.Metric{
-			Value: bk.EdgesPerS2, Unit: "edges/s",
-			Better: benchfmt.BetterHigher, Class: benchfmt.ClassTiming, RelTol: 0.60,
-		}
-		bw.Metrics["speedup.bex2_vs_bex1"] = benchfmt.Metric{
-			Value: bk.EdgesPerS2 / bk.EdgesPerS1, Unit: "x",
-			Better: benchfmt.BetterHigher, Class: benchfmt.ClassTiming, RelTol: 0.60,
 		}
 		bw.Metrics["wall_ms.sweep"] = benchfmt.Metric{
 			Value: float64(time.Since(sweepStart).Milliseconds()), Unit: "ms",
@@ -224,7 +200,7 @@ func BenchSweep(opts BenchOptions) (*benchfmt.File, *Table, error) {
 		row := table.Rows[len(table.Rows)-1]
 		row[7], row[8], row[9] = errCells[0], errCells[1], errCells[2]
 		row[13] = FormatCount(int64(throughput))
-		row[14] = fmt.Sprintf("%.2f", float64(bk.Bytes2)/float64(bk.Bytes1))
+		row[14] = FormatCount(st.Size())
 
 		file.Workloads = append(file.Workloads, bw)
 	}
@@ -347,83 +323,6 @@ func benchInvariance(w Workload) error {
 		}
 	}
 	return nil
-}
-
-// BackendBench is the per-graph storage-backend comparison: encoded sizes of
-// the same canonical stream in the v1 and v2 formats (deterministic) and raw
-// scan throughput per format (timing).
-type BackendBench struct {
-	Bytes1, Bytes2         int64
-	EdgesPerS1, EdgesPerS2 float64
-}
-
-// benchBackends re-encodes the workload's cached .bex v2 file as legacy v1 in
-// a scratch directory, then times a cold-open full scan per format — v1 and
-// v2 — and keeps the median of nine rounds. Every round opens the file
-// fresh, so each one pays the format's true first-scan cost (v2 re-verifies
-// block CRCs, v1 re-reads its 2.5x bigger byte stream); the rounds run back
-// to back per format, the way a real scan runs one decode kernel
-// continuously, and the median damps the scheduling noise a sub-millisecond
-// sample picks up on a shared core. The cached file itself is the v2 side,
-// so the sizes compare identical canonical edge sequences.
-func benchBackends(w Workload) (BackendBench, error) {
-	var bk BackendBench
-	src, err := stream.OpenAuto(w.Path)
-	if err != nil {
-		return bk, fmt.Errorf("exp: bench %s: %w", w.Name, err)
-	}
-	tmp, err := os.MkdirTemp("", "benchbex")
-	if err != nil {
-		src.Close()
-		return bk, fmt.Errorf("exp: bench %s: %w", w.Name, err)
-	}
-	defer os.RemoveAll(tmp)
-	v1Path := filepath.Join(tmp, "graph.v1.bex")
-	_, err = stream.WriteBexFile(v1Path, src)
-	src.Close()
-	if err != nil {
-		return bk, fmt.Errorf("exp: bench %s: encode v1: %w", w.Name, err)
-	}
-	st1, err := os.Stat(v1Path)
-	if err != nil {
-		return bk, fmt.Errorf("exp: bench %s: %w", w.Name, err)
-	}
-	st2, err := os.Stat(w.Path)
-	if err != nil {
-		return bk, fmt.Errorf("exp: bench %s: %w", w.Name, err)
-	}
-	bk.Bytes1, bk.Bytes2 = st1.Size(), st2.Size()
-
-	time1 := func(open func() (stream.FileBacked, error)) (float64, error) {
-		const rounds = 9
-		rates := make([]float64, 0, rounds)
-		for r := 0; r < rounds; r++ {
-			s, err := open()
-			if err != nil {
-				return 0, fmt.Errorf("exp: bench %s: %w", w.Name, err)
-			}
-			start := time.Now()
-			m, err := stream.CountEdges(s)
-			elapsed := time.Since(start).Seconds()
-			s.Close()
-			if err != nil {
-				return 0, fmt.Errorf("exp: bench %s: %w", w.Name, err)
-			}
-			if elapsed <= 0 {
-				elapsed = 1e-9
-			}
-			rates = append(rates, float64(m)/elapsed)
-		}
-		sort.Float64s(rates)
-		return rates[rounds/2], nil
-	}
-	if bk.EdgesPerS1, err = time1(func() (stream.FileBacked, error) { return stream.OpenBex(v1Path) }); err != nil {
-		return bk, err
-	}
-	if bk.EdgesPerS2, err = time1(func() (stream.FileBacked, error) { return stream.OpenBex2(w.Path) }); err != nil {
-		return bk, err
-	}
-	return bk, nil
 }
 
 // benchEdgesPerSecond times one raw scan of the cached .bex.

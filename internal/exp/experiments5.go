@@ -33,7 +33,7 @@ func E13ScanFusion(scale Scale) ([]*Table, error) {
 	}
 	defer os.RemoveAll(dir)
 	path := filepath.Join(dir, "e13.bex")
-	if _, err := stream.WriteBexFile(path, stream.FromGraph(g)); err != nil {
+	if _, err := stream.WriteBex2File(path, stream.FromGraph(g), 0); err != nil {
 		return nil, fmt.Errorf("E13: %w", err)
 	}
 
@@ -49,7 +49,7 @@ func E13ScanFusion(scale Scale) ([]*Table, error) {
 	unfusedStart := time.Now()
 	unfusedScans := 0
 	for i := 0; i < trials; i++ {
-		src, err := stream.OpenBex(path)
+		src, err := stream.OpenBex2(path)
 		if err != nil {
 			return nil, fmt.Errorf("E13 unfused trial %d: %w", i, err)
 		}
@@ -65,7 +65,7 @@ func E13ScanFusion(scale Scale) ([]*Table, error) {
 	}
 	unfusedWall := time.Since(unfusedStart)
 
-	src, err := stream.OpenBex(path)
+	src, err := stream.OpenBex2(path)
 	if err != nil {
 		return nil, fmt.Errorf("E13: %w", err)
 	}
@@ -122,7 +122,7 @@ func E13ScanFusion(scale Scale) ([]*Table, error) {
 	var baseEstimate float64
 	var baseScans int
 	for i, width := range []int{1, 2, 4} {
-		asrc, err := stream.OpenBex(path)
+		asrc, err := stream.OpenBex2(path)
 		if err != nil {
 			return nil, fmt.Errorf("E13: %w", err)
 		}

@@ -31,7 +31,7 @@ func TestFusedTrialsScanBudgetOnFile(t *testing.T) {
 	g := gen.HolmeKim(6000, 5, 0.6, 41)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "trials.bex")
-	if _, err := stream.WriteBexFile(path, stream.FromGraph(g)); err != nil {
+	if _, err := stream.WriteBex2File(path, stream.FromGraph(g), 128); err != nil {
 		t.Fatal(err)
 	}
 	const trials = 8
@@ -42,7 +42,7 @@ func TestFusedTrialsScanBudgetOnFile(t *testing.T) {
 	// Unfused references: each trial alone on its own stream.
 	unfused := make([]core.Result, trials)
 	for i := range unfused {
-		src, err := stream.OpenBex(path)
+		src, err := stream.OpenBex2(path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,7 +54,7 @@ func TestFusedTrialsScanBudgetOnFile(t *testing.T) {
 		unfused[i] = res
 	}
 
-	src, err := stream.OpenBex(path)
+	src, err := stream.OpenBex2(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,9 +6,7 @@ package stream
 const (
 	BackendMemory = "memory"
 	BackendText   = "text"
-	BackendBex1   = "bex1"
 	BackendBex2   = "bex2"
-	BackendBexd   = "bexd"
 )
 
 // Backender is implemented by streams that know which storage backend they
@@ -29,19 +27,18 @@ func BackendOf(s Stream) string {
 }
 
 // DescribeBackend decorates a backend name with the active decode engine for
-// display ("bex2/ssse3+cache", "bexd/scalar", ...). Only the v2 family has a
-// decode engine to report; other backends pass through unchanged. This is a
+// display ("bex2/ssse3+cache", "bex2/scalar"). Only .bex v2 has a decode
+// engine to report; other backends pass through unchanged. This is a
 // presentation helper for status lines — stored results keep the plain
 // backend name, which stays identical across kernels and cache modes because
 // the decoded edges do.
 func DescribeBackend(backend string, cache bool) string {
-	switch backend {
-	case BackendBex2, BackendBexd:
-		d := backend + "/" + DecodeKernelName()
-		if cache {
-			d += "+cache"
-		}
-		return d
+	if backend != BackendBex2 {
+		return backend
 	}
-	return backend
+	d := backend + "/" + DecodeKernelName()
+	if cache {
+		d += "+cache"
+	}
+	return d
 }

@@ -135,44 +135,16 @@ func BenchmarkFileStreamPass(b *testing.B) {
 	b.ReportMetric(float64(m)*float64(b.N)/b.Elapsed().Seconds(), "edges/s")
 }
 
-// BenchmarkBexStreamPass measures a full batched pass over the binary .bex
-// format — the fixed-width counterpart of BenchmarkFileStreamPass.
-func BenchmarkBexStreamPass(b *testing.B) {
-	edges := benchEdges(1 << 15)
-	path := b.TempDir() + "/bench-edges.bex"
-	if _, err := WriteBexFile(path, FromEdges(edges)); err != nil {
-		b.Fatal(err)
-	}
-	bs, err := OpenBex(path)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer bs.Close()
-	m := len(edges)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n, err := CountEdges(bs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if n != m {
-			b.Fatalf("pass saw %d edges, want %d", n, m)
-		}
-	}
-	b.ReportMetric(float64(m)*float64(b.N)/b.Elapsed().Seconds(), "edges/s")
-}
-
-// benchmarkBex2Pass measures a full batched pass over the block-indexed v2
-// format through the given reader — the delta-varint counterpart of
-// BenchmarkBexStreamPass, for the head-to-head BENCH_5.json records.
-func benchmarkBex2Pass(b *testing.B, open func(string) (FileBacked, error)) {
-	b.Helper()
+// BenchmarkBex2StreamPass measures a full batched pass over the
+// block-indexed .bex v2 format through the buffered reader — the binary
+// counterpart of BenchmarkFileStreamPass.
+func BenchmarkBex2StreamPass(b *testing.B) {
 	edges := benchEdges(1 << 15)
 	path := b.TempDir() + "/bench-edges.bex"
 	if _, err := WriteBex2File(path, FromEdges(edges), 0); err != nil {
 		b.Fatal(err)
 	}
-	bs, err := open(path)
+	bs, err := OpenBex2(path)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -189,36 +161,6 @@ func benchmarkBex2Pass(b *testing.B, open func(string) (FileBacked, error)) {
 		}
 	}
 	b.ReportMetric(float64(m)*float64(b.N)/b.Elapsed().Seconds(), "edges/s")
-}
-
-// BenchmarkBex2StreamPass measures the buffered v2 reader.
-func BenchmarkBex2StreamPass(b *testing.B) {
-	benchmarkBex2Pass(b, func(p string) (FileBacked, error) { return OpenBex2(p) })
-}
-
-// BenchmarkBexdStreamPass measures the sharded multi-file reader (4 parts).
-func BenchmarkBexdStreamPass(b *testing.B) {
-	edges := benchEdges(1 << 15)
-	dir := b.TempDir() + "/bench.bexd"
-	if _, err := WriteBexd(dir, FromEdges(edges), 0, len(edges)/4); err != nil {
-		b.Fatal(err)
-	}
-	ms, err := OpenBexd(dir)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer ms.Close()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n, err := CountEdges(ms)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if n != len(edges) {
-			b.Fatalf("pass saw %d edges, want %d", n, len(edges))
-		}
-	}
-	b.ReportMetric(float64(len(edges))*float64(b.N)/b.Elapsed().Seconds(), "edges/s")
 }
 
 // benchmarkShardedPass measures the sharded engine over an in-memory stream

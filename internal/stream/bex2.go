@@ -51,13 +51,13 @@ import (
 //	  [16:28] reserved (zero)
 //	  [28:32] magic "2XEB"
 //
-// Unlike v1's flat fixed-width records, edge i is not at a computable byte
-// offset — but the footer index maps any position range to its covering
-// blocks with a binary search, so RangeStream still seeks directly (to a
-// block boundary, decoding at most one block of prefix), with no index to
-// build and no first-scan special case. Text gets its ranges from this
-// format too: FileStream writes a private v2 copy during its first pass and
-// serves every later pass and range from it.
+// Edge i is not at a computable byte offset, but the footer index maps any
+// position range to its covering blocks with a binary search, so
+// RangeStream still seeks directly (to a block boundary, decoding at most
+// one block of prefix), with no index to build and no first-scan special
+// case. Text gets its ranges from this format too: FileStream writes a
+// private v2 copy during its first pass and serves every later pass and
+// range from it.
 //
 // Integrity: the tail magic, footer geometry (offset/count vs file size),
 // and footer CRC are all validated at open — a truncated or resized file
@@ -171,8 +171,8 @@ func (mt *bex2Meta) findBlock(pos int) int {
 
 // WriteBex2 writes the stream to w in .bex v2 format with the given target
 // block size (<= 0 selects DefaultBlockEdges) and returns the number of
-// edges written. Like WriteBex, the stream length must be known up front
-// unless w is seekable (the header's count is patched afterwards).
+// edges written. The stream length must be known up front unless w is
+// seekable (the header's count is patched afterwards).
 func WriteBex2(w io.Writer, s Stream, blockEdges int) (int, error) {
 	if blockEdges <= 0 {
 		blockEdges = DefaultBlockEdges

@@ -3,6 +3,7 @@ package stream
 import (
 	"encoding/binary"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -51,6 +52,16 @@ func sameEdges(t *testing.T, got, want []graph.Edge, what string) {
 	}
 }
 
+// hideLen masks a stream's length so WriteBex2 must take the
+// patch-afterwards path that relies on the writer being seekable.
+type hideLen struct{ Stream }
+
+func (hideLen) Len() (int, bool) { return 0, false }
+
+type writerOnly struct{ n int }
+
+func (w *writerOnly) Write(p []byte) (int, error) { w.n += len(p); return len(p), nil }
+
 // TestBex2RoundTrip pins the v2 codec: the reader returns the written edges
 // exactly, across block sizes that exercise partial final blocks,
 // single-edge blocks, and an empty stream, over repeated passes.
@@ -85,7 +96,7 @@ func TestBex2RoundTrip(t *testing.T) {
 			for pass := 0; pass < 2; pass++ {
 				sameEdges(t, collectAll(t, s), edges, "pass")
 			}
-			// Close then Reset must work, matching the v1 contract.
+			// Close then Reset must work, as for every file-backed stream.
 			if err := s.Close(); err != nil {
 				t.Fatalf("close: %v", err)
 			}
@@ -124,26 +135,6 @@ func TestBex2NextMatchesNextBatch(t *testing.T) {
 	}
 }
 
-// TestBex2SmallerThanV1 pins the compression claim the bench gate tracks:
-// on realistic (small-delta) edge streams the v2 encoding is strictly
-// smaller than v1's flat 8 bytes per edge.
-func TestBex2SmallerThanV1(t *testing.T) {
-	edges := benchEdges(1 << 14)
-	dir := t.TempDir()
-	v1, v2 := filepath.Join(dir, "g1.bex"), filepath.Join(dir, "g2.bex")
-	if _, err := WriteBexFile(v1, FromEdges(edges)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := WriteBex2File(v2, FromEdges(edges), 0); err != nil {
-		t.Fatal(err)
-	}
-	s1, _ := os.Stat(v1)
-	s2, _ := os.Stat(v2)
-	if s2.Size() >= s1.Size() {
-		t.Fatalf("v2 (%d bytes) not smaller than v1 (%d bytes)", s2.Size(), s1.Size())
-	}
-}
-
 // TestBex2WritePatchesUnknownLength pins the header patch path: a seekable
 // writer with an unknown stream length gets the count patched afterwards.
 func TestBex2WritePatchesUnknownLength(t *testing.T) {
@@ -170,6 +161,58 @@ func TestBex2WritePatchesUnknownLength(t *testing.T) {
 	var sink writerOnly
 	if _, err := WriteBex2(&sink, hideLen{FromEdges(edges)}, 64); err == nil {
 		t.Fatal("unknown length + non-seekable writer must error")
+	}
+}
+
+// TestWriteBexAtNonzeroOffset pins the header patch to the header's own
+// base offset: a seekable writer positioned mid-file (a .bex section
+// appended after other content) must not have its first bytes overwritten
+// when the unknown length is patched in.
+func TestWriteBexAtNonzeroOffset(t *testing.T) {
+	edges := bex2TestEdges(200)
+	path := filepath.Join(t.TempDir(), "offset.bin")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix := []byte("CONTAINER-HEADER")
+	if _, err := f.Write(prefix); err != nil {
+		t.Fatal(err)
+	}
+	n, err := WriteBex2(f, hideLen{FromEdges(edges)}, 64)
+	if err != nil || n != len(edges) {
+		t.Fatalf("WriteBex2 = %d, %v", n, err)
+	}
+	// The writer is left at the end of the section, ready for more content.
+	end, err := f.Seek(0, io.SeekCurrent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if end != int64(len(raw)) {
+		t.Fatalf("writer left at offset %d, want the section end %d", end, len(raw))
+	}
+	if string(raw[:len(prefix)]) != string(prefix) {
+		t.Fatalf("prefix overwritten: %q", raw[:len(prefix)])
+	}
+	// The header at the section's base holds the patched count. (The
+	// section does not open on its own: block and footer offsets are
+	// absolute file offsets.)
+	header := raw[len(prefix):]
+	if string(header[:4]) != bex2Magic {
+		t.Fatalf("section magic = %q", header[:4])
+	}
+	if got := binary.LittleEndian.Uint64(header[8:]); got != uint64(len(edges)) {
+		t.Fatalf("patched edge count = %d, want %d", got, len(edges))
+	}
+	if string(raw[len(raw)-4:]) != bex2TailMagic {
+		t.Fatalf("section does not end in the tail magic: %q", raw[len(raw)-4:])
 	}
 }
 
@@ -213,51 +256,33 @@ func TestBex2RangeStream(t *testing.T) {
 // path by construction.
 func TestBex2NoFirstScanIndexBuild(t *testing.T) {
 	edges := bex2TestEdges(40_000)
-	dir := t.TempDir()
-	for _, tc := range []struct {
-		name string
-		open func() (FileBacked, error)
-	}{
-		{"bex2", func() (FileBacked, error) { return OpenBex2(filepath.Join(dir, "g.bex")) }},
-		{"bexd", func() (FileBacked, error) { return OpenBexd(filepath.Join(dir, "g.bexd")) }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			if tc.name == "bexd" {
-				if _, err := WriteBexd(filepath.Join(dir, "g.bexd"), FromEdges(edges), 512, 10_000); err != nil {
-					t.Fatal(err)
-				}
-			} else if _, err := os.Stat(filepath.Join(dir, "g.bex")); err != nil {
-				if _, err := WriteBex2File(filepath.Join(dir, "g.bex"), FromEdges(edges), 512); err != nil {
-					t.Fatal(err)
-				}
-			}
-			fb, err := tc.open()
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer fb.Close()
-			// Range access must work on a freshly opened stream, before any pass.
-			rs, ok := fb.(RangeStreamer)
-			if !ok {
-				t.Fatal("stream is not a RangeStreamer")
-			}
-			if _, ok := rs.RangeStream(0, 0); !ok {
-				t.Fatal("RangeStream unavailable before the first pass")
-			}
-			pc := NewPassCounter(fb)
-			if _, err := ShardedForEachBatch(pc, len(edges), 4,
-				func(int, []graph.Edge) error { return nil },
-				func(int) error { return nil }); err != nil {
-				t.Fatal(err)
-			}
-			if got := pc.Passes(); got != 1 {
-				t.Fatalf("sharded pass cost %d logical passes, want 1 (no index-build scan)", got)
-			}
-			if got := pc.EdgesRead(); got != int64(len(edges)) {
-				t.Fatalf("sharded pass read %d edges, want %d (no extra scan)", got, len(edges))
-			}
-		})
+	path := filepath.Join(t.TempDir(), "g.bex")
+	if _, err := WriteBex2File(path, FromEdges(edges), 512); err != nil {
+		t.Fatal(err)
 	}
+	t.Run("bex2", func(t *testing.T) {
+		fb, err := OpenBex2(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer fb.Close()
+		// Range access must work on a freshly opened stream, before any pass.
+		if _, ok := fb.RangeStream(0, 0); !ok {
+			t.Fatal("RangeStream unavailable before the first pass")
+		}
+		pc := NewPassCounter(fb)
+		if _, err := ShardedForEachBatch(pc, len(edges), 4,
+			func(int, []graph.Edge) error { return nil },
+			func(int) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if got := pc.Passes(); got != 1 {
+			t.Fatalf("sharded pass cost %d logical passes, want 1 (no index-build scan)", got)
+		}
+		if got := pc.EdgesRead(); got != int64(len(edges)) {
+			t.Fatalf("sharded pass read %d edges, want %d (no extra scan)", got, len(edges))
+		}
+	})
 }
 
 // corrupt writes a mutated copy of raw and returns its path.
@@ -270,10 +295,10 @@ func corrupt(t *testing.T, dir, name string, raw []byte, mutate func([]byte) []b
 	return path
 }
 
-// TestOpenBex2ValidatesContainer is the v2 counterpart of the PR 4 v1
-// corruption suite: every way the container metadata can lie — truncation,
-// resize, forged counts, footer damage — fails at OpenBex2 with the right
-// sentinel, never as a wrong answer or a mid-pass surprise.
+// TestOpenBex2ValidatesContainer is the container corruption suite: every
+// way the container metadata can lie — truncation, resize, forged counts,
+// footer damage — fails at OpenBex2 with the right sentinel, never as a
+// wrong answer or a mid-pass surprise.
 func TestOpenBex2ValidatesContainer(t *testing.T) {
 	edges := bex2TestEdges(1000)
 	dir := t.TempDir()
@@ -377,138 +402,10 @@ func TestBex2BlockCorruptionFailsDeterministically(t *testing.T) {
 	sameEdges(t, got, edges[:192], "clean range")
 }
 
-// TestBexdRoundTrip pins the sharded layout: a multi-part directory round
-// trips exactly, over repeated passes and ranges that span part boundaries.
-func TestBexdRoundTrip(t *testing.T) {
-	edges := bex2TestEdges(2500)
-	dir := filepath.Join(t.TempDir(), "g.bexd")
-	// 700-edge parts: four parts, the last partial; 64-edge blocks inside.
-	n, err := WriteBexd(dir, FromEdges(edges), 64, 700)
-	if err != nil || n != len(edges) {
-		t.Fatalf("WriteBexd = %d, %v", n, err)
-	}
-	man, err := ReadBexdManifest(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(man.Parts) != 4 || man.Edges != len(edges) {
-		t.Fatalf("manifest: %d parts, %d edges", len(man.Parts), man.Edges)
-	}
-	if err := VerifyBexd(dir); err != nil {
-		t.Fatalf("VerifyBexd on a fresh directory: %v", err)
-	}
-	ms, err := OpenBexd(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m, known := ms.Len(); !known || m != len(edges) {
-		t.Fatalf("Len = %d, %v", m, known)
-	}
-	for pass := 0; pass < 2; pass++ {
-		sameEdges(t, collectAll(t, ms), edges, "bexd full pass")
-	}
-	for _, win := range [][2]int{
-		{0, 0}, {0, 2500}, {0, 700}, {700, 1400}, {650, 750},
-		{699, 701}, {100, 2400}, {2100, 2500}, {1399, 1401},
-	} {
-		sub, ok := ms.RangeStream(win[0], win[1])
-		if !ok {
-			t.Fatalf("RangeStream(%d, %d) unavailable", win[0], win[1])
-		}
-		sameEdges(t, collectAll(t, sub), edges[win[0]:win[1]], "bexd range")
-		if c, ok := sub.(interface{ Close() error }); ok {
-			c.Close()
-		}
-	}
-	if _, ok := ms.RangeStream(0, 2501); ok {
-		t.Fatal("out-of-bounds range accepted")
-	}
-	if err := ms.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Close then Reset works, matching every other file-backed stream.
-	sameEdges(t, collectAll(t, ms), edges, "bexd after close")
-	ms.Close()
-}
-
-// TestBexdValidation pins the directory-level failure modes: structural
-// damage fails at OpenBexd with ErrCorruptHeader/ErrTruncated, and content
-// damage that open deliberately skips is caught by VerifyBexd.
-func TestBexdValidation(t *testing.T) {
-	edges := bex2TestEdges(900)
-	base := t.TempDir()
-	write := func(name string) string {
-		dir := filepath.Join(base, name)
-		if _, err := WriteBexd(dir, FromEdges(edges), 64, 400); err != nil {
-			t.Fatal(err)
-		}
-		return dir
-	}
-
-	t.Run("missing-manifest", func(t *testing.T) {
-		dir := write("no-manifest.bexd")
-		os.Remove(filepath.Join(dir, "manifest.json"))
-		if _, err := OpenBexd(dir); !errors.Is(err, ErrCorruptHeader) {
-			t.Fatalf("err = %v, want ErrCorruptHeader", err)
-		}
-	})
-	t.Run("wrong-schema", func(t *testing.T) {
-		dir := write("schema.bexd")
-		blob, _ := os.ReadFile(filepath.Join(dir, "manifest.json"))
-		mutated := strings.Replace(string(blob), `"schema_version": 1`, `"schema_version": 99`, 1)
-		if mutated == string(blob) {
-			t.Fatal("schema_version not found in manifest")
-		}
-		os.WriteFile(filepath.Join(dir, "manifest.json"), []byte(mutated), 0o644)
-		if _, err := OpenBexd(dir); !errors.Is(err, ErrCorruptHeader) {
-			t.Fatalf("err = %v, want ErrCorruptHeader", err)
-		}
-	})
-	t.Run("missing-part", func(t *testing.T) {
-		dir := write("missing-part.bexd")
-		os.Remove(filepath.Join(dir, "part-0001.bex"))
-		if _, err := OpenBexd(dir); !errors.Is(err, ErrTruncated) {
-			t.Fatalf("err = %v, want ErrTruncated", err)
-		}
-	})
-	t.Run("swapped-part", func(t *testing.T) {
-		// A part replaced by a valid .bex v2 file with the wrong edge count:
-		// every per-file check passes; the manifest cross-check must catch it.
-		dir := write("swapped.bexd")
-		if _, err := WriteBex2File(filepath.Join(dir, "part-0001.bex"), FromEdges(edges[:37]), 64); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := OpenBexd(dir); !errors.Is(err, ErrCorruptHeader) {
-			t.Fatalf("err = %v, want ErrCorruptHeader", err)
-		}
-	})
-	t.Run("verify-catches-content-swap", func(t *testing.T) {
-		// Same edge count, different content, internally valid: OpenBexd
-		// accepts it (by design — open is cheap), VerifyBexd does not.
-		dir := write("content.bexd")
-		other := make([]graph.Edge, 400)
-		copy(other, edges[400:800])
-		other[0] = graph.Edge{U: 9999, V: 9998}
-		if _, err := WriteBex2File(filepath.Join(dir, "part-0000.bex"), FromEdges(other), 64); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := OpenBexd(dir); err != nil {
-			t.Fatalf("structurally valid directory rejected at open: %v", err)
-		}
-		if err := VerifyBexd(dir); !errors.Is(err, ErrCorruptBlock) {
-			t.Fatalf("VerifyBexd = %v, want ErrCorruptBlock", err)
-		}
-	})
-	t.Run("refuses-overwrite", func(t *testing.T) {
-		dir := write("overwrite.bexd")
-		if _, err := WriteBexd(dir, FromEdges(edges), 64, 400); err == nil {
-			t.Fatal("WriteBexd over an existing manifest must refuse")
-		}
-	})
-}
-
-// TestOpenAutoDispatch pins content-first dispatch: every format opens as
-// itself whatever the file is named, and the Backend strings are stable.
+// TestOpenAutoDispatch pins content-first dispatch: text and .bex v2 open
+// as themselves whatever the file is named, the Backend strings are stable,
+// and binary-looking input that is not v2 fails in OpenAuto itself, with
+// ErrCorruptHeader and an error naming .bex v2, not at the first pass.
 func TestOpenAutoDispatch(t *testing.T) {
 	edges := bex2TestEdges(300)
 	dir := t.TempDir()
@@ -524,10 +421,6 @@ func TestOpenAutoDispatch(t *testing.T) {
 	if err := tf.Close(); err != nil {
 		t.Fatal(err)
 	}
-	v1 := filepath.Join(dir, "g1.bex")
-	if _, err := WriteBexFile(v1, FromEdges(edges)); err != nil {
-		t.Fatal(err)
-	}
 	v2 := filepath.Join(dir, "g2.bex")
 	if _, err := WriteBex2File(v2, FromEdges(edges), 64); err != nil {
 		t.Fatal(err)
@@ -537,20 +430,14 @@ func TestOpenAutoDispatch(t *testing.T) {
 	if _, err := WriteBex2File(v2odd, FromEdges(edges), 64); err != nil {
 		t.Fatal(err)
 	}
-	bexd := filepath.Join(dir, "g.bexd")
-	if _, err := WriteBexd(bexd, FromEdges(edges), 64, 100); err != nil {
-		t.Fatal(err)
-	}
 
 	for _, tc := range []struct {
 		path    string
 		backend string
 	}{
 		{text, BackendText},
-		{v1, BackendBex1},
 		{v2, BackendBex2},
 		{v2odd, BackendBex2},
-		{bexd, BackendBexd},
 	} {
 		s, err := OpenAuto(tc.path)
 		if err != nil {
@@ -564,5 +451,33 @@ func TestOpenAutoDispatch(t *testing.T) {
 	}
 	if got := BackendOf(FromEdges(edges)); got != BackendMemory {
 		t.Fatalf("BackendOf(memory) = %q", got)
+	}
+
+	// The retired formats and other non-v2 binaries.
+	v1 := filepath.Join(dir, "old.edges") // not a .bex name: the magic decides
+	if err := os.WriteFile(v1, []byte("BEX1\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	textBex := filepath.Join(dir, "text.bex")
+	if err := os.WriteFile(textBex, []byte("1 2\n3 4\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	short := filepath.Join(dir, "short.bex")
+	if err := os.WriteFile(short, []byte("BE"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	bexdDir := filepath.Join(dir, "g.bexd")
+	if err := os.Mkdir(bexdDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{v1, textBex, short, bexdDir} {
+		s, err := OpenAuto(path)
+		if err == nil {
+			s.Close()
+			t.Fatalf("OpenAuto(%s) accepted a file that is not .bex v2", path)
+		}
+		if !errors.Is(err, ErrCorruptHeader) || !strings.Contains(err.Error(), ".bex v2") {
+			t.Fatalf("OpenAuto(%s) = %v, want ErrCorruptHeader naming .bex v2", path, err)
+		}
 	}
 }

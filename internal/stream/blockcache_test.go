@@ -35,29 +35,10 @@ func statsDelta(fn func()) DecodeCacheStats {
 	}
 }
 
-// cacheOpeners enumerates the v2-family backends through the public
-// cache-aware entry point.
-var cacheOpeners = []struct {
-	name  string
-	write func(t *testing.T, dir string, edges []graph.Edge) string
-}{
-	{"bex2", writeV2File},
-	{"bexd", writeBexdDir},
-}
-
 func writeV2File(t *testing.T, dir string, edges []graph.Edge) string {
 	t.Helper()
 	path := filepath.Join(dir, "g.bex")
 	if _, err := WriteBex2File(path, FromEdges(edges), 64); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-func writeBexdDir(t *testing.T, dir string, edges []graph.Edge) string {
-	t.Helper()
-	path := filepath.Join(dir, "g.bexd")
-	if _, err := WriteBexd(path, FromEdges(edges), 64, 300); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -69,52 +50,50 @@ func writeBexdDir(t *testing.T, dir string, edges []graph.Edge) string {
 // without DecodeCache never touches the cache at all.
 func TestDecodeCacheServesRepeatScans(t *testing.T) {
 	edges := bex2TestEdges(1000)
-	for _, tc := range cacheOpeners {
-		t.Run(tc.name, func(t *testing.T) {
-			resetDecodeEngine(t, DefaultDecodeCacheBytes)
-			path := tc.write(t, t.TempDir(), edges)
+	t.Run("bex2", func(t *testing.T) {
+		resetDecodeEngine(t, DefaultDecodeCacheBytes)
+		path := writeV2File(t, t.TempDir(), edges)
 
-			s, err := OpenAutoOpts(path, OpenOptions{DecodeCache: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
+		s, err := OpenAutoOpts(path, OpenOptions{DecodeCache: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
 
-			cold := statsDelta(func() { sameEdges(t, collectAll(t, s), edges, "cold pass") })
-			if cold.Misses == 0 {
-				t.Fatalf("cold pass recorded no misses: %+v", cold)
-			}
-			warm := statsDelta(func() { sameEdges(t, collectAll(t, s), edges, "warm pass") })
-			if warm.Hits == 0 || warm.Misses != 0 {
-				t.Fatalf("warm pass not served from cache: %+v", warm)
-			}
-			if warm.Entries == 0 || warm.Bytes == 0 {
-				t.Fatalf("no residency after warm pass: %+v", warm)
-			}
+		cold := statsDelta(func() { sameEdges(t, collectAll(t, s), edges, "cold pass") })
+		if cold.Misses == 0 {
+			t.Fatalf("cold pass recorded no misses: %+v", cold)
+		}
+		warm := statsDelta(func() { sameEdges(t, collectAll(t, s), edges, "warm pass") })
+		if warm.Hits == 0 || warm.Misses != 0 {
+			t.Fatalf("warm pass not served from cache: %+v", warm)
+		}
+		if warm.Entries == 0 || warm.Bytes == 0 {
+			t.Fatalf("no residency after warm pass: %+v", warm)
+		}
 
-			// A second reader of the same file shares the decoded blocks.
-			s2, err := OpenAutoOpts(path, OpenOptions{DecodeCache: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s2.Close()
-			shared := statsDelta(func() { sameEdges(t, collectAll(t, s2), edges, "shared pass") })
-			if shared.Hits == 0 || shared.Misses != 0 {
-				t.Fatalf("second reader not served from cache: %+v", shared)
-			}
+		// A second reader of the same file shares the decoded blocks.
+		s2, err := OpenAutoOpts(path, OpenOptions{DecodeCache: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s2.Close()
+		shared := statsDelta(func() { sameEdges(t, collectAll(t, s2), edges, "shared pass") })
+		if shared.Hits == 0 || shared.Misses != 0 {
+			t.Fatalf("second reader not served from cache: %+v", shared)
+		}
 
-			// Plain opens bypass the cache entirely: no hits, no misses.
-			plain, err := OpenAutoOpts(path, OpenOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer plain.Close()
-			off := statsDelta(func() { sameEdges(t, collectAll(t, plain), edges, "uncached pass") })
-			if off.Hits != 0 || off.Misses != 0 {
-				t.Fatalf("uncached stream touched the cache: %+v", off)
-			}
-		})
-	}
+		// Plain opens bypass the cache entirely: no hits, no misses.
+		plain, err := OpenAutoOpts(path, OpenOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer plain.Close()
+		off := statsDelta(func() { sameEdges(t, collectAll(t, plain), edges, "uncached pass") })
+		if off.Hits != 0 || off.Misses != 0 {
+			t.Fatalf("uncached stream touched the cache: %+v", off)
+		}
+	})
 }
 
 // TestDecodeCacheBudgetEviction pins the byte budget: a cache smaller than
@@ -229,30 +208,28 @@ func TestDecodeCachePreservesShardBoundaries(t *testing.T) {
 }
 
 // TestBex2SIMDScalarStreamEquivalence pins the kernels against each other at
-// the stream level: every v2-family backend returns bit-identical edges with
-// the vectorized decoder on and off, cache on and off.
+// the stream level: a .bex v2 stream returns bit-identical edges with the
+// vectorized decoder on and off, cache on and off.
 func TestBex2SIMDScalarStreamEquivalence(t *testing.T) {
 	if !SIMDDecodeEnabled() {
 		t.Skip("no vectorized kernel on this architecture")
 	}
 	edges := bex2TestEdges(3000)
-	for _, tc := range cacheOpeners {
-		t.Run(tc.name, func(t *testing.T) {
-			resetDecodeEngine(t, DefaultDecodeCacheBytes)
-			path := tc.write(t, t.TempDir(), edges)
-			for _, cache := range []bool{false, true} {
-				for _, simd := range []bool{true, false} {
-					SetSIMDDecode(simd)
-					s, err := OpenAutoOpts(path, OpenOptions{DecodeCache: cache})
-					if err != nil {
-						t.Fatal(err)
-					}
-					sameEdges(t, collectAll(t, s), edges, DecodeKernelName())
-					s.Close()
+	t.Run("bex2", func(t *testing.T) {
+		resetDecodeEngine(t, DefaultDecodeCacheBytes)
+		path := writeV2File(t, t.TempDir(), edges)
+		for _, cache := range []bool{false, true} {
+			for _, simd := range []bool{true, false} {
+				SetSIMDDecode(simd)
+				s, err := OpenAutoOpts(path, OpenOptions{DecodeCache: cache})
+				if err != nil {
+					t.Fatal(err)
 				}
+				sameEdges(t, collectAll(t, s), edges, DecodeKernelName())
+				s.Close()
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestBex2CachedReadsStillVerifyCRCs pins the cached read path against

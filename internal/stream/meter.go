@@ -111,6 +111,10 @@ func (g *SharedMeter) add(n int64) {
 	g.mu.Unlock()
 }
 
+// Release returns n words to the group: a session hands back, once all its
+// runs have returned, the words they charged through their tees.
+func (g *SharedMeter) Release(n int64) { g.add(-n) }
+
 // Peak returns the maximum words the group ever retained simultaneously.
 func (g *SharedMeter) Peak() int64 {
 	g.mu.Lock()

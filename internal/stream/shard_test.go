@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -309,50 +310,6 @@ func TestFileStreamUncopyableText(t *testing.T) {
 	}
 }
 
-func TestBexRoundTrip(t *testing.T) {
-	edges := shardTestEdges(20000)
-	dir := t.TempDir()
-	path := filepath.Join(dir, "edges.bex")
-	if n, err := WriteBexFile(path, FromEdges(edges)); err != nil || n != len(edges) {
-		t.Fatalf("WriteBexFile = %d, %v", n, err)
-	}
-	bs, err := OpenBex(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bs.Close()
-	if m, ok := bs.Len(); !ok || m != len(edges) {
-		t.Fatalf("Len = %d,%v, want %d,true", m, ok, len(edges))
-	}
-	got, err := Collect(bs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range edges {
-		if got[i] != edges[i] {
-			t.Fatalf("edge %d = %v, want %v", i, got[i], edges[i])
-		}
-	}
-	// Sharded pass over the binary stream, all worker counts.
-	for _, workers := range []int{1, 4} {
-		s := NewPassCounter(bs)
-		perShard, order := collectSharded(t, s, len(edges), workers)
-		checkShardedResult(t, edges, perShard, order, workers)
-	}
-	// Range access straight from offsets.
-	sub, ok := bs.RangeStream(1234, 1300)
-	if !ok {
-		t.Fatal("BexStream range unavailable")
-	}
-	rangeEdges, err := Collect(sub)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rangeEdges) != 66 || rangeEdges[0] != edges[1234] {
-		t.Fatalf("bex range wrong: %d edges, first %v", len(rangeEdges), rangeEdges[0])
-	}
-}
-
 func TestOpenAuto(t *testing.T) {
 	edges := shardTestEdges(100)
 	dir := t.TempDir()
@@ -361,7 +318,7 @@ func TestOpenAuto(t *testing.T) {
 	if err := WriteGraphFile(txt, graph.FromEdges(0, edges), ""); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := WriteBexFile(bex, FromEdges(edges)); err != nil {
+	if _, err := WriteBex2File(bex, FromEdges(edges), 16); err != nil {
 		t.Fatal(err)
 	}
 	for _, path := range []string{txt, bex} {
@@ -380,8 +337,8 @@ func TestOpenAuto(t *testing.T) {
 	if err := os.WriteFile(fake, []byte("1 2\n3 4\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenAuto(fake); err == nil {
-		t.Fatal("OpenAuto accepted a text file with a .bex extension")
+	if _, err := OpenAuto(fake); !errors.Is(err, ErrCorruptHeader) {
+		t.Fatalf("OpenAuto(text named .bex) = %v, want ErrCorruptHeader", err)
 	}
 }
 

@@ -16,10 +16,9 @@ import (
 	"degentri/internal/stream"
 )
 
-// faultTestFiles writes the edge list in every on-disk format: text, flat
-// .bex v1, block-indexed .bex v2, and a sharded .bexd directory (tiny blocks
-// and parts so even small graphs span several of each). The returned map is
-// keyed by backend name.
+// faultTestFiles writes the edge list in both on-disk formats: text and
+// block-indexed .bex v2 (tiny blocks so even small graphs span several). The
+// returned map is keyed by backend name.
 func faultTestFiles(t *testing.T, edges []Edge) map[string]string {
 	t.Helper()
 	dir := t.TempDir()
@@ -34,35 +33,24 @@ func faultTestFiles(t *testing.T, edges []Edge) map[string]string {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	paths := map[string]string{"text": textPath}
-	write := func(name string, w func(s stream.Stream) error) {
-		fs, err := stream.OpenAuto(textPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer fs.Close()
-		if err := w(fs); err != nil {
-			t.Fatal(err)
-		}
+	fs, err := stream.OpenAuto(textPath)
+	if err != nil {
+		t.Fatal(err)
 	}
-	bex1 := filepath.Join(dir, "g.v1.bex")
-	write("bex1", func(s stream.Stream) error { _, err := stream.WriteBexFile(bex1, s); return err })
-	paths["bex1"] = bex1
+	defer fs.Close()
 	bex2 := filepath.Join(dir, "g.bex")
-	write("bex2", func(s stream.Stream) error { _, err := stream.WriteBex2File(bex2, s, 64); return err })
-	paths["bex2"] = bex2
-	bexd := filepath.Join(dir, "g.bexd")
-	write("bexd", func(s stream.Stream) error { _, err := stream.WriteBexd(bexd, s, 64, 256); return err })
-	paths["bexd"] = bexd
-	return paths
+	if _, err := stream.WriteBex2File(bex2, fs, 64); err != nil {
+		t.Fatal(err)
+	}
+	return map[string]string{"text": textPath, "bex2": bex2}
 }
 
 // TestFaultScheduleDoesNotChangeResult is the PR's acceptance property: a
 // seed-keyed schedule of transient faults (mid-read EIO, failing Resets),
 // healed by bounded retry, yields a Result with exactly the same Estimate,
 // Passes, Scans, and SpaceWords as the fault-free run — at every worker
-// count, over in-memory, text-file, .bex v1/v2, and sharded .bexd
-// streams. Only Retries may differ.
+// count, over in-memory, text-file and .bex v2 streams. Only Retries may
+// differ.
 func TestFaultScheduleDoesNotChangeResult(t *testing.T) {
 	edges := ClusteredPreferentialAttachment(1500, 4, 0.5, 11)
 	paths := faultTestFiles(t, edges)
@@ -80,7 +68,7 @@ func TestFaultScheduleDoesNotChangeResult(t *testing.T) {
 			return EstimateFile(path, opts)
 		}
 	}
-	// The v2-family backends run twice: plain and with the decoded-block
+	// The .bex v2 backend runs twice: plain and with the decoded-block
 	// cache, whose insert-after-verified-decode invariant means a fault mid
 	// block never leaves a partial decode visible — so the faulted cached run
 	// must match its clean run exactly, like every other configuration.
@@ -90,11 +78,8 @@ func TestFaultScheduleDoesNotChangeResult(t *testing.T) {
 	}{
 		{"memory", func(opts Options) (Result, error) { return Estimate(edges, opts) }},
 		{"text", fileRunner(paths["text"], false)},
-		{"bex1", fileRunner(paths["bex1"], false)},
 		{"bex2", fileRunner(paths["bex2"], false)},
-		{"bexd", fileRunner(paths["bexd"], false)},
 		{"bex2/cache", fileRunner(paths["bex2"], true)},
-		{"bexd/cache", fileRunner(paths["bexd"], true)},
 	}
 
 	totalRetries := 0
@@ -324,8 +309,8 @@ func TestChaosSmoke(t *testing.T) {
 		for name, path := range paths {
 			plan := faultio.Plan{Seed: seed, Every: 3, MaxFaults: 4, Stall: 100 * time.Microsecond,
 				Kinds: []faultio.Kind{faultio.KindEIO, faultio.KindFailReset, faultio.KindStall}}
-			// DecodeCache is on for the whole chaos sweep: formats without a
-			// block decoder ignore it, the v2 family runs it under fire.
+			// DecodeCache is on for the whole chaos sweep: text ignores it,
+			// .bex v2 runs it under fire.
 			opts := Options{Epsilon: 0.4, Seed: seed, Workers: 4, DecodeCache: true}
 			opts.WrapStream = func(s stream.Stream) stream.Stream { return faultio.New(s, plan) }
 			res, err := EstimateFileTrialsCtx(context.Background(), path, opts, 3)

@@ -87,11 +87,11 @@ type ScanGroup struct {
 	kappaWait chan struct{} // non-nil while one request resolves κ̂
 }
 
-// OpenScanGroup opens an edge file (text or .bex) as a scan group that owns
-// the file until Close. A text file is counted by one scan up front; an
-// empty stream returns ErrNoEdges. ctx is the group's lifetime: cancelling
-// it aborts every wave of every request — per-request scopes are the ctx
-// arguments of Estimate and friends.
+// OpenScanGroup opens an edge file (text or .bex v2; see stream.OpenAuto) as
+// a scan group that owns the file until Close. A text file is counted by one
+// scan up front; an empty stream returns ErrNoEdges. ctx is the group's
+// lifetime: cancelling it aborts every wave of every request — per-request
+// scopes are the ctx arguments of Estimate and friends.
 func OpenScanGroup(ctx context.Context, path string, gopts GroupOptions) (*ScanGroup, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -137,7 +137,7 @@ func newScanGroup(ctx context.Context, src stream.Stream, backend string, worker
 func (g *ScanGroup) Path() string { return g.path }
 
 // Backend returns the storage backend the group's stream is served from
-// ("text", "bex1", "bex2", "bexd").
+// ("text" or "bex2").
 func (g *ScanGroup) Backend() string { return g.backend }
 
 // M returns the number of edges in the stream.
@@ -318,6 +318,12 @@ func (g *ScanGroup) run(ctx context.Context, opts Options, trials int) (runResul
 		cfg.TGuess = opts.TriangleGuess
 	}
 
+	// session counts the words the trials charge to the group meter. They go
+	// back only once every trial has returned: probes of a speculative batch
+	// and fused trials finish in thread-timing order, so an earlier release
+	// would make the group's peak, which a private EstimateFile reports as
+	// its SpaceWords, depend on timing.
+	session := stream.NewSharedMeter()
 	// Every trial's client registers before any trial starts, so the trials
 	// fuse from their first wave.
 	clients := make([]*sched.Client, trials)
@@ -337,13 +343,15 @@ func (g *ScanGroup) run(ctx context.Context, opts Options, trials int) (runResul
 			if opts.TriangleGuess > 0 {
 				est := core.NewEstimator(cfg)
 				est.TeeSpace(g.sch.Meter())
+				est.TeeSpace(session)
 				out.trials[i], errs[i] = est.RunOn(c)
 			} else {
-				out.trials[i], errs[i] = core.AutoEstimateFrom(c, cfg)
+				out.trials[i], errs[i] = core.AutoEstimateFrom(c, cfg, session)
 			}
 		}()
 	}
 	wg.Wait()
+	g.sch.Meter().Release(session.Current())
 	for i, err := range errs {
 		switch {
 		case err == nil:
@@ -384,9 +392,12 @@ func (g *ScanGroup) EstimateCliques(ctx context.Context, opts CliqueOptions) (Re
 	cfg := cliqueConfig(opts, kappa)
 	cfg.Workers = g.workers
 
+	// The run's words go back to the group once it has returned (see run).
+	session := stream.NewSharedMeter()
 	c := g.sch.NewClientCtx(ctx)
-	res, err := clique.EstimateOn(c, cfg, g.sch.Meter())
+	res, err := clique.EstimateOn(c, cfg, g.sch.Meter(), session)
 	c.Done()
+	g.sch.Meter().Release(session.Current())
 	if err != nil {
 		return Result{}, fmt.Errorf("triangle: %w", err)
 	}

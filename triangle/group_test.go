@@ -201,6 +201,65 @@ func TestScanGroupDegeneracyAndCliques(t *testing.T) {
 	}
 }
 
+// TestScanGroupSpaceGaugesComeDown pins that a request hands its words back
+// to the group when it returns: after each of a sequence of requests (two
+// searches, a fixed guess and a clique request, κ supplied so no peel runs)
+// the group retains nothing, and its peak is the largest SpaceWords any one
+// request reported, not the running total of every word ever charged.
+func TestScanGroupSpaceGaugesComeDown(t *testing.T) {
+	gr := gen.BarabasiAlbert(3000, 4, 23)
+	path := filepath.Join(t.TempDir(), "ba.bex")
+	if _, err := stream.WriteBex2File(path, stream.FromGraph(gr), 0); err != nil {
+		t.Fatal(err)
+	}
+	g, err := triangle.OpenScanGroup(context.Background(), path, triangle.GroupOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+
+	ctx := context.Background()
+	const kappa = 4
+	cliques := gr.CliqueCount(4)
+	if cliques < 1 {
+		t.Fatal("generator produced no 4-cliques; pick different parameters")
+	}
+	requests := []struct {
+		name string
+		run  func() (triangle.Result, error)
+	}{
+		{"search seed 1", func() (triangle.Result, error) {
+			return g.Estimate(ctx, triangle.Options{Seed: 1, Degeneracy: kappa})
+		}},
+		{"search seed 2", func() (triangle.Result, error) {
+			return g.Estimate(ctx, triangle.Options{Seed: 2, Degeneracy: kappa})
+		}},
+		{"fixed guess", func() (triangle.Result, error) {
+			return g.Estimate(ctx, triangle.Options{Seed: 3, Degeneracy: kappa, TriangleGuess: gr.TriangleCount()})
+		}},
+		{"4-cliques", func() (triangle.Result, error) {
+			return g.EstimateCliques(ctx, triangle.CliqueOptions{K: 4, CliqueGuess: cliques / 2, Seed: 4, Degeneracy: kappa})
+		}},
+	}
+	var largest int64
+	for _, r := range requests {
+		res, err := r.run()
+		if err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+		if res.SpaceWords <= 0 {
+			t.Fatalf("%s: SpaceWords = %d", r.name, res.SpaceWords)
+		}
+		largest = max(largest, res.SpaceWords)
+		if cur := g.CurrentSpaceWords(); cur != 0 {
+			t.Errorf("after %s: CurrentSpaceWords = %d with nothing in flight, want 0", r.name, cur)
+		}
+		if peak := g.PeakSpaceWords(); peak != largest {
+			t.Errorf("after %s: PeakSpaceWords = %d, want the largest request's %d", r.name, peak, largest)
+		}
+	}
+}
+
 // TestScanGroupExpiredContext pins fail-fast semantics: a request whose ctx
 // is already dead never joins a wave and errors out branded — on the peel,
 // the search and the fixed-guess path alike — leaving the group healthy for

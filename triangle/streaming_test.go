@@ -67,7 +67,7 @@ func TestEstimateFileStreamingSpaceIsLinearInN(t *testing.T) {
 		t.Fatalf("generated graph too small: m = %d", m)
 	}
 	path := filepath.Join(t.TempDir(), "big.bex")
-	if _, err := stream.WriteBexFile(path, stream.FromGraph(g)); err != nil {
+	if _, err := stream.WriteBex2File(path, stream.FromGraph(g), 64); err != nil {
 		t.Fatal(err)
 	}
 
@@ -141,7 +141,7 @@ func TestEstimateFileTextAndBexAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	bexPath := filepath.Join(dir, "g.bex")
-	if _, err := stream.WriteBexFile(bexPath, stream.FromGraph(g)); err != nil {
+	if _, err := stream.WriteBex2File(bexPath, stream.FromGraph(g), 64); err != nil {
 		t.Fatal(err)
 	}
 

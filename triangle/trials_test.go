@@ -23,41 +23,32 @@ func writeHolmeKimFile(t *testing.T, path string, n, k int) int64 {
 }
 
 // TestTrialsBitIdenticalAcrossBackends is the storage-refactor acceptance
-// pin at the trials layer: the same canonical stream served from text, flat
-// .bex v1, block-indexed .bex v2, and a sharded .bexd directory must produce
-// identical per-trial estimates at every worker count — the storage format
-// is an I/O detail, never a semantic one. It also pins that each run reports
-// the backend it actually used.
+// pin at the trials layer: the same canonical stream served from text and
+// from block-indexed .bex v2 must produce identical per-trial estimates at
+// every worker count — the storage format is an I/O detail, never a
+// semantic one. It also pins that each run reports the backend it actually
+// used.
 func TestTrialsBitIdenticalAcrossBackends(t *testing.T) {
 	dir := t.TempDir()
 	txt := filepath.Join(dir, "g.txt")
 	writeHolmeKimFile(t, txt, 3000, 4)
-	reEncode := func(name string, w func(s stream.Stream) (int, error)) {
-		t.Helper()
-		src, err := stream.OpenAuto(txt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer src.Close()
-		if _, err := w(src); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-	}
-	bex1 := filepath.Join(dir, "g.v1.bex")
 	bex2 := filepath.Join(dir, "g.bex")
-	bexd := filepath.Join(dir, "g.bexd")
-	reEncode("bex1", func(s stream.Stream) (int, error) { return stream.WriteBexFile(bex1, s) })
-	reEncode("bex2", func(s stream.Stream) (int, error) { return stream.WriteBex2File(bex2, s, 128) })
-	reEncode("bexd", func(s stream.Stream) (int, error) { return stream.WriteBexd(bexd, s, 128, 1024) })
+	src, err := stream.OpenAuto(txt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = stream.WriteBex2File(bex2, src, 128)
+	src.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	backends := []struct {
 		name string
 		path string
 	}{
 		{stream.BackendText, txt},
-		{stream.BackendBex1, bex1},
 		{stream.BackendBex2, bex2},
-		{stream.BackendBexd, bexd},
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
 		var want []float64

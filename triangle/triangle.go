@@ -79,9 +79,9 @@ type Options struct {
 	// process-wide decoded-block cache (stream.SetDecodeCacheBudget sets
 	// the budget), so the 2nd..Nth pass of the multi-pass algorithm skips
 	// decode entirely. Purely a performance preference: estimates are
-	// bit-identical with the cache on or off, at any worker count. .bex v1
-	// has no block decode and ignores it; text is served from a private,
-	// uncached v2 copy (no other stream could hit its blocks).
+	// bit-identical with the cache on or off, at any worker count. Text is
+	// served from a private, uncached v2 copy (no other stream could hit its
+	// blocks).
 	DecodeCache bool
 	// WrapStream, when non-nil, wraps every stream the estimator opens before
 	// any pass runs over it. This is a development hook — it exists for fault
@@ -129,8 +129,8 @@ type Result struct {
 	// positionally); the count is resource accounting, like Passes and Scans.
 	Retries int
 	// Backend is the storage backend the stream was served from ("memory",
-	// "text", "bex1", "bex2", "bexd"). Reporting only — the
-	// estimate is bit-identical across backends.
+	// "text", "bex2"). Reporting only — the estimate is bit-identical across
+	// backends.
 	Backend string
 }
 
