@@ -13,7 +13,7 @@
 // over the graphfetch corpus cache and writes a schema-v2 BENCH_N.json:
 //
 //	graphfetch -offline -cache corpus
-//	experiments -corpus corpus -bench-out BENCH_7.json -bench-entry 7 -bench-pr 17
+//	experiments -corpus corpus -bench-out BENCH_8.json -bench-entry 8 -bench-pr 18
 //
 // -bench-unfused disables scan fusion (every trial scans the file itself) —
 // the deliberate scan-economy regression CI injects to prove the benchdiff
@@ -38,8 +38,8 @@ func main() {
 		out          = flag.String("out", "", "optional path to also write the markdown report to")
 		benchOut     = flag.String("bench-out", "", "run the corpus bench sweep and write BENCH_N.json here (skips the E-experiments)")
 		corpusDir    = flag.String("corpus", "corpus", "graphfetch cache directory for the bench sweep")
-		benchEntry   = flag.Int("bench-entry", 7, "trajectory entry number N of the BENCH_N.json being produced")
-		benchPR      = flag.Int("bench-pr", 17, "pull request number recorded in the trajectory entry")
+		benchEntry   = flag.Int("bench-entry", 8, "trajectory entry number N of the BENCH_N.json being produced")
+		benchPR      = flag.Int("bench-pr", 18, "pull request number recorded in the trajectory entry")
 		benchDate    = flag.String("bench-date", "", "entry date YYYY-MM-DD (default: today)")
 		benchTrials  = flag.Int("bench-trials", 5, "estimator trials per (graph, ε) in the bench sweep")
 		benchUnfused = flag.Bool("bench-unfused", false, "disable scan fusion in the bench sweep (deliberate regression injection for gate testing)")

@@ -16,10 +16,10 @@
 //
 // Like the core estimator, every pass runs on the shared pass framework
 // (internal/passes) over the sharded pass engine: instances live in one flat
-// array, the k−2 neighbor reservoirs of each instance are a sampling.ResK
-// bank whose randomness is keyed by (Seed, instance, shard) under this
-// package's pass keys, and per-shard state merges in shard order — so the
-// estimate is deterministic at any worker count.
+// array, the k−2 neighbor samples of each instance come from a bank
+// (passes.SampleNeighborBanks) whose randomness is keyed by (Seed, instance,
+// shard) under this package's pass keys, and per-shard state merges in shard
+// order — so the estimate is deterministic at any worker count.
 //
 // This is an extension beyond the paper's proven results: the estimator is
 // unbiased (a calculation identical to Section 4's), but the repository makes

@@ -2,11 +2,12 @@ package clique
 
 // Determinism goldens for the k-clique estimator, mirroring the core
 // estimator's golden suite: for a fixed workload, stream order, and seed, the
-// full Result is pinned to exact values. The values were captured before the
-// pass plumbing moved to the shared internal/passes framework, so this test
-// doubles as the refactor-equivalence pin: every Result must be bit-identical
-// to the pre-framework code at every worker count (1/2/4/8) and over every
-// stream backend (in-memory, text file, binary .bex).
+// full Result is pinned to exact values, which must be bit-identical at every
+// worker count (1/2/4/8) and over every stream backend (in-memory, text file,
+// binary .bex). The estimates, found counts and space were last re-pinned when
+// the neighbor banks (sampling.ResK) moved to a buffered uniform k-subset
+// from which the k−2 samples are drawn once, after the pass; edges, sampled
+// and instances come from the passes before it and did not move.
 
 import (
 	"os"
@@ -44,11 +45,11 @@ func cliqueGoldenGraphs() map[string]*graph.Graph {
 }
 
 var cliqueGoldens = []cliqueGolden{
-	{"apollonian-1500", 4, 3, 1500, 1, 11, 2077.3068397446955, 4503, 217, 374, 61, 6258},
-	{"apollonian-1500", 4, 3, 1500, 42, 11, 1325.6592904964784, 4503, 217, 477, 51, 7923},
-	{"complete-40", 4, 39, 91390, 7, 13, 90309.375, 780, 104, 104, 95, 2033},
-	{"holmekim-4000-k6", 4, 6, 2449, 1, 14, 3222.8068608767812, 23979, 2820, 5521, 35, 99066},
-	{"complete-25", 5, 24, 53130, 9, 15, 50540.544000000002, 300, 300, 625, 457, 9047},
+	{"apollonian-1500", 4, 3, 1500, 1, 11, 1213.0638938860002, 4503, 217, 374, 52, 6204},
+	{"apollonian-1500", 4, 3, 1500, 42, 11, 1200.8913572732806, 4503, 217, 477, 41, 7875},
+	{"complete-40", 4, 39, 91390, 7, 13, 89358.75, 780, 104, 104, 94, 1976},
+	{"holmekim-4000-k6", 4, 6, 2449, 1, 14, 3805.2930613254866, 23979, 2820, 5521, 52, 98946},
+	{"complete-25", 5, 24, 53130, 9, 15, 54521.856, 300, 300, 625, 493, 9050},
 }
 
 func (gc cliqueGolden) config() Config {

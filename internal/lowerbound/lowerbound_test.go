@@ -151,6 +151,11 @@ func TestInstanceStreams(t *testing.T) {
 	}
 }
 
+// TestDetectTrianglesSeparatesInstances runs the detection protocol at 24
+// fixed seeds. Detection is a constant-probability guarantee, so a NO
+// instance may be missed now and then (about 3% of seeds at these sample
+// sizes); it must be detected at 20 or more of the 24 seeds, and a YES
+// instance, which has no triangles, at none.
 func TestDetectTrianglesSeparatesInstances(t *testing.T) {
 	p, q := 6, 4
 	yesD, _ := NewDisjointness(20, 8, false, 2)
@@ -164,26 +169,35 @@ func TestDetectTrianglesSeparatesInstances(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cfg := core.DefaultConfig(0.3, 2*p, int64(p*p*q))
-	cfg.CR, cfg.CL, cfg.CS = 16, 16, 4
-	cfg.Seed = 11
+	const seeds, minDetected = 24, 20
+	detected := 0
+	for seed := uint64(1); seed <= seeds; seed++ {
+		cfg := core.DefaultConfig(0.3, 2*p, int64(p*p*q))
+		cfg.CR, cfg.CL, cfg.CS = 16, 16, 4
+		cfg.Seed = seed
 
-	noRes, err := DetectTriangles(no, cfg, 0)
-	if err != nil {
-		t.Fatal(err)
+		noRes, err := DetectTriangles(no, cfg, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if noRes.Detected {
+			detected++
+		} else {
+			t.Logf("seed %d: NO instance not detected (estimate %.1f, want >= %d)", seed, noRes.Estimate, p*p*q/2)
+		}
+		if noRes.CommunicationBits <= 0 {
+			t.Error("communication accounting missing")
+		}
+		yesRes, err := DetectTriangles(yes, cfg, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if yesRes.Detected {
+			t.Errorf("seed %d: YES instance falsely detected (estimate %.1f)", seed, yesRes.Estimate)
+		}
 	}
-	if !noRes.Detected {
-		t.Fatalf("NO instance not detected (estimate %.1f, want >= %d)", noRes.Estimate, p*p*q/2)
-	}
-	yesRes, err := DetectTriangles(yes, cfg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if yesRes.Detected {
-		t.Fatalf("YES instance falsely detected (estimate %.1f)", yesRes.Estimate)
-	}
-	if noRes.CommunicationBits <= 0 {
-		t.Error("communication accounting missing")
+	if detected < minDetected {
+		t.Fatalf("NO instance detected at %d of %d seeds, want at least %d", detected, seeds, minDetected)
 	}
 }
 

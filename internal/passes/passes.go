@@ -382,7 +382,7 @@ func SampleNeighbors(
 }
 
 // bankShard is the per-shard state of a bank-sampling neighbor pass: one lazy
-// k-sample bank per instance.
+// bank per instance, each keeping a uniform k-subset of its shard's offers.
 type bankShard struct {
 	res     []sampling.ResK
 	touched []int32
@@ -392,8 +392,10 @@ type bankShard struct {
 // grouped in groups, k uniform neighbor samples with replacement from its
 // group vertex's neighborhood. Randomness is keyed exactly like
 // SampleNeighbors — (seed, passKey, instance, shard) for the in-shard draws
-// and (seed, mergeKey, instance) for the shard merges — with an s-sample bank
-// in place of the single reservoir.
+// and (seed, mergeKey, instance) for the shard merges — with a bank in place
+// of the single reservoir. The shard merges leave each instance a uniform
+// k-subset of its offers, and the k samples are drawn from it once the pass
+// ends, so an instance whose vertex has degree d costs O(d + k).
 func SampleNeighborBanks(
 	x Executor,
 	groups *graph.VertexGroups, n, k int,
@@ -438,7 +440,13 @@ func SampleNeighborBanks(
 				merged[i].Absorb(&st.res[i])
 			}
 		})
-	return merged, err
+	if err != nil {
+		return nil, err
+	}
+	for i := range merged {
+		merged[i].Finish()
+	}
+	return merged, nil
 }
 
 // closureShard is the per-shard state of a closure-check pass: a hit bitset

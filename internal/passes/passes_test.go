@@ -296,46 +296,78 @@ func TestSampleNeighbors(t *testing.T) {
 	}
 }
 
+// bankSizes returns the bank sizes TestSampleNeighborBanks sweeps for the
+// given group vertices: 3, below the busiest vertex's largest per-shard offer
+// count (Algorithm L in that shard); one between that count and the vertex's
+// degree (verbatim shards, saturating merges); and the largest degree
+// (verbatim everywhere).
+func bankSizes(t *testing.T, edges []graph.Edge, vertices []int) []int {
+	t.Helper()
+	busiest, maxDeg := 0, 0
+	for _, v := range vertices {
+		if d := len(adjacency(edges, v)); d > maxDeg {
+			busiest, maxDeg = v, d
+		}
+	}
+	perShard := 0
+	for shard := 0; shard < stream.ActiveShards(len(edges)); shard++ {
+		lo, hi := stream.ShardRange(len(edges), shard)
+		perShard = max(perShard, len(adjacency(edges[lo:hi], busiest)))
+	}
+	saturating := (perShard + maxDeg) / 2
+	if !(3 < perShard && perShard < saturating && saturating < maxDeg) {
+		t.Fatalf("vertex %d (degree %d, %d offers in one shard) leaves no bank size between", busiest, maxDeg, perShard)
+	}
+	return []int{3, saturating, maxDeg}
+}
+
 func TestSampleNeighborBanks(t *testing.T) {
-	for _, in := range passInputs(testGraph(t).Edges()) {
+	// Shuffle the stream so every vertex's offers spread over the shards.
+	edges := slices.Clone(testGraph(t).Edges())
+	sampling.NewRNG(7).Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+	for _, in := range passInputs(edges) {
 		edges := in.edges
 		m := len(edges)
-		const k = 3
 
 		vertices := in.ids([]int{0, 3, 42, 1234, 4998})
 		groups := graph.NewVertexGroups(slices.Clone(vertices))
 		n := len(vertices)
 
-		var base [][]int
-		for _, workers := range workerSweep {
-			merged, err := passes.SampleNeighborBanks(
-				passes.NewDirect(stream.FromEdges(edges), m, workers), groups, n, k, 999, 30, 31)
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", in.name, workers, err)
-			}
-			banks := make([][]int, n)
-			for i, v := range vertices {
-				adj := adjacency(edges, v)
-				if !merged[i].Has() {
-					t.Fatalf("%s workers=%d: vertex %d has %d neighbors but no samples", in.name, workers, v, len(adj))
+		for _, k := range bankSizes(t, edges, vertices) {
+			var base [][]int
+			for _, workers := range workerSweep {
+				merged, err := passes.SampleNeighborBanks(
+					passes.NewDirect(stream.FromEdges(edges), m, workers), groups, n, k, 999, 30, 31)
+				if err != nil {
+					t.Fatalf("%s k=%d workers=%d: %v", in.name, k, workers, err)
 				}
-				if len(merged[i].W) != k {
-					t.Fatalf("%s workers=%d: vertex %d bank holds %d samples, want %d", in.name, workers, v, len(merged[i].W), k)
-				}
-				for j, w := range merged[i].W {
-					if !slices.Contains(adj, w) {
-						t.Errorf("%s workers=%d: bank[%d][%d] = %d, not a neighbor of %d", in.name, workers, i, j, w, v)
+				banks := make([][]int, n)
+				for i, v := range vertices {
+					adj := adjacency(edges, v)
+					if !merged[i].Has() {
+						t.Fatalf("%s k=%d workers=%d: vertex %d has %d neighbors but no samples", in.name, k, workers, v, len(adj))
 					}
+					if merged[i].N != int64(len(adj)) {
+						t.Errorf("%s k=%d workers=%d: vertex %d saw %d offers, want its degree %d", in.name, k, workers, v, merged[i].N, len(adj))
+					}
+					if len(merged[i].W) != k {
+						t.Fatalf("%s k=%d workers=%d: vertex %d bank holds %d samples, want %d", in.name, k, workers, v, len(merged[i].W), k)
+					}
+					for j, w := range merged[i].W {
+						if !slices.Contains(adj, w) {
+							t.Errorf("%s k=%d workers=%d: bank[%d][%d] = %d, not a neighbor of %d", in.name, k, workers, i, j, w, v)
+						}
+					}
+					banks[i] = slices.Clone(merged[i].W)
 				}
-				banks[i] = slices.Clone(merged[i].W)
-			}
-			if base == nil {
-				base = banks
-			} else {
-				for i := range banks {
-					if !slices.Equal(banks[i], base[i]) {
-						t.Errorf("%s workers=%d: bank %d diverges from workers=1: %v vs %v",
-							in.name, workers, i, banks[i], base[i])
+				if base == nil {
+					base = banks
+				} else {
+					for i := range banks {
+						if !slices.Equal(banks[i], base[i]) {
+							t.Errorf("%s k=%d workers=%d: bank %d diverges from workers=1: %v vs %v",
+								in.name, k, workers, i, banks[i], base[i])
+						}
 					}
 				}
 			}

@@ -11,13 +11,15 @@ import "math"
 //   - MixSeed to derive an independent RNG stream per (pass, instance, shard)
 //     key, so the draws inside a shard are a pure function of the seed and the
 //     shard's data;
-//   - Res1/ResK, skip-ahead reservoirs carrying their own keyed RNG, as the
-//     per-shard accumulators;
+//   - Res1, a skip-ahead size-1 reservoir, and ResK, a bank keeping a uniform
+//     k-subset of its shard's offers, as the per-shard accumulators, each
+//     carrying its own keyed RNG;
 //   - Res1Merger/ResKMerger, which combine per-shard reservoirs in ascending
-//     shard order with one draw per (sub-reservoir, shard) from a keyed merge
-//     RNG: a reservoir of weight n absorbed into an accumulator of weight N
-//     replaces the kept sample with probability n/(N+n), which keeps the
-//     merged sample uniform over the union.
+//     shard order with draws from a keyed merge RNG. Res1Merger keeps a
+//     shard's sample of weight n over an accumulated weight N with
+//     probability n/(N+n); ResKMerger splits a uniform k-subset of the union
+//     between its two sides with one hypergeometric draw, and its Finish
+//     turns the merged subset into k samples with replacement.
 //
 // Because every draw is keyed by stable indices and merges happen in shard
 // order, the merged samples are identical for any worker count — the
@@ -128,209 +130,169 @@ func (m *Res1Merger) Absorb(r *Res1) {
 // Has reports whether any item has been absorbed.
 func (m *Res1Merger) Has() bool { return m.N > 0 }
 
-// ResK is a bank of k independent size-1 uniform reservoirs over the same
-// sub-stream ("k uniform samples with replacement"), sharing one RNG stream.
-// The next-acceptance indices of the k sub-reservoirs are kept in a binary
-// min-heap, so an offer that accepts nowhere costs one comparison instead of
-// k, and the total work over n offers is O(n + k·log n·log k) rather than
-// O(n·k) — the difference between pass 5 of the estimator scaling with s and
-// not.
-//
-// A bank stays in a compact "constant" representation while it has seen at
-// most one item — just the item, no k-sized fill, no heap, no draws — because
-// in a sharded pass the overwhelmingly common case is a shard that contains
-// exactly one neighbor of a given light endpoint, and paying Θ(k) per such
-// shard would make one worker slower than the unsharded code ever was. The
-// k-sized state materializes on the second offer. The zero value is unusable;
-// call Init first.
+// ResK is the per-shard half of a k-sample bank: it keeps a uniform k-subset,
+// without replacement, of its shard's sub-stream, which ResKMerger combines
+// across shards and turns into k samples with replacement. The first k offers
+// are kept verbatim, with no draws. Past k, Algorithm L (Li, "Reservoir-
+// Sampling Algorithms of Time Complexity O(n(1+log(N/n)))", ACM TOMS 1994)
+// draws the index of the next accepted offer directly, so an offer costs an
+// append or one comparison, and N offers cost O(k·log(N/k)) draws. The zero
+// value is unusable; call Init first.
 type ResK struct {
-	N     int64
-	first int     // the single seen item while N <= 1
-	W     []int   // W[j]: sample of sub-reservoir j; materialized when N >= 2
-	heap  []int64 // min-heap of next-acceptance indices; built with W
-	sub   []int32 // sub[i]: which sub-reservoir heap[i] belongs to
-	k     int
-	rng   RNG
+	N    int64
+	kept []int   // the first min(N, k) offers, then a uniform k-subset
+	next int64   // 1-based index of the next accepted offer; 0 = not yet drawn
+	w    float64 // Algorithm L's largest key among the kept offers
+	k    int
+	rng  RNG
 }
 
-// Init readies the bank for k sub-reservoirs, reusing existing slices when
-// their capacity allows.
+// Init readies the bank for k samples, reusing the buffer's capacity.
 func (r *ResK) Init(seed uint64, k int) {
-	if cap(r.W) < k {
-		r.W = make([]int, 0, k)
-		r.heap = make([]int64, 0, k)
-		r.sub = make([]int32, 0, k)
-	}
-	r.W = r.W[:0]
-	r.heap = r.heap[:0]
-	r.sub = r.sub[:0]
-	r.N = 0
-	r.k = k
-	r.rng = RNG{state: seed}
+	*r = ResK{kept: r.kept[:0], k: k, rng: RNG{state: seed}}
 }
 
 // Ready reports whether Init has been called since the last Drop.
 func (r *ResK) Ready() bool { return r.k != 0 }
 
-// Drop returns the bank to the un-Init state while keeping slice capacity,
-// so pooled banks can be reused without reallocating.
-func (r *ResK) Drop() {
-	r.N = 0
-	r.k = 0
-	r.W = r.W[:0]
-	r.heap = r.heap[:0]
-	r.sub = r.sub[:0]
-}
+// Drop returns the bank to the un-Init state while keeping the buffer's
+// capacity, so pooled banks can be reused without reallocating.
+func (r *ResK) Drop() { *r = ResK{kept: r.kept[:0]} }
 
-// K returns the number of sub-reservoirs.
-func (r *ResK) K() int { return r.k }
-
-// resKPlainLimit is the sub-stream length up to which Offer uses one plain
-// acceptance draw per sub-reservoir (Algorithm R). At small counts the
-// acceptance rate is so high that skip-ahead plus heap maintenance costs more
-// than it saves; past the limit the bank switches to the heap, whose accepts
-// thin out as 1/N. The switch depends only on N, never on worker count.
-const resKPlainLimit = 32
-
-// Offer presents the next item to every sub-reservoir.
+// Offer presents the next item of the shard's sub-stream.
 func (r *ResK) Offer(v int) {
 	r.N++
-	if r.N == 1 {
-		r.first = v // accepted everywhere; representation stays constant
+	if len(r.kept) < r.k {
+		r.kept = append(r.kept, v)
 		return
 	}
-	if len(r.W) == 0 {
-		// Second offer: materialize the bank; every sub-reservoir holds the
-		// first item.
-		r.W = r.W[:r.k]
-		for j := range r.W {
-			r.W[j] = r.first
-		}
+	if r.next == 0 {
+		r.w = 1
+		r.advance(r.N - 1)
 	}
-	if len(r.heap) == 0 {
-		if r.N <= resKPlainLimit {
-			for j := range r.W {
-				if r.rng.Int63n(r.N) == 0 {
-					r.W[j] = v
-				}
-			}
-			return
-		}
-		// The sub-stream turned out long: draw each sub-reservoir's next
-		// acceptance past position N-1, in sub-reservoir order, then heapify
-		// (the heapify consumes no randomness).
-		r.heap = r.heap[:r.k]
-		r.sub = r.sub[:r.k]
-		for j := 0; j < r.k; j++ {
-			r.heap[j] = skipAhead(r.N-1, &r.rng)
-			r.sub[j] = int32(j)
-		}
-		for i := r.k/2 - 1; i >= 0; i-- {
-			r.siftDown(i)
-		}
+	if r.N < r.next {
+		return
 	}
-	for r.heap[0] <= r.N {
-		r.W[r.sub[0]] = v
-		r.heap[0] = skipAhead(r.N, &r.rng)
-		r.siftDown(0)
-	}
+	r.kept[r.rng.Intn(r.k)] = v
+	r.advance(r.N)
 }
 
-// siftDown restores the heap property from position i.
-func (r *ResK) siftDown(i int) {
-	n := len(r.heap)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
-		}
-		min := l
-		if rr := l + 1; rr < n && r.heap[rr] < r.heap[l] {
-			min = rr
-		}
-		if r.heap[i] <= r.heap[min] {
-			return
-		}
-		r.heap[i], r.heap[min] = r.heap[min], r.heap[i]
-		r.sub[i], r.sub[min] = r.sub[min], r.sub[i]
-		i = min
+// advance draws the index of the next accepted offer after offer i: the kept
+// offers' largest key w shrinks by the k-th root of a uniform, and the number
+// of offers until one draws a key below w is geometric with parameter w.
+func (r *ResK) advance(i int64) {
+	r.w *= math.Exp(math.Log(r.rng.Float64Open()) / float64(r.k))
+	gap := math.Floor(math.Log(r.rng.Float64Open())/math.Log1p(-r.w)) + 1
+	if gap >= math.MaxInt64/2 {
+		r.next = math.MaxInt64
+		return
 	}
+	r.next = i + int64(gap)
 }
 
 // ResKMerger accumulates per-shard ResK banks, absorbed in ascending shard
-// order, into k uniform samples over all offers.
+// order, into a uniform min(N, k)-subset of all N offers; Finish then draws
+// the k samples with replacement.
 type ResKMerger struct {
-	N   int64
-	W   []int // merged samples; -1 until the first absorb
-	rng RNG
+	N    int64
+	W    []int // the k samples, set by Finish when N > 0
+	kept []int // a uniform min(N, k)-subset of the offers absorbed so far
+	k    int
+	rng  RNG
 }
 
-// Init readies the merger for k sub-reservoirs.
+// Init readies the merger for k samples.
 func (m *ResKMerger) Init(seed uint64, k int) {
-	m.N = 0
-	m.rng = RNG{state: seed}
-	if cap(m.W) < k {
-		m.W = make([]int, k)
-	}
-	m.W = m.W[:k]
-	for j := range m.W {
-		m.W[j] = -1
-	}
+	*m = ResKMerger{k: k, rng: RNG{state: seed}}
 }
 
-// Absorb merges a shard bank into the accumulator. Each sub-reservoir keeps
-// the shard's sample with probability r.N/(total), decided independently —
-// but instead of one draw per sub-reservoir, the replaced positions are
-// enumerated by geometric skipping (iid Bernoulli successes are memoryless),
-// so the expected cost is k·r.N/total draws, and absorbing the tail shards of
-// a high-degree endpoint costs almost nothing. An empty bank is a no-op; the
-// first non-empty one is adopted by swapping slices, consuming no randomness.
-// All rules depend only on the data, never on the worker count.
+// Absorb merges a shard bank into the accumulator. While the union holds at
+// most k offers, both sides are verbatim and are concatenated with no draws.
+// Past that, a hypergeometric draw splits a uniform k-subset of the union
+// between the two sides, and uniform sub-subsets of each side's kept offers
+// fill the two counts. A uniform subset of a uniform subset is uniform, so the
+// result is a uniform k-subset of every offer absorbed. An empty bank is a
+// no-op. Every rule depends only on the data, never on the worker count.
 func (m *ResKMerger) Absorb(r *ResK) {
 	if r.N == 0 {
 		return
 	}
+	total := m.N + r.N
+	if total <= int64(m.k) {
+		m.kept = append(m.kept, r.kept...)
+		m.N = total
+		return
+	}
+	fromShard := int(hypergeometric(&m.rng, total, r.N, int64(m.k)))
+	m.kept = append(subset(&m.rng, m.kept, m.k-fromShard), subset(&m.rng, r.kept, fromShard)...)
+	m.N = total
+}
+
+// Finish draws W, k uniform samples with replacement from all N offers. Each
+// draw takes u uniform in [0, N). The d distinct offers drawn so far sit at
+// the front of the kept subset, and u < d, probability d/N, repeats offer u.
+// Otherwise the draw is a fresh offer, uniform over the N−d undrawn ones; a
+// uniform pick among the subset's unused offers is exactly that, because the
+// subset is a uniform subset of all N offers.
+func (m *ResKMerger) Finish() {
 	if m.N == 0 {
-		m.N = r.N
-		if len(r.W) == 0 {
-			for j := range m.W {
-				m.W[j] = r.first
-			}
-			return
-		}
-		m.W, r.W = r.W, m.W[:0]
 		return
 	}
-	m.N += r.N
-	p := float64(r.N) / float64(m.N) // < 1: the accumulator was non-empty
-	constant := len(r.W) == 0        // bank still in its one-item representation
-	pick := func(j int) int {
-		if constant {
-			return r.first
-		}
-		return r.W[j]
-	}
-	// Geometric skipping only pays off when replacements are sparse (its
-	// draw costs two logarithms); for high p or small banks a plain draw per
-	// sub-reservoir is cheaper. Both branches depend only on (k, p), never
-	// on worker count, so determinism is preserved.
-	if p > 0.25 || len(m.W) < 16 {
-		for j := range m.W {
-			if m.rng.Int63n(m.N) < r.N {
-				m.W[j] = pick(j)
+	s, d := m.kept, int64(0)
+	m.W = make([]int, m.k)
+	for i := range m.W {
+		u := m.rng.Int63n(m.N)
+		if u >= d {
+			if m.N > int64(len(s)) {
+				u = d + m.rng.Int63n(int64(len(s))-d)
 			}
+			s[d], s[u] = s[u], s[d]
+			u = d
+			d++
 		}
-		return
+		m.W[i] = s[u]
 	}
-	j := -1
-	for {
-		j += int(m.rng.Geometric(p))
-		if j >= len(m.W) {
-			return
-		}
-		m.W[j] = pick(j)
-	}
+	m.kept = nil
 }
 
 // Has reports whether any item has been absorbed.
 func (m *ResKMerger) Has() bool { return m.N > 0 }
+
+// hypergeometric returns how many of n items' good ones a uniform
+// draws-subset holds. It selects the subset sequentially, item i joining with
+// probability (still wanted)/(n−i), over the smallest of the good, bad and
+// drawn sets (the distribution is symmetric in good and draws), so it makes
+// at most min(good, n−good, draws) draws.
+func hypergeometric(rng *RNG, n, good, draws int64) int64 {
+	if n-good < good {
+		return draws - hypergeometric(rng, n, n-good, draws)
+	}
+	if draws < good {
+		good, draws = draws, good
+	}
+	hits := int64(0)
+	for i := int64(0); i < good && hits < draws; i++ {
+		if rng.Int63n(n-i) < draws-hits {
+			hits++
+		}
+	}
+	return hits
+}
+
+// subset reorders s so that its first size items are a uniform size-subset of
+// s and returns them: a partial Fisher–Yates shuffle that picks the kept items
+// or evicts the dropped ones, whichever are fewer.
+func subset(rng *RNG, s []int, size int) []int {
+	if size <= len(s)-size {
+		for i := 0; i < size; i++ {
+			j := i + rng.Intn(len(s)-i)
+			s[i], s[j] = s[j], s[i]
+		}
+	} else {
+		for i := len(s) - 1; i >= size; i-- {
+			j := rng.Intn(i + 1)
+			s[i], s[j] = s[j], s[i]
+		}
+	}
+	return s[:size]
+}
