@@ -82,7 +82,8 @@ func (c Config) Validate() error {
 	if c.K > 8 {
 		return fmt.Errorf("clique: K = %d unreasonably large for this estimator", c.K)
 	}
-	if c.Epsilon <= 0 || c.Epsilon >= 1 {
+	// Each range test is written so NaN fails it.
+	if !(c.Epsilon > 0 && c.Epsilon < 1) {
 		return fmt.Errorf("clique: epsilon must be in (0,1), got %v", c.Epsilon)
 	}
 	if c.Kappa < 1 {
@@ -91,8 +92,8 @@ func (c Config) Validate() error {
 	if c.CliqueGuess < 1 {
 		return fmt.Errorf("clique: CliqueGuess must be >= 1, got %d", c.CliqueGuess)
 	}
-	if c.CR <= 0 || c.CL <= 0 {
-		return fmt.Errorf("clique: CR and CL must be positive")
+	if !(c.CR > 0 && c.CR <= math.MaxFloat64 && c.CL > 0 && c.CL <= math.MaxFloat64) {
+		return fmt.Errorf("clique: CR and CL must be positive and finite (CR=%v CL=%v)", c.CR, c.CL)
 	}
 	if c.Workers < 0 {
 		return fmt.Errorf("clique: Workers must be non-negative, got %d", c.Workers)

@@ -1,6 +1,7 @@
 package clique
 
 import (
+	"math"
 	"testing"
 
 	"degentri/internal/gen"
@@ -21,6 +22,9 @@ func TestConfigValidation(t *testing.T) {
 		{K: 4, Epsilon: 0.2, Kappa: 0, CliqueGuess: 10, CR: 1, CL: 1},
 		{K: 4, Epsilon: 0.2, Kappa: 3, CliqueGuess: 0, CR: 1, CL: 1},
 		{K: 4, Epsilon: 0.2, Kappa: 3, CliqueGuess: 10, CR: 0, CL: 1},
+		{K: 4, Epsilon: math.NaN(), Kappa: 3, CliqueGuess: 10, CR: 1, CL: 1},
+		{K: 4, Epsilon: 0.2, Kappa: 3, CliqueGuess: 10, CR: math.NaN(), CL: 1},
+		{K: 4, Epsilon: 0.2, Kappa: 3, CliqueGuess: 10, CR: 1, CL: math.Inf(1)},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {

@@ -138,7 +138,8 @@ func DefaultConfig(epsilon float64, kappa int, tGuess int64) Config {
 
 // Validate reports whether the configuration is usable.
 func (c Config) Validate() error {
-	if c.Epsilon <= 0 || c.Epsilon >= 1 {
+	// Each range test is written so NaN fails it.
+	if !(c.Epsilon > 0 && c.Epsilon < 1) {
 		return fmt.Errorf("core: epsilon must be in (0,1), got %v", c.Epsilon)
 	}
 	if c.Kappa < 1 {
@@ -147,8 +148,8 @@ func (c Config) Validate() error {
 	if c.TGuess < 1 {
 		return fmt.Errorf("core: TGuess must be >= 1, got %d", c.TGuess)
 	}
-	if c.CR <= 0 || c.CL <= 0 || c.CS <= 0 {
-		return fmt.Errorf("core: sample multipliers must be positive (CR=%v CL=%v CS=%v)", c.CR, c.CL, c.CS)
+	if !positiveFinite(c.CR) || !positiveFinite(c.CL) || !positiveFinite(c.CS) {
+		return fmt.Errorf("core: sample multipliers must be positive and finite (CR=%v CL=%v CS=%v)", c.CR, c.CL, c.CS)
 	}
 	if c.Groups < 0 {
 		return fmt.Errorf("core: groups must be non-negative, got %d", c.Groups)
@@ -230,3 +231,6 @@ func maxInt(a, b int) int {
 	}
 	return b
 }
+
+// positiveFinite reports whether x lies in (0, +Inf); NaN does not.
+func positiveFinite(x float64) bool { return x > 0 && x <= math.MaxFloat64 }

@@ -1,6 +1,9 @@
 package core
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestDefaultConfigValid(t *testing.T) {
 	cfg := DefaultConfig(0.1, 3, 100)
@@ -18,12 +21,18 @@ func TestConfigValidateErrors(t *testing.T) {
 		{"epsilon zero", func(c *Config) { c.Epsilon = 0 }},
 		{"epsilon one", func(c *Config) { c.Epsilon = 1 }},
 		{"epsilon negative", func(c *Config) { c.Epsilon = -0.5 }},
+		{"epsilon NaN", func(c *Config) { c.Epsilon = math.NaN() }},
+		{"epsilon +Inf", func(c *Config) { c.Epsilon = math.Inf(1) }},
 		{"kappa negative", func(c *Config) { c.Kappa = -1 }},
 		{"kappa zero", func(c *Config) { c.Kappa = 0 }},
 		{"tguess zero", func(c *Config) { c.TGuess = 0 }},
 		{"cr zero", func(c *Config) { c.CR = 0 }},
 		{"cl negative", func(c *Config) { c.CL = -1 }},
 		{"cs zero", func(c *Config) { c.CS = 0 }},
+		{"cr NaN", func(c *Config) { c.CR = math.NaN() }},
+		{"cl +Inf", func(c *Config) { c.CL = math.Inf(1) }},
+		{"cs NaN", func(c *Config) { c.CS = math.NaN() }},
+		{"cs +Inf", func(c *Config) { c.CS = math.Inf(1) }},
 		{"groups negative", func(c *Config) { c.Groups = -2 }},
 		{"bad rule", func(c *Config) { c.Rule = AssignmentRule(99) }},
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -47,7 +48,7 @@ func (s *Server) parseSpec(r *http.Request) (reqSpec, error) {
 		}
 	}
 	if v := q.Get("epsilon"); v != "" {
-		if spec.epsilon, err = strconv.ParseFloat(v, 64); err != nil || spec.epsilon <= 0 || spec.epsilon >= 1 {
+		if spec.epsilon, err = strconv.ParseFloat(v, 64); err != nil || !(spec.epsilon > 0 && spec.epsilon < 1) {
 			return spec, fmt.Errorf("bad epsilon %q: want a float in (0,1)", v)
 		}
 	}
@@ -62,8 +63,8 @@ func (s *Server) parseSpec(r *http.Request) (reqSpec, error) {
 		}
 	}
 	if v := q.Get("multiplier"); v != "" {
-		if spec.mult, err = strconv.ParseFloat(v, 64); err != nil || spec.mult < 0 {
-			return spec, fmt.Errorf("bad multiplier %q: want a non-negative float", v)
+		if spec.mult, err = strconv.ParseFloat(v, 64); err != nil || !(spec.mult >= 0 && spec.mult <= math.MaxFloat64) {
+			return spec, fmt.Errorf("bad multiplier %q: want a finite non-negative float", v)
 		}
 	}
 	if v := q.Get("budget"); v != "" {

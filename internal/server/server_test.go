@@ -249,6 +249,31 @@ func TestBudgetRejectionOverHTTP(t *testing.T) {
 	}
 }
 
+// TestBadRequestParameters pins parseSpec's range checks on epsilon and
+// multiplier: out-of-range and non-finite values are refused with 400
+// bad-request before admission. NaN passes a plain `<= 0 || >= 1` test, and
+// a NaN or infinite multiplier turns every sample size into int(NaN).
+func TestBadRequestParameters(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "g.txt")
+	writeGraph(t, path, 300, 4, 5)
+	s, err := New(Config{Graphs: map[string]string{"g": path}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for _, q := range []string{
+		"epsilon=0", "epsilon=1", "epsilon=NaN", "epsilon=Inf", "epsilon=-Inf",
+		"multiplier=-1", "multiplier=NaN", "multiplier=Inf", "multiplier=%2BInf",
+	} {
+		var eresp errorResponse
+		if code := get(t, ts.Client(), ts.URL+"/estimate?graph=g&seed=1&"+q, &eresp); code != http.StatusBadRequest || eresp.Kind != "bad-request" {
+			t.Errorf("%s: status %d kind %q, want 400 bad-request", q, code, eresp.Kind)
+		}
+	}
+}
+
 // TestDrain pins the shutdown protocol: once draining, readiness flips and
 // new requests are refused with the draining kind, in-flight requests finish
 // inside the grace period, and the drain reports clean.

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"fmt"
 	"testing"
 
 	"degentri/internal/graph"
@@ -194,6 +195,43 @@ func BenchmarkShardedPassWorkers1(b *testing.B) { benchmarkShardedPass(b, 1) }
 
 // BenchmarkShardedPassWorkers4 measures the engine's parallel path.
 func BenchmarkShardedPassWorkers4(b *testing.B) { benchmarkShardedPass(b, 4) }
+
+// BenchmarkShardedBex2Pass measures the sharded engine over an uncached
+// .bex v2 file of 64 shards: reads, decodes, and the buffers a pass
+// allocates, at one worker (one sequential scan) and at four (a range
+// sub-stream per shard).
+func BenchmarkShardedBex2Pass(b *testing.B) {
+	edges := benchEdges(1 << 20)
+	path := b.TempDir() + "/sharded-bench.bex"
+	if _, err := WriteBex2File(path, FromEdges(edges), 0); err != nil {
+		b.Fatal(err)
+	}
+	bs, err := OpenBex2(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer bs.Close()
+	for _, workers := range []int{1, 4} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			var sums [NumShards]int
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_, err := ShardedForEachBatch(bs, len(edges), workers,
+					func(shard int, batch []graph.Edge) error {
+						for _, e := range batch {
+							sums[shard] += e.U
+						}
+						return nil
+					},
+					func(int) error { return nil })
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(len(edges)*b.N), "ns/edge")
+		})
+	}
+}
 
 // benchmarkBex2Decode measures a full pass over a v2 file written with
 // 8K-edge blocks (the tentpole's reference block size) under one decode

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math/bits"
 	"os"
 	"sort"
 	"sync/atomic"
@@ -153,6 +154,8 @@ type bex2Meta struct {
 	// gets a new identity, so its old decoded blocks become unreachable
 	// rather than stale.
 	ident fileIdentity
+	// info is the stat taken at open; a reopen must find the same file.
+	info os.FileInfo
 	// verified[k] records that block k's payload CRC has been checked since
 	// open. A block is verified the first time any cursor reads it and never
 	// re-hashed on later passes — multi-pass algorithms (the whole point of
@@ -472,6 +475,7 @@ func readBex2Meta(file *os.File, path string) (*bex2Meta, error) {
 	return &bex2Meta{
 		path: path, m: m, blockEdges: blockEdges, blocks: blocks,
 		ident:    fileIdentity{path: path, size: size, mtime: info.ModTime().UnixNano()},
+		info:     info,
 		verified: make([]atomic.Bool, blockCount),
 	}, nil
 }
@@ -593,120 +597,105 @@ func decodeBex2Block(path string, idx int, b bex2Block, raw []byte, dst []graph.
 	return nil
 }
 
-// bex2ReadAhead is how far the buffered source reads past a requested block
-// in one positioned read (capped by the cursor's window): compressed blocks
-// are small, so one syscall typically serves many consecutive blocks.
+// bex2ReadAhead is how far a cursor reads past a requested block in one
+// positioned read (capped by the cursor's window): compressed blocks are
+// small, so one syscall typically serves many consecutive blocks.
 const bex2ReadAhead = 1 << 20
 
-// bex2FileSource reads block payloads through a file handle with positioned
-// reads (no shared cursor, so concurrent range sub-streams never interfere).
-// Sequential scans are served from a readahead buffer — one syscall per
-// bex2ReadAhead bytes, never reading past limitOff, so a small shard range
-// costs a read of its own bytes, not a megabyte of its neighbors'.
-type bex2FileSource struct {
-	meta     *bex2Meta
-	file     *os.File
-	limitOff int64 // end of the cursor's window in file bytes (0 = unset)
-	buf      []byte
-	bufOff   int64 // file offset of buf[0]
+// bex2File is the reader state of one open .bex v2 file, shared by its
+// Bex2Stream and every range sub-stream: the validated footer, the one
+// handle every block is read through, and a pool of cursor buffers.
+// Positioned reads share no file offset, so concurrent cursors never
+// interfere. Reading through the handle rather than the path keeps every
+// cursor on the file generation the footer was read from: a file renamed
+// over the path is not seen until the stream is reopened, and then only as
+// an error. Sub-streams reach the handle through this struct, so they see a
+// reopening Reset and must not outlive the stream's Close.
+type bex2File struct {
+	*bex2Meta
+	handle *os.File // nil from Close until the next Reset
+	bufs   *ShardPool[*bex2Bufs]
 }
 
-// open readies the source for reads (called by Reset; idempotent).
-func (s *bex2FileSource) open() error {
-	if s.file != nil {
-		return nil
-	}
-	file, err := os.Open(s.meta.path)
+// bex2Bufs is one cursor's buffer set: a read-ahead buffer and the decode
+// target of uncached loads. A cursor borrows one from its file's pool at the
+// first block it reads in a pass and hands it back at the pass's end, Reset
+// or Close, so a sharded pass holds at most one set per busy worker.
+type bex2Bufs struct {
+	raw   []byte // the file's bytes from offset off
+	off   int64
+	edges []graph.Edge
+}
+
+// reopen opens the path again after Close. The footer read at open describes
+// one file, so a path that now names another (renamed over, rewritten) fails
+// rather than pairing this footer with other bytes. A rewrite in place that
+// keeps size and mtime goes unseen, as it does for an open handle.
+func (f *bex2File) reopen() error {
+	handle, err := os.Open(f.path)
 	if err != nil {
-		return fmt.Errorf("stream: open %s: %w", s.meta.path, err)
+		return fmt.Errorf("stream: open %s: %w", f.path, err)
 	}
-	s.file = file
+	info, err := handle.Stat()
+	if err != nil || !os.SameFile(info, f.info) || info.Size() != f.info.Size() || !info.ModTime().Equal(f.info.ModTime()) {
+		handle.Close()
+		return fmt.Errorf("stream: %s is no longer the file opened as .bex v2: %w", f.path, ErrCorruptHeader)
+	}
+	f.handle = handle
 	return nil
 }
 
-// block returns block k's raw bytes, valid until the next block call.
-func (s *bex2FileSource) block(k int) ([]byte, error) {
-	b := s.meta.blocks[k]
-	end := b.off + int64(b.length)
-	if b.off >= s.bufOff && end <= s.bufOff+int64(len(s.buf)) {
-		return s.buf[b.off-s.bufOff : end-s.bufOff], nil
-	}
-	want := int64(bex2ReadAhead)
-	if lim := s.limitOff; lim > 0 && b.off+want > lim {
-		want = lim - b.off
-	}
-	if want < int64(b.length) {
-		want = int64(b.length)
-	}
-	if cap(s.buf) < int(want) {
-		s.buf = make([]byte, want)
-	}
-	raw := s.buf[:want]
-	if _, err := s.file.ReadAt(raw, b.off); err != nil {
-		return nil, fmt.Errorf("stream: %s truncated at block %d (edge %d): %w (%w)",
-			s.meta.path, k, b.firstPos, err, ErrTruncated)
-	}
-	s.buf, s.bufOff = raw, b.off
-	return raw[:b.length], nil
-}
-
-// close releases the file handle; open may be called again after.
-func (s *bex2FileSource) close() error {
-	s.buf, s.bufOff = nil, 0
-	if s.file == nil {
-		return nil
-	}
-	err := s.file.Close()
-	s.file = nil
-	return err
-}
-
-// bex2Cursor is the shared pass machinery of every v2 reader: a window
-// [lo, hi) of stream positions served block by block from a file source.
-// The full-file stream is the window [0, m); range sub-streams are smaller
-// windows with their own source.
+// bex2Cursor is the pass machinery of every v2 reader: a window [lo, hi) of
+// stream positions served block by block through its file's handle. The
+// full-file stream is the window [0, m); range sub-streams are smaller
+// windows of the same file.
 type bex2Cursor struct {
-	meta    *bex2Meta
-	src     *bex2FileSource
+	file    *bex2File
 	lo, hi  int
-	pos     int // next position to deliver
-	blk     int // block that decoded holds, -1 when none
+	end     int64 // file offset just past the window's last block
+	pos     int   // next position to deliver
+	blk     int   // block that decoded holds, -1 when none
 	decoded []graph.Edge
 	served  int // decoded[:served] already delivered
 	active  bool
 	// cache opts this cursor into the process-wide decoded-block cache:
 	// loads first look the block up by (file identity, ordinal) and serve
 	// hits zero-copy; misses decode into a fresh slice and insert it. Off,
-	// every load decodes into the cursor-owned scratch buffer.
-	cache   bool
-	cached  *blockCacheEntry // pinned entry decoded aliases, nil when none
-	scratch []graph.Edge     // owned decode buffer for uncached loads
+	// every load decodes into the borrowed buffer set.
+	cache  bool
+	cached *blockCacheEntry // pinned entry decoded aliases, nil when none
+	bufs   *bex2Bufs        // borrowed buffer set, nil when none
 }
 
-// unpin releases the cursor's pinned cache entry, if any. Called whenever
-// decoded stops aliasing it (block advance, reset, close).
-func (c *bex2Cursor) unpin() {
-	if c.cached != nil {
-		decodeCache.release(c.cached)
-		c.cached = nil
+func newBex2Cursor(file *bex2File, lo, hi int, cache bool) bex2Cursor {
+	c := bex2Cursor{file: file, lo: lo, hi: hi, blk: -1, cache: cache}
+	if lo < hi {
+		last := file.blocks[file.findBlock(hi-1)]
+		c.end = last.off + int64(last.length)
 	}
+	return c
 }
 
-func (c *bex2Cursor) reset() error {
+// release ends the cursor's hold on its current block: the cache pin drops
+// and the buffer set goes back to the pool. A batch aliasing either is valid
+// only until the next call on the stream, which is this one.
+func (c *bex2Cursor) release() {
+	decodeCache.release(c.cached)
+	if c.bufs != nil {
+		c.file.bufs.Put(c.bufs)
+	}
+	c.blk, c.decoded, c.served, c.cached, c.bufs = -1, nil, 0, nil, nil
+}
+
+func (c *bex2Cursor) reset() {
+	c.release()
 	c.pos = c.lo
-	c.blk = -1
-	c.unpin()
-	c.decoded = nil
-	c.served = 0
 	c.active = true
-	if c.lo == c.hi {
-		return nil
-	}
-	if c.src.limitOff == 0 {
-		last := c.meta.blocks[c.meta.findBlock(c.hi-1)]
-		c.src.limitOff = last.off + int64(last.length)
-	}
-	return c.src.open()
+}
+
+func (c *bex2Cursor) close() {
+	c.release()
+	c.active = false
 }
 
 // load decodes (or cache-fetches) the block containing c.pos and positions
@@ -715,72 +704,94 @@ func (c *bex2Cursor) reset() error {
 // boundaries — and downstream results at any worker count — are identical
 // with the cache on or off.
 func (c *bex2Cursor) load() error {
-	k := c.meta.findBlock(c.pos)
-	b := c.meta.blocks[k]
-	var key blockCacheKey
+	k := c.file.findBlock(c.pos)
+	b := c.file.blocks[k]
+	key := blockCacheKey{file: c.file.ident, blk: k}
+	var ent *blockCacheEntry
 	if c.cache {
-		key = blockCacheKey{file: c.meta.ident, blk: k}
-		if ent, ok := decodeCache.get(key); ok {
-			c.unpin()
-			c.cached = ent
-			c.decoded = ent.edges
-			c.blk = k
-			c.served = c.pos - b.firstPos
-			return nil
-		}
+		ent, _ = decodeCache.get(key)
 	}
-	raw, err := c.src.block(k)
-	if err != nil {
-		return err
-	}
-	// Cached blocks are decoded into a fresh slice (entries are immutable
-	// and shared); uncached loads reuse the cursor's scratch buffer.
 	var dst []graph.Edge
-	if c.cache {
-		dst = make([]graph.Edge, b.count)
-	} else {
-		if cap(c.scratch) < b.count {
-			c.scratch = make([]graph.Edge, b.count)
+	if ent == nil {
+		var err error
+		if dst, err = c.decode(k, b); err != nil {
+			return err
 		}
-		dst = c.scratch[:b.count]
 	}
-	checkCRC := !c.meta.verified[k].Load()
-	if err := decodeBex2Block(c.meta.path, k, b, raw, dst, checkCRC); err != nil {
-		return err
-	}
-	if checkCRC {
-		c.meta.verified[k].Store(true)
-	}
-	c.unpin()
-	if c.cache {
+	// The old pin drops before an insert, so the insert's eviction can take
+	// the block this cursor just left.
+	decodeCache.release(c.cached)
+	if ent == nil && c.cache {
 		// Insert only after the complete, verified decode above: an error,
 		// cancellation, or injected fault returns before this line, so a
 		// partially-decoded block is never visible to other cursors. A
 		// racing insert yields the first cursor's identical entry.
-		if ent := decodeCache.put(key, dst); ent != nil {
-			c.cached = ent
-			dst = ent.edges
-		}
+		ent = decodeCache.put(key, dst)
 	}
-	c.decoded = dst
-	c.blk = k
-	c.served = c.pos - b.firstPos
+	if c.cached = ent; ent != nil {
+		dst = ent.edges
+	}
+	c.decoded, c.blk, c.served = dst, k, c.pos-b.firstPos
 	return nil
 }
 
-// nextChunk returns the next run of decoded edges within the window without
-// copying (the caller copies if it must).
-func (c *bex2Cursor) nextChunk() ([]graph.Edge, error) {
+// decode reads block k through the file's handle and decodes it: into a
+// fresh slice for the cache (entries are immutable and shared), otherwise
+// into the borrowed buffer set. Sequential scans are served from the
+// read-ahead buffer: one positioned read per bex2ReadAhead bytes, never past
+// the window's end, so a small shard range costs a read of its own bytes,
+// not a megabyte of its neighbors'.
+func (c *bex2Cursor) decode(k int, b bex2Block) ([]graph.Edge, error) {
+	if c.bufs == nil {
+		c.bufs = c.file.bufs.Get()
+	}
+	buf := c.bufs
+	end := b.off + int64(b.length)
+	if b.off < buf.off || end > buf.off+int64(len(buf.raw)) {
+		want := max(min(bex2ReadAhead, c.end-b.off), int64(b.length))
+		if int64(cap(buf.raw)) < want {
+			// A power-of-two capacity serves every later window of about
+			// the same size, so shards of one pass do not regrow the set.
+			buf.raw = make([]byte, 1<<bits.Len64(uint64(want-1)))
+		}
+		buf.raw, buf.off = buf.raw[:want], b.off
+		if _, err := c.file.handle.ReadAt(buf.raw, b.off); err != nil {
+			buf.raw = buf.raw[:0] // a failed read may have overwritten some of it
+			return nil, fmt.Errorf("stream: %s truncated at block %d (edge %d): %w (%w)",
+				c.file.path, k, b.firstPos, err, ErrTruncated)
+		}
+	}
+	var dst []graph.Edge
+	if c.cache {
+		dst = make([]graph.Edge, b.count)
+	} else {
+		if cap(buf.edges) < b.count {
+			buf.edges = make([]graph.Edge, b.count)
+		}
+		dst = buf.edges[:b.count]
+	}
+	raw := buf.raw[b.off-buf.off : end-buf.off]
+	if err := decodeBex2Block(c.file.path, k, b, raw, dst, !c.file.verified[k].Load()); err != nil {
+		return nil, err
+	}
+	c.file.verified[k].Store(true)
+	return dst, nil
+}
+
+// nextBatch delivers the next run of decoded edges within the window:
+// copied into buf when it is non-empty, else aliasing the decoded block.
+func (c *bex2Cursor) nextBatch(buf []graph.Edge) ([]graph.Edge, error) {
 	if !c.active {
 		return nil, ErrNoPass
 	}
 	if c.pos >= c.hi {
-		// The pass is exhausted: drop the pin on the final block now rather
-		// than at reset/close, so short-lived range sub-streams (shards are
-		// drained and discarded, never closed) do not pin cache entries for
-		// the life of the parent. Any chunk the caller still aliases stays
-		// valid — eviction only drops residency, the GC owns the memory.
-		c.unpin()
+		// The pass is exhausted: release the final block now rather than at
+		// reset/close, so range sub-streams that are drained but never
+		// closed neither pin cache entries for the life of the parent nor
+		// keep a buffer set from the next shard. Eviction only drops
+		// residency, the GC owns the memory, so a chunk the caller still
+		// aliases after an eviction stays valid.
+		c.release()
 		return nil, ErrEndOfPass
 	}
 	if c.blk < 0 || c.served >= len(c.decoded) {
@@ -788,39 +799,13 @@ func (c *bex2Cursor) nextChunk() ([]graph.Edge, error) {
 			return nil, err
 		}
 	}
-	chunk := c.decoded[c.served:]
-	if room := c.hi - c.pos; len(chunk) > room {
-		chunk = chunk[:room]
-	}
-	return chunk, nil
-}
-
-func (c *bex2Cursor) nextBatch(buf []graph.Edge) ([]graph.Edge, error) {
-	chunk, err := c.nextChunk()
-	if err != nil {
-		return nil, err
-	}
-	if len(buf) > 0 && len(chunk) > len(buf) {
-		chunk = chunk[:len(buf)]
-	}
+	chunk := c.decoded[c.served:min(len(c.decoded), c.served+c.hi-c.pos)]
 	if len(buf) > 0 {
-		copy(buf, chunk)
-		buf = buf[:len(chunk)]
-	} else {
-		buf = chunk
+		chunk = buf[:copy(buf, chunk)]
 	}
 	c.pos += len(chunk)
 	c.served += len(chunk)
-	return buf, nil
-}
-
-func (c *bex2Cursor) closeCursor() error {
-	c.active = false
-	c.blk = -1
-	c.unpin()
-	c.decoded = nil
-	c.served = 0
-	return c.src.close()
+	return chunk, nil
 }
 
 // Bex2Stream streams edges from a .bex v2 file through buffered positioned
@@ -851,17 +836,24 @@ func openBex2Cache(path string, cache bool) (*Bex2Stream, error) {
 	return newBex2Stream(meta, file, cache), nil
 }
 
-func newBex2Stream(meta *bex2Meta, file *os.File, cache bool) *Bex2Stream {
-	return &Bex2Stream{cur: bex2Cursor{
-		meta: meta,
-		src:  &bex2FileSource{meta: meta, file: file},
-		lo:   0, hi: meta.m,
-		cache: cache,
-	}}
+func newBex2Stream(meta *bex2Meta, handle *os.File, cache bool) *Bex2Stream {
+	file := &bex2File{bex2Meta: meta, handle: handle, bufs: NewShardPool(
+		func() *bex2Bufs { return new(bex2Bufs) },
+		func(b *bex2Bufs) { b.raw = b.raw[:0] })}
+	return &Bex2Stream{cur: newBex2Cursor(file, 0, meta.m, cache)}
 }
 
-// Reset implements Stream.
-func (b *Bex2Stream) Reset() error { return b.cur.reset() }
+// Reset implements Stream. After Close it reopens the path, and fails with
+// ErrCorruptHeader if the path no longer names the file opened.
+func (b *Bex2Stream) Reset() error {
+	if b.cur.file.handle == nil {
+		if err := b.cur.file.reopen(); err != nil {
+			return err
+		}
+	}
+	b.cur.reset()
+	return nil
+}
 
 // Next implements Stream.
 func (b *Bex2Stream) Next() (graph.Edge, error) { return nextEdge(b) }
@@ -874,37 +866,42 @@ func (b *Bex2Stream) NextBatch(buf []graph.Edge) ([]graph.Edge, error) {
 }
 
 // Len implements Stream; a .bex stream always knows its length.
-func (b *Bex2Stream) Len() (int, bool) { return b.cur.meta.m, true }
+func (b *Bex2Stream) Len() (int, bool) { return b.cur.file.m, true }
 
 // RangeStream implements RangeStreamer via the footer index: available from
-// the moment the file is opened, before any pass.
+// the moment the file is opened, before any pass. The sub-stream reads
+// through this stream's handle and buffer pool, so it must be closed (or
+// dropped) before this stream's Close.
 func (b *Bex2Stream) RangeStream(lo, hi int) (Stream, bool) {
-	if lo < 0 || hi < lo || hi > b.cur.meta.m {
+	if lo < 0 || hi < lo || hi > b.cur.file.m {
 		return nil, false
 	}
-	meta := b.cur.meta
-	return &bex2Range{cur: bex2Cursor{
-		meta: meta,
-		src:  &bex2FileSource{meta: meta},
-		lo:   lo, hi: hi,
-		cache: b.cur.cache,
-	}}, true
+	return &bex2Range{cur: newBex2Cursor(b.cur.file, lo, hi, b.cur.cache)}, true
 }
 
 // Close releases the file handle; the stream can be Reset afterwards.
-func (b *Bex2Stream) Close() error { return b.cur.closeCursor() }
+func (b *Bex2Stream) Close() error {
+	b.cur.close()
+	f := b.cur.file
+	if f.handle == nil {
+		return nil
+	}
+	err := f.handle.Close()
+	f.handle = nil
+	return err
+}
 
 // Backend implements Backender.
 func (b *Bex2Stream) Backend() string { return BackendBex2 }
 
-// bex2Range is an independent stream over positions [lo, hi) of a .bex v2
-// file with its own file handle.
+// bex2Range is a stream over positions [lo, hi) of an open .bex v2 file,
+// read through the file's shared handle.
 type bex2Range struct {
 	cur bex2Cursor
 }
 
-func (r *bex2Range) Reset() error                                     { return r.cur.reset() }
+func (r *bex2Range) Reset() error                                     { r.cur.reset(); return nil }
 func (r *bex2Range) Next() (graph.Edge, error)                        { return nextEdge(r) }
 func (r *bex2Range) NextBatch(buf []graph.Edge) ([]graph.Edge, error) { return r.cur.nextBatch(buf) }
 func (r *bex2Range) Len() (int, bool)                                 { return r.cur.hi - r.cur.lo, true }
-func (r *bex2Range) Close() error                                     { return r.cur.closeCursor() }
+func (r *bex2Range) Close() error                                     { r.cur.close(); return nil }

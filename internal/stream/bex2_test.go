@@ -6,8 +6,10 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"degentri/internal/graph"
 )
@@ -248,6 +250,113 @@ func TestBex2RangeStream(t *testing.T) {
 	}
 }
 
+// TestBex2OpenFileServesOneGeneration pins that an open .bex v2 stream reads
+// the file it opened, not whatever its path names later. B swaps the
+// endpoints of A's edges, so it has A's block geometry and its blocks decode
+// cleanly under A's footer (their CRCs were checked on A's first pass and
+// are not checked again): a reader that reopened the path would deliver B's
+// edges without an error. After B is renamed over the path, every sharded
+// pass must still deliver exactly A's edges, with the decoded-block cache on
+// or off, and a Reset after Close must refuse the path.
+func TestBex2OpenFileServesOneGeneration(t *testing.T) {
+	resetDecodeEngine(t, DefaultDecodeCacheBytes)
+	const m = 40_000
+	a := shardTestEdges(m)
+	b := make([]graph.Edge, m)
+	for i, e := range a {
+		b[i] = graph.Edge{U: e.V, V: e.U}
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "g.bex")
+	// openAThenRenameB opens A at path, runs one pass, and renames B over
+	// path; closeFirst closes the stream between the pass and the rename.
+	openAThenRenameB := func(cache, closeFirst bool) FileBacked {
+		t.Helper()
+		if _, err := WriteBex2File(path, FromEdges(a), 1024); err != nil {
+			t.Fatal(err)
+		}
+		s, err := OpenAutoOpts(path, OpenOptions{DecodeCache: cache})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameEdges(t, collectAll(t, s), a, "first pass")
+		if closeFirst {
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		other := filepath.Join(dir, "b.bex")
+		if _, err := WriteBex2File(other, FromEdges(b), 1024); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Rename(other, path); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	for _, cache := range []bool{false, true} {
+		s := openAThenRenameB(cache, false)
+		for _, workers := range []int{1, 2, 4, 8} {
+			perShard, order := collectSharded(t, s, m, workers)
+			checkShardedResult(t, a, perShard, order, workers)
+		}
+		s.Close()
+	}
+	s := openAThenRenameB(false, true)
+	if err := s.Reset(); !errors.Is(err, ErrCorruptHeader) {
+		t.Fatalf("Reset after B replaced the closed file = %v, want ErrCorruptHeader", err)
+	}
+}
+
+// TestBex2ShardedPassReusesBuffers pins the open file's buffer pool: the
+// range sub-streams of an uncached sharded pass borrow their read-ahead and
+// decode buffers from it instead of allocating a set per shard. After a
+// warm-up pass, a whole 64-shard pass at 4 workers allocates less than
+// workers+2 buffer sets, where one set per shard would be 64.
+func TestBex2ShardedPassReusesBuffers(t *testing.T) {
+	const workers, blockEdges = 4, 1024
+	m := NumShards * shardTargetEdges
+	if ActiveShards(m) != NumShards {
+		t.Fatalf("%d edges make %d shards, want %d", m, ActiveShards(m), NumShards)
+	}
+	path := filepath.Join(t.TempDir(), "g.bex")
+	if _, err := WriteBex2File(path, FromEdges(bex2TestEdges(m)), blockEdges); err != nil {
+		t.Fatal(err)
+	}
+	s, err := OpenBex2(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	// A set is counted as the largest shard's bytes plus one decoded block:
+	// the least a range allocates when it has buffers of its own.
+	f := s.cur.file
+	var set int64
+	for k := 0; k < NumShards; k++ {
+		lo, hi := ShardRange(m, k)
+		first, last := f.blocks[f.findBlock(lo)], f.blocks[f.findBlock(hi-1)]
+		set = max(set, last.off+int64(last.length)-first.off)
+	}
+	set += blockEdges * int64(unsafe.Sizeof(graph.Edge{}))
+	pass := func() {
+		t.Helper()
+		if _, err := ShardedForEachBatch(s, m, workers,
+			func(int, []graph.Edge) error { return nil },
+			func(int) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pass()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	pass()
+	runtime.ReadMemStats(&after)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(workers+2)*uint64(set); got > limit {
+		t.Fatalf("uncached sharded pass allocated %d bytes, over %d (%d buffer sets of %d bytes)",
+			got, limit, workers+2, set)
+	}
+}
+
 // TestBex2NoFirstScanIndexBuild is the acceptance pin for the tentpole: a
 // fresh v2 file serves shard ranges from byte zero — RangeStream is
 // available before any pass, and a sharded multi-worker pass costs exactly
@@ -374,7 +483,7 @@ func TestBex2BlockCorruptionFailsDeterministically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	off := fs.cur.meta.blocks[3].off + 5
+	off := fs.cur.file.blocks[3].off + 5
 	fs.Close()
 	path := corrupt(t, dir, "flipped.bex", raw, func(b []byte) []byte {
 		b[off] ^= 0x40

@@ -250,7 +250,7 @@ func TestBex2CachedReadsStillVerifyCRCs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	off := fs.cur.meta.blocks[3].off + 5
+	off := fs.cur.file.blocks[3].off + 5
 	fs.Close()
 	path := corrupt(t, dir, "flipped.bex", raw, func(b []byte) []byte {
 		b[off] ^= 0x40

@@ -260,7 +260,7 @@ func (f *FileStream) dropCopy() error {
 		return nil
 	}
 	err := f.copy.Close()
-	os.Remove(f.copy.cur.meta.path) // best effort, as in removeTemp
+	os.Remove(f.copy.cur.file.path) // best effort, as in removeTemp
 	f.copy = nil
 	f.onCopy = false
 	return err

@@ -24,7 +24,7 @@ func fuzzSeedBlock(f *testing.F, edges []graph.Edge) (uint16, []byte) {
 		f.Fatal(err)
 	}
 	defer s.Close()
-	b := s.cur.meta.blocks[0]
+	b := s.cur.file.blocks[0]
 	raw := make([]byte, b.length)
 	file, err := os.Open(path)
 	if err != nil {

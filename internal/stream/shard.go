@@ -66,7 +66,9 @@ type RangeStreamer interface {
 	// or ok == false when range access is currently unavailable (for example
 	// a text stream before the pass that writes its .bex v2 copy). A returned
 	// stream must be Reset before use; if it implements io.Closer the caller
-	// is responsible for closing it.
+	// is responsible for closing it. A sub-stream may read through its
+	// parent's open file (a .bex v2 range does), so it must be closed or
+	// dropped before the parent's Close.
 	RangeStream(lo, hi int) (Stream, bool)
 }
 

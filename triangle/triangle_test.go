@@ -238,4 +238,7 @@ func TestFileAPIErrors(t *testing.T) {
 	if _, err := EstimateFile(empty, Options{Degeneracy: 2}); err != ErrNoEdges {
 		t.Errorf("empty file should return ErrNoEdges, got %v", err)
 	}
+	if _, err := EstimateFile(writeEdgeFile(t, Wheel(50)), Options{SampleMultiplier: math.NaN()}); err == nil {
+		t.Error("a NaN sample multiplier should error")
+	}
 }
