@@ -27,6 +27,7 @@ import (
 	"flag"
 	"fmt"
 	"io/fs"
+	"math"
 	"os"
 	"os/signal"
 
@@ -71,6 +72,16 @@ func main() {
 	if *input == "" {
 		fmt.Fprintln(os.Stderr, "trianglecount: -input is required")
 		flag.Usage()
+		os.Exit(exitUsage)
+	}
+	// The library rejects these too; checking here names the flag and exits
+	// with the usage code. Zero selects the library default.
+	if *epsilon != 0 && !(*epsilon > 0 && *epsilon < 1) {
+		fmt.Fprintf(os.Stderr, "trianglecount: -epsilon must be in (0, 1), got %v\n", *epsilon)
+		os.Exit(exitUsage)
+	}
+	if !(*mult >= 0 && *mult <= math.MaxFloat64) {
+		fmt.Fprintf(os.Stderr, "trianglecount: -multiplier must be positive and finite, got %v\n", *mult)
 		os.Exit(exitUsage)
 	}
 

@@ -251,6 +251,10 @@ func EstimateOn(x passes.Executor, cfg Config, tees ...*stream.SharedMeter) (Res
 	edgeDegs := make([]int64, len(R))
 	var dR int64
 	for i, e := range R {
+		if e.U == e.V {
+			// A self-loop lies in no clique: d_e = 0, so no instance draws it.
+			continue
+		}
 		du, _ := vertexDeg.Get(e.U)
 		dv, _ := vertexDeg.Get(e.V)
 		de := du

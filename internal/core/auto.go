@@ -26,6 +26,15 @@ var ErrNoEdges = errors.New("core: stream contains no edges")
 // κ is cfg.Kappa, supplied by the caller: the search neither peels nor
 // otherwise derives a bound (the triangle facade resolves one per session).
 //
+// A probe at a guess above 1 stops after pass 4 when even assigning every
+// closed wedge could not lift its estimate to its guess (Result.Rejected):
+// the full run would have been rejected too, so the accepted estimate is
+// unchanged, but the probe neither runs passes 5–6 nor allocates their
+// state. A rejected probe has no estimate, so the deadline fallback below
+// degrades only to probes that ran all their passes, and a search that
+// would have hit MaxSpaceWords inside a doomed probe's passes 5–6 goes on
+// to the next guess. The confirmation run is never rejected.
+//
 // The search runs on the pass-fusion scan scheduler: probes are executed in
 // speculative batches of Config.SpecWidth (default 2), and because probe
 // seeds are keyed by attempt index, pass k of every probe in a batch shares
@@ -80,7 +89,7 @@ func AutoEstimateCtx(ctx context.Context, src stream.Stream, cfg Config) (Result
 	}
 	sch := sched.NewCtx(ctx, counter, m, workers, cfg.Retry)
 	c := sch.NewClient()
-	res, err := AutoEstimateFrom(c, cfg)
+	res, err := AutoEstimateFrom(c, cfg, nil)
 	c.Done()
 	res.Passes += prelude
 	res.Scans = prelude + sch.Scans()
@@ -97,6 +106,8 @@ func AutoEstimateCtx(ctx context.Context, src stream.Stream, cfg Config) (Result
 // boundary) while fused peers complete bit-identically. The degradation
 // semantics are those of AutoEstimateCtx.
 //
+// deg, when non-nil, is a degree oracle every run of the search reads (see
+// Estimator.UseDegrees): a full probe then makes 5 passes instead of 6.
 // Every probe's words are charged to the scheduler's group meter and to
 // tees, the further group meters a caller passes (a session's, say, so it
 // can hand its words back once the search has returned).
@@ -107,7 +118,7 @@ func AutoEstimateCtx(ctx context.Context, src stream.Stream, cfg Config) (Result
 // scan bound. The handoff client is left parked; the caller remains
 // responsible for its Done. The caller also owns physical-scan accounting:
 // Result.Scans is left zero.
-func AutoEstimateFrom(c *sched.Client, cfg Config, tees ...*stream.SharedMeter) (Result, error) {
+func AutoEstimateFrom(c *sched.Client, cfg Config, deg []int32, tees ...*stream.SharedMeter) (Result, error) {
 	sch, clientCtx, handoff := c.Scheduler(), c.Context(), c
 	// release parks the handoff client; it must be called only once at least
 	// one search-owned client is registered (a just-registered client is
@@ -144,10 +155,13 @@ func AutoEstimateFrom(c *sched.Client, cfg Config, tees ...*stream.SharedMeter) 
 	// teed into the search and scheduler group meters (and the caller's
 	// tees) so the concurrent peak is accounted at every granularity. The
 	// client must be registered before the probe goroutine starts (see
-	// runBatch) so a whole batch fuses from its first wave.
-	runProbe := func(c *sched.Client, runCfg Config) (Result, error) {
+	// runBatch) so a whole batch fuses from its first wave. A halving probe
+	// at a guess above 1 may be rejected after pass 4.
+	runProbe := func(c *sched.Client, runCfg Config, halving bool) (Result, error) {
 		defer c.Done()
 		est := NewEstimator(runCfg)
+		est.UseDegrees(deg)
+		est.rejectBelowGuess = halving && runCfg.TGuess > 1
 		est.TeeSpace(searchMeter)
 		est.TeeSpace(sch.Meter())
 		for _, g := range tees {
@@ -169,7 +183,7 @@ func AutoEstimateFrom(c *sched.Client, cfg Config, tees ...*stream.SharedMeter) 
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				results[i], errs[i] = runProbe(clients[i], cfgs[i])
+				results[i], errs[i] = runProbe(clients[i], cfgs[i], true)
 			}(i)
 		}
 		wg.Wait()
@@ -180,38 +194,21 @@ func AutoEstimateFrom(c *sched.Client, cfg Config, tees ...*stream.SharedMeter) 
 	if width == 0 {
 		width = 2
 	}
-	guess0 := int64(2) * int64(m) * int64(cfg.Kappa)
-	if guess0 < 1 {
-		guess0 = 1
-	}
-	// guessAt reproduces the sequential halving: attempt i probes guess0
-	// halved i times, floored at 1.
-	guessAt := func(attempt int) int64 {
-		g := guess0
-		for i := 0; i < attempt && g > 1; i++ {
-			g /= 2
-		}
-		if g < 1 {
-			g = 1
-		}
-		return g
-	}
 
 	// last is the most recent completed probe (drives acceptance and the
 	// confirmation run); lastGood is the most recent one whose estimate is
 	// actually usable (> 0) — the only kind worth degrading to when a
 	// deadline interrupts the search. A probe can legitimately complete with
 	// estimate 0 (none of its sampled wedges closed at a far-too-high guess),
-	// and "partial result: 0 triangles" would be worse than an error.
+	// and "partial result: 0 triangles" would be worse than an error. A
+	// rejected probe has no estimate, so it never becomes lastGood.
 	var last, lastGood Result
 	haveGood := false
 	accepted := -1
 	for base := 0; accepted < 0; base += width {
 		cfgs := make([]Config, 0, width)
 		for i := base; i < base+width; i++ {
-			runCfg := cfg
-			runCfg.TGuess = guessAt(i)
-			runCfg.Seed = cfg.Seed + uint64(i)*0x9e37
+			runCfg := probeConfig(cfg, m, i)
 			cfgs = append(cfgs, runCfg)
 			if runCfg.TGuess == 1 {
 				break // guess 1 is always terminal; deeper probes are waste
@@ -263,14 +260,9 @@ func AutoEstimateFrom(c *sched.Client, cfg Config, tees ...*stream.SharedMeter) 
 	// bias while staying within a constant factor of the accepted run's
 	// space.
 	if last.Estimate > 0 {
-		confirmGuess := int64(last.Estimate / 2)
-		if confirmGuess < 1 {
-			confirmGuess = 1
-		}
-		runCfg := cfg
-		runCfg.TGuess = confirmGuess
-		runCfg.Seed = cfg.Seed + uint64(accepted+1)*0x9e37 + 0x51ed
-		res, err := runProbe(sch.NewClientCtx(clientCtx), runCfg)
+		runCfg := confirmConfig(cfg, accepted, last.Estimate)
+		confirmGuess := runCfg.TGuess
+		res, err := runProbe(sch.NewClientCtx(clientCtx), runCfg, false)
 		logical += res.Passes
 		if err != nil {
 			if ctxDone(err) {
@@ -288,4 +280,25 @@ func AutoEstimateFrom(c *sched.Client, cfg Config, tees ...*stream.SharedMeter) 
 		}
 	}
 	return finish(last), nil
+}
+
+// probeConfig is attempt i of the sequential halving over a stream of m
+// edges: the guess is 2mκ halved i times, floored at 1, and the seed is
+// keyed by i, so a probe is the same run at any speculation width.
+func probeConfig(cfg Config, m, attempt int) Config {
+	g := max(int64(2)*int64(m)*int64(cfg.Kappa), 1)
+	for i := 0; i < attempt && g > 1; i++ {
+		g /= 2
+	}
+	cfg.TGuess = g
+	cfg.Seed += uint64(attempt) * 0x9e37
+	return cfg
+}
+
+// confirmConfig is the confirmation run after attempt accepted returned
+// estimate: a guess of half the estimate (at least 1) and a fresh seed.
+func confirmConfig(cfg Config, accepted int, estimate float64) Config {
+	cfg.TGuess = max(int64(estimate/2), 1)
+	cfg.Seed += uint64(accepted+1)*0x9e37 + 0x51ed
+	return cfg
 }

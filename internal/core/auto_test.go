@@ -2,10 +2,12 @@ package core
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"degentri/internal/gen"
 	"degentri/internal/sampling"
+	"degentri/internal/sched"
 	"degentri/internal/stream"
 )
 
@@ -100,4 +102,88 @@ func TestAutoEstimateBarabasiAlbert(t *testing.T) {
 	if rel > 0.4 {
 		t.Fatalf("auto-estimate BA relative error %.3f", rel)
 	}
+}
+
+// TestEarlyRejectionIsSafe replays searches at SpecWidth 1 probe by probe and
+// pins that early rejection drops only doomed probes: a probe is rejected
+// after pass 4 exactly when its closed-wedge bound is below its guess, and
+// every rejected probe estimates below its guess when run to completion. Each replay
+// is tied to its search: with the confirmation run it makes the search's
+// logical passes and returns the search's estimate bit for bit. The searches
+// run with degrees counted and with a degree oracle.
+func TestEarlyRejectionIsSafe(t *testing.T) {
+	g := gen.HolmeKim(4000, 5, 0.6, 21)
+	src := stream.FromGraphShuffled(g, 5)
+	m := g.NumEdges()
+	deg := make([]int32, g.NumVertices())
+	for v := range deg {
+		deg[v] = int32(g.Degree(v))
+	}
+	run := func(cfg Config, oracle []int32, reject bool) Result {
+		t.Helper()
+		est := NewEstimator(cfg)
+		est.UseDegrees(oracle)
+		est.rejectBelowGuess = reject
+		res, err := est.Run(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	rejected, closedRejected := 0, 0
+	for _, oracle := range [][]int32{nil, deg} {
+		for seed := uint64(1); seed <= 4; seed++ {
+			cfg := DefaultConfig(0.1, 3*g.Degeneracy(), 1)
+			cfg.CR, cfg.CL, cfg.CS = 8, 8, 4
+			cfg.Seed, cfg.SpecWidth, cfg.Workers = seed, 1, 2
+			sch := sched.New(src, m, 2)
+			c := sch.NewClient()
+			search, err := AutoEstimateFrom(c, cfg, oracle)
+			c.Done()
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			passes, accepted := 0, -1
+			var last Result
+			for attempt := 0; accepted < 0; attempt++ {
+				pc := probeConfig(cfg, m, attempt)
+				res := run(pc, oracle, pc.TGuess > 1)
+				passes += res.Passes
+				// The full run's closed-wedge bound, (m/r)·d_R·found/ℓ, decides.
+				full := run(pc, oracle, false)
+				bound := float64(m) / float64(full.SampledEdges) * float64(full.DR) * (float64(full.TrianglesFound) / float64(full.Instances))
+				if want := pc.TGuess > 1 && bound < float64(pc.TGuess); res.Rejected != want {
+					t.Errorf("oracle=%t seed %d attempt %d: rejected=%t with bound %v at guess %d, want %t",
+						oracle != nil, seed, attempt, res.Rejected, bound, pc.TGuess, want)
+				}
+				if res.Rejected {
+					rejected++
+					if res.TrianglesFound > 0 {
+						closedRejected++
+					}
+					if !(full.Estimate < float64(pc.TGuess)) {
+						t.Errorf("oracle=%t seed %d attempt %d: rejected after pass 4, but the full run estimates %v ≥ its guess %d",
+							oracle != nil, seed, attempt, full.Estimate, pc.TGuess)
+					}
+					continue
+				}
+				if res.Estimate >= float64(pc.TGuess) || pc.TGuess == 1 {
+					accepted, last = attempt, res
+				}
+			}
+			if last.Estimate > 0 {
+				last = run(confirmConfig(cfg, accepted, last.Estimate), oracle, false)
+				passes += last.Passes
+			}
+			if search.Passes != passes || math.Float64bits(search.Estimate) != math.Float64bits(last.Estimate) {
+				t.Errorf("oracle=%t seed %d: search %v in %d passes, replay %v in %d",
+					oracle != nil, seed, search.Estimate, search.Passes, last.Estimate, passes)
+			}
+		}
+	}
+	if closedRejected == 0 {
+		t.Fatalf("%d probes rejected, none with a closed wedge: the bound was never tested", rejected)
+	}
+	t.Logf("%d probes rejected, %d of them with closed wedges", rejected, closedRejected)
 }

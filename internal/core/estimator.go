@@ -58,10 +58,20 @@ type instance struct {
 // scheduler client (internal/sched), the run's passes share physical scans
 // with whatever other runs are fused onto the same scheduler, with
 // bit-identical results (all in-pass randomness is keyed, never positional).
+//
+// A run handed every vertex's degree (UseDegrees) is in the paper's Section 4
+// degree-oracle model: it looks degrees up instead of running pass 2 and
+// pass 4's apex count, so a full run makes five passes, with the same
+// estimate bits.
 type Estimator struct {
 	cfg   Config
 	rng   *sampling.RNG
 	meter *stream.SpaceMeter
+	// deg is the degree oracle (nil: passes 2 and 4 count degrees).
+	deg []int32
+	// rejectBelowGuess stops the run after pass 4 when no assignment can
+	// lift its estimate to Config.TGuess (a geometric-search probe).
+	rejectBelowGuess bool
 }
 
 // NewEstimator returns an estimator for the given configuration. The
@@ -75,6 +85,22 @@ func NewEstimator(cfg Config) *Estimator {
 // Budget enforcement (Config.MaxSpaceWords) stays on the private meter —
 // fusion never changes whether an individual run aborts.
 func (est *Estimator) TeeSpace(g *stream.SharedMeter) { est.meter.Tee(g) }
+
+// UseDegrees hands the run a degree oracle: deg[v] is v's degree in the
+// stream under passes.CountDegrees' rule (self-loops skipped, duplicates
+// counted), and an ID outside the array has degree 0. The run then skips
+// pass 2 and pass 4's apex count; its estimate is bit-identical to a run
+// that counts. The array's words belong to its owner, not to the run, and
+// the run only reads it. nil keeps the counting passes.
+func (est *Estimator) UseDegrees(deg []int32) { est.deg = deg }
+
+// oracleDegree looks v up in the degree oracle.
+func (est *Estimator) oracleDegree(v int) (int, bool) {
+	if uint(v) < uint(len(est.deg)) {
+		return int(est.deg[v]), true
+	}
+	return 0, true
+}
 
 // EstimateTriangles is a convenience wrapper: NewEstimator(cfg).Run(src).
 func EstimateTriangles(src stream.Stream, cfg Config) (Result, error) {
@@ -193,23 +219,32 @@ func (est *Estimator) runOn(x passes.Executor) (Result, error) {
 		return res, nil
 	}
 
-	// ----- Pass 2: degrees of the endpoints of R. -----
-	endpoints := make([]int, 0, 2*len(R))
-	for _, e := range R {
-		endpoints = append(endpoints, e.U, e.V)
-	}
-	vertexDeg := graph.NewSortedCounter(endpoints)
-	est.meter.Charge(int64(vertexDeg.Len()) * stream.WordsPerCounter)
-	if err := passes.CountDegrees(x, vertexDeg); err != nil {
-		finishPasses()
-		return res, err
+	// ----- Pass 2: degrees of the endpoints of R, unless an oracle has them. -----
+	degreeOf := est.oracleDegree
+	var vertexDeg *graph.SortedCounter
+	if est.deg == nil {
+		endpoints := make([]int, 0, 2*len(R))
+		for _, e := range R {
+			endpoints = append(endpoints, e.U, e.V)
+		}
+		vertexDeg = graph.NewSortedCounter(endpoints)
+		est.meter.Charge(int64(vertexDeg.Len()) * stream.WordsPerCounter)
+		if err := passes.CountDegrees(x, vertexDeg); err != nil {
+			finishPasses()
+			return res, err
+		}
+		degreeOf = vertexDeg.Get
 	}
 
 	edgeDegs := make([]int64, len(R))
 	var dR int64
 	for i, e := range R {
-		du, _ := vertexDeg.Get(e.U)
-		dv, _ := vertexDeg.Get(e.V)
+		if e.U == e.V {
+			// A self-loop has no wedge: d_e = 0, so no instance draws it.
+			continue
+		}
+		du, _ := degreeOf(e.U)
+		dv, _ := degreeOf(e.V)
 		de := du
 		if dv < de {
 			de = dv
@@ -241,8 +276,8 @@ func (est *Estimator) runOn(x passes.Executor) (Result, error) {
 		inst := &instances[i]
 		inst.edge = e
 		inst.edgeDeg = int(edgeDegs[idx])
-		du, _ := vertexDeg.Get(e.U)
-		dv, _ := vertexDeg.Get(e.V)
+		du, _ := degreeOf(e.U)
+		dv, _ := degreeOf(e.V)
 		if du <= dv {
 			inst.light, inst.other = e.U, e.V
 		} else {
@@ -273,7 +308,7 @@ func (est *Estimator) runOn(x passes.Executor) (Result, error) {
 		}
 	}
 
-	// ----- Pass 4: closure checks and apex degrees. -----
+	// ----- Pass 4: closure checks, and apex degrees unless an oracle has them. -----
 	// Pre-size to the live instance count: every live instance contributes
 	// exactly one closure key and one apex.
 	live := 0
@@ -298,9 +333,19 @@ func (est *Estimator) runOn(x passes.Executor) (Result, error) {
 		apexes = append(apexes, inst.w)
 	}
 	closure := graph.NewEdgeIndex(closureKeys)
-	apexDeg := graph.NewSortedCounter(apexes)
-	est.meter.Charge(int64(closure.Keys())*(stream.WordsPerEdge+stream.WordsPerScalar) +
-		int64(apexDeg.Len())*stream.WordsPerCounter)
+	est.meter.Charge(int64(closure.Keys()) * (stream.WordsPerEdge + stream.WordsPerScalar))
+	var apexDeg *graph.SortedCounter
+	if est.deg == nil {
+		apexDeg = graph.NewSortedCounter(apexes)
+		est.meter.Charge(int64(apexDeg.Len()) * stream.WordsPerCounter)
+		// Degree lookup covering both R endpoints and apex vertices.
+		degreeOf = func(v int) (int, bool) {
+			if d, ok := vertexDeg.Get(v); ok {
+				return d, true
+			}
+			return apexDeg.Get(v)
+		}
+	}
 
 	closedBits, err := passes.ClosureBits(x, closure, len(closureInst), apexDeg)
 	if err != nil {
@@ -314,23 +359,25 @@ func (est *Estimator) runOn(x passes.Executor) (Result, error) {
 	}
 
 	// Collect the discovered triangles.
+	values := make([]float64, len(instances))
 	for i := range instances {
 		inst := &instances[i]
 		if inst.closed {
 			inst.tri = graph.NewTriangle(inst.edge.U, inst.edge.V, inst.w)
 			res.TrianglesFound++
+			values[i] = 1
 		}
 	}
 
-	// Degree lookup covering both R endpoints and apex vertices.
-	degreeOf := func(v int) (int, bool) {
-		if d, ok := vertexDeg.Get(v); ok {
-			return d, true
-		}
-		if d, ok := apexDeg.Get(v); ok {
-			return d, true
-		}
-		return 0, false
+	// Early rejection: Y_i ≤ closed_i for every instance, so the estimate
+	// expression over the closed indicators bounds any estimate passes 5–6
+	// can produce. A probe whose bound is below its guess would be rejected
+	// anyway; it stops here, with no estimate.
+	if est.rejectBelowGuess && cfg.scaledEstimate(m, r, dR, values) < float64(cfg.TGuess) {
+		res.Rejected = true
+		finishPasses()
+		res.SpaceWords = est.meter.Peak()
+		return res, nil
 	}
 
 	// ----- Assignment (Algorithm 3): passes 5 and 6 for the paper's rule. -----
@@ -350,7 +397,6 @@ func (est *Estimator) runOn(x passes.Executor) (Result, error) {
 	}
 
 	// ----- Final estimate. -----
-	values := make([]float64, len(instances))
 	for i := range instances {
 		inst := &instances[i]
 		y := 0.0
@@ -369,15 +415,22 @@ func (est *Estimator) runOn(x passes.Executor) (Result, error) {
 		}
 		values[i] = y
 	}
-	meanY := sampling.MedianOfMeans(values, cfg.Groups)
-	estimate := float64(m) / float64(r) * float64(dR) * meanY
-	if cfg.Rule == RuleNone {
-		estimate /= 3
-	}
-	res.Estimate = estimate
+	res.Estimate = cfg.scaledEstimate(m, r, dR, values)
 	finishPasses()
 	res.SpaceWords = est.meter.Peak()
 	return res, nil
+}
+
+// scaledEstimate is Algorithm 2's estimate (m/r)·d_R·MedianOfMeans(Y) over
+// the instances' indicators, divided by three when every triangle counts
+// through all its edges (RuleNone). It is monotone in every indicator, so
+// over the closed indicators it bounds the estimate from above.
+func (c Config) scaledEstimate(m, r int, dR int64, values []float64) float64 {
+	estimate := float64(m) / float64(r) * float64(dR) * sampling.MedianOfMeans(values, c.Groups)
+	if c.Rule == RuleNone {
+		estimate /= 3
+	}
+	return estimate
 }
 
 func (est *Estimator) overBudget() bool {

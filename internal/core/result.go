@@ -42,11 +42,15 @@ type Result struct {
 	// DistinctTriangles is the number of distinct triangles on which the
 	// assignment procedure was invoked.
 	DistinctTriangles int
-	// DR is d_R = Σ_{e∈R} d_e observed in pass 2.
+	// DR is d_R = Σ_{e∈R} d_e, from pass 2 or the degree oracle.
 	DR int64
 	// Aborted reports that the run hit Config.MaxSpaceWords and stopped
 	// early; Estimate is then meaningless.
 	Aborted bool
+	// Rejected reports that a geometric-search probe stopped after pass 4:
+	// even with every closed wedge assigned, its estimate would have been
+	// below its guess. It has no estimate (Estimate is 0).
+	Rejected bool
 	// Retries counts the transient-I/O recoveries the run's physical scans
 	// performed under Config.Retry. A healed scan is bit-identical to an
 	// undisturbed one, so retries never change Estimate — this is resource

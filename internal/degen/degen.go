@@ -28,12 +28,17 @@
 //     ever-denser surviving core.
 //
 // The per-round degree pass is passes.CountDegreesMasked restricted by a
-// graph.Bitset of alive vertices; the retained state is one dense int32
-// degree array plus the bitset — O(n) words, versus the Θ(m) adjacency the
-// exact computation needs. Every pass runs on the sharded pass engine and is
-// deterministic at any worker count (pure counting, no randomness), so the
-// estimate honors the repository's (seed, passKey, mergeKey) invariance
-// contract trivially.
+// graph.Bitset of alive vertices. Round 1, with every vertex alive, counts
+// every vertex's degree; the peel keeps that array (EstimateWithDegrees hands
+// it to the caller as a degree oracle). Later rounds count only the alive
+// vertices, numbered by their rank in the bitset, into a second array sized
+// to round 1's survivors (fewer than n/(1+ε)), so the peel never holds two
+// n-slot arrays. The retained state is those two dense int32 arrays, the
+// bitset and its per-word rank base — O(n) words, versus the Θ(m) adjacency
+// the exact computation needs. Every pass runs on the sharded pass engine
+// and is deterministic at any worker count (pure counting, no randomness),
+// so the estimate honors the repository's (seed, passKey, mergeKey)
+// invariance contract trivially.
 //
 // The peel is expressed against passes.Executor (EstimateOn), so it can run
 // as a scan-scheduler client: when another client of the same scheduler has
@@ -75,7 +80,7 @@ type Options struct {
 	// spent discovering it.
 	KnownVertices int
 	// Meter, when non-nil, is charged with the peel's O(n) words for the
-	// duration of the peel (charged at state allocation, released on
+	// duration of the peel (charged as each array is allocated, released on
 	// return). Fused callers tee this meter into the scheduler's group
 	// meter, so concurrent peels of fused runs show up in the group peak
 	// while they are actually live — not as a post-hoc lump.
@@ -99,8 +104,10 @@ type Result struct {
 	// Vertices is n, one more than the largest vertex ID seen (the size of
 	// the dense peeling state).
 	Vertices int
-	// SpaceWords is the accounted peak space: the dense degree array plus the
-	// alive bitset, in machine words.
+	// SpaceWords is the accounted peak space in machine words: round 1's
+	// degree array (n, one word per int32 slot) and the alive bitset
+	// (⌈n/64⌉), plus from round 2 on a working array with one slot per
+	// survivor of round 1 and the bitset's rank base (⌈n/64⌉).
 	SpaceWords int64
 }
 
@@ -123,6 +130,17 @@ func Estimate(s stream.Stream, m int, opts Options) (Result, error) {
 // clients have pending — this is how a peel shares scans with an unrelated
 // client's work.
 func EstimateOn(x passes.Executor, opts Options) (Result, error) {
+	res, _, err := EstimateWithDegrees(x, opts)
+	return res, err
+}
+
+// EstimateWithDegrees is EstimateOn that also returns round 1's degree
+// array: deg[v] is the degree of v over the whole stream, self-loops skipped
+// and duplicate edges counted (passes.CountDegreesMasked's rule), for every
+// v in [0, Vertices); an ID outside that range has degree 0. The array is
+// nil when nothing was peeled or the peel failed. It is the caller's from
+// then on; the peel no longer charges its words.
+func EstimateWithDegrees(x passes.Executor, opts Options) (Result, []int32, error) {
 	eps := opts.Epsilon
 	if eps <= 0 {
 		eps = DefaultEpsilon
@@ -130,7 +148,7 @@ func EstimateOn(x passes.Executor, opts Options) (Result, error) {
 	res := Result{}
 	m := x.M()
 	if m == 0 {
-		return res, nil
+		return res, nil, nil
 	}
 
 	var maxID int
@@ -141,40 +159,61 @@ func EstimateOn(x passes.Executor, opts Options) (Result, error) {
 		maxID, err = passes.MaxVertexID(x)
 		res.Passes++
 		if err != nil {
-			return res, fmt.Errorf("degen: vertex-ID pass: %w", err)
+			return res, nil, fmt.Errorf("degen: vertex-ID pass: %w", err)
 		}
 	}
 	if maxID < 0 {
 		// Every edge had negative endpoints; nothing peelable.
-		return res, nil
+		return res, nil, nil
 	}
 	n := maxID + 1
 	res.Vertices = n
 
+	// charge accounts one more array of n degree slots (int32 charged
+	// conservatively at a full word, matching the repository's per-counter
+	// accounting) or the bitset's words.
+	charge := func(words int64) {
+		res.SpaceWords += words
+		if opts.Meter != nil {
+			opts.Meter.Charge(words)
+		}
+	}
+	if opts.Meter != nil {
+		defer func() { opts.Meter.Release(res.SpaceWords) }()
+	}
 	alive := graph.NewBitset(n)
 	alive.SetAll()
-	deg := make([]int32, n)
-	// One word per degree slot (int32 charged conservatively at a full word,
-	// matching the repository's per-counter accounting) plus the bitset words.
-	res.SpaceWords = int64(n) + int64((n+63)/64)
-	if opts.Meter != nil {
-		opts.Meter.Charge(res.SpaceWords)
-		defer opts.Meter.Release(res.SpaceWords)
-	}
+	degrees := make([]int32, n)
+	charge(int64(n) + int64((n+63)/64))
 
+	// Round 1 counts into degrees by vertex ID (every vertex is alive, so the
+	// ID is the rank), and degrees is kept. Later rounds count into deg by
+	// rank among the alive vertices: it is allocated at round 2 for round
+	// 1's survivors and shortened as the alive set shrinks.
+	deg := degrees
+	var rank []int32
 	aliveCount := n
 	for aliveCount > 0 {
 		// The pass below polls the context every batch; this check stops a
 		// cancelled peel from starting another round.
 		if cerr := x.Context().Err(); cerr != nil {
-			return res, fmt.Errorf("degen: peel cancelled before round %d: %w", res.Rounds+1, context.Cause(x.Context()))
+			return res, nil, fmt.Errorf("degen: peel cancelled before round %d: %w", res.Rounds+1, context.Cause(x.Context()))
+		}
+		if res.Rounds == 1 {
+			rank = make([]int32, (n+63)/64)
+			deg = make([]int32, aliveCount)
+			charge(int64(len(rank)) + int64(aliveCount))
+		}
+		if rank != nil {
+			alive.RankBase(rank)
+			deg = deg[:aliveCount]
 		}
 		clear(deg)
-		induced, err := passes.CountDegreesMasked(x, alive, deg)
+		induced, err := passes.CountDegreesMasked(x, alive, rank, deg)
 		res.Rounds++
 		res.Passes++
 		if err != nil {
-			return res, fmt.Errorf("degen: peel round %d: %w", res.Rounds, err)
+			return res, nil, fmt.Errorf("degen: peel round %d: %w", res.Rounds, err)
 		}
 
 		// Density lower bound κ ≥ ⌈m'/n'⌉ (m' ≤ κ·n' for any subgraph).
@@ -183,9 +222,12 @@ func EstimateOn(x passes.Executor, opts Options) (Result, error) {
 		}
 		cut := 2 * (1 + eps) * float64(induced) / float64(aliveCount)
 
-		removed, minDeg := 0, int32(-1)
+		// ForEach visits the alive vertices in rank order, so the i-th one's
+		// induced degree is deg[i].
+		removed, minDeg, i := 0, int32(-1), 0
 		alive.ForEach(func(v int) {
-			d := deg[v]
+			d := deg[i]
+			i++
 			if float64(d) <= cut {
 				alive.Unset(v)
 				removed++
@@ -201,11 +243,13 @@ func EstimateOn(x passes.Executor, opts Options) (Result, error) {
 		// it pins termination against any float corner case by peeling the
 		// minimum-degree layer directly.
 		if removed == 0 {
+			i = 0
 			alive.ForEach(func(v int) {
-				if deg[v] == minDeg {
+				if deg[i] == minDeg {
 					alive.Unset(v)
 					removed++
 				}
+				i++
 			})
 			if int(minDeg) > res.Kappa {
 				res.Kappa = int(minDeg)
@@ -213,5 +257,5 @@ func EstimateOn(x passes.Executor, opts Options) (Result, error) {
 		}
 		aliveCount -= removed
 	}
-	return res, nil
+	return res, degrees, nil
 }

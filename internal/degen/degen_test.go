@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"degentri/internal/degen"
 	"degentri/internal/gen"
 	"degentri/internal/graph"
+	"degentri/internal/passes"
 	"degentri/internal/stream"
 )
 
@@ -37,11 +39,26 @@ func checkBounds(t *testing.T, name string, g *graph.Graph, eps float64) degen.R
 	if res.Passes != res.Rounds+1 {
 		t.Errorf("%s: passes = %d, want rounds+1 = %d", name, res.Passes, res.Rounds+1)
 	}
-	// O(n) words: the dense degree array plus the alive bitset and nothing
-	// proportional to m.
+	// O(n) words and nothing proportional to m: round 1's degree array and
+	// the alive bitset, plus from round 2 on a working array for round 1's
+	// survivors (the vertices above the first cut) and the rank base.
 	n := int64(g.NumVertices())
-	if res.SpaceWords > 2*n+64 {
-		t.Errorf("%s: space = %d words for n = %d, want O(n)", name, res.SpaceWords, n)
+	want := n + (n+63)/64
+	cut := 2 * (1 + eps) * float64(m) / float64(n)
+	survivors := int64(0)
+	for v := range g.NumVertices() {
+		if float64(g.Degree(v)) > cut {
+			survivors++
+		}
+	}
+	if survivors > 0 {
+		want += survivors + (n+63)/64
+	}
+	if survivors >= n || (survivors > 0) != (res.Rounds > 1) {
+		t.Errorf("%s: %d of %d vertices survive round 1, yet %d rounds ran", name, survivors, n, res.Rounds)
+	}
+	if res.SpaceWords != want {
+		t.Errorf("%s: space = %d words for n = %d over %d rounds, want %d", name, res.SpaceWords, n, res.Rounds, want)
 	}
 	return res
 }
@@ -207,5 +224,45 @@ func TestDuplicateEdgesOnlyRaiseTheBound(t *testing.T) {
 func TestStreamErrorPropagates(t *testing.T) {
 	if _, err := degen.Estimate(stream.OpenFile("/definitely/not/a/file"), 10, degen.Options{}); err == nil {
 		t.Fatal("expected an error from a missing file")
+	}
+}
+
+// TestEstimateWithDegrees pins the degree oracle the peel hands its caller:
+// round 1's array holds every vertex's degree under the peel's counting rule
+// (self-loops skipped, duplicates counted), the result equals EstimateOn's,
+// and the meter sees the whole footprint while the peel runs and nothing
+// after it returns.
+func TestEstimateWithDegrees(t *testing.T) {
+	g := gen.HolmeKim(3000, 5, 0.6, 9)
+	edges := append([]graph.Edge{}, g.Edges()...)
+	edges = append(edges, edges[:500]...) // duplicates
+	for v := 0; v < g.NumVertices(); v += 7 {
+		edges = append(edges, graph.Edge{U: v, V: v})
+	}
+	n := g.NumVertices()
+	want := make([]int32, n)
+	for _, e := range edges {
+		if e.U != e.V {
+			want[e.U]++
+			want[e.V]++
+		}
+	}
+	for _, workers := range []int{1, 4} {
+		meter := stream.NewSpaceMeter()
+		x := passes.NewDirect(stream.FromEdges(edges), len(edges), workers)
+		res, deg, err := degen.EstimateWithDegrees(x, degen.Options{Meter: meter})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(deg, want) {
+			t.Fatalf("workers=%d: round-1 degrees diverge from the brute-force count", workers)
+		}
+		if meter.Current() != 0 || meter.Peak() != res.SpaceWords {
+			t.Errorf("workers=%d: meter current %d peak %d, want 0 and the footprint %d", workers, meter.Current(), meter.Peak(), res.SpaceWords)
+		}
+		alone, err := degen.EstimateOn(passes.NewDirect(stream.FromEdges(edges), len(edges), workers), degen.Options{})
+		if err != nil || alone != res {
+			t.Errorf("workers=%d: EstimateOn %+v (%v), EstimateWithDegrees %+v", workers, alone, err, res)
+		}
 	}
 }

@@ -67,6 +67,24 @@ func (b *Bitset) Or(other *Bitset) {
 	}
 }
 
+// RankBase fills base, which must hold ⌈Len()/64⌉ entries, with the number
+// of set bits in the words below each word, so that Rank can number the set
+// bits densely. It must be refilled after any Set or Unset.
+func (b *Bitset) RankBase(base []int32) {
+	n := int32(0)
+	for w, word := range b.words {
+		base[w] = n
+		n += int32(bits.OnesCount64(word))
+	}
+}
+
+// Rank returns the number of set bits below i, given the base RankBase
+// filled: the set bits are numbered 0, 1, ... in ascending order.
+func (b *Bitset) Rank(base []int32, i int) int {
+	w := uint(i) / 64
+	return int(base[w]) + bits.OnesCount64(b.words[w]&(1<<(uint(i)%64)-1))
+}
+
 // Count returns the number of set bits.
 func (b *Bitset) Count() int {
 	c := 0

@@ -99,6 +99,36 @@ func TestBitsetSetAllUnsetForEach(t *testing.T) {
 	}
 }
 
+func TestBitsetRank(t *testing.T) {
+	// 200 bits span a partial last word; the set bits straddle every word
+	// boundary.
+	b := NewBitset(200)
+	for _, i := range []int{0, 5, 63, 64, 100, 127, 128, 199} {
+		b.Set(i)
+	}
+	base := make([]int32, 4)
+	b.RankBase(base)
+	next := 0
+	for i := range b.Len() {
+		if got := b.Rank(base, i); got != next {
+			t.Fatalf("Rank(%d) = %d, want %d set bits below it", i, got, next)
+		}
+		if b.Test(i) {
+			next++
+		}
+	}
+	// After an Unset, a refilled base numbers the remaining bits densely.
+	b.Unset(64)
+	b.RankBase(base)
+	want := 0
+	b.ForEach(func(i int) {
+		if got := b.Rank(base, i); got != want {
+			t.Errorf("after Unset: Rank(%d) = %d, want %d", i, got, want)
+		}
+		want++
+	})
+}
+
 func TestTriangleIndex(t *testing.T) {
 	tris := []Triangle{
 		NewTriangle(5, 2, 9),

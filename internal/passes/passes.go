@@ -178,16 +178,17 @@ func runPooled[T any](
 // CountDegrees runs one sharded pass that increments deg for both endpoints
 // of every edge, using pooled Forks of the counter merged in shard order. The
 // pass is deterministic (no randomness) and only touches vertices that are
-// keys of deg.
+// keys of deg. Self-loops are skipped and duplicate edges counted, the rule
+// CountDegreesMasked follows, so both passes give every vertex one degree.
 func CountDegrees(x Executor, deg *graph.SortedCounter) error {
 	return runPooled(x,
 		deg.Fork, (*graph.SortedCounter).ResetCounts,
 		func(c *graph.SortedCounter, _ int, batch []graph.Edge) {
 			for _, e := range batch {
-				if c.MayContain(e.U) {
+				if c.MayContain(e.U) && e.U != e.V {
 					c.Inc(e.U)
 				}
-				if c.MayContain(e.V) {
+				if c.MayContain(e.V) && e.U != e.V {
 					c.Inc(e.V)
 				}
 			}
@@ -233,16 +234,21 @@ func MaxVertexID(x Executor) (int, error) {
 // CountDegreesMasked runs one sharded pass counting, into the dense array deg,
 // the degrees of the subgraph induced by the alive vertices: an edge
 // contributes to both endpoints exactly when both are alive bits of the mask.
-// Self-loops and endpoints outside [0, len(deg)) are skipped. It returns the
-// number of stream edges that contributed (the induced edge count, duplicates
-// tallied faithfully).
+// Self-loops and endpoints outside [0, alive.Len()) are skipped. It returns
+// the number of stream edges that contributed (the induced edge count,
+// duplicates tallied faithfully).
+//
+// With rank nil, deg is indexed by vertex ID and holds alive.Len() slots.
+// Otherwise rank is alive's rank base (graph.Bitset.RankBase) and deg is
+// indexed by each vertex's rank among the alive ones, so it needs only
+// alive.Count() slots.
 //
 // Unlike CountDegrees this pass writes a shared dense array with atomic adds
 // instead of pooled forks: integer addition is commutative and associative, so
 // the result is bit-identical at any worker count without per-shard O(n)
 // scratch — the whole point of the pass is staying at O(n) words total.
-func CountDegreesMasked(x Executor, alive *graph.Bitset, deg []int32) (int64, error) {
-	n := uint(len(deg))
+func CountDegreesMasked(x Executor, alive *graph.Bitset, rank, deg []int32) (int64, error) {
+	n := uint(alive.Len())
 	var induced atomic.Int64
 	err := x.RunPass(
 		func(_ int, batch []graph.Edge) error {
@@ -254,8 +260,12 @@ func CountDegreesMasked(x Executor, alive *graph.Bitset, deg []int32) (int64, er
 				if !alive.Test(e.U) || !alive.Test(e.V) {
 					continue
 				}
-				atomic.AddInt32(&deg[e.U], 1)
-				atomic.AddInt32(&deg[e.V], 1)
+				u, v := e.U, e.V
+				if rank != nil {
+					u, v = alive.Rank(rank, u), alive.Rank(rank, v)
+				}
+				atomic.AddInt32(&deg[u], 1)
+				atomic.AddInt32(&deg[v], 1)
 				local++
 			}
 			induced.Add(local)
@@ -283,7 +293,9 @@ type positionShard struct {
 // them, and each shard collects the positions that fall in its range.
 // Because sorted positions give every shard a disjoint index range of the
 // sample array, the per-shard cursors need no merge state and the merge is
-// trivially deterministic. Sampled edges are normalized.
+// trivially deterministic. A batch is indexed at its sampled positions, so
+// it costs O(samples in the batch), not O(batch). Sampled edges are
+// normalized.
 func SampleUniformEdges(x Executor, rng *sampling.RNG, r int) ([]graph.Edge, error) {
 	m := x.M()
 	positions := make([]int, r)
@@ -303,14 +315,12 @@ func SampleUniformEdges(x Executor, rng *sampling.RNG, r int) ([]graph.Edge, err
 				st.init = true
 			}
 			pos, next := st.pos, st.next
-			for _, e := range batch {
-				for next < r && positions[next] == pos {
-					sample[next] = e.Normalize()
-					next++
-				}
-				pos++
+			end := pos + len(batch)
+			for next < r && positions[next] < end {
+				sample[next] = batch[positions[next]-pos].Normalize()
+				next++
 			}
-			st.pos, st.next = pos, next
+			st.pos, st.next = end, next
 			return nil
 		},
 		func(int) error { return nil })
@@ -332,7 +342,8 @@ type neighborShard struct {
 // in groups, one uniform neighbor of its group vertex. The reservoir of
 // instance i in shard k draws from the RNG stream (seed, passKey, i, k) and
 // the per-instance shard merge from (seed, mergeKey, i), which makes the
-// returned samples independent of the worker count. It returns one merger per
+// returned samples independent of the worker count. Self-loops offer
+// nothing: a vertex is never its own neighbor. It returns one merger per
 // instance (Has() == false when the vertex had no neighbors).
 func SampleNeighbors(
 	x Executor,
@@ -361,12 +372,12 @@ func SampleNeighbors(
 				r.Offer(v)
 			}
 			for _, e := range batch {
-				if groups.MayContain(e.U) {
+				if groups.MayContain(e.U) && e.U != e.V {
 					for _, idx := range groups.Lookup(e.U) {
 						offer(idx, e.V)
 					}
 				}
-				if groups.MayContain(e.V) {
+				if groups.MayContain(e.V) && e.U != e.V {
 					for _, idx := range groups.Lookup(e.V) {
 						offer(idx, e.U)
 					}
@@ -393,9 +404,10 @@ type bankShard struct {
 // group vertex's neighborhood. Randomness is keyed exactly like
 // SampleNeighbors — (seed, passKey, instance, shard) for the in-shard draws
 // and (seed, mergeKey, instance) for the shard merges — with a bank in place
-// of the single reservoir. The shard merges leave each instance a uniform
-// k-subset of its offers, and the k samples are drawn from it once the pass
-// ends, so an instance whose vertex has degree d costs O(d + k).
+// of the single reservoir, and self-loops offer nothing there too. The shard
+// merges leave each instance a uniform k-subset of its offers, and the k
+// samples are drawn from it once the pass ends, so an instance whose vertex
+// has degree d costs O(d + k).
 func SampleNeighborBanks(
 	x Executor,
 	groups *graph.VertexGroups, n, k int,
@@ -423,12 +435,12 @@ func SampleNeighborBanks(
 				b.Offer(v)
 			}
 			for _, e := range batch {
-				if groups.MayContain(e.U) {
+				if groups.MayContain(e.U) && e.U != e.V {
 					for _, idx := range groups.Lookup(e.U) {
 						offer(idx, e.V)
 					}
 				}
-				if groups.MayContain(e.V) {
+				if groups.MayContain(e.V) && e.U != e.V {
 					for _, idx := range groups.Lookup(e.V) {
 						offer(idx, e.U)
 					}
@@ -459,9 +471,9 @@ type closureShard struct {
 // ClosureBits runs one sharded pass marking, for every closure item whose
 // edge key appears in the stream, a bit in the returned bitset. When extraDeg
 // is non-nil the same pass also counts, into extraDeg, the degrees of its key
-// vertices (the estimators use this to measure apex degrees without an extra
-// pass). Hit bits are set in per-shard bitsets OR-merged in shard order — no
-// shared writes, no randomness.
+// vertices under CountDegrees' rule (the estimators use this to measure apex
+// degrees without an extra pass). Hit bits are set in per-shard bitsets
+// OR-merged in shard order — no shared writes, no randomness.
 func ClosureBits(
 	x Executor,
 	closure *graph.EdgeIndex, items int,
@@ -490,10 +502,10 @@ func ClosureBits(
 					}
 				}
 				if st.deg != nil {
-					if st.deg.MayContain(e.U) {
+					if st.deg.MayContain(e.U) && e.U != e.V {
 						st.deg.Inc(e.U)
 					}
-					if st.deg.MayContain(e.V) {
+					if st.deg.MayContain(e.V) && e.U != e.V {
 						st.deg.Inc(e.V)
 					}
 				}

@@ -1,6 +1,7 @@
 package passes_test
 
 import (
+	"path/filepath"
 	"slices"
 	"testing"
 
@@ -59,6 +60,23 @@ func (in passInput) ids(vs []int) []int {
 // edge returns the normalized edge (in.id(u), in.id(v)).
 func (in passInput) edge(u, v int) graph.Edge { return graph.NewEdge(in.id(u), in.id(v)) }
 
+// withLoops returns the stream with a self-loop at every vertex below 10,000
+// (past the test graph's largest ID, so isolated vertices get one too),
+// loop v placed after edge v·m/10,000 so loops land in every shard. Every
+// pass ignores loops, so the brute-force references skip them.
+func withLoops(edges []graph.Edge) passInput {
+	const loops = 10000
+	out := make([]graph.Edge, 0, len(edges)+loops)
+	v := 0
+	for i, e := range edges {
+		out = append(out, e)
+		for ; v < loops && v*len(edges)/loops <= i; v++ {
+			out = append(out, graph.Edge{U: v, V: v})
+		}
+	}
+	return passInput{name: "loops", edges: out, id: func(v int) int { return v }}
+}
+
 // relabeled returns edges with both endpoints mapped through sparseID.
 func relabeled(edges []graph.Edge) []graph.Edge {
 	out := make([]graph.Edge, len(edges))
@@ -79,7 +97,8 @@ func passInputs(edges []graph.Edge) []passInput {
 }
 
 func TestCountDegrees(t *testing.T) {
-	for _, in := range passInputs(testGraph(t).Edges()) {
+	edges := testGraph(t).Edges()
+	for _, in := range append(passInputs(edges), withLoops(edges)) {
 		edges := in.edges
 		m := len(edges)
 
@@ -90,6 +109,9 @@ func TestCountDegrees(t *testing.T) {
 			want[k] = 0
 		}
 		for _, e := range edges {
+			if e.U == e.V {
+				continue
+			}
 			for _, v := range []int{e.U, e.V} {
 				if _, ok := want[v]; ok {
 					want[v]++
@@ -162,9 +184,15 @@ func TestCountDegreesMasked(t *testing.T) {
 			wantEdges++
 		}
 	}
+	// By rank, the same counts land on the alive vertices in ascending ID
+	// order, one slot each.
+	var wantRanked []int32
+	alive.ForEach(func(v int) { wantRanked = append(wantRanked, want[v]) })
+	rank := make([]int32, (n+63)/64)
+	alive.RankBase(rank)
 	for _, workers := range workerSweep {
 		deg := make([]int32, n)
-		induced, err := passes.CountDegreesMasked(passes.NewDirect(stream.FromGraph(g), m, workers), alive, deg)
+		induced, err := passes.CountDegreesMasked(passes.NewDirect(stream.FromGraph(g), m, workers), alive, nil, deg)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -174,6 +202,15 @@ func TestCountDegreesMasked(t *testing.T) {
 		if !slices.Equal(deg, want) {
 			t.Errorf("workers=%d: induced degrees diverge from the brute-force count", workers)
 		}
+
+		ranked := make([]int32, alive.Count())
+		induced, err = passes.CountDegreesMasked(passes.NewDirect(stream.FromGraph(g), m, workers), alive, rank, ranked)
+		if err != nil {
+			t.Fatalf("workers=%d ranked: %v", workers, err)
+		}
+		if induced != wantEdges || !slices.Equal(ranked, wantRanked) {
+			t.Errorf("workers=%d: ranked count (%d edges) diverges from the brute-force count (%d)", workers, induced, wantEdges)
+		}
 	}
 
 	// Self loops and out-of-range endpoints are skipped, not counted and not
@@ -182,7 +219,7 @@ func TestCountDegreesMasked(t *testing.T) {
 	small := graph.NewBitset(3)
 	small.SetAll()
 	deg := make([]int32, 3)
-	induced, err := passes.CountDegreesMasked(passes.NewDirect(stream.FromEdges(dirty), len(dirty), 1), small, deg)
+	induced, err := passes.CountDegreesMasked(passes.NewDirect(stream.FromEdges(dirty), len(dirty), 1), small, nil, deg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +232,9 @@ func TestSampleUniformEdges(t *testing.T) {
 	g := testGraph(t)
 	edges := g.Edges()
 	m := len(edges)
-	const r = 4000
+	// r = 3m makes positions repeat and puts samples on both sides of every
+	// batch and shard boundary.
+	r := 3 * m
 
 	// Re-derive the positions the pass will draw so each sampled edge can be
 	// checked against the stream position it claims to hold.
@@ -206,33 +245,66 @@ func TestSampleUniformEdges(t *testing.T) {
 	}
 	sampling.SortPositions(positions)
 
+	dir := t.TempDir()
+	bexPath := filepath.Join(dir, "g.bex")
+	if _, err := stream.WriteBex2File(bexPath, stream.FromGraph(g), 64); err != nil {
+		t.Fatal(err)
+	}
+	textPath := filepath.Join(dir, "g.txt")
+	if err := stream.WriteGraphFile(textPath, g, ""); err != nil {
+		t.Fatal(err)
+	}
+	bex, err := stream.OpenBex2(bexPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bex.Close()
+	// The text stream's first pass parses the text; later passes read its
+	// .bex copy by shard.
+	text := stream.OpenFile(textPath)
+	defer text.Close()
+	sources := []struct {
+		name string
+		s    stream.Stream
+	}{
+		{"memory", stream.FromGraph(g)},
+		{"bex2-64", bex},
+		{"text", text},
+	}
+
 	var base []graph.Edge
-	for _, workers := range workerSweep {
-		sample, err := passes.SampleUniformEdges(passes.NewDirect(stream.FromGraph(g), m, workers), sampling.NewRNG(77), r)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if len(sample) != r {
-			t.Fatalf("workers=%d: %d samples, want %d", workers, len(sample), r)
-		}
-		for i, e := range sample {
-			if want := edges[positions[i]].Normalize(); e != want {
-				t.Fatalf("workers=%d: sample %d = %v, want edge at position %d = %v",
-					workers, i, e, positions[i], want)
+	for _, src := range sources {
+		for _, workers := range workerSweep {
+			sample, err := passes.SampleUniformEdges(passes.NewDirect(src.s, m, workers), sampling.NewRNG(77), r)
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", src.name, workers, err)
 			}
-		}
-		if base == nil {
-			base = sample
-		} else if !slices.Equal(sample, base) {
-			t.Errorf("workers=%d: sample diverges from workers=1", workers)
+			if len(sample) != r {
+				t.Fatalf("%s workers=%d: %d samples, want %d", src.name, workers, len(sample), r)
+			}
+			for i, e := range sample {
+				if want := edges[positions[i]].Normalize(); e != want {
+					t.Fatalf("%s workers=%d: sample %d = %v, want edge at position %d = %v",
+						src.name, workers, i, e, positions[i], want)
+				}
+			}
+			if base == nil {
+				base = sample
+			} else if !slices.Equal(sample, base) {
+				t.Errorf("%s workers=%d: sample diverges from memory at workers=1", src.name, workers)
+			}
 		}
 	}
 }
 
-// adjacency returns the neighbor multiset of v in the edge list.
+// adjacency returns the neighbor multiset of v in the edge list; a self-loop
+// makes no vertex its own neighbor.
 func adjacency(edges []graph.Edge, v int) []int {
 	var out []int
 	for _, e := range edges {
+		if e.U == e.V {
+			continue
+		}
 		if e.U == v {
 			out = append(out, e.V)
 		}
@@ -244,7 +316,8 @@ func adjacency(edges []graph.Edge, v int) []int {
 }
 
 func TestSampleNeighbors(t *testing.T) {
-	for _, in := range passInputs(testGraph(t).Edges()) {
+	edges := testGraph(t).Edges()
+	for _, in := range append(passInputs(edges), withLoops(edges)) {
 		edges := in.edges
 		m := len(edges)
 
@@ -325,7 +398,7 @@ func TestSampleNeighborBanks(t *testing.T) {
 	// Shuffle the stream so every vertex's offers spread over the shards.
 	edges := slices.Clone(testGraph(t).Edges())
 	sampling.NewRNG(7).Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
-	for _, in := range passInputs(edges) {
+	for _, in := range append(passInputs(edges), withLoops(edges)) {
 		edges := in.edges
 		m := len(edges)
 

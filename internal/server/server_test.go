@@ -616,3 +616,34 @@ func TestMetricsFamiliesContiguousAndTyped(t *testing.T) {
 		}
 	}
 }
+
+// TestSelfLoopsServed pins that a graph file with self-loops is served: the
+// path 0–1–…–19,999 with a loop at every even vertex has no triangle, and an
+// estimate over it answers 200 with 0 (a sampled loop once became a
+// degenerate triangle and crashed the daemon from a probe goroutine).
+func TestSelfLoopsServed(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "loops.txt")
+	var b strings.Builder
+	for i := 0; i < 19999; i++ {
+		fmt.Fprintf(&b, "%d %d\n", i, i+1)
+	}
+	for i := 0; i < 20000; i += 2 {
+		fmt.Fprintf(&b, "%d %d\n", i, i)
+	}
+	if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Graphs: map[string]string{"loops": path}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for _, seed := range []int{1, 2} {
+		var resp estimateResponse
+		if code := get(t, ts.Client(), fmt.Sprintf("%s/estimate?graph=loops&seed=%d", ts.URL, seed), &resp); code != http.StatusOK || resp.Estimate != 0 {
+			t.Errorf("seed %d: status %d estimate %v, want 200 and 0", seed, code, resp.Estimate)
+		}
+	}
+}

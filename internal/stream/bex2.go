@@ -149,13 +149,11 @@ type bex2Meta struct {
 	m          int
 	blockEdges int
 	blocks     []bex2Block
-	// ident is the file's stat identity at open (path, size, mtime) and
-	// keys this file's blocks in the decoded-block cache. A rewritten file
-	// gets a new identity, so its old decoded blocks become unreachable
-	// rather than stale.
+	// ident is the file's stat identity at open and keys this file's blocks
+	// in the decoded-block cache. A rewritten or renamed-over file gets a
+	// new identity, so its old decoded blocks become unreachable rather
+	// than stale; a reopen must find the same identity.
 	ident fileIdentity
-	// info is the stat taken at open; a reopen must find the same file.
-	info os.FileInfo
 	// verified[k] records that block k's payload CRC has been checked since
 	// open. A block is verified the first time any cursor reads it and never
 	// re-hashed on later passes — multi-pass algorithms (the whole point of
@@ -474,8 +472,7 @@ func readBex2Meta(file *os.File, path string) (*bex2Meta, error) {
 	}
 	return &bex2Meta{
 		path: path, m: m, blockEdges: blockEdges, blocks: blocks,
-		ident:    fileIdentity{path: path, size: size, mtime: info.ModTime().UnixNano()},
-		info:     info,
+		ident:    identityOf(path, info),
 		verified: make([]atomic.Bool, blockCount),
 	}, nil
 }
@@ -637,7 +634,7 @@ func (f *bex2File) reopen() error {
 		return fmt.Errorf("stream: open %s: %w", f.path, err)
 	}
 	info, err := handle.Stat()
-	if err != nil || !os.SameFile(info, f.info) || info.Size() != f.info.Size() || !info.ModTime().Equal(f.info.ModTime()) {
+	if err != nil || identityOf(f.path, info) != f.ident {
 		handle.Close()
 		return fmt.Errorf("stream: %s is no longer the file opened as .bex v2: %w", f.path, ErrCorruptHeader)
 	}

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"container/list"
+	"os"
 	"sync"
 	"sync/atomic"
 
@@ -19,8 +20,9 @@ import (
 // Coherence rules, in order of subtlety:
 //
 //   - Generation invalidation is structural: the key embeds the file's
-//     (path, size, mtime) identity captured at open, so a rewritten file's
-//     blocks simply miss and the stale generation ages out of the LRU.
+//     (path, size, mtime, device, inode) identity captured at open, so a
+//     rewritten or renamed-over file's blocks simply miss and the stale
+//     generation ages out of the LRU.
 //   - Shard-boundary preservation: the cache stores whole decoded blocks and
 //     the cursor slices them by stream position exactly as it slices its own
 //     decode buffer, so batch and shard boundaries — and therefore results
@@ -44,11 +46,20 @@ import (
 const DefaultDecodeCacheBytes = 64 << 20
 
 // fileIdentity identifies one on-disk file by path plus stat identity, so a
-// rewritten file keys differently from the generation it replaced.
+// rewritten file keys differently from the generation it replaced. Device
+// and inode, where the platform exposes them (zero elsewhere), tell apart a
+// file renamed over the path even when size and mtime match to the tick.
 type fileIdentity struct {
-	path  string
-	size  int64
-	mtime int64
+	path     string
+	size     int64
+	mtime    int64
+	dev, ino uint64
+}
+
+// identityOf is the identity of the file at path, given its stat.
+func identityOf(path string, info os.FileInfo) fileIdentity {
+	dev, ino := fileID(info)
+	return fileIdentity{path: path, size: info.Size(), mtime: info.ModTime().UnixNano(), dev: dev, ino: ino}
 }
 
 // blockCacheKey identifies one decoded block: the file's stat identity at

@@ -317,3 +317,116 @@ func TestDecodeCachePinnedEntriesSurviveEviction(t *testing.T) {
 		t.Fatalf("disabled cache with no pins holds residency: %+v", st)
 	}
 }
+
+// renamePair writes A = (i, i+1) and B = (i+1, i) for i < 40,000 as name and
+// name+".next", both with one mtime, and returns A's path and the sum of
+// 3u+v over A's edges and over B's. The two files have the same size, so
+// only device and inode tell them apart once B is renamed over A.
+func renamePair(t *testing.T, dir, name string, write func(path string, edges []graph.Edge)) (path string, sumA, sumB int) {
+	t.Helper()
+	const n = 40000
+	a := make([]graph.Edge, n)
+	b := make([]graph.Edge, n)
+	for i := range a {
+		a[i] = graph.Edge{U: i, V: i + 1}
+		b[i] = graph.Edge{U: i + 1, V: i}
+	}
+	path = filepath.Join(dir, name)
+	write(path, a)
+	write(path+".next", b)
+	infoA, errA := os.Stat(path)
+	infoB, errB := os.Stat(path + ".next")
+	if errA != nil || errB != nil || infoA.Size() != infoB.Size() {
+		t.Fatalf("A and B must have one size: %v, %v, %v, %v", infoA, errA, infoB, errB)
+	}
+	tick := infoA.ModTime()
+	for _, p := range []string{path, path + ".next"} {
+		if err := os.Chtimes(p, tick, tick); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return path, edgeSum(a), edgeSum(b)
+}
+
+// edgeSum is Σ 3u+v over edges.
+func edgeSum(edges []graph.Edge) int {
+	sum := 0
+	for _, e := range edges {
+		sum += 3*e.U + e.V
+	}
+	return sum
+}
+
+// TestDecodeCacheMissesSameSizeRename pins that the cache key holds the
+// file's device and inode: a fresh cached open of a path that another file
+// of the same size and mtime was renamed over reads the new file, not the
+// old one's decoded blocks.
+func TestDecodeCacheMissesSameSizeRename(t *testing.T) {
+	resetDecodeEngine(t, DefaultDecodeCacheBytes)
+	path, sumA, sumB := renamePair(t, t.TempDir(), "g.bex", func(path string, edges []graph.Edge) {
+		if _, err := WriteBex2File(path, FromEdges(edges), 1024); err != nil {
+			t.Fatal(err)
+		}
+	})
+	s, err := OpenAutoOpts(path, OpenOptions{DecodeCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := edgeSum(collectAll(t, s)); got != sumA {
+		t.Fatalf("first file: sum %d, want %d", got, sumA)
+	}
+	s.Close()
+	if err := os.Rename(path+".next", path); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := OpenAutoOpts(path, OpenOptions{DecodeCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if got := edgeSum(collectAll(t, s2)); got != sumB {
+		t.Fatalf("renamed-over file: sum %d, want %d (the replaced file's is %d)", got, sumB, sumA)
+	}
+}
+
+// TestFileStreamCopyMissesSameSizeRename is the same case for a text file
+// whose .bex copy is live: once another text of the same size and mtime is
+// renamed over the path, the stream sees that its text changed and drops
+// the copy. Its later passes parse the text through the handle it opened, so
+// an open stream still serves one generation, as a .bex stream does.
+func TestFileStreamCopyMissesSameSizeRename(t *testing.T) {
+	path, sumA, sumB := renamePair(t, t.TempDir(), "g.txt", func(path string, edges []graph.Edge) {
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := WriteEdgeList(f, FromEdges(edges)); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	s := OpenFile(path)
+	defer s.Close()
+	for pass := 1; pass <= 2; pass++ {
+		if got := edgeSum(collectAll(t, s)); got != sumA {
+			t.Fatalf("pass %d over the first text: sum %d, want %d", pass, got, sumA)
+		}
+	}
+	if _, ok := s.RangeStream(0, 1); !ok {
+		t.Fatal("the copy is not live after a clean pass")
+	}
+	if err := os.Rename(path+".next", path); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.RangeStream(0, 1); ok {
+		t.Fatalf("the copy still serves ranges after a text of the same size and mtime (edge sum %d, not %d) was renamed over the path", sumB, sumA)
+	}
+	if got := edgeSum(collectAll(t, s)); got != sumA {
+		t.Fatalf("pass after the rename: sum %d, want the open generation's %d", got, sumA)
+	}
+	if _, ok := s.RangeStream(0, 1); ok {
+		t.Fatal("a copy was written again for a changed text")
+	}
+}

@@ -103,11 +103,12 @@ func (lr *lineReader) next() (line []byte, ok bool, err error) {
 // delivered edges to a private .bex v2 copy in the temp directory
 // (os.CreateTemp, so TMPDIR picks the place). Once that pass ends cleanly,
 // every later pass and every RangeStream is served by the copy, for as long
-// as the text's stat identity (path, size, mtime) matches the one taken at
-// open; Close removes the copy. A pass that fails drops its partial copy and
-// the next pass writes a new one. Without a copy — before a pass has
-// completed, or when none can be written or the text changed — every pass
-// re-parses the text and the stream offers no range access.
+// as the text's stat identity (path, size, mtime, and device and inode
+// where the platform has them) matches the one taken at open; Close removes
+// the copy. A pass that fails drops its partial copy and the next pass
+// writes a new one. Without a copy — before a pass has completed, or when
+// none can be written or the text changed — every pass re-parses the text
+// and the stream offers no range access.
 type FileStream struct {
 	path    string
 	open    Opener
@@ -153,11 +154,10 @@ func (f *FileStream) Backend() string { return BackendText }
 // a regular file (or cannot be stat'ed) gets size -1, which turns off the
 // end-of-pass size check.
 func statIdentity(path string) fileIdentity {
-	id := fileIdentity{path: path, size: -1}
 	if info, err := os.Stat(path); err == nil && info.Mode().IsRegular() {
-		id.size, id.mtime = info.Size(), info.ModTime().UnixNano()
+		return identityOf(path, info)
 	}
-	return id
+	return fileIdentity{path: path, size: -1}
 }
 
 // unchanged reports whether the text still has its open-time stat identity.

@@ -111,6 +111,10 @@ func (g *SharedMeter) add(n int64) {
 	g.mu.Unlock()
 }
 
+// Charge adds n words the group itself retains, such as a session's degree
+// array, which no run's meter owns.
+func (g *SharedMeter) Charge(n int64) { g.add(n) }
+
 // Release returns n words to the group: a session hands back, once all its
 // runs have returned, the words they charged through their tees.
 func (g *SharedMeter) Release(n int64) { g.add(-n) }

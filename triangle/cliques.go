@@ -13,7 +13,8 @@ type CliqueOptions struct {
 	// K is the clique size (3 ≤ K ≤ 8). K = 3 is triangle counting without
 	// the assignment rule; prefer Estimate for triangles.
 	K int
-	// Epsilon is the target relative error in (0,1). Defaults to 0.1.
+	// Epsilon is the target relative error in (0,1); zero selects 0.1. Any
+	// other value outside (0, 1) is an error.
 	Epsilon float64
 	// Degeneracy is an upper bound on κ. When zero it is computed exactly
 	// from the in-memory graph (which this entry point builds anyway).
@@ -22,7 +23,8 @@ type CliqueOptions struct {
 	// size the samples; it is required (the clique estimator does not run the
 	// geometric search).
 	CliqueGuess int64
-	// SampleMultiplier scales the sample sizes; zero means 1.
+	// SampleMultiplier scales the sample sizes; zero means 1. A negative or
+	// non-finite value is an error.
 	SampleMultiplier float64
 	// Seed makes runs reproducible; zero means 1.
 	Seed uint64
@@ -42,6 +44,9 @@ func EstimateCliques(edges []Edge, opts CliqueOptions) (Result, error) {
 	}
 	if opts.CliqueGuess < 1 {
 		return Result{}, fmt.Errorf("triangle: CliqueGuess must be a positive lower bound on the %d-clique count", opts.K)
+	}
+	if err := checkAccuracy(opts.Epsilon, opts.SampleMultiplier); err != nil {
+		return Result{}, err
 	}
 	g := buildGraph(edges)
 	if g.NumEdges() == 0 {

@@ -75,12 +75,11 @@ func TestEstimateCliquesAccuracy(t *testing.T) {
 func TestEstimateCliquesDefaultsAndKappaComputation(t *testing.T) {
 	edges := Apollonian(400)
 	truth := ExactCliques(edges, 4)
-	res, err := EstimateCliques(edges, CliqueOptions{
-		K:                4,
-		CliqueGuess:      truth,
-		Epsilon:          7,  // invalid, falls back to default
-		SampleMultiplier: -2, // invalid, falls back to default
-	})
+	// Zero ε and multiplier select the defaults; out-of-range ones are errors.
+	if _, err := EstimateCliques(edges, CliqueOptions{K: 4, CliqueGuess: truth, Epsilon: 7, SampleMultiplier: -2}); err == nil {
+		t.Fatal("ε = 7 and multiplier -2 must be rejected")
+	}
+	res, err := EstimateCliques(edges, CliqueOptions{K: 4, CliqueGuess: truth})
 	if err != nil {
 		t.Fatal(err)
 	}

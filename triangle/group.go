@@ -36,7 +36,9 @@ type GroupOptions struct {
 // GroupKappa is the shared degeneracy resolution of a ScanGroup: the
 // streaming peel runs at most once per group and every request that needs a
 // κ bound reuses it (the peel is a deterministic function of the stream, so
-// per-request peels would all reproduce the same bound anyway).
+// per-request peels would all reproduce the same bound anyway). The same
+// resolution keeps the peel's first round, every vertex's degree, as the
+// degree oracle of the group's streamed-κ̂ estimates.
 type GroupKappa struct {
 	// Kappa is the certified upper bound κ ≤ Kappa ≤ 2(1+ε)κ, floored at 1.
 	Kappa int
@@ -46,7 +48,11 @@ type GroupKappa struct {
 	// rounds, plus its vertex-ID pass unless the group's opening scan
 	// already found the vertex count (text files).
 	Passes int
-	// SpaceWords is the peel's accounted peak space.
+	// SpaceWords is the peel's accounted peak space over n vertices: n +
+	// ⌈n/64⌉ words for round 1's degree array and the alive bitset, plus,
+	// when later rounds run, one word per survivor of round 1 (fewer than
+	// 2n/3) and ⌈n/64⌉ for the bitset's rank base. The n words of round 1's
+	// array stay charged to the group until Close (see CurrentSpaceWords).
 	SpaceWords int64
 }
 
@@ -68,8 +74,9 @@ type GroupKappa struct {
 // EstimateFile with the same options — both run the same session code, and
 // fusion cannot change results (the scheduler contract, DESIGN.md §4). What
 // does differ is accounting: Result.Passes excludes the group-amortized
-// prelude (edge count, peel) and Result.Scans stays zero because physical
-// scans belong to the whole group (see Scans).
+// prelude (edge count, peel), Result.SpaceWords excludes the group-retained
+// degree array (see CurrentSpaceWords), and Result.Scans stays zero because
+// physical scans belong to the whole group (see Scans).
 type ScanGroup struct {
 	path        string
 	backend     string
@@ -84,6 +91,7 @@ type ScanGroup struct {
 
 	kmu       sync.Mutex
 	kappa     *GroupKappa
+	degrees   []int32       // the peel's round 1: every vertex's degree, read-only once published
 	kappaWait chan struct{} // non-nil while one request resolves κ̂
 }
 
@@ -165,15 +173,22 @@ func (g *ScanGroup) Live() int { return g.sch.Live() }
 func (g *ScanGroup) Retries() int { return g.openRetries + g.sch.Retries() }
 
 // PeakSpaceWords returns the peak of concurrently retained words across
-// everything that ever ran fused on this group.
+// everything that ever ran fused on this group: the κ̂ peel's footprint, and
+// every request's words on top of the degree array the group keeps.
 func (g *ScanGroup) PeakSpaceWords() int64 { return g.sch.Meter().Peak() }
 
-// CurrentSpaceWords returns the words retained by in-flight requests now.
+// CurrentSpaceWords returns the words retained now: those of in-flight
+// requests, plus, once the group has peeled κ̂, the n words of the degree
+// array it keeps until Close.
 func (g *ScanGroup) CurrentSpaceWords() int64 { return g.sch.Meter().Current() }
 
-// Close releases the underlying stream. The caller must ensure no request
-// is in flight.
+// Close releases the underlying stream and the group's degree array. The
+// caller must ensure no request is in flight.
 func (g *ScanGroup) Close() error {
+	g.kmu.Lock()
+	g.sch.Meter().Release(int64(len(g.degrees)))
+	g.degrees = nil
+	g.kmu.Unlock()
 	if c, ok := g.src.(interface{ Close() error }); ok {
 		return c.Close()
 	}
@@ -186,29 +201,39 @@ func (g *ScanGroup) Close() error {
 // waiting without disturbing the resolution). The peel runs as a scheduler
 // client, so it fuses with whatever passes other requests have pending.
 func (g *ScanGroup) Degeneracy(ctx context.Context) (GroupKappa, error) {
+	k, _, err := g.resolve(ctx)
+	return k, err
+}
+
+// resolve is Degeneracy that also returns the degree array the resolution
+// kept. Fused trials and requests all read that one array.
+func (g *ScanGroup) resolve(ctx context.Context) (GroupKappa, []int32, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	for {
 		g.kmu.Lock()
 		if g.kappa != nil {
-			k := *g.kappa
+			k, deg := *g.kappa, g.degrees
 			g.kmu.Unlock()
-			return k, nil
+			return k, deg, nil
 		}
 		if g.kappaWait == nil {
 			done := make(chan struct{})
 			g.kappaWait = done
 			g.kmu.Unlock()
-			k, err := g.resolveKappa(ctx)
+			k, deg, err := g.resolveKappa(ctx)
 			g.kmu.Lock()
 			if err == nil {
-				g.kappa = &k
+				g.kappa, g.degrees = &k, deg
+				// The group keeps the array for its lifetime, so its words
+				// stay charged until Close.
+				g.sch.Meter().Charge(int64(len(deg)))
 			}
 			g.kappaWait = nil
 			g.kmu.Unlock()
 			close(done)
-			return k, err
+			return k, deg, err
 		}
 		wait := g.kappaWait
 		g.kmu.Unlock()
@@ -217,25 +242,25 @@ func (g *ScanGroup) Degeneracy(ctx context.Context) (GroupKappa, error) {
 			// Re-check: the resolver may have failed (its deadline, an I/O
 			// error); then this caller becomes the next resolver.
 		case <-ctx.Done():
-			return GroupKappa{}, fmt.Errorf("triangle: waiting for shared degeneracy resolution: %w", context.Cause(ctx))
+			return GroupKappa{}, nil, fmt.Errorf("triangle: waiting for shared degeneracy resolution: %w", context.Cause(ctx))
 		}
 	}
 }
 
-func (g *ScanGroup) resolveKappa(ctx context.Context) (GroupKappa, error) {
+func (g *ScanGroup) resolveKappa(ctx context.Context) (GroupKappa, []int32, error) {
 	c := g.sch.NewClientCtx(ctx)
 	defer c.Done()
 	meter := stream.NewSpaceMeter()
 	meter.Tee(g.sch.Meter())
-	dres, err := degen.EstimateOn(c, degen.Options{KnownVertices: g.vertices, Meter: meter})
+	dres, deg, err := degen.EstimateWithDegrees(c, degen.Options{KnownVertices: g.vertices, Meter: meter})
 	if err != nil {
-		return GroupKappa{}, fmt.Errorf("triangle: %w", err)
+		return GroupKappa{}, nil, fmt.Errorf("triangle: %w", err)
 	}
 	k := dres.Kappa
 	if k < 1 {
 		k = 1
 	}
-	return GroupKappa{Kappa: k, LowerBound: dres.LowerBound, Passes: dres.Passes, SpaceWords: dres.SpaceWords}, nil
+	return GroupKappa{Kappa: k, LowerBound: dres.LowerBound, Passes: dres.Passes, SpaceWords: dres.SpaceWords}, deg, nil
 }
 
 // Estimate runs one triangle-estimation request on the group. The request's
@@ -249,15 +274,18 @@ func (g *ScanGroup) resolveKappa(ctx context.Context) (GroupKappa, error) {
 // ExactDegeneracy and WrapStream are rejected (the first materializes the
 // graph, the second would perturb the shared stream every rider sees);
 // Workers and RetryAttempts are group-wide and ignored per request. A zero
-// Degeneracy uses the group's shared κ̂ — including the library's space-
-// cutoff mirror: a MaxSpaceWords budget smaller than the peel's footprint
-// aborts exactly as the standalone run would.
+// Degeneracy uses the group's shared κ̂ and its degree oracle — including
+// the library's space-cutoff mirror: a MaxSpaceWords budget smaller than the
+// peel's footprint aborts exactly as the standalone run would.
 func (g *ScanGroup) Estimate(ctx context.Context, opts Options) (Result, error) {
 	if opts.ExactDegeneracy {
 		return Result{}, errors.New("triangle: ScanGroup does not serve ExactDegeneracy (it materializes the graph); supply Options.Degeneracy or use the streaming default")
 	}
 	if opts.WrapStream != nil {
 		return Result{}, errors.New("triangle: ScanGroup does not accept WrapStream (the stream is shared; wrap a private EstimateFile run instead)")
+	}
+	if err := checkAccuracy(opts.Epsilon, opts.SampleMultiplier); err != nil {
+		return Result{}, err
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -294,20 +322,22 @@ type runResult struct {
 
 // run is the one estimate path of the library. κ is opts.Degeneracy, else
 // the group's shared κ̂ peel, whose words count against opts.MaxSpaceWords
-// like any trial's state. Then trials estimator runs (the geometric search,
-// or one run at opts.TriangleGuess) execute fused on the group's scheduler;
-// trial i uses seed Seed + i·7919. Every error is branded with core's abort
-// sentinels.
+// like any trial's state, and whose first round gives every run its degrees
+// (a run with a supplied κ has no peel and counts them). Then trials
+// estimator runs (the geometric search, or one run at opts.TriangleGuess)
+// execute fused on the group's scheduler; trial i uses seed Seed + i·7919.
+// Every error is branded with core's abort sentinels.
 func (g *ScanGroup) run(ctx context.Context, opts Options, trials int) (runResult, error) {
 	out := runResult{kappa: GroupKappa{Kappa: opts.Degeneracy}}
+	var deg []int32
 	// κ is resolved before any trial client registers: a registered client
 	// waiting on the peel would hold back the peel's waves.
 	if opts.Degeneracy <= 0 {
-		k, err := g.Degeneracy(ctx)
+		k, d, err := g.resolve(ctx)
 		if err != nil {
 			return out, core.WrapAbort(err)
 		}
-		out.kappa, out.approx = k, true
+		out.kappa, out.approx, deg = k, true, d
 		if opts.MaxSpaceWords > 0 && k.SpaceWords > opts.MaxSpaceWords {
 			return out, nil
 		}
@@ -342,11 +372,12 @@ func (g *ScanGroup) run(ctx context.Context, opts Options, trials int) (runResul
 			cfg.Seed += uint64(i) * 7919
 			if opts.TriangleGuess > 0 {
 				est := core.NewEstimator(cfg)
+				est.UseDegrees(deg)
 				est.TeeSpace(g.sch.Meter())
 				est.TeeSpace(session)
 				out.trials[i], errs[i] = est.RunOn(c)
 			} else {
-				out.trials[i], errs[i] = core.AutoEstimateFrom(c, cfg, session)
+				out.trials[i], errs[i] = core.AutoEstimateFrom(c, cfg, deg, session)
 			}
 		}()
 	}
@@ -378,6 +409,9 @@ func (g *ScanGroup) EstimateCliques(ctx context.Context, opts CliqueOptions) (Re
 	}
 	if opts.CliqueGuess < 1 {
 		return Result{}, fmt.Errorf("triangle: CliqueGuess must be a positive lower bound on the %d-clique count", opts.K)
+	}
+	if err := checkAccuracy(opts.Epsilon, opts.SampleMultiplier); err != nil {
+		return Result{}, err
 	}
 	kappa := opts.Degeneracy
 	approx := false

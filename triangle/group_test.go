@@ -10,6 +10,7 @@ import (
 
 	"degentri/internal/clique"
 	"degentri/internal/core"
+	"degentri/internal/degen"
 	"degentri/internal/gen"
 	"degentri/internal/passes"
 	"degentri/internal/stream"
@@ -205,7 +206,8 @@ func TestScanGroupDegeneracyAndCliques(t *testing.T) {
 // to the group when it returns: after each of a sequence of requests (two
 // searches, a fixed guess and a clique request, κ supplied so no peel runs)
 // the group retains nothing, and its peak is the largest SpaceWords any one
-// request reported, not the running total of every word ever charged.
+// request reported, not the running total of every word ever charged. With
+// κ̂ streamed, the group retains exactly its n-word degree array.
 func TestScanGroupSpaceGaugesComeDown(t *testing.T) {
 	gr := gen.BarabasiAlbert(3000, 4, 23)
 	path := filepath.Join(t.TempDir(), "ba.bex")
@@ -257,6 +259,59 @@ func TestScanGroupSpaceGaugesComeDown(t *testing.T) {
 		if peak := g.PeakSpaceWords(); peak != largest {
 			t.Errorf("after %s: PeakSpaceWords = %d, want the largest request's %d", r.name, peak, largest)
 		}
+	}
+
+	// With κ̂ streamed, the group keeps the peel's round-1 degree array: n
+	// words stay charged after every request, on top of which each request
+	// counts, and the peel itself reports its two arrays, its bitset and the
+	// bitset's rank base.
+	gs, err := triangle.OpenScanGroup(ctx, path, triangle.GroupOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gs.Close()
+	n := int64(gr.NumVertices())
+	streamed := []func() (triangle.Result, error){
+		func() (triangle.Result, error) { return gs.Estimate(ctx, triangle.Options{Seed: 1}) },
+		func() (triangle.Result, error) {
+			return gs.Estimate(ctx, triangle.Options{Seed: 3, TriangleGuess: gr.TriangleCount()})
+		},
+		func() (triangle.Result, error) {
+			return gs.EstimateCliques(ctx, triangle.CliqueOptions{K: 4, CliqueGuess: cliques / 2, Seed: 4})
+		},
+	}
+	largest = 0
+	for i, run := range streamed {
+		res, err := run()
+		if err != nil {
+			t.Fatalf("streamed request %d: %v", i, err)
+		}
+		largest = max(largest, res.SpaceWords)
+		if cur := gs.CurrentSpaceWords(); cur != n {
+			t.Errorf("after streamed request %d: CurrentSpaceWords = %d, want the degree array's n = %d", i, cur, n)
+		}
+	}
+	k, err := gs.Degeneracy(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Later rounds count round 1's survivors: the vertices whose degree
+	// exceeds the first cut, 2(1+ε)·m/n at the default ε.
+	cut := 2 * (1 + degen.DefaultEpsilon) * float64(gr.NumEdges()) / float64(n)
+	survivors := int64(0)
+	for v := range gr.NumVertices() {
+		if float64(gr.Degree(v)) > cut {
+			survivors++
+		}
+	}
+	if survivors == 0 {
+		t.Fatal("no vertex survives the peel's first round; pick a graph whose peel runs later rounds")
+	}
+	if want := n + survivors + 2*((n+63)/64); k.SpaceWords != want {
+		t.Errorf("peel SpaceWords = %d, want n + %d survivors + 2⌈n/64⌉ = %d", k.SpaceWords, survivors, want)
+	}
+	if peak, want := gs.PeakSpaceWords(), max(k.SpaceWords, n+largest); peak != want {
+		t.Errorf("streamed PeakSpaceWords = %d, want max(peel %d, n + largest request %d) = %d", peak, k.SpaceWords, largest, want)
 	}
 }
 

@@ -1,12 +1,15 @@
 package triangle
 
 import (
+	"context"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"degentri/internal/gen"
+	"degentri/internal/graph"
 	"degentri/internal/stream"
 )
 
@@ -99,7 +102,12 @@ func TestEstimateFileStreamingSpaceIsLinearInN(t *testing.T) {
 // TestEstimateDefaultMatchesExplicitApproxBound checks the two ways of
 // spelling "no bound" agree end to end: the default path reports the same
 // estimate as supplying the approximation's own output as an explicit bound,
-// for the same seed and stream order.
+// for the same seed and stream order. The default path's runs read the
+// peel's degrees and the pinned runs count them, so the files below cover
+// that degree oracle: text and .bex v2 with 64-edge blocks, 1 and 4
+// workers, a search and a fixed guess, and a stream with self-loops. At a
+// fixed guess the default path makes exactly one logical pass fewer, the
+// peel aside.
 func TestEstimateDefaultMatchesExplicitApproxBound(t *testing.T) {
 	edges := PreferentialAttachment(3000, 4, 13)
 	auto, err := Estimate(edges, Options{Seed: 3})
@@ -119,6 +127,139 @@ func TestEstimateDefaultMatchesExplicitApproxBound(t *testing.T) {
 	}
 	if pinned.DegeneracyApprox {
 		t.Fatal("explicit bound must not be flagged approximate")
+	}
+
+	inputs := []struct {
+		name  string
+		edges []Edge
+		guess int64
+	}{
+		{"pref-attach", edges, Exact(edges)},
+		{"path-with-loops", pathWithLoops(4000), 100},
+	}
+	for _, in := range inputs {
+		for _, path := range []string{writeEdgeFile(t, in.edges), writeBex64(t, in.edges)} {
+			peel := peelPasses(t, path)
+			for _, workers := range []int{1, 4} {
+				for _, guess := range []int64{0, in.guess} {
+					label := fmt.Sprintf("%s %s workers=%d guess=%d", in.name, filepath.Ext(path), workers, guess)
+					opts := Options{Seed: 3, Workers: workers, TriangleGuess: guess}
+					auto, err := EstimateFile(path, opts)
+					if err != nil || !auto.DegeneracyApprox {
+						t.Fatalf("%s: default path: %+v, %v", label, auto, err)
+					}
+					opts.Degeneracy = auto.DegeneracyBound
+					pinned, err := EstimateFile(path, opts)
+					if err != nil {
+						t.Fatalf("%s: pinned κ: %v", label, err)
+					}
+					if math.Float64bits(auto.Estimate) != math.Float64bits(pinned.Estimate) {
+						t.Errorf("%s: streamed κ̂ gives %v, κ = %d supplied gives %v", label, auto.Estimate, opts.Degeneracy, pinned.Estimate)
+					}
+					if guess > 0 && auto.Passes-peel != pinned.Passes-1 {
+						t.Errorf("%s: %d passes with the peel's %d, %d with κ supplied; want one fewer besides the peel",
+							label, auto.Passes, peel, pinned.Passes)
+					}
+				}
+			}
+		}
+	}
+}
+
+// pathWithLoops is the path 0–1–…–(n−1) with a self-loop at every even
+// vertex: no triangle, and loops spread through the whole stream.
+func pathWithLoops(n int) []Edge {
+	var edges []Edge
+	for i := 0; i+1 < n; i++ {
+		edges = append(edges, Edge{i, i + 1})
+	}
+	for i := 0; i < n; i += 2 {
+		edges = append(edges, Edge{i, i})
+	}
+	return edges
+}
+
+// writeBex64 writes edges as a .bex v2 file with 64-edge blocks.
+func writeBex64(t *testing.T, edges []Edge) string {
+	t.Helper()
+	ge := make([]graph.Edge, len(edges))
+	for i, e := range edges {
+		ge[i] = graph.Edge{U: e.U, V: e.V}
+	}
+	path := filepath.Join(t.TempDir(), "edges.bex")
+	if _, err := stream.WriteBex2File(path, stream.FromEdges(ge), 64); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// peelPasses is the logical passes of the κ̂ peel over the file, the text's
+// opening count aside (which EstimateFile also makes).
+func peelPasses(t *testing.T, path string) int {
+	t.Helper()
+	g, err := OpenScanGroup(context.Background(), path, GroupOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	k, err := g.Degeneracy(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return k.Passes
+}
+
+// TestSelfLoopsEstimateZero pins that self-loops are ignored by every pass:
+// a path with loops has no triangle, so every estimate is 0 — over text
+// and .bex, at 1 and 4 workers, searching and at a fixed guess, with κ̂
+// streamed or supplied. A sampled loop once closed into a degenerate
+// triangle and panicked.
+func TestSelfLoopsEstimateZero(t *testing.T) {
+	edges := pathWithLoops(4000)
+	for _, path := range []string{writeEdgeFile(t, edges), writeBex64(t, edges)} {
+		for _, workers := range []int{1, 4} {
+			for _, kappa := range []int{0, 2} {
+				for _, guess := range []int64{0, 100} {
+					opts := Options{Seed: 1, Workers: workers, Degeneracy: kappa, TriangleGuess: guess}
+					res, err := EstimateFile(path, opts)
+					if err != nil || res.Estimate != 0 {
+						t.Errorf("%s %+v: estimate %v, %v; want 0", filepath.Ext(path), opts, res.Estimate, err)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestCliqueEstimateIgnoresSelfLoops pins the 4-clique estimate on 1,000
+// disjoint K4s, each with a self-loop: within 5% of 1,000 for seeds 1–3. A
+// loop once counted toward its vertex's degree and neighbourhood, which
+// biased these estimates to about 1,485.
+func TestCliqueEstimateIgnoresSelfLoops(t *testing.T) {
+	var edges []Edge
+	for k := 0; k < 1000; k++ {
+		b := 4 * k
+		for i := 0; i < 4; i++ {
+			for j := i + 1; j < 4; j++ {
+				edges = append(edges, Edge{b + i, b + j})
+			}
+		}
+		edges = append(edges, Edge{b, b})
+	}
+	g, err := OpenScanGroup(context.Background(), writeEdgeFile(t, edges), GroupOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	for seed := uint64(1); seed <= 3; seed++ {
+		res, err := g.EstimateCliques(context.Background(), CliqueOptions{K: 4, CliqueGuess: 10, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(res.Estimate-1000) > 50 {
+			t.Errorf("seed %d: 4-clique estimate %.1f, want within 5%% of 1000", seed, res.Estimate)
+		}
+		t.Logf("seed %d: %.1f", seed, res.Estimate)
 	}
 }
 

@@ -81,6 +81,9 @@ func EstimateFileTrialsCtx(ctx context.Context, path string, opts Options, trial
 	if trials < 1 {
 		return TrialsResult{}, fmt.Errorf("triangle: trials must be positive, got %d", trials)
 	}
+	if err := checkAccuracy(opts.Epsilon, opts.SampleMultiplier); err != nil {
+		return TrialsResult{}, err
+	}
 	fs, err := stream.OpenAutoOpts(path, stream.OpenOptions{DecodeCache: opts.DecodeCache})
 	if err != nil {
 		return TrialsResult{}, err

@@ -139,7 +139,7 @@ func TestEstimateFileTrialsWithGuess(t *testing.T) {
 	}
 	// Passes = prelude + trials·perTrial with identical lockstep trials;
 	// scans must not exceed prelude + perTrial.
-	perTrial := 6 // the fixed-guess estimator runs at most 6 passes
+	perTrial := 5 // with the peel's degrees, the fixed-guess estimator runs at most 5 passes
 	prelude := res.Passes - trials*perTrial
 	if prelude < 0 {
 		t.Fatalf("unexpected pass accounting: %+v", res)

@@ -22,6 +22,8 @@ package triangle
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 
 	"degentri/internal/clique"
 	"degentri/internal/core"
@@ -36,7 +38,8 @@ type Edge struct {
 
 // Options configures the streaming estimator.
 type Options struct {
-	// Epsilon is the target relative error in (0, 1). Defaults to 0.1.
+	// Epsilon is the target relative error in (0, 1); zero selects 0.1. Any
+	// other value outside (0, 1) is an error.
 	Epsilon float64
 	// Degeneracy is an upper bound on the graph degeneracy κ. When zero the
 	// library approximates one from the stream itself with the chunked
@@ -60,10 +63,16 @@ type Options struct {
 	// Seed makes runs reproducible. Zero means seed 1.
 	Seed uint64
 	// MaxSpaceWords aborts runs whose accounted space exceeds the limit
-	// (0 = unlimited).
+	// (0 = unlimited). Each estimator run is held to it on its own, and so
+	// is the κ̂ peel's footprint (GroupKappa.SpaceWords: n + ⌈n/64⌉ words over
+	// n vertices, plus fewer than 2n/3 + ⌈n/64⌉ more when later rounds run):
+	// a budget below that aborts before any run starts. The n words of degrees
+	// the session keeps after the peel are the session's, not a run's, and
+	// count against no budget.
 	MaxSpaceWords int64
-	// Accuracy multipliers; zero means the library defaults (8, 8, 4). Larger
-	// values spend more space for lower variance.
+	// SampleMultiplier scales the sample sizes, whose defaults are (8, 8, 4)
+	// times 1; zero selects 1. Larger values spend more space for lower
+	// variance. A negative or non-finite value is an error.
 	SampleMultiplier float64
 	// Workers bounds the concurrent shard workers of a single estimator run
 	// (0 = GOMAXPROCS). Estimates are identical at any worker count.
@@ -96,7 +105,11 @@ type Result struct {
 	// Estimate is the estimated number of triangles.
 	Estimate float64
 	// Passes is the number of logical passes over the stream — the paper's
-	// pass metric.
+	// pass metric. With the streamed κ̂ it counts the peel's passes, and
+	// each probe of the search makes 5 passes (3 when no wedge closes or it
+	// is rejected after pass 4), because the peel's first round gives every
+	// probe its degrees; with a supplied Degeneracy a probe makes the
+	// paper's 6 (4).
 	Passes int
 	// Scans is the number of physical scans of the underlying stream that
 	// served those passes. The geometric search fuses the passes of its
@@ -105,6 +118,10 @@ type Result struct {
 	// fixed-guess run they are equal.
 	Scans int
 	// SpaceWords is the peak number of machine words the estimator retained.
+	// With the streamed κ̂ that is the larger of the peel's footprint and the
+	// search's words plus the n-word degree array the session keeps after
+	// the peel. ScanGroup.Estimate reports the request's own words only
+	// (see ScanGroup.CurrentSpaceWords for the group's).
 	SpaceWords int64
 	// Edges is the number of edges in the stream.
 	Edges int
@@ -242,6 +259,9 @@ func Estimate(edges []Edge, opts Options) (Result, error) {
 // gracefully instead: it returns the best estimate so far with Result.Partial
 // set and a nil error.
 func EstimateCtx(ctx context.Context, edges []Edge, opts Options) (Result, error) {
+	if err := checkAccuracy(opts.Epsilon, opts.SampleMultiplier); err != nil {
+		return Result{}, err
+	}
 	if len(edges) == 0 {
 		return Result{}, ErrNoEdges
 	}
@@ -271,10 +291,12 @@ func EstimateCtx(ctx context.Context, edges []Edge, opts Options) (Result, error
 //
 // The file is streamed verbatim, as the arbitrary-order model prescribes:
 // duplicate lines count as parallel edges that inflate m, degrees, and the
-// estimate (self loops are ignored by every pass). Callers whose files may
-// contain duplicates and who want simple-graph semantics should deduplicate
-// first (cmd/graphgen -convert does); Estimate canonicalizes its in-memory
-// input and is the reference for the deduplicated answer.
+// estimate. A self-loop counts in m and is ignored by every pass: it adds to
+// no degree, no vertex samples itself as a neighbor, and a sampled loop
+// closes no wedge. Callers whose files may contain duplicates and who want
+// simple-graph semantics should deduplicate first (cmd/graphgen -convert
+// does); Estimate canonicalizes its in-memory input and is the reference
+// for the deduplicated answer.
 func EstimateFile(path string, opts Options) (Result, error) {
 	return EstimateFileCtx(context.Background(), path, opts)
 }
@@ -304,12 +326,26 @@ func (tr TrialsResult) single() Result {
 	}
 }
 
+// checkAccuracy rejects an ε or sample multiplier the estimator cannot use.
+// Zero selects the default; any other value out of range is the caller's
+// error, never replaced by the default.
+func checkAccuracy(eps, mult float64) error {
+	if eps != 0 && !(eps > 0 && eps < 1) {
+		return fmt.Errorf("triangle: Epsilon must be in (0, 1), or 0 for the default, got %v", eps)
+	}
+	if !(mult >= 0 && mult <= math.MaxFloat64) {
+		return fmt.Errorf("triangle: SampleMultiplier must be positive and finite, or 0 for the default, got %v", mult)
+	}
+	return nil
+}
+
 // coreConfig maps the facade options onto an estimator configuration. It is
 // the single source of the library defaults (ε = 0.1, CR/CL/CS = 8/8/4 ×
-// multiplier, seed 1), which cliqueConfig shares.
+// multiplier, seed 1), which cliqueConfig shares. A zero ε or multiplier
+// selects the default; checkAccuracy has rejected every other bad value.
 func coreConfig(opts Options, kappa int) core.Config {
 	eps := opts.Epsilon
-	if eps <= 0 || eps >= 1 {
+	if eps == 0 {
 		eps = 0.1
 	}
 	seed := opts.Seed
@@ -317,7 +353,7 @@ func coreConfig(opts Options, kappa int) core.Config {
 		seed = 1
 	}
 	mult := opts.SampleMultiplier
-	if mult <= 0 {
+	if mult == 0 {
 		mult = 1
 	}
 	cfg := core.DefaultConfig(eps, kappa, 1)

@@ -1,9 +1,11 @@
 package triangle
 
 import (
+	"context"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -114,14 +116,21 @@ func TestEstimateAutoParameters(t *testing.T) {
 	}
 }
 
+// TestEstimateDefaultsApplied pins that zero ε, multiplier and seed select
+// the library defaults, while an out-of-range ε or multiplier is an error
+// rather than a silent swap to the default.
 func TestEstimateDefaultsApplied(t *testing.T) {
 	edges := Wheel(500)
-	res, err := Estimate(edges, Options{Epsilon: 5, Seed: 0, SampleMultiplier: -1, Degeneracy: 3, TriangleGuess: 499})
+	res, err := Estimate(edges, Options{Degeneracy: 3, TriangleGuess: 499})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Estimate < 0 {
-		t.Fatal("negative estimate")
+	explicit, err := Estimate(edges, Options{Epsilon: 0.1, Seed: 1, SampleMultiplier: 1, Degeneracy: 3, TriangleGuess: 499})
+	if err != nil || explicit.Estimate != res.Estimate {
+		t.Fatalf("zero options gave %v, the explicit defaults %v (%v)", res.Estimate, explicit.Estimate, err)
+	}
+	if _, err := Estimate(edges, Options{Epsilon: 5, SampleMultiplier: -1, Degeneracy: 3, TriangleGuess: 499}); err == nil {
+		t.Fatal("ε = 5 and multiplier -1 must be rejected")
 	}
 }
 
@@ -240,5 +249,55 @@ func TestFileAPIErrors(t *testing.T) {
 	}
 	if _, err := EstimateFile(writeEdgeFile(t, Wheel(50)), Options{SampleMultiplier: math.NaN()}); err == nil {
 		t.Error("a NaN sample multiplier should error")
+	}
+}
+
+// TestAccuracyOptionErrors pins that every estimate entry point rejects an
+// ε outside (0, 1) and a negative or non-finite multiplier, zero aside,
+// before it reads the input.
+func TestAccuracyOptionErrors(t *testing.T) {
+	edges := Wheel(50)
+	path := writeEdgeFile(t, edges)
+	g, err := OpenScanGroup(context.Background(), path, GroupOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	bad := []struct {
+		name       string
+		eps, mult  float64
+		wantInText string
+	}{
+		{"epsilon 7", 7, 0, "Epsilon"},
+		{"epsilon 1", 1, 0, "Epsilon"},
+		{"epsilon -0.5", -0.5, 0, "Epsilon"},
+		{"epsilon NaN", math.NaN(), 0, "Epsilon"},
+		{"epsilon +Inf", math.Inf(1), 0, "Epsilon"},
+		{"multiplier -3", 0, -3, "SampleMultiplier"},
+		{"multiplier +Inf", 0, math.Inf(1), "SampleMultiplier"},
+		{"multiplier NaN", 0.1, math.NaN(), "SampleMultiplier"},
+	}
+	for _, c := range bad {
+		opts := Options{Epsilon: c.eps, SampleMultiplier: c.mult, Degeneracy: 3}
+		copts := CliqueOptions{K: 4, CliqueGuess: 10, Epsilon: c.eps, SampleMultiplier: c.mult, Degeneracy: 3}
+		calls := map[string]func() error{
+			"Estimate":           func() error { _, err := Estimate(edges, opts); return err },
+			"EstimateFile":       func() error { _, err := EstimateFile(path, opts); return err },
+			"EstimateFileTrials": func() error { _, err := EstimateFileTrials(path, opts, 2); return err },
+			"ScanGroup.Estimate": func() error { _, err := g.Estimate(context.Background(), opts); return err },
+			"EstimateCliques":    func() error { _, err := EstimateCliques(edges, copts); return err },
+			"ScanGroup.EstimateCliques": func() error {
+				_, err := g.EstimateCliques(context.Background(), copts)
+				return err
+			},
+		}
+		for name, call := range calls {
+			if err := call(); err == nil || !strings.Contains(err.Error(), c.wantInText) {
+				t.Errorf("%s with %s: error %v, want one naming %s", name, c.name, err, c.wantInText)
+			}
+		}
+	}
+	if g.Scans() != 1 {
+		t.Errorf("the group scanned %d times; rejected requests must not scan (want only the opening count)", g.Scans())
 	}
 }
