@@ -36,7 +36,7 @@ import (
 
 func main() {
 	var (
-		family     = flag.String("family", "wheel", "graph family: wheel, book, friendship, apollonian, grid, tri-grid, complete, ba, chunglu, gnm, star-triangles, lowerbound-ish")
+		family     = flag.String("family", "wheel", "graph family: wheel, book, friendship, apollonian, grid, tri-grid, complete, ba, chunglu, gnm, star-triangles")
 		n          = flag.Int("n", 10000, "number of vertices (or insertions/pages where noted)")
 		k          = flag.Int("k", 4, "attachment parameter / part size / triangles")
 		pages      = flag.Int("pages", 1000, "pages for the book family")

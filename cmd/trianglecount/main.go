@@ -75,14 +75,25 @@ func main() {
 		os.Exit(exitUsage)
 	}
 	// The library rejects these too; checking here names the flag and exits
-	// with the usage code. Zero selects the library default.
-	if *epsilon != 0 && !(*epsilon > 0 && *epsilon < 1) {
-		fmt.Fprintf(os.Stderr, "trianglecount: -epsilon must be in (0, 1), got %v\n", *epsilon)
+	// with the usage code before any input is read. Zero selects the library
+	// default, except for -trials.
+	usage := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "trianglecount: "+format+"\n", args...)
 		os.Exit(exitUsage)
 	}
-	if !(*mult >= 0 && *mult <= math.MaxFloat64) {
-		fmt.Fprintf(os.Stderr, "trianglecount: -multiplier must be positive and finite, got %v\n", *mult)
-		os.Exit(exitUsage)
+	switch {
+	case *epsilon != 0 && !(*epsilon > 0 && *epsilon < 1):
+		usage("-epsilon must be in (0, 1), got %v", *epsilon)
+	case !(*mult >= 0 && *mult <= math.MaxFloat64):
+		usage("-multiplier must be positive and finite, got %v", *mult)
+	case *kappa < 0:
+		usage("-kappa must be non-negative, got %d", *kappa)
+	case *guess < 0:
+		usage("-guess must be non-negative, got %d", *guess)
+	case *workers < 0:
+		usage("-workers must be non-negative, got %d", *workers)
+	case *trials < 1:
+		usage("-trials must be positive, got %d", *trials)
 	}
 
 	// One context serves the deadline and Ctrl-C: both cancel the active scan

@@ -144,21 +144,6 @@ func TestNeighborSamplingAccuracy(t *testing.T) {
 	}
 }
 
-func TestWedgeClosingEdge(t *testing.T) {
-	a := graph.NewEdge(1, 2)
-	b := graph.NewEdge(2, 5)
-	if got := wedgeClosingEdge(a, b); got != graph.NewEdge(1, 5) {
-		t.Errorf("closing edge = %v, want (1,5)", got)
-	}
-	c := graph.NewEdge(7, 9)
-	if got := wedgeClosingEdge(a, c); got.U != -1 {
-		t.Errorf("non-wedge should return sentinel, got %v", got)
-	}
-	if !sharesEndpoint(a, b) || sharesEndpoint(a, c) || sharesEndpoint(a, a) {
-		t.Error("sharesEndpoint misbehaves")
-	}
-}
-
 func TestHeavyLightValidation(t *testing.T) {
 	g := gen.Wheel(20)
 	if _, err := HeavyLight(stream.FromGraph(g), HeavyLightConfig{SampledEdges: 0}); err == nil {

@@ -286,28 +286,3 @@ func packWedgeClosing(a, b, eu, ev uint32) uint64 {
 	}
 	return uint64(o1)<<32 | uint64(o2)
 }
-
-// sharesEndpoint reports whether two distinct edges share exactly one
-// endpoint (i.e. they form a wedge).
-func sharesEndpoint(a, b graph.Edge) bool {
-	if a == b {
-		return false
-	}
-	return a.U == b.U || a.U == b.V || a.V == b.U || a.V == b.V
-}
-
-// wedgeClosingEdge returns the edge joining the two non-shared endpoints of a
-// wedge. If the edges do not form a wedge it returns an impossible edge that
-// never matches a stream edge.
-func wedgeClosingEdge(a, b graph.Edge) graph.Edge {
-	var shared int
-	switch {
-	case a.U == b.U || a.U == b.V:
-		shared = a.U
-	case a.V == b.U || a.V == b.V:
-		shared = a.V
-	default:
-		return graph.Edge{U: -1, V: -1}
-	}
-	return graph.NewEdge(a.Other(shared), b.Other(shared))
-}

@@ -31,11 +31,11 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 
 	"degentri/internal/graph"
 	"degentri/internal/passes"
 	"degentri/internal/sampling"
+	"degentri/internal/sched"
 	"degentri/internal/stream"
 )
 
@@ -166,32 +166,22 @@ func Estimate(src stream.Stream, cfg Config) (Result, error) {
 // EstimateCtx is Estimate under a cancellation context and a transient-I/O
 // retry policy: a cancelled run aborts within one batch boundary, returning
 // the context error wrapped with the scan position; transient read failures
-// are healed under retry with bit-identical results.
+// are healed under retry with bit-identical results. The run is the one
+// client of a scheduler from sched.Open.
 func EstimateCtx(ctx context.Context, src stream.Stream, cfg Config, retry stream.RetryPolicy) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
-	if ctx == nil {
-		ctx = context.Background()
+	sch, err := sched.Open(ctx, src, cfg.Workers, retry)
+	if err != nil {
+		return Result{}, err
 	}
-	counter := stream.NewPassCounter(src)
-	m, known := counter.Len()
-	prelude := 0
-	if !known {
-		var err error
-		m, _, err = stream.CountEdgesCtx(ctx, counter, retry)
-		if err != nil {
-			return Result{}, err
-		}
-		prelude = 1
-	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	res, err := EstimateOn(passes.NewDirectCtx(ctx, counter, m, workers, retry), cfg)
-	res.Passes += prelude
-	res.Scans = res.Passes
+	opening := sch.Scans()
+	c := sch.NewClient()
+	res, err := EstimateOn(c, cfg)
+	c.Done()
+	res.Passes += opening
+	res.Scans = sch.Scans()
 	return res, err
 }
 

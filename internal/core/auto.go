@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 
 	"degentri/internal/sched"
@@ -65,35 +64,16 @@ func AutoEstimateCtx(ctx context.Context, src stream.Stream, cfg Config) (Result
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
-	if ctx == nil {
-		ctx = context.Background()
+	sch, err := sched.Open(ctx, src, cfg.Workers, cfg.Retry)
+	if err != nil {
+		return Result{Retries: sch.Retries()}, WrapAbort(err)
 	}
-	counter := stream.NewPassCounter(src)
-	m, known := counter.Len()
-	prelude := 0
-	preludeRetries := 0
-	if !known {
-		var err error
-		m, preludeRetries, err = stream.CountEdgesCtx(ctx, counter, cfg.Retry)
-		if err != nil {
-			return Result{Retries: preludeRetries}, WrapAbort(err)
-		}
-		prelude = 1
-	}
-	if m == 0 {
-		return Result{EdgesInStream: 0, Passes: prelude, Scans: prelude}, ErrNoEdges
-	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	sch := sched.NewCtx(ctx, counter, m, workers, cfg.Retry)
+	opening := sch.Scans()
 	c := sch.NewClient()
 	res, err := AutoEstimateFrom(c, cfg, nil)
 	c.Done()
-	res.Passes += prelude
-	res.Scans = prelude + sch.Scans()
-	res.Retries = preludeRetries + sch.Retries()
+	res.Passes += opening
+	res.Scans, res.Retries = sch.Scans(), sch.Retries()
 	return res, WrapAbort(err)
 }
 

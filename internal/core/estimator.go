@@ -3,11 +3,11 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
 
 	"degentri/internal/graph"
 	"degentri/internal/passes"
 	"degentri/internal/sampling"
+	"degentri/internal/sched"
 	"degentri/internal/stream"
 )
 
@@ -53,11 +53,12 @@ type instance struct {
 // by up to Config.Workers concurrent workers, and merged in shard order, so
 // the estimate for a fixed seed is deterministic at any worker count.
 //
-// Run executes each pass as its own physical scan. RunOn instead executes the
-// passes through a caller-supplied executor — when that executor is a scan
-// scheduler client (internal/sched), the run's passes share physical scans
-// with whatever other runs are fused onto the same scheduler, with
-// bit-identical results (all in-pass randomness is keyed, never positional).
+// Run executes the passes as the only client of its own scan scheduler
+// (internal/sched), so each pass is its own physical scan. RunOn instead
+// executes them through a caller-supplied scheduler client, whose passes
+// share physical scans with whatever other runs are fused onto the same
+// scheduler, with bit-identical results (all in-pass randomness is keyed,
+// never positional).
 //
 // A run handed every vertex's degree (UseDegrees) is in the paper's Section 4
 // degree-oracle model: it looks degrees up instead of running pass 2 and
@@ -107,14 +108,6 @@ func EstimateTriangles(src stream.Stream, cfg Config) (Result, error) {
 	return NewEstimator(cfg).Run(src)
 }
 
-// workers resolves Config.Workers.
-func (est *Estimator) workers() int {
-	if est.cfg.Workers > 0 {
-		return est.cfg.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // Run executes the estimator against the stream and returns the estimate and
 // resource accounting. The stream must replay the same edge order on every
 // pass (all stream.Stream implementations in this repository do). Every
@@ -128,43 +121,33 @@ func (est *Estimator) Run(src stream.Stream) (Result, error) {
 // scan position and classified as ErrDeadline/ErrAborted. Transient I/O
 // errors are healed under Config.Retry, with recoveries counted in
 // Result.Retries.
+//
+// The run is the one client of a scheduler from sched.Open. A stream that
+// does not know its length costs one counting pass first (the paper assumes
+// m is known when setting parameters), which Passes and Scans include; a
+// failed count reports each of its attempts as a pass and a scan.
 func (est *Estimator) RunCtx(ctx context.Context, src stream.Stream) (Result, error) {
 	if err := est.cfg.Validate(); err != nil {
 		return Result{}, err
 	}
-	if ctx == nil {
-		ctx = context.Background()
+	sch, err := sched.Open(ctx, src, est.cfg.Workers, est.cfg.Retry)
+	if err != nil {
+		n := sch.Scans() + sch.Retries()
+		return Result{Passes: n, Scans: n, Retries: sch.Retries()}, WrapAbort(err)
 	}
-	counter := stream.NewPassCounter(src)
-
-	// Discover m. If the source knows its length this is free; otherwise it
-	// costs one counting pass (the paper assumes m is known when setting
-	// parameters). The counting pass also lets a text stream write its .bex
-	// v2 copy, so the passes below can run with concurrent workers.
-	// The count is state-free, so a transient failure re-runs the whole pass.
-	m, known := counter.Len()
-	prelude := 0
-	preludeRetries := 0
-	if !known {
-		var err error
-		m, preludeRetries, err = stream.CountEdgesCtx(ctx, counter, est.cfg.Retry)
-		if err != nil {
-			return Result{Passes: counter.Passes(), Scans: counter.Passes(), Retries: preludeRetries},
-				WrapAbort(err)
-		}
-		prelude = 1
-	}
-	res, err := est.runOn(passes.NewDirectCtx(ctx, counter, m, est.workers(), est.cfg.Retry))
-	res.Passes += prelude
-	res.Scans = res.Passes
-	res.Retries += preludeRetries
+	opening := sch.Scans()
+	c := sch.NewClient()
+	res, err := est.runOn(c)
+	c.Done()
+	res.Passes += opening
+	res.Scans, res.Retries = sch.Scans(), sch.Retries()
 	return res, WrapAbort(err)
 }
 
 // RunOn executes the estimator's passes through the given executor, whose
 // stream must hold exactly x.M() edges. Result.Passes counts this run's
 // logical passes; Result.Scans is left zero because physical scans belong to
-// the executor's owner (for a Direct executor use Run, which fills it).
+// the executor's owner (Run fills it for a run of its own).
 func (est *Estimator) RunOn(x passes.Executor) (Result, error) {
 	if err := est.cfg.Validate(); err != nil {
 		return Result{}, err

@@ -38,9 +38,6 @@ func (o *GraphOracle) Degree(v int) int {
 // Queries returns the number of degree queries answered so far.
 func (o *GraphOracle) Queries() int64 { return o.queries }
 
-// ResetQueries zeroes the query counter.
-func (o *GraphOracle) ResetQueries() { o.queries = 0 }
-
 // idealInstance is the state of one parallel copy of Algorithm 1.
 type idealInstance struct {
 	reservoir *sampling.WeightedSingleReservoir[graph.Edge]

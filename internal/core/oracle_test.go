@@ -24,10 +24,6 @@ func TestGraphOracle(t *testing.T) {
 	if o.Queries() != 4 {
 		t.Errorf("query count = %d, want 4", o.Queries())
 	}
-	o.ResetQueries()
-	if o.Queries() != 0 {
-		t.Error("reset failed")
-	}
 }
 
 func TestLowestDegreeEdgeDeterministic(t *testing.T) {

@@ -44,8 +44,9 @@
 // as a scan-scheduler client: when another client of the same scheduler has
 // a pass pending at the same time as a peel round — independent trials each
 // resolving κ, or a trial's peel next to another trial's core passes — the
-// two share one physical scan. Estimate is the standalone entry point that
-// wraps a stream in a Direct executor (one scan per pass, as before).
+// two share one physical scan. Estimate is the standalone entry point: the
+// peel is the one client of its own scheduler (passes.NewDirect), so each
+// pass is its own scan.
 package degen
 
 import (

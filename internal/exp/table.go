@@ -9,8 +9,7 @@ import (
 )
 
 // Table is a rendered experiment result: a titled grid of cells plus optional
-// notes. Tables render to GitHub-flavoured markdown (for EXPERIMENTS.md) and
-// to CSV (for downstream plotting).
+// notes. Tables render to GitHub-flavoured markdown (for EXPERIMENTS.md).
 type Table struct {
 	ID      string
 	Title   string
@@ -60,27 +59,6 @@ func (t *Table) Markdown() string {
 		for _, n := range t.Notes {
 			fmt.Fprintf(&b, "- %s\n", n)
 		}
-	}
-	return b.String()
-}
-
-// CSV renders the table as comma-separated values (commas inside cells are
-// replaced by semicolons; experiment cells are numeric or short labels, so
-// full quoting is unnecessary).
-func (t *Table) CSV() string {
-	var b strings.Builder
-	clean := func(s string) string { return strings.ReplaceAll(s, ",", ";") }
-	cols := make([]string, len(t.Columns))
-	for i, c := range t.Columns {
-		cols[i] = clean(c)
-	}
-	b.WriteString(strings.Join(cols, ",") + "\n")
-	for _, row := range t.Rows {
-		cells := make([]string, len(row))
-		for i, c := range row {
-			cells[i] = clean(c)
-		}
-		b.WriteString(strings.Join(cells, ",") + "\n")
 	}
 	return b.String()
 }

@@ -170,9 +170,6 @@ func New(inner stream.Stream, plan Plan) *Faulty {
 // of its range sub-streams).
 func (f *Faulty) Faults() int64 { return f.st.faults.Load() }
 
-// Resets reports how many Reset calls the schedule has seen.
-func (f *Faulty) Resets() int64 { return f.st.resets.Load() }
-
 // schedule draws this pass's fault from the next reset ordinal.
 func (f *Faulty) schedule() {
 	f.scan = f.st.resets.Add(1)

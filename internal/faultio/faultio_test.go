@@ -2,6 +2,7 @@ package faultio
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -157,8 +158,16 @@ func TestRangeSubStreamsShareSchedule(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		fsub.Reset()
 	}
-	if got := f.Resets(); got != 5 {
-		t.Fatalf("parent saw %d resets after 5 sub-stream resets, want 5", got)
+	// The parent's next pass claims ordinal 6, which its fault names.
+	if err := f.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	var err error
+	for err == nil {
+		_, err = f.NextBatch(nil)
+	}
+	if !strings.Contains(err.Error(), "(scan 6,") {
+		t.Fatalf("parent's first pass after 5 sub-stream resets failed with %v, want a fault of scan 6", err)
 	}
 	if f.Faults() != fsub.Faults() {
 		t.Fatal("parent and sub-stream disagree on the fault count")

@@ -100,14 +100,6 @@ func Wheel(n int) *graph.Graph {
 	return b.Build()
 }
 
-// WheelTriangles returns the exact triangle count of Wheel(n).
-func WheelTriangles(n int) int64 {
-	if n == 4 {
-		return 4 // K4
-	}
-	return int64(n - 1)
-}
-
 // Book returns the "book" (triangle fan) graph of §1.2: pages triangles all
 // sharing the common spine edge {0,1}; vertex 2+i is the apex of page i.
 // n = pages+2, m = 2·pages+1, T = pages, κ = 2, and the spine edge lies on

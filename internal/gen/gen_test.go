@@ -61,15 +61,16 @@ func TestWheelProperties(t *testing.T) {
 		if g.NumEdges() != 2*(n-1) {
 			t.Errorf("wheel(%d): m=%d, want %d", n, g.NumEdges(), 2*(n-1))
 		}
-		if got := g.TriangleCount(); got != WheelTriangles(n) {
-			t.Errorf("wheel(%d): T=%d, want %d", n, got, WheelTriangles(n))
+		// Every rim edge closes one triangle with the hub.
+		if got := g.TriangleCount(); got != int64(n-1) {
+			t.Errorf("wheel(%d): T=%d, want %d", n, got, n-1)
 		}
 		if k := g.Degeneracy(); k != 3 {
 			t.Errorf("wheel(%d): κ=%d, want 3", n, k)
 		}
 	}
 	// n=4 is K4.
-	if Wheel(4).TriangleCount() != 4 || WheelTriangles(4) != 4 {
+	if Wheel(4).TriangleCount() != 4 {
 		t.Error("wheel(4) should be K4 with 4 triangles")
 	}
 	assertPanics(t, func() { Wheel(3) })

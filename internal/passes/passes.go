@@ -1,10 +1,10 @@
 // Package passes is the shared multi-pass streaming-estimator framework: the
 // concrete sharded stream passes that every estimator in this repository is
-// built from. It sits on top of the sharded pass engine
-// (stream.ShardedForEachBatch) and the keyed RNG streams (sampling.MixSeed)
-// and owns the pass bodies that used to be duplicated between internal/core
-// and internal/clique — degree counting, uniform edge sampling, keyed
-// neighbor-reservoir sampling, and closure checking.
+// built from. It sits on top of the scan scheduler (internal/sched), whose
+// scans run the sharded pass engine, and of the keyed RNG streams
+// (sampling.MixSeed), and owns the pass bodies that used to be duplicated
+// between internal/core and internal/clique — degree counting, uniform edge
+// sampling, keyed neighbor-reservoir sampling, and closure checking.
 //
 // # The (seed, passKey, mergeKey) contract
 //
@@ -35,13 +35,13 @@
 // Every pass body in this package is expressed against the Executor
 // interface rather than against a concrete stream: the estimator declares
 // *what* the pass needs (a process/merge pair under the engine contract) and
-// the executor decides *how* the stream is read. Direct is the unfused
-// executor — each logical pass is its own physical scan, exactly the
-// pre-scheduler behavior — while internal/sched provides a fused executor
-// whose clients share one physical scan across every logical pass that is
-// pending at the same time. Because all randomness inside a pass is keyed by
-// (seed, passKey, instance, shard) and never by scan identity, a pass body
-// produces bit-identical results no matter which physical scan carried it.
+// the executor decides *how* the stream is read. The one implementation is a
+// client of the scan scheduler (internal/sched), which shares one physical
+// scan among every logical pass pending at the same time; NewDirect is a
+// client with no fusion partner, so each of its passes is its own scan.
+// Because all randomness inside a pass is keyed by (seed, passKey, instance,
+// shard) and never by scan identity, a pass body produces bit-identical
+// results no matter which physical scan carried it.
 //
 // Adding a new estimator workload should mean writing pass bodies against
 // this package — picking fresh pass/merge keys — not re-implementing the
@@ -50,12 +50,12 @@ package passes
 
 import (
 	"context"
-	"runtime"
 	"sort"
 	"sync/atomic"
 
 	"degentri/internal/graph"
 	"degentri/internal/sampling"
+	"degentri/internal/sched"
 	"degentri/internal/stream"
 )
 
@@ -84,60 +84,19 @@ type Executor interface {
 	Retries() int
 }
 
-// Direct is the unfused Executor: every logical pass is one physical
-// stream.ShardedForEachBatch scan of the underlying stream. It is what
-// standalone estimator entry points use; fused entry points substitute a
-// scheduler client (internal/sched) with the same interface.
-type Direct struct {
-	s       stream.Stream
-	m       int
-	workers int
-	passes  int
-	ctx     context.Context
-	retry   stream.RetryPolicy
-	retries int
-}
-
-// NewDirect returns a Direct executor over a stream of exactly m edges.
-// workers <= 0 selects GOMAXPROCS. The executor is uncancellable and does not
-// retry; NewDirectCtx is the fault-tolerant constructor.
-func NewDirect(s stream.Stream, m, workers int) *Direct {
+// NewDirect returns an executor over a stream of exactly m edges on which
+// every logical pass is its own physical scan: the one client of a scan
+// scheduler that has no other client. workers <= 0 selects GOMAXPROCS. The
+// executor is uncancellable and does not retry; NewDirectCtx is the
+// fault-tolerant constructor.
+func NewDirect(s stream.Stream, m, workers int) *sched.Client {
 	return NewDirectCtx(context.Background(), s, m, workers, stream.RetryPolicy{})
 }
 
-// NewDirectCtx returns a Direct executor whose scans abort when ctx is
-// cancelled and heal transient I/O errors under the given retry policy.
-func NewDirectCtx(ctx context.Context, s stream.Stream, m, workers int, retry stream.RetryPolicy) *Direct {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return &Direct{s: s, m: m, workers: workers, ctx: ctx, retry: retry}
-}
-
-// M implements Executor.
-func (d *Direct) M() int { return d.m }
-
-// Workers implements Executor.
-func (d *Direct) Workers() int { return d.workers }
-
-// Passes implements Executor.
-func (d *Direct) Passes() int { return d.passes }
-
-// Context implements Executor.
-func (d *Direct) Context() context.Context { return d.ctx }
-
-// Retries implements Executor.
-func (d *Direct) Retries() int { return d.retries }
-
-// RunPass implements Executor: one logical pass, one physical scan.
-func (d *Direct) RunPass(process func(shard int, batch []graph.Edge) error, merge func(shard int) error) error {
-	d.passes++
-	_, retries, err := stream.ShardedScan(d.ctx, d.s, d.m, d.workers, d.retry, process, merge)
-	d.retries += retries
-	return err
+// NewDirectCtx is NewDirect with scans that abort when ctx is cancelled and
+// heal transient I/O errors under the given retry policy.
+func NewDirectCtx(ctx context.Context, s stream.Stream, m, workers int, retry stream.RetryPolicy) *sched.Client {
+	return sched.NewCtx(ctx, s, m, workers, retry).NewClient()
 }
 
 // runPooled executes one sharded pass whose per-shard scratch state is pooled:

@@ -124,9 +124,6 @@ func (w *WeightedSingleReservoir[T]) Offer(item T, weight float64) {
 // been offered.
 func (w *WeightedSingleReservoir[T]) Value() (T, bool) { return w.item, w.valid }
 
-// TotalWeight returns the sum of offered weights.
-func (w *WeightedSingleReservoir[T]) TotalWeight() float64 { return w.total }
-
 // Reset clears the reservoir.
 func (w *WeightedSingleReservoir[T]) Reset() {
 	var zero T

@@ -187,9 +187,6 @@ func TestWeightedSingleReservoirSkipsZeroWeight(t *testing.T) {
 	if v, ok := w.Value(); !ok || v != 2 {
 		t.Fatal("positive-weight item not selected")
 	}
-	if w.TotalWeight() != 5 {
-		t.Fatalf("total weight %v", w.TotalWeight())
-	}
 }
 
 func TestWeightedSingleReservoirPanicsOnNegative(t *testing.T) {
@@ -203,9 +200,15 @@ func TestWeightedSingleReservoirPanicsOnNegative(t *testing.T) {
 
 func TestWeightedSingleReservoirReset(t *testing.T) {
 	w := NewWeightedSingleReservoir[int](NewRNG(10))
-	w.Offer(1, 1)
+	w.Offer(1, 1e9)
 	w.Reset()
-	if _, ok := w.Value(); ok || w.TotalWeight() != 0 {
+	if _, ok := w.Value(); ok {
 		t.Fatal("reset failed")
+	}
+	// The weight offered before the reset no longer counts: the first item
+	// after it is selected for sure.
+	w.Offer(2, 1)
+	if v, ok := w.Value(); !ok || v != 2 {
+		t.Fatal("reset kept the offered weight")
 	}
 }

@@ -1,8 +1,8 @@
 // Package sampling provides the randomness and sampling primitives shared by
 // every estimator in the repository: a splittable deterministic RNG, uniform
-// and weighted reservoir sampling over one-pass streams, alias tables for
-// in-memory weighted sampling, and the median-of-means aggregation used to
-// boost constant-probability estimators to high probability.
+// and weighted reservoir sampling over one-pass streams, a cumulative sampler
+// for in-memory weighted sampling, and the median-of-means aggregation used
+// to boost constant-probability estimators to high probability.
 package sampling
 
 import "math"

@@ -2,91 +2,9 @@ package sampling
 
 import "fmt"
 
-// AliasTable supports O(1) sampling from a fixed discrete distribution after
-// O(n) preprocessing (Walker/Vose alias method). It is used to draw the ℓ
-// degree-proportional samples from the stored edge set R in Algorithm 2.
-type AliasTable struct {
-	prob  []float64
-	alias []int
-	n     int
-}
-
-// NewAliasTable builds an alias table for the given non-negative weights.
-// It returns an error if the weights are empty, contain a negative value, or
-// sum to zero.
-func NewAliasTable(weights []float64) (*AliasTable, error) {
-	n := len(weights)
-	if n == 0 {
-		return nil, fmt.Errorf("sampling: alias table needs at least one weight")
-	}
-	var total float64
-	for i, w := range weights {
-		if w < 0 {
-			return nil, fmt.Errorf("sampling: negative weight %v at index %d", w, i)
-		}
-		total += w
-	}
-	if total == 0 {
-		return nil, fmt.Errorf("sampling: all weights are zero")
-	}
-
-	t := &AliasTable{
-		prob:  make([]float64, n),
-		alias: make([]int, n),
-		n:     n,
-	}
-	scaled := make([]float64, n)
-	small := make([]int, 0, n)
-	large := make([]int, 0, n)
-	for i, w := range weights {
-		scaled[i] = w * float64(n) / total
-		if scaled[i] < 1 {
-			small = append(small, i)
-		} else {
-			large = append(large, i)
-		}
-	}
-	for len(small) > 0 && len(large) > 0 {
-		s := small[len(small)-1]
-		small = small[:len(small)-1]
-		l := large[len(large)-1]
-		large = large[:len(large)-1]
-		t.prob[s] = scaled[s]
-		t.alias[s] = l
-		scaled[l] = scaled[l] + scaled[s] - 1
-		if scaled[l] < 1 {
-			small = append(small, l)
-		} else {
-			large = append(large, l)
-		}
-	}
-	for _, i := range large {
-		t.prob[i] = 1
-		t.alias[i] = i
-	}
-	for _, i := range small {
-		t.prob[i] = 1
-		t.alias[i] = i
-	}
-	return t, nil
-}
-
-// Sample draws an index with probability proportional to its weight.
-func (t *AliasTable) Sample(rng *RNG) int {
-	i := rng.Intn(t.n)
-	if rng.Float64() < t.prob[i] {
-		return i
-	}
-	return t.alias[i]
-}
-
-// Len returns the number of outcomes.
-func (t *AliasTable) Len() int { return t.n }
-
 // CumulativeSampler samples an index proportional to integer weights using
-// binary search over prefix sums. It is slower per draw than AliasTable
-// (O(log n)) but exact for integer weights and simpler to audit; the
-// estimator tests use it to cross-check the alias table.
+// binary search over prefix sums: O(log n) per draw, exact for integer
+// weights.
 type CumulativeSampler struct {
 	prefix []int64
 	total  int64
@@ -128,6 +46,3 @@ func (c *CumulativeSampler) Sample(rng *RNG) int {
 	}
 	return lo
 }
-
-// Total returns the sum of weights.
-func (c *CumulativeSampler) Total() int64 { return c.total }

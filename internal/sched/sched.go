@@ -15,10 +15,14 @@
 // returned, so any two passes pending at once are — by construction —
 // dependency-free and safe to fuse. The scheduler launches a physical scan
 // ("wave") as soon as every live client is blocked in RunPass, executing all
-// pending requests against the batches of a single stream.ShardedForEachBatch
+// pending requests against the batches of a single stream.ShardedScan
 // pass: per batch, each fused request's process runs in submission order;
 // per shard, each request's merge runs in ascending shard order, exactly as
 // if the request had scanned alone.
+//
+// Every pass of the repository runs on a scheduler. A standalone run owns one
+// (Open, or passes.NewDirect when the caller knows m); a run that is its
+// scheduler's only client scans once per pass.
 //
 // # Why fusion cannot change results
 //
@@ -31,7 +35,8 @@
 //
 // # Accounting
 //
-// Scans() counts physical scans (waves); each Client counts its own logical
+// Scans() counts physical scans (waves, plus Open's counting scan for a
+// stream that does not know its length); each Client counts its own logical
 // passes — the paper's metric — via Passes(). Meter() is the group space
 // meter fused runs tee their private SpaceMeters into, so the reported space
 // is the peak of *concurrently* retained words, not a sequential max.
@@ -95,13 +100,44 @@ type Scheduler struct {
 	carried int // cumulative requests served across all waves
 	retries int
 	meter   *stream.SharedMeter
+
+	vertices int // 1 + the largest vertex ID Open's count saw; 0 when Open did not scan
+}
+
+// Open returns a scheduler over src, the one way a standalone run or a
+// session reaches its stream. A stream that knows its length is not scanned.
+// One that does not (a text file before its first pass) is counted by one
+// stream.CountEdgesAndMaxIDCtx scan, which also lets a text write its .bex
+// v2 copy, so the scheduler's scans can run on concurrent workers. That
+// opening scan counts in Scans, its whole-pass retries in Retries, and
+// Vertices reports the vertex count it found, which spares the κ̂ peel its
+// own vertex-ID pass. workers and retry are NewCtx's.
+//
+// A failed count returns its error together with a scheduler that only
+// accounts for it (one scan in Scans, the count's retries in Retries); it
+// must not run passes.
+func Open(ctx context.Context, src stream.Stream, workers int, retry stream.RetryPolicy) (*Scheduler, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	m, known := src.Len()
+	if known {
+		return NewCtx(ctx, src, m, workers, retry), nil
+	}
+	m, maxID, retries, err := stream.CountEdgesAndMaxIDCtx(ctx, src, retry)
+	s := NewCtx(ctx, src, m, workers, retry)
+	s.scans, s.retries = 1, retries
+	if err == nil {
+		s.vertices = maxID + 1
+	}
+	return s, err
 }
 
 // New returns a scheduler over a stream of exactly m edges. workers bounds
-// the shard workers of each fused scan; <= 0 selects GOMAXPROCS, matching
-// the repository-wide convention (passes.NewDirect, Config.Workers). The
-// scheduler is uncancellable and does not retry; NewCtx is the
-// fault-tolerant constructor.
+// the shard workers of each fused scan; <= 0 selects GOMAXPROCS, the
+// repository-wide convention (Config.Workers). The scheduler is
+// uncancellable and does not retry; NewCtx is the fault-tolerant
+// constructor.
 func New(src stream.Stream, m, workers int) *Scheduler {
 	return NewCtx(context.Background(), src, m, workers, stream.RetryPolicy{})
 }
@@ -127,7 +163,8 @@ func (s *Scheduler) M() int { return s.m }
 // Workers returns the shard-worker bound of each fused scan.
 func (s *Scheduler) Workers() int { return s.workers }
 
-// Scans returns how many physical scans the scheduler has performed.
+// Scans returns how many physical scans the scheduler has performed: its
+// waves, plus Open's counting scan when it made one.
 func (s *Scheduler) Scans() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -155,13 +192,18 @@ func (s *Scheduler) Live() int {
 }
 
 // Retries returns how many transient-I/O recoveries the scheduler's physical
-// scans have performed. Healed scans are bit-identical to undisturbed ones,
-// so this is resource accounting only.
+// scans, Open's counting scan included, have performed. Healed scans are
+// bit-identical to undisturbed ones, so this is resource accounting only.
 func (s *Scheduler) Retries() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.retries
 }
+
+// Vertices returns 1 + the largest vertex ID that Open's counting scan saw,
+// or 0 when Open did not scan (the stream knew its length) or the stream has
+// no non-negative ID.
+func (s *Scheduler) Vertices() int { return s.vertices }
 
 // Meter returns the group space meter of this scheduler. Fused estimator
 // runs tee their private meters into it (stream.SpaceMeter.Tee), so its peak

@@ -137,7 +137,8 @@ func TestUnevenClientsDrain(t *testing.T) {
 }
 
 // TestFusedEqualsDirect runs a real randomized pass (neighbor sampling) both
-// ways: fused clients on one scheduler vs. private Direct executors. The
+// ways: fused clients on one scheduler vs. private one-client executors
+// (passes.NewDirect). The
 // merged samples must be bit-identical — fusion may not change realized
 // randomness.
 func TestFusedEqualsDirect(t *testing.T) {

@@ -24,6 +24,8 @@ import (
 // tiny and over-ceiling budgets, degeneracy and clique calls — against two
 // graphs, while liveness is polled throughout. Afterwards:
 //
+//   - every over-ceiling request was refused (503 budget), and a request at
+//     exactly the ceiling is admitted once the daemon is idle;
 //   - every clean complete response is bit-identical to the library run
 //     with the same (seed, budget), including fault-injected requests whose
 //     faults healed under retry (healed scans are bit-identical);
@@ -167,9 +169,9 @@ func TestChaosLoad(t *testing.T) {
 			case roll < 85: // tiny budget: 200 aborted via the library cutoff
 				o.kind = "tiny-budget"
 				url = fmt.Sprintf("%s/estimate?graph=%s&seed=%d&budget=8", ts.URL, o.graph, o.seed)
-			case roll < 90: // budget at the ceiling: admitted alone, else 503
+			case roll < 90: // budget above the ceiling: never admitted, 503
 				o.kind = "huge-budget"
-				url = fmt.Sprintf("%s/estimate?graph=%s&seed=%d&budget=%d", ts.URL, o.graph, o.seed, ceiling)
+				url = fmt.Sprintf("%s/estimate?graph=%s&seed=%d&budget=%d", ts.URL, o.graph, o.seed, ceiling+1)
 			case roll < 97: // degeneracy: deterministic, all must agree
 				o.kind = "degeneracy"
 				url = fmt.Sprintf("%s/degeneracy?graph=%s", ts.URL, o.graph)
@@ -253,8 +255,8 @@ func TestChaosLoad(t *testing.T) {
 				t.Errorf("query %d (tiny-budget): status %d aborted=%v, want 200 aborted", i, o.status, o.aborted)
 			}
 		case "huge-budget":
-			if o.status != http.StatusOK && !(o.status == http.StatusServiceUnavailable && o.errKind == "budget") {
-				t.Errorf("query %d (huge-budget): status %d (%s), want 200 or 503 budget", i, o.status, o.errKind)
+			if o.status != http.StatusServiceUnavailable || o.errKind != "budget" {
+				t.Errorf("query %d (huge-budget): status %d (%s), want 503 budget", i, o.status, o.errKind)
 			}
 		case "degeneracy":
 			if o.status != http.StatusOK {
@@ -272,6 +274,20 @@ func TestChaosLoad(t *testing.T) {
 		}
 	}
 	t.Logf("outcome counts: %v", counts)
+
+	// A budget of exactly the ceiling is admitted once the ledger is empty.
+	// (Sent during the mix, it would hold the whole ceiling while it ran and
+	// turn every request arriving meanwhile into a 503.)
+	var whole struct {
+		Estimate float64 `json:"estimate"`
+		Partial  bool    `json:"partial"`
+		Aborted  bool    `json:"aborted"`
+	}
+	status := get(t, client, fmt.Sprintf("%s/estimate?graph=hot&seed=%d&budget=%d", ts.URL, seeds[0], ceiling), &whole)
+	if status != http.StatusOK || whole.Partial || whole.Aborted || whole.Estimate != wantHot[seeds[0]] {
+		t.Errorf("budget at the ceiling on an idle daemon: status %d estimate %v partial=%v aborted=%v, want 200 with %v",
+			status, whole.Estimate, whole.Partial, whole.Aborted, wantHot[seeds[0]])
+	}
 
 	// Fusion must have paid: the hot graph served hundreds of shared-path
 	// requests; without fusion each costs several scans of its own.

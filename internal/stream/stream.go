@@ -135,7 +135,7 @@ func CountEdges(s Stream) (int, error) {
 // reached), and when retry is enabled a transient read failure re-runs the
 // entire pass from Reset. Whole-pass retry is only sound for state-free
 // callers — fn must tolerate seeing edges again from the start — which is
-// exactly the shape of the counting preludes this serves; stateful passes go
+// exactly the shape of the opening count sched.Open makes; stateful passes go
 // through ShardedScan, whose recovery resumes instead of re-running. retries
 // reports the recoveries performed.
 func ForEachBatchCtx(ctx context.Context, s Stream, retry RetryPolicy, fn func([]graph.Edge) error) (count, retries int, err error) {

@@ -17,7 +17,8 @@ type CliqueOptions struct {
 	// other value outside (0, 1) is an error.
 	Epsilon float64
 	// Degeneracy is an upper bound on κ. When zero it is computed exactly
-	// from the in-memory graph (which this entry point builds anyway).
+	// from the in-memory graph (which this entry point builds anyway); a
+	// negative bound is an error.
 	Degeneracy int
 	// CliqueGuess is a lower-bound guess on the number of K-cliques used to
 	// size the samples; it is required (the clique estimator does not run the
@@ -45,7 +46,7 @@ func EstimateCliques(edges []Edge, opts CliqueOptions) (Result, error) {
 	if opts.CliqueGuess < 1 {
 		return Result{}, fmt.Errorf("triangle: CliqueGuess must be a positive lower bound on the %d-clique count", opts.K)
 	}
-	if err := checkAccuracy(opts.Epsilon, opts.SampleMultiplier); err != nil {
+	if err := checkCliqueOptions(opts); err != nil {
 		return Result{}, err
 	}
 	g := buildGraph(edges)

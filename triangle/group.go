@@ -16,10 +16,11 @@ import (
 // GroupOptions configures a ScanGroup.
 type GroupOptions struct {
 	// Workers bounds the shard workers of every physical scan the group
-	// performs (0 = GOMAXPROCS). Estimates are identical at any setting, so
-	// this is purely a resource knob; per-request Options.Workers is ignored
-	// inside a group — scan parallelism belongs to the shared scans, not to
-	// the requests riding them.
+	// performs (0 = GOMAXPROCS; negative is an error). Estimates are
+	// identical at any setting, so this is purely a resource knob; a valid
+	// per-request Options.Workers is ignored inside a group — scan
+	// parallelism belongs to the shared scans, not to the requests riding
+	// them.
 	Workers int
 	// RetryAttempts is the transient-I/O retry budget of the group's scans,
 	// with the same semantics as Options.RetryAttempts (0 = library default,
@@ -78,16 +79,10 @@ type GroupKappa struct {
 // degree array (see CurrentSpaceWords), and Result.Scans stays zero because
 // physical scans belong to the whole group (see Scans).
 type ScanGroup struct {
-	path        string
-	backend     string
-	src         stream.Stream
-	m           int
-	vertices    int // 1 + max vertex ID when the open counted the stream, else 0
-	opening     int // physical scans the open made: 1 for a stream without a length, else 0
-	openRetries int
-	workers     int
-	retry       stream.RetryPolicy
-	sch         *sched.Scheduler
+	path    string
+	backend string
+	src     stream.Stream
+	sch     *sched.Scheduler
 
 	kmu       sync.Mutex
 	kappa     *GroupKappa
@@ -99,8 +94,12 @@ type ScanGroup struct {
 // a scan group that owns the file until Close. A text file is counted by one
 // scan up front; an empty stream returns ErrNoEdges. ctx is the group's
 // lifetime: cancelling it aborts every wave of every request — per-request
-// scopes are the ctx arguments of Estimate and friends.
+// scopes are the ctx arguments of Estimate and friends. A negative
+// GroupOptions.Workers is an error.
 func OpenScanGroup(ctx context.Context, path string, gopts GroupOptions) (*ScanGroup, error) {
+	if err := checkNonNegative("Workers", int64(gopts.Workers)); err != nil {
+		return nil, err
+	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -118,27 +117,19 @@ func OpenScanGroup(ctx context.Context, path string, gopts GroupOptions) (*ScanG
 }
 
 // newScanGroup opens a group over src, which stays the caller's to close.
-// Only a stream that does not know its length (text) is scanned at open: one
-// scan counts its edges and records its vertex count for the peel. A .bex or
-// in-memory stream is not scanned; its peel makes its own vertex-ID pass.
+// Only a stream that does not know its length (text) is scanned at open (see
+// sched.Open): one scan counts its edges and records its vertex count for
+// the peel. A .bex or in-memory stream is not scanned; its peel makes its
+// own vertex-ID pass.
 func newScanGroup(ctx context.Context, src stream.Stream, backend string, workers int, retry stream.RetryPolicy) (*ScanGroup, error) {
-	g := &ScanGroup{backend: backend, src: src, workers: workers, retry: retry}
-	m, known := src.Len()
-	if !known {
-		var maxID int
-		var err error
-		m, maxID, g.openRetries, err = stream.CountEdgesAndMaxIDCtx(ctx, src, retry)
-		if err != nil {
-			return nil, err
-		}
-		g.opening, g.vertices = 1, maxID+1
+	sch, err := sched.Open(ctx, src, workers, retry)
+	if err != nil {
+		return nil, err
 	}
-	if m == 0 {
+	if sch.M() == 0 {
 		return nil, ErrNoEdges
 	}
-	g.m = m
-	g.sch = sched.NewCtx(ctx, src, m, workers, retry)
-	return g, nil
+	return &ScanGroup{backend: backend, src: src, sch: sch}, nil
 }
 
 // Path returns the file the group serves.
@@ -149,14 +140,14 @@ func (g *ScanGroup) Path() string { return g.path }
 func (g *ScanGroup) Backend() string { return g.backend }
 
 // M returns the number of edges in the stream.
-func (g *ScanGroup) M() int { return g.m }
+func (g *ScanGroup) M() int { return g.sch.M() }
 
 // Scans returns the physical scans the group has performed to date: the
 // opening counting scan (text only) plus every scheduler wave. Requests
 // share waves, so scans are a group-level quantity — with N concurrent
 // same-file requests the figure grows far slower than the sum of the
 // requests' logical passes.
-func (g *ScanGroup) Scans() int { return g.opening + g.sch.Scans() }
+func (g *ScanGroup) Scans() int { return g.sch.Scans() }
 
 // Carried returns the cumulative number of fused requests the group's waves
 // served; Carried/Scans is the average fused width.
@@ -170,7 +161,7 @@ func (g *ScanGroup) Live() int { return g.sch.Live() }
 // Retries returns the cumulative transient-I/O recoveries of the group's
 // scans, the opening scan included (healed scans are bit-identical, so this
 // is resource accounting).
-func (g *ScanGroup) Retries() int { return g.openRetries + g.sch.Retries() }
+func (g *ScanGroup) Retries() int { return g.sch.Retries() }
 
 // PeakSpaceWords returns the peak of concurrently retained words across
 // everything that ever ran fused on this group: the κ̂ peel's footprint, and
@@ -252,7 +243,7 @@ func (g *ScanGroup) resolveKappa(ctx context.Context) (GroupKappa, []int32, erro
 	defer c.Done()
 	meter := stream.NewSpaceMeter()
 	meter.Tee(g.sch.Meter())
-	dres, deg, err := degen.EstimateWithDegrees(c, degen.Options{KnownVertices: g.vertices, Meter: meter})
+	dres, deg, err := degen.EstimateWithDegrees(c, degen.Options{KnownVertices: g.sch.Vertices(), Meter: meter})
 	if err != nil {
 		return GroupKappa{}, nil, fmt.Errorf("triangle: %w", err)
 	}
@@ -284,7 +275,7 @@ func (g *ScanGroup) Estimate(ctx context.Context, opts Options) (Result, error) 
 	if opts.WrapStream != nil {
 		return Result{}, errors.New("triangle: ScanGroup does not accept WrapStream (the stream is shared; wrap a private EstimateFile run instead)")
 	}
-	if err := checkAccuracy(opts.Epsilon, opts.SampleMultiplier); err != nil {
+	if err := checkOptions(opts); err != nil {
 		return Result{}, err
 	}
 	if ctx == nil {
@@ -295,7 +286,7 @@ func (g *ScanGroup) Estimate(ctx context.Context, opts Options) (Result, error) 
 		return Result{}, err
 	}
 	out := Result{
-		Edges:            g.m,
+		Edges:            g.M(),
 		DegeneracyBound:  r.kappa.Kappa,
 		DegeneracyApprox: r.approx,
 		Backend:          g.backend,
@@ -343,7 +334,6 @@ func (g *ScanGroup) run(ctx context.Context, opts Options, trials int) (runResul
 		}
 	}
 	cfg := coreConfig(opts, out.kappa.Kappa)
-	cfg.Workers, cfg.Retry = g.workers, g.retry
 	if opts.TriangleGuess > 0 {
 		cfg.TGuess = opts.TriangleGuess
 	}
@@ -410,7 +400,7 @@ func (g *ScanGroup) EstimateCliques(ctx context.Context, opts CliqueOptions) (Re
 	if opts.CliqueGuess < 1 {
 		return Result{}, fmt.Errorf("triangle: CliqueGuess must be a positive lower bound on the %d-clique count", opts.K)
 	}
-	if err := checkAccuracy(opts.Epsilon, opts.SampleMultiplier); err != nil {
+	if err := checkCliqueOptions(opts); err != nil {
 		return Result{}, err
 	}
 	kappa := opts.Degeneracy
@@ -424,7 +414,6 @@ func (g *ScanGroup) EstimateCliques(ctx context.Context, opts CliqueOptions) (Re
 		approx = true
 	}
 	cfg := cliqueConfig(opts, kappa)
-	cfg.Workers = g.workers
 
 	// The run's words go back to the group once it has returned (see run).
 	session := stream.NewSharedMeter()
@@ -439,7 +428,7 @@ func (g *ScanGroup) EstimateCliques(ctx context.Context, opts CliqueOptions) (Re
 		Estimate:         res.Estimate,
 		Passes:           res.Passes,
 		SpaceWords:       res.SpaceWords,
-		Edges:            g.m,
+		Edges:            g.M(),
 		DegeneracyBound:  kappa,
 		DegeneracyApprox: approx,
 		Backend:          g.backend,

@@ -81,7 +81,7 @@ func EstimateFileTrialsCtx(ctx context.Context, path string, opts Options, trial
 	if trials < 1 {
 		return TrialsResult{}, fmt.Errorf("triangle: trials must be positive, got %d", trials)
 	}
-	if err := checkAccuracy(opts.Epsilon, opts.SampleMultiplier); err != nil {
+	if err := checkOptions(opts); err != nil {
 		return TrialsResult{}, err
 	}
 	fs, err := stream.OpenAutoOpts(path, stream.OpenOptions{DecodeCache: opts.DecodeCache})
@@ -117,14 +117,15 @@ func estimateTrials(ctx context.Context, src stream.Stream, backend string, opts
 	if err != nil {
 		return out, core.WrapAbort(err)
 	}
-	out.Edges = g.m
+	out.Edges = g.M()
+	opening := g.Scans()
 	r, err := g.run(ctx, opts, trials)
 	out.Retries = g.Retries()
 	if err != nil {
 		return out, err
 	}
 	out.DegeneracyBound, out.DegeneracyApprox = r.kappa.Kappa, r.approx
-	out.Passes = g.opening + r.kappa.Passes
+	out.Passes = opening + r.kappa.Passes
 	out.Scans, out.SpaceWords = g.Scans(), g.PeakSpaceWords()
 	if r.trials == nil {
 		out.Aborted = true

@@ -48,7 +48,7 @@ type Options struct {
 	// default peel slack ε = 0.5 — preserving the streaming space guarantee. Callers who know a bound (for example 3 for
 	// planar-like graphs, or the attachment parameter for
 	// preferential-attachment graphs) should supply it — the estimator's
-	// space scales with the bound it is given.
+	// space scales with the bound it is given. A negative bound is an error.
 	Degeneracy int
 	// ExactDegeneracy computes the exact κ instead of the streaming
 	// approximation when Degeneracy is zero. This materializes the graph —
@@ -58,12 +58,13 @@ type Options struct {
 	ExactDegeneracy bool
 	// TriangleGuess is a lower-bound guess for the triangle count T used to
 	// size the samples. When zero the estimator performs the standard
-	// geometric search starting from the 2mκ upper bound.
+	// geometric search starting from the 2mκ upper bound. A negative guess
+	// is an error.
 	TriangleGuess int64
 	// Seed makes runs reproducible. Zero means seed 1.
 	Seed uint64
 	// MaxSpaceWords aborts runs whose accounted space exceeds the limit
-	// (0 = unlimited). Each estimator run is held to it on its own, and so
+	// (0 = unlimited; negative is an error). Each estimator run is held to it on its own, and so
 	// is the κ̂ peel's footprint (GroupKappa.SpaceWords: n + ⌈n/64⌉ words over
 	// n vertices, plus fewer than 2n/3 + ⌈n/64⌉ more when later rounds run):
 	// a budget below that aborts before any run starts. The n words of degrees
@@ -75,7 +76,8 @@ type Options struct {
 	// variance. A negative or non-finite value is an error.
 	SampleMultiplier float64
 	// Workers bounds the concurrent shard workers of a single estimator run
-	// (0 = GOMAXPROCS). Estimates are identical at any worker count.
+	// (0 = GOMAXPROCS; negative is an error). Estimates are identical at any
+	// worker count.
 	Workers int
 	// RetryAttempts bounds how many times a physical scan retries a transient
 	// I/O failure (with exponential backoff) before giving up. Zero selects
@@ -259,7 +261,7 @@ func Estimate(edges []Edge, opts Options) (Result, error) {
 // gracefully instead: it returns the best estimate so far with Result.Partial
 // set and a nil error.
 func EstimateCtx(ctx context.Context, edges []Edge, opts Options) (Result, error) {
-	if err := checkAccuracy(opts.Epsilon, opts.SampleMultiplier); err != nil {
+	if err := checkOptions(opts); err != nil {
 		return Result{}, err
 	}
 	if len(edges) == 0 {
@@ -339,10 +341,44 @@ func checkAccuracy(eps, mult float64) error {
 	return nil
 }
 
+// checkOptions is checkAccuracy plus the bounds and budgets of Options: a
+// negative Degeneracy, TriangleGuess, Workers or MaxSpaceWords is an error,
+// and zero selects the default.
+func checkOptions(opts Options) error {
+	if err := checkAccuracy(opts.Epsilon, opts.SampleMultiplier); err != nil {
+		return err
+	}
+	if err := checkNonNegative("Degeneracy", int64(opts.Degeneracy)); err != nil {
+		return err
+	}
+	if err := checkNonNegative("TriangleGuess", opts.TriangleGuess); err != nil {
+		return err
+	}
+	if err := checkNonNegative("Workers", int64(opts.Workers)); err != nil {
+		return err
+	}
+	return checkNonNegative("MaxSpaceWords", opts.MaxSpaceWords)
+}
+
+// checkCliqueOptions is checkAccuracy plus a non-negative Degeneracy.
+func checkCliqueOptions(opts CliqueOptions) error {
+	if err := checkAccuracy(opts.Epsilon, opts.SampleMultiplier); err != nil {
+		return err
+	}
+	return checkNonNegative("Degeneracy", int64(opts.Degeneracy))
+}
+
+func checkNonNegative(name string, v int64) error {
+	if v < 0 {
+		return fmt.Errorf("triangle: %s must be non-negative, or 0 for the default, got %d", name, v)
+	}
+	return nil
+}
+
 // coreConfig maps the facade options onto an estimator configuration. It is
 // the single source of the library defaults (ε = 0.1, CR/CL/CS = 8/8/4 ×
 // multiplier, seed 1), which cliqueConfig shares. A zero ε or multiplier
-// selects the default; checkAccuracy has rejected every other bad value.
+// selects the default; checkOptions has rejected every other bad value.
 func coreConfig(opts Options, kappa int) core.Config {
 	eps := opts.Epsilon
 	if eps == 0 {
@@ -360,8 +396,6 @@ func coreConfig(opts Options, kappa int) core.Config {
 	cfg.CR, cfg.CL, cfg.CS = 8*mult, 8*mult, 4*mult
 	cfg.Seed = seed
 	cfg.MaxSpaceWords = opts.MaxSpaceWords
-	cfg.Workers = opts.Workers
-	cfg.Retry = retryPolicy(opts)
 	return cfg
 }
 

@@ -253,8 +253,10 @@ func TestFileAPIErrors(t *testing.T) {
 }
 
 // TestAccuracyOptionErrors pins that every estimate entry point rejects an
-// ε outside (0, 1) and a negative or non-finite multiplier, zero aside,
-// before it reads the input.
+// ε outside (0, 1), a negative or non-finite multiplier and a negative
+// degeneracy bound, zero aside, before it reads the input; the triangle
+// entry points also reject a negative guess, worker count or space budget,
+// and OpenScanGroup a negative worker count.
 func TestAccuracyOptionErrors(t *testing.T) {
 	edges := Wheel(50)
 	path := writeEdgeFile(t, edges)
@@ -263,6 +265,27 @@ func TestAccuracyOptionErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer g.Close()
+	check := func(name string, opts Options, copts *CliqueOptions, wantInText string) {
+		t.Helper()
+		calls := map[string]func() error{
+			"Estimate":           func() error { _, err := Estimate(edges, opts); return err },
+			"EstimateFile":       func() error { _, err := EstimateFile(path, opts); return err },
+			"EstimateFileTrials": func() error { _, err := EstimateFileTrials(path, opts, 2); return err },
+			"ScanGroup.Estimate": func() error { _, err := g.Estimate(context.Background(), opts); return err },
+		}
+		if copts != nil {
+			calls["EstimateCliques"] = func() error { _, err := EstimateCliques(edges, *copts); return err }
+			calls["ScanGroup.EstimateCliques"] = func() error {
+				_, err := g.EstimateCliques(context.Background(), *copts)
+				return err
+			}
+		}
+		for call, run := range calls {
+			if err := run(); err == nil || !strings.Contains(err.Error(), wantInText) {
+				t.Errorf("%s with %s: error %v, want one naming %s", call, name, err, wantInText)
+			}
+		}
+	}
 	bad := []struct {
 		name       string
 		eps, mult  float64
@@ -280,22 +303,14 @@ func TestAccuracyOptionErrors(t *testing.T) {
 	for _, c := range bad {
 		opts := Options{Epsilon: c.eps, SampleMultiplier: c.mult, Degeneracy: 3}
 		copts := CliqueOptions{K: 4, CliqueGuess: 10, Epsilon: c.eps, SampleMultiplier: c.mult, Degeneracy: 3}
-		calls := map[string]func() error{
-			"Estimate":           func() error { _, err := Estimate(edges, opts); return err },
-			"EstimateFile":       func() error { _, err := EstimateFile(path, opts); return err },
-			"EstimateFileTrials": func() error { _, err := EstimateFileTrials(path, opts, 2); return err },
-			"ScanGroup.Estimate": func() error { _, err := g.Estimate(context.Background(), opts); return err },
-			"EstimateCliques":    func() error { _, err := EstimateCliques(edges, copts); return err },
-			"ScanGroup.EstimateCliques": func() error {
-				_, err := g.EstimateCliques(context.Background(), copts)
-				return err
-			},
-		}
-		for name, call := range calls {
-			if err := call(); err == nil || !strings.Contains(err.Error(), c.wantInText) {
-				t.Errorf("%s with %s: error %v, want one naming %s", name, c.name, err, c.wantInText)
-			}
-		}
+		check(c.name, opts, &copts, c.wantInText)
+	}
+	check("degeneracy -5", Options{Degeneracy: -5}, &CliqueOptions{K: 4, CliqueGuess: 10, Degeneracy: -5}, "Degeneracy")
+	check("guess -5", Options{Degeneracy: 3, TriangleGuess: -5}, nil, "TriangleGuess")
+	check("workers -2", Options{Degeneracy: 3, Workers: -2}, nil, "Workers")
+	check("budget -1", Options{Degeneracy: 3, MaxSpaceWords: -1}, nil, "MaxSpaceWords")
+	if _, err := OpenScanGroup(context.Background(), path, GroupOptions{Workers: -1}); err == nil || !strings.Contains(err.Error(), "Workers") {
+		t.Errorf("OpenScanGroup with Workers -1: error %v, want one naming Workers", err)
 	}
 	if g.Scans() != 1 {
 		t.Errorf("the group scanned %d times; rejected requests must not scan (want only the opening count)", g.Scans())
