@@ -128,18 +128,27 @@ func main() {
 // isBex reports whether out names a .bex v2 file; any other name is text.
 func isBex(out string) bool { return strings.HasSuffix(strings.ToLower(out), stream.BexExt) }
 
-// writeOut writes the stream to out in the format its extension picks.
+// writeOut writes the stream to out in the format its extension picks. Both
+// formats are written to out+".tmp" and renamed over out only on success, so
+// a failed conversion leaves out as it was and out may name the input.
 func writeOut(out string, s stream.Stream, blockEdges int) (int, error) {
 	if isBex(out) {
 		return stream.WriteBex2File(out, s, blockEdges)
 	}
-	file, err := os.Create(out)
+	tmp := out + ".tmp"
+	file, err := os.Create(tmp)
 	if err != nil {
 		return 0, err
 	}
 	edges, err := stream.WriteEdgeList(file, s)
 	if cerr := file.Close(); err == nil {
 		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, out)
+	}
+	if err != nil {
+		os.Remove(tmp)
 	}
 	return edges, err
 }

@@ -169,6 +169,28 @@ func TestHeavyLightEmptyAndTriangleFree(t *testing.T) {
 	}
 }
 
+// TestHeavyLightSelfLoops streams a 200-edge path with a loop at every even
+// vertex: a loop adds no degree, has no wedge when sampled and offers no
+// neighbor, so the estimate is 0.
+func TestHeavyLightSelfLoops(t *testing.T) {
+	var edges []graph.Edge
+	for i := 0; i < 200; i++ {
+		edges = append(edges, graph.Edge{U: i, V: i + 1})
+	}
+	for i := 0; i <= 200; i += 2 {
+		edges = append(edges, graph.Edge{U: i, V: i})
+	}
+	for seed := uint64(1); seed <= 3; seed++ {
+		res, err := HeavyLight(stream.FromEdges(edges), HeavyLightConfig{SampledEdges: 100, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Estimate != 0 || res.TrianglesFound != 0 {
+			t.Errorf("seed %d: estimate %v (found %d) on a triangle-free path with loops", seed, res.Estimate, res.TrianglesFound)
+		}
+	}
+}
+
 func TestHeavyLightFourPasses(t *testing.T) {
 	g := gen.Wheel(300)
 	res, err := HeavyLight(stream.FromGraphShuffled(g, 1), HeavyLightConfig{SampledEdges: 100, Seed: 1})

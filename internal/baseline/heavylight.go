@@ -43,6 +43,10 @@ type HeavyLightConfig struct {
 //
 // Passes: 1 (degrees + m) · 2 (heavy subgraph + edge sample) · 3 (neighbor
 // sampling) · 4 (closure checks) = 4 passes.
+//
+// Self-loops count toward m but follow the sharded passes' rule otherwise: a
+// loop adds no degree, a sampled loop has edge degree 0 (no wedge to
+// close), and a loop offers no neighbor.
 func HeavyLight(src stream.Stream, cfg HeavyLightConfig) (core.Result, error) {
 	if cfg.SampledEdges < 1 {
 		return core.Result{}, fmt.Errorf("baseline: heavy/light needs at least one sampled edge, got %d", cfg.SampledEdges)
@@ -82,8 +86,10 @@ func HeavyLight(src stream.Stream, cfg HeavyLightConfig) (core.Result, error) {
 	}
 	m, err := stream.ForEachBatch(counter, func(batch []graph.Edge) error {
 		for _, e := range batch {
-			bump(e.U)
-			bump(e.V)
+			if e.U != e.V {
+				bump(e.U)
+				bump(e.V)
+			}
 		}
 		return nil
 	})
@@ -166,6 +172,9 @@ func HeavyLight(src stream.Stream, cfg HeavyLightConfig) (core.Result, error) {
 	var lights []lightSample
 	var lightVerts []int
 	for _, e := range sample {
+		if e.U == e.V {
+			continue // a loop has no wedge
+		}
 		de := edgeDeg(e)
 		if float64(de) >= theta {
 			continue // heavy edge: its attributed triangles are counted exactly
@@ -185,6 +194,9 @@ func HeavyLight(src stream.Stream, cfg HeavyLightConfig) (core.Result, error) {
 		lightGroups := graph.NewVertexGroups(lightVerts)
 		if _, err := stream.ForEachBatch(counter, func(batch []graph.Edge) error {
 			for _, e := range batch {
+				if e.U == e.V {
+					continue
+				}
 				if lightGroups.MayContain(e.U) {
 					for _, idx := range lightGroups.Lookup(e.U) {
 						lights[idx].offer(e.V, rng)

@@ -167,19 +167,21 @@ func Estimate(src stream.Stream, cfg Config) (Result, error) {
 // retry policy: a cancelled run aborts within one batch boundary, returning
 // the context error wrapped with the scan position; transient read failures
 // are healed under retry with bit-identical results. The run is the one
-// client of a scheduler from sched.Open.
+// client of a scheduler from sched.Open. A stream that does not know its
+// length costs one counting pass first, which Passes and Scans include,
+// whether it succeeds or fails.
 func EstimateCtx(ctx context.Context, src stream.Stream, cfg Config, retry stream.RetryPolicy) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
 	sch, err := sched.Open(ctx, src, cfg.Workers, retry)
-	if err != nil {
-		return Result{}, err
-	}
 	opening := sch.Scans()
-	c := sch.NewClient()
-	res, err := EstimateOn(c, cfg)
-	c.Done()
+	var res Result
+	if err == nil {
+		c := sch.NewClient()
+		res, err = EstimateOn(c, cfg)
+		c.Done()
+	}
 	res.Passes += opening
 	res.Scans = sch.Scans()
 	return res, err
@@ -188,18 +190,16 @@ func EstimateCtx(ctx context.Context, src stream.Stream, cfg Config, retry strea
 // EstimateOn runs the k-clique estimator's passes through the given executor
 // (the stream length and worker bound are the executor's). When the executor
 // is a scan-scheduler client the passes fuse with other pending clients;
-// results are bit-identical either way. Fused callers pass the scheduler's
-// group meter (and any sub-group meters) as tees so the run's retained words
-// count toward the concurrent peak.
-func EstimateOn(x passes.Executor, cfg Config, tees ...*stream.SharedMeter) (Result, error) {
+// results are bit-identical either way. The run tees its private meter into
+// the executor's group meter, so its retained words count toward the
+// concurrent peak of everything fused with it.
+func EstimateOn(x passes.Executor, cfg Config) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
 	rng := sampling.NewRNG(cfg.Seed)
 	meter := stream.NewSpaceMeter()
-	for _, g := range tees {
-		meter.Tee(g)
-	}
+	meter.Tee(x.Meter())
 	res := Result{}
 	m := x.M()
 	startPasses := x.Passes()

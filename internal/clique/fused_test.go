@@ -137,7 +137,7 @@ func TestFusedCliqueRunsShareScans(t *testing.T) {
 			runCfg := cfg
 			runCfg.Seed = uint64(100 + i)
 			runCfg.Workers = 4
-			fused[i], errs[i] = clique.EstimateOn(clients[i], runCfg, sch.Meter())
+			fused[i], errs[i] = clique.EstimateOn(clients[i], runCfg)
 		}(i)
 	}
 	wg.Wait()

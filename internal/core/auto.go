@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 
 	"degentri/internal/sched"
 	"degentri/internal/stream"
@@ -59,19 +58,21 @@ func AutoEstimate(src stream.Stream, cfg Config) (Result, error) {
 // nil error (the deadline analogue of the MaxSpaceWords abort path); if
 // nothing completed, the context error is returned wrapped as
 // ErrDeadline/ErrAborted with the scan position it interrupted. Transient
-// I/O errors are healed under Config.Retry and counted in Result.Retries.
+// I/O errors are healed under Config.Retry and counted in Result.Retries. A
+// stream that does not know its length costs one counting pass first, which
+// Passes and Scans include, whether it succeeds or fails.
 func AutoEstimateCtx(ctx context.Context, src stream.Stream, cfg Config) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
 	sch, err := sched.Open(ctx, src, cfg.Workers, cfg.Retry)
-	if err != nil {
-		return Result{Retries: sch.Retries()}, WrapAbort(err)
-	}
 	opening := sch.Scans()
-	c := sch.NewClient()
-	res, err := AutoEstimateFrom(c, cfg, nil)
-	c.Done()
+	var res Result
+	if err == nil {
+		c := sch.NewClient()
+		res, err = AutoEstimateFrom(c, cfg, nil)
+		c.Done()
+	}
 	res.Passes += opening
 	res.Scans, res.Retries = sch.Scans(), sch.Retries()
 	return res, WrapAbort(err)
@@ -79,94 +80,52 @@ func AutoEstimateCtx(ctx context.Context, src stream.Stream, cfg Config) (Result
 
 // AutoEstimateFrom is the geometric search invoked from an existing
 // scheduler client — one trial of a fused trial group, or one request on a
-// shared scan group. Every pass runs through clients of c's scheduler, so
-// several searches fuse their probes' passes onto shared physical scans, and
-// every client the search registers is scoped to c.Context(): one request's
+// shared scan group. Each speculative batch of probes, and the confirmation
+// run, is a Fork of c, so several searches fuse their probes' passes onto
+// shared physical scans, and every probe inherits c.Context(): one request's
 // deadline or disconnect abandons only its own passes (mid-wave, at a batch
-// boundary) while fused peers complete bit-identically. The degradation
-// semantics are those of AutoEstimateCtx.
+// boundary) while fused peers complete bit-identically. c stays in the wave
+// barrier between one batch and the next (Fork re-admits it inside the last
+// probe's Done), so its peers cannot slip a wave past it, and fused searches
+// make the same physical scans on every run. The degradation semantics are
+// those of AutoEstimateCtx.
 //
 // deg, when non-nil, is a degree oracle every run of the search reads (see
 // Estimator.UseDegrees): a full probe then makes 5 passes instead of 6.
-// Every probe's words are charged to the scheduler's group meter and to
-// tees, the further group meters a caller passes (a session's, say, so it
-// can hand its words back once the search has returned).
+// Every probe's words are charged under c's meter, and Result.SpaceWords is
+// its peak: the words the search's probes retained concurrently.
 //
-// The search parks the handoff client only *after* registering its own
-// first client, so at no instant is the caller absent from the wave barrier
-// — peers cannot slip a wave past it and break the trials-fuse-in-lockstep
-// scan bound. The handoff client is left parked; the caller remains
-// responsible for its Done. The caller also owns physical-scan accounting:
-// Result.Scans is left zero.
-func AutoEstimateFrom(c *sched.Client, cfg Config, deg []int32, tees ...*stream.SharedMeter) (Result, error) {
-	sch, clientCtx, handoff := c.Scheduler(), c.Context(), c
-	// release parks the handoff client; it must be called only once at least
-	// one search-owned client is registered (a just-registered client is
-	// born non-waiting, so it blocks waves until it submits). Early-error
-	// returns may skip it: the caller's Done covers those paths.
-	release := func() {
-		if handoff != nil {
-			handoff.Park()
-			handoff = nil
-		}
-	}
+// The caller still owns c: its Done, and physical-scan accounting
+// (Result.Scans is left zero).
+func AutoEstimateFrom(c *sched.Client, cfg Config, deg []int32) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
-	m := sch.M()
+	m := c.M()
 	if m == 0 {
 		return Result{EdgesInStream: 0}, ErrNoEdges
 	}
 	logical := 0 // cumulative passes of the sequential (paper) search
-
-	// searchMeter tracks the concurrent peak of *this* search's probes; the
-	// scheduler's group meter additionally aggregates across everything fused
-	// onto the scheduler (for example other trials).
-	searchMeter := stream.NewSharedMeter()
 	finish := func(res Result) Result {
-		if peak := searchMeter.Peak(); peak > res.SpaceWords {
+		if peak := c.Meter().Peak(); peak > res.SpaceWords {
 			res.SpaceWords = peak
 		}
 		res.Passes = logical
 		return res
 	}
 
-	// runProbe executes one estimator run as a scheduler client; its meter is
-	// teed into the search and scheduler group meters (and the caller's
-	// tees) so the concurrent peak is accounted at every granularity. The
-	// client must be registered before the probe goroutine starts (see
-	// runBatch) so a whole batch fuses from its first wave. A halving probe
-	// at a guess above 1 may be rejected after pass 4.
-	runProbe := func(c *sched.Client, runCfg Config, halving bool) (Result, error) {
-		defer c.Done()
-		est := NewEstimator(runCfg)
-		est.UseDegrees(deg)
-		est.rejectBelowGuess = halving && runCfg.TGuess > 1
-		est.TeeSpace(searchMeter)
-		est.TeeSpace(sch.Meter())
-		for _, g := range tees {
-			est.TeeSpace(g)
-		}
-		return est.RunOn(c)
-	}
-	// runBatch runs the probes of one speculative batch concurrently, fused.
-	runBatch := func(cfgs []Config) ([]Result, []error) {
-		clients := make([]*sched.Client, len(cfgs))
-		for i := range cfgs {
-			clients[i] = sch.NewClientCtx(clientCtx)
-		}
-		release()
+	// runProbes executes one estimator run per config on the children of a
+	// Fork of c, concurrently and fused. A halving probe at a guess above 1
+	// may be rejected after pass 4.
+	runProbes := func(cfgs []Config, halving bool) ([]Result, []error) {
 		results := make([]Result, len(cfgs))
 		errs := make([]error, len(cfgs))
-		var wg sync.WaitGroup
-		for i := range cfgs {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				results[i], errs[i] = runProbe(clients[i], cfgs[i], true)
-			}(i)
-		}
-		wg.Wait()
+		c.Fork(len(cfgs), func(i int, kid *sched.Client) {
+			est := NewEstimator(cfgs[i])
+			est.UseDegrees(deg)
+			est.rejectBelowGuess = halving && cfgs[i].TGuess > 1
+			results[i], errs[i] = est.RunOn(kid)
+		})
 		return results, errs
 	}
 
@@ -194,7 +153,7 @@ func AutoEstimateFrom(c *sched.Client, cfg Config, deg []int32, tees ...*stream.
 				break // guess 1 is always terminal; deeper probes are waste
 			}
 		}
-		results, errs := runBatch(cfgs)
+		results, errs := runProbes(cfgs, true)
 		// Examine the batch in sequential attempt order: the first terminal
 		// event (error, abort, or acceptance) decides, exactly as if the
 		// probes had run one at a time; later probes in the batch were
@@ -242,7 +201,8 @@ func AutoEstimateFrom(c *sched.Client, cfg Config, deg []int32, tees ...*stream.
 	if last.Estimate > 0 {
 		runCfg := confirmConfig(cfg, accepted, last.Estimate)
 		confirmGuess := runCfg.TGuess
-		res, err := runProbe(sch.NewClientCtx(clientCtx), runCfg, false)
+		results, errs := runProbes([]Config{runCfg}, false)
+		res, err := results[0], errs[0]
 		logical += res.Passes
 		if err != nil {
 			if ctxDone(err) {

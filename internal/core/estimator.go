@@ -58,7 +58,11 @@ type instance struct {
 // executes them through a caller-supplied scheduler client, whose passes
 // share physical scans with whatever other runs are fused onto the same
 // scheduler, with bit-identical results (all in-pass randomness is keyed,
-// never positional).
+// never positional). Either way the run tees its private space meter into
+// the executor's group meter (passes.Executor.Meter), so fused runs report
+// the peak of concurrently retained words; budget enforcement
+// (Config.MaxSpaceWords) stays on the private meter — fusion never changes
+// whether an individual run aborts.
 //
 // A run handed every vertex's degree (UseDegrees) is in the paper's Section 4
 // degree-oracle model: it looks degrees up instead of running pass 2 and
@@ -80,12 +84,6 @@ type Estimator struct {
 func NewEstimator(cfg Config) *Estimator {
 	return &Estimator{cfg: cfg, rng: sampling.NewRNG(cfg.Seed), meter: stream.NewSpaceMeter()}
 }
-
-// TeeSpace mirrors the estimator's space accounting into a shared group
-// meter, so fused runs report the peak of concurrently retained words.
-// Budget enforcement (Config.MaxSpaceWords) stays on the private meter —
-// fusion never changes whether an individual run aborts.
-func (est *Estimator) TeeSpace(g *stream.SharedMeter) { est.meter.Tee(g) }
 
 // UseDegrees hands the run a degree oracle: deg[v] is v's degree in the
 // stream under passes.CountDegrees' rule (self-loops skipped, duplicates
@@ -124,21 +122,20 @@ func (est *Estimator) Run(src stream.Stream) (Result, error) {
 //
 // The run is the one client of a scheduler from sched.Open. A stream that
 // does not know its length costs one counting pass first (the paper assumes
-// m is known when setting parameters), which Passes and Scans include; a
-// failed count reports each of its attempts as a pass and a scan.
+// m is known when setting parameters), which Passes and Scans include,
+// whether it succeeds or fails.
 func (est *Estimator) RunCtx(ctx context.Context, src stream.Stream) (Result, error) {
 	if err := est.cfg.Validate(); err != nil {
 		return Result{}, err
 	}
 	sch, err := sched.Open(ctx, src, est.cfg.Workers, est.cfg.Retry)
-	if err != nil {
-		n := sch.Scans() + sch.Retries()
-		return Result{Passes: n, Scans: n, Retries: sch.Retries()}, WrapAbort(err)
-	}
 	opening := sch.Scans()
-	c := sch.NewClient()
-	res, err := est.runOn(c)
-	c.Done()
+	var res Result
+	if err == nil {
+		c := sch.NewClient()
+		res, err = est.runOn(c)
+		c.Done()
+	}
 	res.Passes += opening
 	res.Scans, res.Retries = sch.Scans(), sch.Retries()
 	return res, WrapAbort(err)
@@ -158,6 +155,7 @@ func (est *Estimator) RunOn(x passes.Executor) (Result, error) {
 // runOn is the estimator body: every pass is declared against the executor,
 // which decides how the stream is read.
 func (est *Estimator) runOn(x passes.Executor) (Result, error) {
+	est.meter.Tee(x.Meter())
 	cfg := est.cfg
 	res := Result{}
 	m := x.M()

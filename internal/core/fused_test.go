@@ -170,9 +170,7 @@ func TestFusedConcurrentClientsMatchSoloRuns(t *testing.T) {
 				runCfg := cfg
 				runCfg.Seed = seed
 				runCfg.Workers = workers
-				est := core.NewEstimator(runCfg)
-				est.TeeSpace(sch.Meter())
-				fused[i], errs[i] = est.RunOn(clients[i])
+				fused[i], errs[i] = core.NewEstimator(runCfg).RunOn(clients[i])
 			}(i, seed)
 		}
 		wg.Wait()

@@ -57,7 +57,8 @@ type idealInstance struct {
 // a uniform neighbor of the light endpoint, then a closure check, then the
 // assignment filter. It makes three stream passes and 2m + O(k) oracle
 // queries. The returned estimate is the (median-of-means over Config.Groups)
-// average of d_E·Y_i.
+// average of d_E·Y_i. A self-loop has no wedge: it adds no sampling weight
+// and offers no neighbor, the rule of the sharded passes.
 func IdealEstimator(src stream.Stream, oracle DegreeOracle, cfg Config, k int) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
@@ -85,6 +86,9 @@ func IdealEstimator(src stream.Stream, oracle DegreeOracle, cfg Config, k int) (
 	var dE int64
 	m, err := stream.ForEachBatch(counter, func(batch []graph.Edge) error {
 		for _, e := range batch {
+			if e.U == e.V {
+				continue
+			}
 			du, dv := oracle.Degree(e.U), oracle.Degree(e.V)
 			de := du
 			if dv < du {
@@ -126,6 +130,9 @@ func IdealEstimator(src stream.Stream, oracle DegreeOracle, cfg Config, k int) (
 	// Pass 2: uniform neighbor of the light endpoint, per instance.
 	if _, err := stream.ForEachBatch(counter, func(batch []graph.Edge) error {
 		for _, e := range batch {
+			if e.U == e.V {
+				continue
+			}
 			if lightGroups.MayContain(e.U) {
 				for _, idx := range lightGroups.Lookup(e.U) {
 					instances[active[idx]].neighbor.Offer(e.V)

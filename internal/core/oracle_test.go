@@ -133,6 +133,35 @@ func TestIdealEstimatorRuleNone(t *testing.T) {
 	}
 }
 
+// TestIdealEstimatorSelfLoops streams a 200-edge path with a loop at every
+// even vertex: a loop adds no sampling weight and offers no neighbor, so no
+// instance closes a degenerate wedge and the estimate is 0.
+func TestIdealEstimatorSelfLoops(t *testing.T) {
+	var edges []graph.Edge
+	for i := 0; i < 200; i++ {
+		edges = append(edges, graph.Edge{U: i, V: i + 1})
+	}
+	for i := 0; i <= 200; i += 2 {
+		edges = append(edges, graph.Edge{U: i, V: i})
+	}
+	b := graph.NewBuilder(0)
+	for _, e := range edges {
+		b.AddEdge(e.U, e.V)
+	}
+	oracle := NewGraphOracle(b.Build())
+	for seed := uint64(1); seed <= 3; seed++ {
+		cfg := DefaultConfig(0.2, 2, 1)
+		cfg.Seed = seed
+		res, err := IdealEstimator(stream.FromEdges(edges), oracle, cfg, 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Estimate != 0 || res.TrianglesFound != 0 {
+			t.Errorf("seed %d: estimate %v (found %d) on a triangle-free path with loops", seed, res.Estimate, res.TrianglesFound)
+		}
+	}
+}
+
 func TestIdealEstimatorEmptyStream(t *testing.T) {
 	cfg := DefaultConfig(0.2, 1, 1)
 	res, err := IdealEstimator(stream.FromEdges(nil), NewGraphOracle(graph.NewBuilder(0).Build()), cfg, 3)

@@ -80,12 +80,6 @@ type Options struct {
 	// its own discovery pass. Zero means unknown: one MaxVertexID pass is
 	// spent discovering it.
 	KnownVertices int
-	// Meter, when non-nil, is charged with the peel's O(n) words for the
-	// duration of the peel (charged as each array is allocated, released on
-	// return). Fused callers tee this meter into the scheduler's group
-	// meter, so concurrent peels of fused runs show up in the group peak
-	// while they are actually live — not as a post-hoc lump.
-	Meter *stream.SpaceMeter
 }
 
 // Result reports the approximation together with its resource usage.
@@ -141,6 +135,10 @@ func EstimateOn(x passes.Executor, opts Options) (Result, error) {
 // v in [0, Vertices); an ID outside that range has degree 0. The array is
 // nil when nothing was peeled or the peel failed. It is the caller's from
 // then on; the peel no longer charges its words.
+//
+// The peel charges its words to the executor's meter as each array is
+// allocated and releases them on return, so concurrent peels of fused runs
+// show up in the group peak while they are actually live.
 func EstimateWithDegrees(x passes.Executor, opts Options) (Result, []int32, error) {
 	eps := opts.Epsilon
 	if eps <= 0 {
@@ -173,14 +171,12 @@ func EstimateWithDegrees(x passes.Executor, opts Options) (Result, []int32, erro
 	// charge accounts one more array of n degree slots (int32 charged
 	// conservatively at a full word, matching the repository's per-counter
 	// accounting) or the bitset's words.
+	meter := stream.NewSpaceMeter()
+	meter.Tee(x.Meter())
+	defer func() { meter.Release(meter.Current()) }()
 	charge := func(words int64) {
 		res.SpaceWords += words
-		if opts.Meter != nil {
-			opts.Meter.Charge(words)
-		}
-	}
-	if opts.Meter != nil {
-		defer func() { opts.Meter.Release(res.SpaceWords) }()
+		meter.Charge(words)
 	}
 	alive := graph.NewBitset(n)
 	alive.SetAll()

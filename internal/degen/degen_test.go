@@ -230,8 +230,8 @@ func TestStreamErrorPropagates(t *testing.T) {
 // TestEstimateWithDegrees pins the degree oracle the peel hands its caller:
 // round 1's array holds every vertex's degree under the peel's counting rule
 // (self-loops skipped, duplicates counted), the result equals EstimateOn's,
-// and the meter sees the whole footprint while the peel runs and nothing
-// after it returns.
+// and the executor's meter sees the whole footprint while the peel runs and
+// nothing after it returns.
 func TestEstimateWithDegrees(t *testing.T) {
 	g := gen.HolmeKim(3000, 5, 0.6, 9)
 	edges := append([]graph.Edge{}, g.Edges()...)
@@ -248,16 +248,15 @@ func TestEstimateWithDegrees(t *testing.T) {
 		}
 	}
 	for _, workers := range []int{1, 4} {
-		meter := stream.NewSpaceMeter()
 		x := passes.NewDirect(stream.FromEdges(edges), len(edges), workers)
-		res, deg, err := degen.EstimateWithDegrees(x, degen.Options{Meter: meter})
+		res, deg, err := degen.EstimateWithDegrees(x, degen.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !slices.Equal(deg, want) {
 			t.Fatalf("workers=%d: round-1 degrees diverge from the brute-force count", workers)
 		}
-		if meter.Current() != 0 || meter.Peak() != res.SpaceWords {
+		if meter := x.Meter(); meter.Current() != 0 || meter.Peak() != res.SpaceWords {
 			t.Errorf("workers=%d: meter current %d peak %d, want 0 and the footprint %d", workers, meter.Current(), meter.Peak(), res.SpaceWords)
 		}
 		alone, err := degen.EstimateOn(passes.NewDirect(stream.FromEdges(edges), len(edges), workers), degen.Options{})

@@ -280,7 +280,6 @@ func benchTrials(w Workload, eps float64, trials int, unfused bool) (BenchTrialS
 			runCfg := cfg
 			runCfg.Seed = cfg.Seed + uint64(trial)*7919
 			est := core.NewEstimator(runCfg)
-			est.TeeSpace(c.Scheduler().Meter())
 			return est.RunOn(c)
 		})
 		src.Close()

@@ -75,7 +75,6 @@ func E13ScanFusion(scale Scale) ([]*Table, error) {
 		runCfg := cfg
 		runCfg.Seed = cfg.Seed + uint64(trial)*7919
 		est := core.NewEstimator(runCfg)
-		est.TeeSpace(c.Scheduler().Meter())
 		return est.RunOn(c)
 	})
 	if err != nil {

@@ -65,7 +65,6 @@ func TestFusedTrialsScanBudgetOnFile(t *testing.T) {
 	}
 	ft, err := exp.RunTrialsFused(src, m, trials, 4, func(c *sched.Client, trial int) (core.Result, error) {
 		est := core.NewEstimator(trialCfg(base, trial))
-		est.TeeSpace(c.Scheduler().Meter())
 		return est.RunOn(c)
 	})
 	if err != nil {

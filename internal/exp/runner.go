@@ -126,11 +126,11 @@ func aggregateTrials(results []core.Result, errs []error, truth float64) (TrialS
 }
 
 // FusedRunner runs one trial against a shared stream, executing every pass
-// through the given scheduler client. The client is registered before any
-// trial starts (which is what makes all trials fuse from their first wave);
-// a runner that delegates to its own scheduler clients must Park the trial
-// client once they are registered, as core.AutoEstimateFrom does, so it
-// does not hold back its delegates' waves.
+// through the given scheduler client, one child of a Fork: every trial's
+// client is registered before any trial starts, which is what makes all
+// trials fuse from their first wave. A runner that delegates to sub-runs
+// forks its client in turn, as core.AutoEstimateFrom does, and a run on the
+// client charges its words under the client's meter by itself.
 type FusedRunner func(c *sched.Client, trial int) (core.Result, error)
 
 // FusedTrials is the outcome of a fused trial run: the per-trial results (in
@@ -171,22 +171,13 @@ func RunTrialsFused(src stream.Stream, m, trials, workers int, run FusedRunner) 
 		return FusedTrials{}, fmt.Errorf("exp: trials must be positive")
 	}
 	sch := sched.New(src, m, workers)
-	clients := make([]*sched.Client, trials)
-	for i := range clients {
-		clients[i] = sch.NewClient()
-	}
+	root := sch.NewClient()
 	results := make([]core.Result, trials)
 	errs := make([]error, trials)
-	var wg sync.WaitGroup
-	for i := 0; i < trials; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer clients[i].Done()
-			results[i], errs[i] = run(clients[i], i)
-		}(i)
-	}
-	wg.Wait()
+	root.Fork(trials, func(i int, c *sched.Client) {
+		results[i], errs[i] = run(c, i)
+	})
+	root.Done()
 	ft := FusedTrials{Results: results, Scans: sch.Scans(), PeakSpaceWords: sch.Meter().Peak()}
 	for i, err := range errs {
 		if err != nil {

@@ -41,7 +41,10 @@
 // client with no fusion partner, so each of its passes is its own scan.
 // Because all randomness inside a pass is keyed by (seed, passKey, instance,
 // shard) and never by scan identity, a pass body produces bit-identical
-// results no matter which physical scan carried it.
+// results no matter which physical scan carried it. An executor also owns a
+// node of its scheduler's space-meter tree (Meter): each run tees its
+// private meter into the executor it runs on, so the caller never hands
+// meters down.
 //
 // Adding a new estimator workload should mean writing pass bodies against
 // this package — picking fresh pass/merge keys — not re-implementing the
@@ -75,6 +78,10 @@ import (
 // transient-I/O recoveries the executor's scans have performed so far — a
 // healed scan is bit-identical to an undisturbed one (see stream.RetryPolicy),
 // so retries change resource accounting, never results.
+//
+// Meter is the group space meter a run on the executor tees its private
+// stream.SpaceMeter into (the scheduler client's node of its meter tree), so
+// fused runs report the peak of the words they retain concurrently.
 type Executor interface {
 	M() int
 	Workers() int
@@ -82,6 +89,7 @@ type Executor interface {
 	Passes() int
 	Context() context.Context
 	Retries() int
+	Meter() *stream.SharedMeter
 }
 
 // NewDirect returns an executor over a stream of exactly m edges on which

@@ -13,10 +13,11 @@ import (
 )
 
 // TestClientChurnDuringLiveWaves drives the scheduler the way a long-lived
-// daemon does: clients register, run passes, park, abandon (per-client
-// context cancellation), and finish at uncorrelated times, so registration
-// and cancellation land *while waves are in flight* rather than at the tidy
-// group boundaries the estimator entry points produce. The properties pinned:
+// daemon does: clients register, run passes, fork children, abandon
+// (per-client context cancellation), and finish at uncorrelated times, so
+// registration and cancellation land *while waves are in flight* rather than
+// at the tidy group boundaries the estimator entry points produce. The
+// properties pinned:
 //
 //   - no client is ever stranded: every surviving pass completes and sees
 //     exactly m edges, bit-exact, no matter what its fused peers did;
@@ -69,11 +70,25 @@ func TestClientChurnDuringLiveWaves(t *testing.T) {
 			nPasses := 1 + rng.Intn(6)
 			for p := 0; p < nPasses; p++ {
 				if fate == 3 && p == nPasses/2 {
-					// Parker: step out of the barrier mid-sequence (what a
-					// request does while it hands control to a sub-search),
-					// letting peers' waves proceed without it.
-					c.Park()
-					time.Sleep(time.Duration(rng.Intn(1500)) * time.Microsecond)
+					// Forker: hand control to children mid-sequence (what a
+					// search does with a batch of probes); the children's
+					// passes are exact, and the parent resumes afterwards.
+					kidPasses := []int{1 + rng.Intn(3), 1 + rng.Intn(3)}
+					delay := time.Duration(rng.Intn(1500)) * time.Microsecond
+					c.Fork(len(kidPasses), func(k int, kid *sched.Client) {
+						time.Sleep(delay)
+						for q := 0; q < kidPasses[k]; q++ {
+							total := 0
+							process, merge := countingPass(&total)
+							if err := kid.RunPass(process, merge); err != nil || total != m {
+								t.Errorf("client %d child %d pass %d: %v, saw %d edges, want %d", i, k, q, err, total, m)
+								return
+							}
+							mu.Lock()
+							completed++
+							mu.Unlock()
+						}
+					})
 				}
 				total := 0
 				process, merge := countingPass(&total)

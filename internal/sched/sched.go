@@ -24,6 +24,18 @@
 // (Open, or passes.NewDirect when the caller knows m); a run that is its
 // scheduler's only client scans once per pass.
 //
+// # Client trees
+//
+// Work that hands control to sub-runs (fused trials of one estimate, the
+// speculative probes of a geometric search, its confirmation run) forms a
+// tree of clients: Client.Fork registers the children before any of them
+// starts, takes the parent out of the wave barrier while they live, and
+// re-admits the parent under the scheduler lock inside the last child's
+// Done. No instant passes at which a subtree is absent from the barrier, so
+// its peers cannot slip a wave past it: waves carry the same passes on every
+// run, and the physical scan count of fused work is a deterministic function
+// of its inputs.
+//
 // # Why fusion cannot change results
 //
 // The repository's (seed, passKey, mergeKey) contract (internal/passes) keys
@@ -37,9 +49,14 @@
 //
 // Scans() counts physical scans (waves, plus Open's counting scan for a
 // stream that does not know its length); each Client counts its own logical
-// passes — the paper's metric — via Passes(). Meter() is the group space
-// meter fused runs tee their private SpaceMeters into, so the reported space
-// is the peak of *concurrently* retained words, not a sequential max.
+// passes — the paper's metric — via Passes(). Space follows the client tree:
+// every client carries a group meter (Client.Meter) under its parent's, and a
+// root's hangs under the scheduler's (Scheduler.Meter). A run tees its
+// private SpaceMeter into its client's meter, so every node reports the peak
+// of *concurrently* retained words below it, not a sequential max. A root's
+// Done hands its whole tree's words back to the scheduler's meter: fused
+// runs finish in thread-timing order, so releasing earlier would make a
+// peak depend on timing.
 package sched
 
 import (
@@ -92,7 +109,7 @@ type Scheduler struct {
 	retry   stream.RetryPolicy // transient-I/O healing of the physical scans
 
 	mu      sync.Mutex
-	active  int        // registered clients that are neither parked nor done
+	active  int        // live clients that are computing: not in RunPass, not waiting in Fork
 	live    int        // registered clients that have not called Done
 	pending []*request // submitted, not yet carried by a wave
 	running bool       // a wave is executing
@@ -154,7 +171,7 @@ func NewCtx(ctx context.Context, src stream.Stream, m, workers int, retry stream
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return &Scheduler{src: src, m: m, workers: workers, ctx: ctx, retry: retry, meter: stream.NewSharedMeter()}
+	return &Scheduler{src: src, m: m, workers: workers, ctx: ctx, retry: retry, meter: stream.NewSharedMeter(nil)}
 }
 
 // M returns the stream length the scheduler's scans run over.
@@ -205,9 +222,9 @@ func (s *Scheduler) Retries() int {
 // no non-negative ID.
 func (s *Scheduler) Vertices() int { return s.vertices }
 
-// Meter returns the group space meter of this scheduler. Fused estimator
-// runs tee their private meters into it (stream.SpaceMeter.Tee), so its peak
-// is the words retained simultaneously across all fused runs.
+// Meter returns the root of the scheduler's space-meter tree: every root
+// client's meter mirrors into it, so its peak is the words retained
+// simultaneously across all fused runs.
 func (s *Scheduler) Meter() *stream.SharedMeter { return s.meter }
 
 // Client is one logical stream of passes. It implements passes.Executor
@@ -215,21 +232,24 @@ func (s *Scheduler) Meter() *stream.SharedMeter { return s.meter }
 // entry points that accept an executor run fused without knowing it.
 //
 // A Client is used by one goroutine at a time. Every registered client MUST
-// eventually call Done (or Park between submissions): a client that is
-// neither blocked in RunPass nor parked holds back every wave.
+// eventually call Done: a client that is neither blocked in RunPass nor
+// waiting in Fork holds back every wave.
 type Client struct {
 	s      *Scheduler
 	ctx    context.Context
+	parent *Client // nil for a root (NewClient, NewClientCtx)
+	meter  *stream.SharedMeter
+	kids   int // children of a running Fork not yet Done; guarded by s.mu
 	passes int
-	parked bool
 	done   bool
 }
 
-// NewClient registers a new client. The client is born live: waves wait for
-// it until it submits a pass, parks, or finishes. Registering all clients of
-// a group before any of them starts submitting is what guarantees their
-// passes fuse from the first wave. The client inherits the scheduler's
-// context; NewClientCtx attaches a narrower per-request one.
+// NewClient registers a new root client. The client is born live: waves wait
+// for it until it submits a pass, forks, or finishes. Registering all clients
+// of a group before any of them starts submitting is what guarantees their
+// passes fuse from the first wave (Fork does it for its children). The
+// client inherits the scheduler's context; NewClientCtx attaches a narrower
+// per-request one.
 func (s *Scheduler) NewClient() *Client {
 	return s.NewClientCtx(s.ctx)
 }
@@ -247,7 +267,7 @@ func (s *Scheduler) NewClientCtx(ctx context.Context) *Client {
 	s.active++
 	s.live++
 	s.mu.Unlock()
-	return &Client{s: s, ctx: ctx}
+	return &Client{s: s, ctx: ctx, meter: stream.NewSharedMeter(s.meter)}
 }
 
 // M implements passes.Executor.
@@ -267,14 +287,17 @@ func (c *Client) Context() context.Context { return c.ctx }
 // the scheduler-wide count.
 func (c *Client) Retries() int { return c.s.Retries() }
 
-// Scheduler returns the scheduler this client belongs to.
-func (c *Client) Scheduler() *Scheduler { return c.s }
+// Meter implements passes.Executor: the client's node of the space-meter
+// tree, under its parent's node (a root's is under Scheduler.Meter). A run
+// on the client tees its private meter into it, so its peak is the words
+// retained concurrently by the client's whole subtree.
+func (c *Client) Meter() *stream.SharedMeter { return c.meter }
 
 // RunPass implements passes.Executor: it submits the pass and blocks until a
 // wave has carried it. The pass observes the engine contract exactly as if
 // it had the scan to itself. A client whose context is already cancelled
 // fails fast without joining a wave (the other clients' barrier is
-// unaffected — this client still counts live until Park/Done).
+// unaffected — this client still counts live until Done).
 func (c *Client) RunPass(process func(shard int, batch []graph.Edge) error, merge func(shard int) error) error {
 	if c.done {
 		return fmt.Errorf("sched: RunPass on a finished client")
@@ -287,48 +310,73 @@ func (c *Client) RunPass(process func(shard int, batch []graph.Edge) error, merg
 	s := c.s
 	s.mu.Lock()
 	// The submitting client is blocked from here on: it no longer counts
-	// against the wave barrier. (A parked client was already out of the
-	// count; the wave that serves this request re-adds it before signaling.)
-	if c.parked {
-		c.parked = false
-	} else {
-		s.active--
-	}
+	// against the wave barrier. The wave that serves this request re-adds it
+	// before signaling.
+	s.active--
 	s.pending = append(s.pending, req)
 	s.maybeLaunchLocked()
 	s.mu.Unlock()
 	return <-req.done
 }
 
-// Park withdraws the client from the wave barrier until its next RunPass.
-// Use it when a client hands control to other clients of the same scheduler
-// (for example a trial that delegates to the fused geometric search) and
-// would otherwise block their waves.
-func (c *Client) Park() {
-	if c.done || c.parked {
+// Fork runs fn(i, kid) on n new child clients concurrently and returns once
+// every call has returned and its child is Done (Fork calls Done). The
+// children are registered before any of them starts, so their passes fuse
+// from the first wave, and the parent leaves the wave barrier while they
+// live: it is blocked here, not computing. The last child's Done re-admits
+// the parent under the scheduler lock, so no wave can start in between: the
+// parent's peers wait for its next pass as if it had never left. Children
+// inherit the parent's context, and each child's meter hangs under the
+// parent's. A child may Fork in turn.
+func (c *Client) Fork(n int, fn func(i int, kid *Client)) {
+	if n <= 0 {
 		return
 	}
-	c.parked = true
+	if c.done {
+		panic("sched: Fork on a finished client")
+	}
 	s := c.s
+	kids := make([]*Client, n)
+	for i := range kids {
+		kids[i] = &Client{s: s, ctx: c.ctx, parent: c, meter: stream.NewSharedMeter(c.meter)}
+	}
 	s.mu.Lock()
-	s.active--
-	s.maybeLaunchLocked()
+	s.live += n
+	s.active += n - 1 // the children compute in the parent's place
+	c.kids = n
 	s.mu.Unlock()
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for i, kid := range kids {
+		go func() {
+			defer wg.Done()
+			defer kid.Done()
+			fn(i, kid)
+		}()
+	}
+	wg.Wait()
 }
 
-// Done unregisters the client. Idempotent.
+// Done unregisters the client. Idempotent. The last child of a Fork to
+// finish re-admits its parent to the wave barrier; a root hands its whole
+// tree's words back to the scheduler's meter.
 func (c *Client) Done() {
 	if c.done {
 		return
 	}
 	c.done = true
+	if c.parent == nil {
+		c.meter.Release(c.meter.Current())
+	}
 	s := c.s
 	s.mu.Lock()
-	if !c.parked {
-		s.active--
-	}
-	c.parked = false
+	s.active--
 	s.live--
+	if p := c.parent; p != nil {
+		if p.kids--; p.kids == 0 {
+			s.active++
+		}
+	}
 	s.maybeLaunchLocked()
 	s.mu.Unlock()
 }
@@ -353,7 +401,7 @@ func (s *Scheduler) maybeLaunchLocked() {
 // cannot slip a solo wave in while its fusion partners are still waking up —
 // this is what keeps lockstep groups fused wave after wave. The next wave (for
 // requests that accumulated from other clients while this one ran) launches
-// from the next RunPass/Park/Done call once the barrier drains again.
+// from the next RunPass/Done call once the barrier drains again.
 func (s *Scheduler) wave(batch []*request) {
 	scanErr := s.scan(batch)
 	s.mu.Lock()

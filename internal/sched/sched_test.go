@@ -263,14 +263,15 @@ func TestStreamErrorFailsEveryone(t *testing.T) {
 	}
 }
 
-// TestParkReleasesBarrier checks that a parked client does not hold back its
-// peers' waves and can resume passes afterwards.
-func TestParkReleasesBarrier(t *testing.T) {
+// TestForkReleasesBarrier checks that a forking client does not hold back
+// its peers' waves, nor its own children's, and can resume passes
+// afterwards.
+func TestForkReleasesBarrier(t *testing.T) {
 	edges := edgesN(9000)
 	m := len(edges)
 	s := sched.New(stream.FromEdges(edges), m, 1)
 	worker := s.NewClient()
-	idler := s.NewClient()
+	forker := s.NewClient()
 
 	done := make(chan error, 1)
 	go func() {
@@ -283,23 +284,30 @@ func TestParkReleasesBarrier(t *testing.T) {
 		}
 		done <- err
 	}()
-	// Without the park, the worker's pass would wait forever for the idler.
-	idler.Park()
+	// Were the forker still counted, the child's pass and the worker's would
+	// wait forever for it.
+	forker.Fork(1, func(_ int, kid *sched.Client) {
+		total := 0
+		process, merge := countingPass(&total)
+		if err := kid.RunPass(process, merge); err != nil || total != m {
+			t.Errorf("child pass: %v, saw %d edges, want %d", err, total, m)
+		}
+	})
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	// A parked client can come back and run passes of its own.
+	// The forker comes back and runs passes of its own.
 	total := 0
 	process, merge := countingPass(&total)
-	if err := idler.RunPass(process, merge); err != nil {
+	if err := forker.RunPass(process, merge); err != nil {
 		t.Fatal(err)
 	}
 	if total != m {
 		t.Fatalf("resumed client saw %d edges, want %d", total, m)
 	}
-	idler.Done()
-	if s.Scans() != 2 {
-		t.Fatalf("scans = %d, want 2", s.Scans())
+	forker.Done()
+	if s.Scans() != 2 || s.Live() != 0 {
+		t.Fatalf("scans = %d, live = %d, want 2 and 0", s.Scans(), s.Live())
 	}
 }
 

@@ -355,18 +355,16 @@ func (e *bex2Encoder) finish() error {
 	return err
 }
 
-// WriteBex2File writes the stream to a .bex v2 file at path.
+// WriteBex2File writes the stream to a .bex v2 file at path. The file is
+// written to path+".tmp" and renamed over path only once it is complete, so
+// a failed write leaves path as it was, and s may be reading path itself.
 func WriteBex2File(path string, s Stream, blockEdges int) (int, error) {
-	file, err := os.Create(path)
-	if err != nil {
-		return 0, fmt.Errorf("stream: create %s: %w", path, err)
-	}
-	n, werr := WriteBex2(file, s, blockEdges)
-	cerr := file.Close()
-	if werr != nil {
-		return n, werr
-	}
-	return n, cerr
+	var n int
+	err := replaceFile(path, func(w io.Writer) (err error) {
+		n, err = WriteBex2(w, s, blockEdges)
+		return err
+	})
+	return n, err
 }
 
 // readBex2Meta opens and fully validates the container geometry: header and

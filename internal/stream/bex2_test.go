@@ -308,6 +308,53 @@ func TestBex2OpenFileServesOneGeneration(t *testing.T) {
 	}
 }
 
+// TestBex2WriteReplacesOnlyOnSuccess pins that writing a .bex file replaces
+// its path only once the whole file is written: a write that fails leaves
+// the file already there byte-identical and no temporary file behind, and a
+// conversion may write over the file it is reading.
+func TestBex2WriteReplacesOnlyOnSuccess(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "g.bex")
+	edges := bex2TestEdges(5000)
+	if _, err := WriteBex2File(path, FromEdges(edges), 256); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := append(append([]graph.Edge{}, edges[:300]...), graph.Edge{U: 0, V: 3_000_000_000})
+	if _, err := WriteBex2File(path, FromEdges(bad), 256); err == nil {
+		t.Fatal("writing an edge that does not fit int32 succeeded")
+	}
+	after, err := os.ReadFile(path)
+	if err != nil || string(after) != string(before) {
+		t.Fatalf("a failed write changed the existing file (%d bytes, was %d; %v)", len(after), len(before), err)
+	}
+	if names, _ := filepath.Glob(filepath.Join(dir, "*")); len(names) != 1 {
+		t.Fatalf("files after a failed write: %v, want only %s", names, path)
+	}
+
+	// In place: the stream reads path while the writer replaces it.
+	s, err := OpenAuto(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := WriteBex2File(path, s, 64)
+	if cerr := s.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil || n != len(edges) {
+		t.Fatalf("in-place rewrite: %d edges, %v", n, err)
+	}
+	s, err = OpenAuto(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	sameEdges(t, collectAll(t, s), edges, "in-place rewrite")
+}
+
 // TestBex2ShardedPassReusesBuffers pins the open file's buffer pool: the
 // range sub-streams of an uncached sharded pass borrow their read-ahead and
 // decode buffers from it instead of allocating a set per shard. After a

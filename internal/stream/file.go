@@ -487,18 +487,33 @@ func WriteEdgeList(w io.Writer, s Stream) (int, error) {
 }
 
 // WriteGraphFile writes a graph's edges to the given file path as an edge
-// list with a small header comment.
+// list with a small header comment. Like WriteBex2File it replaces path only
+// once the whole file is written.
 func WriteGraphFile(path string, g *graph.Graph, comment string) error {
-	file, err := os.Create(path)
+	return replaceFile(path, func(w io.Writer) error { return writeGraph(w, g, comment) })
+}
+
+// replaceFile writes a file through write into path+".tmp" and renames it
+// over path only once write and Close succeed; on failure it removes the
+// temporary file. A failed write therefore leaves whatever was at path
+// untouched, and a conversion may write over the file it is reading.
+func replaceFile(path string, write func(io.Writer) error) error {
+	tmp := path + ".tmp"
+	file, err := os.Create(tmp)
 	if err != nil {
 		return fmt.Errorf("stream: create %s: %w", path, err)
 	}
-	werr := writeGraph(file, g, comment)
-	cerr := file.Close()
-	if werr != nil {
-		return werr
+	err = write(file)
+	if cerr := file.Close(); err == nil {
+		err = cerr
 	}
-	return cerr
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+	}
+	return err
 }
 
 // writeGraph writes WriteGraphFile's edge list to w.

@@ -17,25 +17,19 @@ import (
 type SpaceMeter struct {
 	current int64
 	peak    int64
-	parents []*SharedMeter
+	parent  *SharedMeter
 }
 
 // NewSpaceMeter returns a zeroed meter.
 func NewSpaceMeter() *SpaceMeter { return &SpaceMeter{} }
 
 // Tee mirrors every subsequent Charge/Release of this meter into the given
-// shared group meter (in addition to any group it already tees into; nil is
-// ignored). Fused estimator runs tee their private meters into the scan
-// scheduler's group meter — and, when they belong to a sub-group like one
-// geometric search among fused trials, into that sub-group's meter too — so
-// that the *concurrent* peak, the words retained simultaneously across all
-// logically-parallel runs, is accounted rather than each run's own
-// sequential peak.
-func (s *SpaceMeter) Tee(parent *SharedMeter) {
-	if parent != nil {
-		s.parents = append(s.parents, parent)
-	}
-}
+// shared group meter (nil: none). A fused run tees its private meter into
+// its scheduler client's node of the group-meter tree (sched.Client.Meter),
+// so that the *concurrent* peak, the words retained simultaneously across
+// all logically-parallel runs, is accounted at every level of the tree
+// rather than each run's own sequential peak.
+func (s *SpaceMeter) Tee(parent *SharedMeter) { s.parent = parent }
 
 // Charge adds n words to the current usage. Negative charges panic; use
 // Release to return memory.
@@ -47,9 +41,7 @@ func (s *SpaceMeter) Charge(n int64) {
 	if s.current > s.peak {
 		s.peak = s.current
 	}
-	for _, p := range s.parents {
-		p.add(n)
-	}
+	s.parent.add(n)
 }
 
 // Release subtracts n words from the current usage. Releasing more than the
@@ -64,9 +56,7 @@ func (s *SpaceMeter) Release(n int64) {
 		released = s.current
 	}
 	s.current -= released
-	for _, p := range s.parents {
-		p.add(-released)
-	}
+	s.parent.add(-released)
 }
 
 // Current returns the words currently charged.
@@ -92,31 +82,40 @@ func (s *SpaceMeter) String() string {
 // largest number of words the whole fused group retained at any instant.
 // This is the honest space figure for fusion — concurrently-live shard
 // states add up, they do not take a sequential max.
+//
+// Group meters form a tree: a meter made with a parent mirrors every change
+// into it, so a geometric search's meter sees its probes, a session's meter
+// its trials, and the scheduler's meter everything fused onto it.
 type SharedMeter struct {
+	parent  *SharedMeter
 	mu      sync.Mutex
 	current int64
 	peak    int64
 }
 
-// NewSharedMeter returns a zeroed group meter.
-func NewSharedMeter() *SharedMeter { return &SharedMeter{} }
+// NewSharedMeter returns a zeroed group meter that mirrors into parent (nil:
+// a root).
+func NewSharedMeter(parent *SharedMeter) *SharedMeter { return &SharedMeter{parent: parent} }
 
-// add applies a (possibly negative) delta from a teed meter.
+// add applies a (possibly negative) delta to g and every meter above it. A
+// nil g is a no-op.
 func (g *SharedMeter) add(n int64) {
-	g.mu.Lock()
-	g.current += n
-	if g.current > g.peak {
-		g.peak = g.current
+	for ; g != nil; g = g.parent {
+		g.mu.Lock()
+		g.current += n
+		if g.current > g.peak {
+			g.peak = g.current
+		}
+		g.mu.Unlock()
 	}
-	g.mu.Unlock()
 }
 
 // Charge adds n words the group itself retains, such as a session's degree
 // array, which no run's meter owns.
 func (g *SharedMeter) Charge(n int64) { g.add(n) }
 
-// Release returns n words to the group: a session hands back, once all its
-// runs have returned, the words they charged through their tees.
+// Release returns n words to the group: a scheduler's root client hands
+// back, once its whole tree has returned, the words its runs charged.
 func (g *SharedMeter) Release(n int64) { g.add(-n) }
 
 // Peak returns the maximum words the group ever retained simultaneously.

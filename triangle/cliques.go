@@ -43,9 +43,6 @@ func EstimateCliques(edges []Edge, opts CliqueOptions) (Result, error) {
 	if len(edges) == 0 {
 		return Result{}, ErrNoEdges
 	}
-	if opts.CliqueGuess < 1 {
-		return Result{}, fmt.Errorf("triangle: CliqueGuess must be a positive lower bound on the %d-clique count", opts.K)
-	}
 	if err := checkCliqueOptions(opts); err != nil {
 		return Result{}, err
 	}

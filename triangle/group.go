@@ -241,9 +241,7 @@ func (g *ScanGroup) resolve(ctx context.Context) (GroupKappa, []int32, error) {
 func (g *ScanGroup) resolveKappa(ctx context.Context) (GroupKappa, []int32, error) {
 	c := g.sch.NewClientCtx(ctx)
 	defer c.Done()
-	meter := stream.NewSpaceMeter()
-	meter.Tee(g.sch.Meter())
-	dres, deg, err := degen.EstimateWithDegrees(c, degen.Options{KnownVertices: g.sch.Vertices(), Meter: meter})
+	dres, deg, err := degen.EstimateWithDegrees(c, degen.Options{KnownVertices: g.sch.Vertices()})
 	if err != nil {
 		return GroupKappa{}, nil, fmt.Errorf("triangle: %w", err)
 	}
@@ -316,12 +314,14 @@ type runResult struct {
 // like any trial's state, and whose first round gives every run its degrees
 // (a run with a supplied κ has no peel and counts them). Then trials
 // estimator runs (the geometric search, or one run at opts.TriangleGuess)
-// execute fused on the group's scheduler; trial i uses seed Seed + i·7919.
-// Every error is branded with core's abort sentinels.
+// execute fused on the group's scheduler, as the children of one root
+// client's Fork; trial i uses seed Seed + i·7919. The root's Done hands the
+// trials' words back to the group once every trial has returned. Every error
+// is branded with core's abort sentinels.
 func (g *ScanGroup) run(ctx context.Context, opts Options, trials int) (runResult, error) {
 	out := runResult{kappa: GroupKappa{Kappa: opts.Degeneracy}}
 	var deg []int32
-	// κ is resolved before any trial client registers: a registered client
+	// κ is resolved before the root client registers: a registered client
 	// waiting on the peel would hold back the peel's waves.
 	if opts.Degeneracy <= 0 {
 		k, d, err := g.resolve(ctx)
@@ -338,41 +338,21 @@ func (g *ScanGroup) run(ctx context.Context, opts Options, trials int) (runResul
 		cfg.TGuess = opts.TriangleGuess
 	}
 
-	// session counts the words the trials charge to the group meter. They go
-	// back only once every trial has returned: probes of a speculative batch
-	// and fused trials finish in thread-timing order, so an earlier release
-	// would make the group's peak, which a private EstimateFile reports as
-	// its SpaceWords, depend on timing.
-	session := stream.NewSharedMeter()
-	// Every trial's client registers before any trial starts, so the trials
-	// fuse from their first wave.
-	clients := make([]*sched.Client, trials)
-	for i := range clients {
-		clients[i] = g.sch.NewClientCtx(ctx)
-	}
+	root := g.sch.NewClientCtx(ctx)
 	out.trials = make([]core.Result, trials)
 	errs := make([]error, trials)
-	var wg sync.WaitGroup
-	for i, c := range clients {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer c.Done()
-			cfg := cfg
-			cfg.Seed += uint64(i) * 7919
-			if opts.TriangleGuess > 0 {
-				est := core.NewEstimator(cfg)
-				est.UseDegrees(deg)
-				est.TeeSpace(g.sch.Meter())
-				est.TeeSpace(session)
-				out.trials[i], errs[i] = est.RunOn(c)
-			} else {
-				out.trials[i], errs[i] = core.AutoEstimateFrom(c, cfg, deg, session)
-			}
-		}()
-	}
-	wg.Wait()
-	g.sch.Meter().Release(session.Current())
+	root.Fork(trials, func(i int, c *sched.Client) {
+		cfg := cfg
+		cfg.Seed += uint64(i) * 7919
+		if opts.TriangleGuess > 0 {
+			est := core.NewEstimator(cfg)
+			est.UseDegrees(deg)
+			out.trials[i], errs[i] = est.RunOn(c)
+		} else {
+			out.trials[i], errs[i] = core.AutoEstimateFrom(c, cfg, deg)
+		}
+	})
+	root.Done()
 	for i, err := range errs {
 		switch {
 		case err == nil:
@@ -397,9 +377,6 @@ func (g *ScanGroup) EstimateCliques(ctx context.Context, opts CliqueOptions) (Re
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if opts.CliqueGuess < 1 {
-		return Result{}, fmt.Errorf("triangle: CliqueGuess must be a positive lower bound on the %d-clique count", opts.K)
-	}
 	if err := checkCliqueOptions(opts); err != nil {
 		return Result{}, err
 	}
@@ -415,12 +392,10 @@ func (g *ScanGroup) EstimateCliques(ctx context.Context, opts CliqueOptions) (Re
 	}
 	cfg := cliqueConfig(opts, kappa)
 
-	// The run's words go back to the group once it has returned (see run).
-	session := stream.NewSharedMeter()
+	// The run's words go back to the group with its client's Done.
 	c := g.sch.NewClientCtx(ctx)
-	res, err := clique.EstimateOn(c, cfg, g.sch.Meter(), session)
+	res, err := clique.EstimateOn(c, cfg)
 	c.Done()
-	g.sch.Meter().Release(session.Current())
 	if err != nil {
 		return Result{}, fmt.Errorf("triangle: %w", err)
 	}

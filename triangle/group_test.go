@@ -315,6 +315,28 @@ func TestScanGroupSpaceGaugesComeDown(t *testing.T) {
 	}
 }
 
+// TestScanGroupRejectsCliqueSizeBeforeScanning checks that a clique size
+// outside [3, 8] fails before the group resolves κ̂: the group makes no scan.
+func TestScanGroupRejectsCliqueSizeBeforeScanning(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ba.bex")
+	if _, err := stream.WriteBex2File(path, stream.FromGraph(gen.BarabasiAlbert(3000, 4, 7)), 0); err != nil {
+		t.Fatal(err)
+	}
+	g, err := triangle.OpenScanGroup(context.Background(), path, triangle.GroupOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	for _, k := range []int{2, 9} {
+		if _, err := g.EstimateCliques(context.Background(), triangle.CliqueOptions{K: k, CliqueGuess: 1}); err == nil {
+			t.Errorf("K = %d was accepted", k)
+		}
+	}
+	if g.Scans() != 0 {
+		t.Errorf("rejecting bad clique sizes cost %d scans, want 0", g.Scans())
+	}
+}
+
 // TestScanGroupExpiredContext pins fail-fast semantics: a request whose ctx
 // is already dead never joins a wave and errors out branded — on the peel,
 // the search and the fixed-guess path alike — leaving the group healthy for

@@ -149,6 +149,30 @@ func TestEstimateFileTrialsWithGuess(t *testing.T) {
 	}
 }
 
+// TestEstimateFileTrialsScansDeterministic repeats one fused EstimateFileTrials
+// and requires one Scans value: a trial's geometric search forks each batch
+// of probes from the trial's client, so the trial never leaves the wave
+// barrier between batches and its peers never scan without it.
+func TestEstimateFileTrialsScansDeterministic(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ba.bex")
+	if _, err := stream.WriteBex2File(path, stream.FromGraph(gen.BarabasiAlbert(3000, 4, 7)), 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ trials, workers, runs int }{{3, 1, 12}, {8, 2, 8}} {
+		scans := map[int]int{}
+		for range c.runs {
+			res, err := triangle.EstimateFileTrials(path, triangle.Options{Workers: c.workers}, c.trials)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scans[res.Scans]++
+		}
+		if len(scans) != 1 {
+			t.Errorf("%d trials at %d workers: scans over %d runs = %v, want one value", c.trials, c.workers, c.runs, scans)
+		}
+	}
+}
+
 // resetCounter counts the top-level Resets of the stream it wraps. At one
 // worker every physical scan begins with exactly one such Reset: sharded
 // passes run sequentially, and only a mid-scan resume (never needed without

@@ -360,8 +360,16 @@ func checkOptions(opts Options) error {
 	return checkNonNegative("MaxSpaceWords", opts.MaxSpaceWords)
 }
 
-// checkCliqueOptions is checkAccuracy plus a non-negative Degeneracy.
+// checkCliqueOptions is checkAccuracy plus a clique size in [3, 8], a
+// positive CliqueGuess and a non-negative Degeneracy. Callers run it before
+// resolving κ, the expensive part of a clique request.
 func checkCliqueOptions(opts CliqueOptions) error {
+	if opts.K < 3 || opts.K > 8 {
+		return fmt.Errorf("triangle: K must be between 3 and 8, got %d", opts.K)
+	}
+	if opts.CliqueGuess < 1 {
+		return fmt.Errorf("triangle: CliqueGuess must be a positive lower bound on the %d-clique count", opts.K)
+	}
 	if err := checkAccuracy(opts.Epsilon, opts.SampleMultiplier); err != nil {
 		return err
 	}
