@@ -15,9 +15,9 @@
 //	graphgen -convert ba.txt -out ba.bex
 //	graphgen -convert ba.bex -out ba.txt
 //
-// Exit codes: 0 success; 1 internal error; 2 usage error; 3 I/O error
-// (missing, unreadable, truncated, or corrupt input, or an unwritable
-// output).
+// Exit codes: 0 success; 1 internal error; 2 usage error; 3 bad input
+// (missing, unreadable, truncated, corrupt or malformed; an empty input
+// converts to an empty output) or an unwritable output.
 package main
 
 import (
@@ -158,7 +158,7 @@ func exitOn(err error) {
 		fmt.Fprintln(os.Stderr, "graphgen:", err)
 		var perr *fs.PathError
 		if errors.Is(err, stream.ErrTruncated) || errors.Is(err, stream.ErrCorruptHeader) ||
-			errors.Is(err, stream.ErrCorruptBlock) ||
+			errors.Is(err, stream.ErrCorruptBlock) || errors.Is(err, stream.ErrMalformed) ||
 			errors.Is(err, fs.ErrNotExist) || errors.Is(err, fs.ErrPermission) || errors.As(err, &perr) {
 			os.Exit(3)
 		}

@@ -16,9 +16,10 @@
 //
 // SIGINT cancels a running estimate gracefully (same path as -timeout).
 //
-// Exit codes: 0 success; 1 internal error; 2 usage error; 3 I/O error
-// (missing, truncated, or corrupt input); 4 aborted (deadline, interrupt, or
-// space budget — including runs that printed a partial estimate).
+// Exit codes: 0 success; 1 internal error; 2 usage error; 3 bad input
+// (missing, unreadable, truncated, corrupt, malformed or empty); 4 aborted
+// (deadline, interrupt, or space budget — including runs that printed a
+// partial estimate).
 package main
 
 import (
@@ -204,7 +205,7 @@ func exitOn(err error) {
 }
 
 // exitCode classifies an error for scripts: aborts (deadline, cancellation)
-// are 4, input I/O problems are 3, everything else is an internal error.
+// are 4, bad input is 3, everything else is an internal error.
 func exitCode(err error) int {
 	var perr *fs.PathError
 	switch {
@@ -212,7 +213,8 @@ func exitCode(err error) int {
 		errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		return exitAborted
 	case errors.Is(err, stream.ErrTruncated), errors.Is(err, stream.ErrCorruptHeader),
-		errors.Is(err, stream.ErrCorruptBlock),
+		errors.Is(err, stream.ErrCorruptBlock), errors.Is(err, stream.ErrMalformed),
+		errors.Is(err, triangle.ErrNoEdges),
 		errors.Is(err, fs.ErrNotExist), errors.Is(err, fs.ErrPermission), errors.As(err, &perr):
 		return exitIO
 	default:

@@ -28,7 +28,7 @@ func Doulion(src stream.Stream, cfg DoulionConfig) (core.Result, error) {
 		return core.Result{}, fmt.Errorf("baseline: doulion retention probability %v outside (0,1]", cfg.P)
 	}
 	rng := sampling.NewRNG(cfg.Seed)
-	meter := stream.NewSpaceMeter()
+	meter := stream.NewSharedMeter(nil)
 	counter := stream.NewPassCounter(src)
 
 	// Independent Bernoulli(p) coins are realized as geometric gaps between

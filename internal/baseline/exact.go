@@ -12,9 +12,9 @@
 //     McGregor–Vorotnikova–Vu with the √m degree cut-off, space Θ(m^{3/2}/T)
 //     plus n words for the degree table.
 //
-// All estimators speak stream.Stream, charge their retained state to a
-// stream.SpaceMeter, and return core.Result so that the experiment tables can
-// treat every algorithm uniformly.
+// All estimators speak stream.Stream, charge their retained state to a root
+// stream.SharedMeter of their own, and return core.Result so that the
+// experiment tables can treat every algorithm uniformly.
 package baseline
 
 import (
@@ -37,7 +37,7 @@ func Exact(src stream.Stream) (core.Result, error) {
 // ExactWorkers is Exact with an explicit triangle-count worker bound;
 // workers <= 0 selects GOMAXPROCS. The count is identical at any setting.
 func ExactWorkers(src stream.Stream, workers int) (core.Result, error) {
-	meter := stream.NewSpaceMeter()
+	meter := stream.NewSharedMeter(nil)
 	counter := stream.NewPassCounter(src)
 	b := graph.NewBuilder(0)
 	m, err := stream.ForEachBatch(counter, func(batch []graph.Edge) error {

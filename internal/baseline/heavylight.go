@@ -52,7 +52,7 @@ func HeavyLight(src stream.Stream, cfg HeavyLightConfig) (core.Result, error) {
 		return core.Result{}, fmt.Errorf("baseline: heavy/light needs at least one sampled edge, got %d", cfg.SampledEdges)
 	}
 	rng := sampling.NewRNG(cfg.Seed)
-	meter := stream.NewSpaceMeter()
+	meter := stream.NewSharedMeter(nil)
 	counter := stream.NewPassCounter(src)
 	res := core.Result{SampledEdges: cfg.SampledEdges}
 

@@ -163,7 +163,7 @@ func NeighborSampling(src stream.Stream, cfg NeighborSamplingConfig) (core.Resul
 		return core.Result{}, fmt.Errorf("baseline: neighbor sampling supports at most %d estimators, got %d", maxCopies, cfg.Estimators)
 	}
 	rng := sampling.NewRNG(cfg.Seed)
-	meter := stream.NewSpaceMeter()
+	meter := stream.NewSharedMeter(nil)
 	counter := stream.NewPassCounter(src)
 
 	k := cfg.Estimators

@@ -190,16 +190,17 @@ func EstimateCtx(ctx context.Context, src stream.Stream, cfg Config, retry strea
 // EstimateOn runs the k-clique estimator's passes through the given executor
 // (the stream length and worker bound are the executor's). When the executor
 // is a scan-scheduler client the passes fuse with other pending clients;
-// results are bit-identical either way. The run tees its private meter into
-// the executor's group meter, so its retained words count toward the
+// results are bit-identical either way. The executor carries this run
+// alone: the run charges its words to the executor's meter, which must hold
+// no other run's words, and reports that meter's peak as
+// Result.SpaceWords; the meter's ancestors count the words toward the
 // concurrent peak of everything fused with it.
 func EstimateOn(x passes.Executor, cfg Config) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
 	rng := sampling.NewRNG(cfg.Seed)
-	meter := stream.NewSpaceMeter()
-	meter.Tee(x.Meter())
+	meter := x.Meter()
 	res := Result{}
 	m := x.M()
 	startPasses := x.Passes()

@@ -14,6 +14,7 @@ import (
 
 	"degentri/internal/clique"
 	"degentri/internal/gen"
+	"degentri/internal/passes"
 	"degentri/internal/sched"
 	"degentri/internal/stream"
 )
@@ -158,10 +159,27 @@ func TestFusedCliqueRunsShareScans(t *testing.T) {
 	if sch.Scans() != maxPasses {
 		t.Errorf("two fused clique runs cost %d scans, want %d", sch.Scans(), maxPasses)
 	}
-	// The teed meters make both runs' retained words visible to the group:
+	// Both runs charge their clients' meters, which mirror into the group's:
 	// the concurrent peak must exceed either run's own peak.
 	if peak := sch.Meter().Peak(); peak <= solo[0].SpaceWords || peak <= solo[1].SpaceWords {
 		t.Errorf("group peak %d does not exceed solo peaks %d/%d",
 			peak, solo[0].SpaceWords, solo[1].SpaceWords)
+	}
+}
+
+// TestEstimateOnChargesItsExecutorsMeter pins the one-meter contract for the
+// clique estimator: a run on a fresh executor reports the peak of the
+// executor's meter as its SpaceWords.
+func TestEstimateOnChargesItsExecutorsMeter(t *testing.T) {
+	g := gen.HolmeKim(4000, 5, 0.7, 77)
+	src := stream.FromGraphShuffled(g, 19)
+	m, _ := src.Len()
+	x := passes.NewDirect(src, m, 2)
+	res, err := clique.EstimateOn(x, clique.DefaultConfig(4, 0.2, g.Degeneracy(), g.CliqueCount(4)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if peak := x.Meter().Peak(); res.SpaceWords == 0 || peak != res.SpaceWords {
+		t.Errorf("executor meter peaked at %d, SpaceWords %d", peak, res.SpaceWords)
 	}
 }

@@ -12,7 +12,7 @@
 //     sampling into the m·κ bound of Theorem 1.2.
 //
 // All estimators run against the stream.Stream interface, account their
-// retained state in words through a stream.SpaceMeter, and derive their
+// retained state in words through a stream.SharedMeter, and derive their
 // sample sizes from Config. As in the paper, the degeneracy bound κ is an
 // input (Config.Kappa ≥ 1): finding one for a stream that comes without it
 // is the caller's job, and the triangle facade does it once per estimate.

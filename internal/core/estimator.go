@@ -58,11 +58,11 @@ type instance struct {
 // executes them through a caller-supplied scheduler client, whose passes
 // share physical scans with whatever other runs are fused onto the same
 // scheduler, with bit-identical results (all in-pass randomness is keyed,
-// never positional). Either way the run tees its private space meter into
-// the executor's group meter (passes.Executor.Meter), so fused runs report
-// the peak of concurrently retained words; budget enforcement
-// (Config.MaxSpaceWords) stays on the private meter — fusion never changes
-// whether an individual run aborts.
+// never positional). Either way the run charges its words to the
+// executor's meter (passes.Executor.Meter), which holds this run's words
+// alone: Result.SpaceWords is that meter's peak and Config.MaxSpaceWords is
+// checked against it, so fusion never changes whether a run aborts, while
+// the meter's ancestors see the words of every run fused with it.
 //
 // A run handed every vertex's degree (UseDegrees) is in the paper's Section 4
 // degree-oracle model: it looks degrees up instead of running pass 2 and
@@ -71,7 +71,7 @@ type instance struct {
 type Estimator struct {
 	cfg   Config
 	rng   *sampling.RNG
-	meter *stream.SpaceMeter
+	meter *stream.SharedMeter // the executor's, set when the run starts
 	// deg is the degree oracle (nil: passes 2 and 4 count degrees).
 	deg []int32
 	// rejectBelowGuess stops the run after pass 4 when no assignment can
@@ -82,7 +82,7 @@ type Estimator struct {
 // NewEstimator returns an estimator for the given configuration. The
 // configuration is validated on Run.
 func NewEstimator(cfg Config) *Estimator {
-	return &Estimator{cfg: cfg, rng: sampling.NewRNG(cfg.Seed), meter: stream.NewSpaceMeter()}
+	return &Estimator{cfg: cfg, rng: sampling.NewRNG(cfg.Seed)}
 }
 
 // UseDegrees hands the run a degree oracle: deg[v] is v's degree in the
@@ -142,9 +142,13 @@ func (est *Estimator) RunCtx(ctx context.Context, src stream.Stream) (Result, er
 }
 
 // RunOn executes the estimator's passes through the given executor, whose
-// stream must hold exactly x.M() edges. Result.Passes counts this run's
-// logical passes; Result.Scans is left zero because physical scans belong to
-// the executor's owner (Run fills it for a run of its own).
+// stream must hold exactly x.M() edges. The executor carries this run alone:
+// its meter must hold no other run's words, since Result.SpaceWords is the
+// meter's peak and the budget is checked against its current words (fused
+// runs each get their own child client, sched.Client.Fork). Result.Passes
+// counts this run's logical passes; Result.Scans is left zero because
+// physical scans belong to the executor's owner (Run fills it for a run of
+// its own).
 func (est *Estimator) RunOn(x passes.Executor) (Result, error) {
 	if err := est.cfg.Validate(); err != nil {
 		return Result{}, err
@@ -155,7 +159,7 @@ func (est *Estimator) RunOn(x passes.Executor) (Result, error) {
 // runOn is the estimator body: every pass is declared against the executor,
 // which decides how the stream is read.
 func (est *Estimator) runOn(x passes.Executor) (Result, error) {
-	est.meter.Tee(x.Meter())
+	est.meter = x.Meter()
 	cfg := est.cfg
 	res := Result{}
 	m := x.M()

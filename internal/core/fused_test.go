@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"degentri/internal/core"
+	"degentri/internal/passes"
 	"degentri/internal/sched"
 	"degentri/internal/stream"
 )
@@ -296,5 +297,59 @@ func TestAutoEstimateSpecWidthInvariance(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestRunChargesItsExecutorsMeter pins the one-meter contract: a run charges
+// the meter of the executor it runs on, reports that meter's peak as
+// SpaceWords and checks MaxSpaceWords against that meter alone. Two runs
+// forked from one client each fit a budget that their sum exceeds: both
+// complete as they do alone, and the parent's peak is the sum of their
+// words.
+func TestRunChargesItsExecutorsMeter(t *testing.T) {
+	w := goldenGraphs()["pref-attach-k4"]
+	cfg := core.DefaultConfig(0.1, w.g.Degeneracy(), w.g.TriangleCount())
+	cfg.CR, cfg.CL, cfg.CS = 16, 16, 8
+	seeds := []uint64{1, 42}
+	open := func() (stream.Stream, int) {
+		src := stream.FromGraphShuffled(w.g, w.streamSeed)
+		m, _ := src.Len()
+		return src, m
+	}
+
+	solo := make([]core.Result, len(seeds))
+	for i, seed := range seeds {
+		src, m := open()
+		x := passes.NewDirect(src, m, 2)
+		runCfg := cfg
+		runCfg.Seed = seed
+		res, err := core.NewEstimator(runCfg).RunOn(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if peak := x.Meter().Peak(); res.SpaceWords == 0 || peak != res.SpaceWords {
+			t.Errorf("seed=%d: executor meter peaked at %d, SpaceWords %d", seed, peak, res.SpaceWords)
+		}
+		solo[i] = res
+	}
+
+	cfg.MaxSpaceWords = max(solo[0].SpaceWords, solo[1].SpaceWords)
+	src, m := open()
+	parent := sched.New(src, m, 2).NewClient()
+	defer parent.Done()
+	fused := make([]core.Result, len(seeds))
+	errs := make([]error, len(seeds))
+	parent.Fork(len(seeds), func(i int, c *sched.Client) {
+		runCfg := cfg
+		runCfg.Seed = seeds[i]
+		fused[i], errs[i] = core.NewEstimator(runCfg).RunOn(c)
+	})
+	for i := range seeds {
+		if errs[i] != nil || fused[i] != solo[i] {
+			t.Errorf("seed=%d under budget %d: forked run %+v (%v), alone %+v", seeds[i], cfg.MaxSpaceWords, fused[i], errs[i], solo[i])
+		}
+	}
+	if peak, sum := parent.Meter().Peak(), solo[0].SpaceWords+solo[1].SpaceWords; peak != sum {
+		t.Errorf("parent meter peaked at %d, want the runs' sum %d", peak, sum)
 	}
 }

@@ -67,7 +67,7 @@ func IdealEstimator(src stream.Stream, oracle DegreeOracle, cfg Config, k int) (
 		return Result{}, fmt.Errorf("core: ideal estimator needs k >= 1, got %d", k)
 	}
 	rng := sampling.NewRNG(cfg.Seed)
-	meter := stream.NewSpaceMeter()
+	meter := stream.NewSharedMeter(nil)
 	counter := stream.NewPassCounter(src)
 
 	res := Result{Instances: k}

@@ -17,9 +17,10 @@ type Result struct {
 	// speculative probe batches may scan work the sequential algorithm
 	// would have skipped — Scans reports the physical truth either way.
 	Scans int
-	// SpaceWords is the peak number of retained machine words, as charged to
-	// the estimator's SpaceMeter (sampled edges, counters, reservoirs, memo
-	// entries).
+	// SpaceWords is the peak number of retained machine words (sampled
+	// edges, counters, reservoirs, memo entries): the peak of the meter the
+	// run charged, which for a run on an executor is the executor's meter
+	// (passes.Executor.Meter), holding that run's words alone.
 	SpaceWords int64
 	// OracleQueries counts degree-oracle queries (only nonzero for the
 	// degree-oracle estimators of Section 4).

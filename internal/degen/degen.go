@@ -123,7 +123,8 @@ func Estimate(s stream.Stream, m int, opts Options) (Result, error) {
 // stream length and worker bound are the executor's). When the executor is a
 // scan-scheduler client, every peel round fuses with whatever passes other
 // clients have pending — this is how a peel shares scans with an unrelated
-// client's work.
+// client's work. The executor carries this peel alone: its meter must hold
+// no other run's words, since Result.SpaceWords is the meter's peak.
 func EstimateOn(x passes.Executor, opts Options) (Result, error) {
 	res, _, err := EstimateWithDegrees(x, opts)
 	return res, err
@@ -137,8 +138,10 @@ func EstimateOn(x passes.Executor, opts Options) (Result, error) {
 // then on; the peel no longer charges its words.
 //
 // The peel charges its words to the executor's meter as each array is
-// allocated and releases them on return, so concurrent peels of fused runs
-// show up in the group peak while they are actually live.
+// allocated and releases exactly those words on return, so concurrent peels
+// of fused runs show up in the group peak while they are actually live.
+// It never releases before returning, so the words it charged are the
+// meter's peak, Result.SpaceWords.
 func EstimateWithDegrees(x passes.Executor, opts Options) (Result, []int32, error) {
 	eps := opts.Epsilon
 	if eps <= 0 {
@@ -171,9 +174,8 @@ func EstimateWithDegrees(x passes.Executor, opts Options) (Result, []int32, erro
 	// charge accounts one more array of n degree slots (int32 charged
 	// conservatively at a full word, matching the repository's per-counter
 	// accounting) or the bitset's words.
-	meter := stream.NewSpaceMeter()
-	meter.Tee(x.Meter())
-	defer func() { meter.Release(meter.Current()) }()
+	meter := x.Meter()
+	defer func() { meter.Release(res.SpaceWords) }()
 	charge := func(words int64) {
 		res.SpaceWords += words
 		meter.Charge(words)

@@ -128,9 +128,10 @@ func aggregateTrials(results []core.Result, errs []error, truth float64) (TrialS
 // FusedRunner runs one trial against a shared stream, executing every pass
 // through the given scheduler client, one child of a Fork: every trial's
 // client is registered before any trial starts, which is what makes all
-// trials fuse from their first wave. A runner that delegates to sub-runs
-// forks its client in turn, as core.AutoEstimateFrom does, and a run on the
-// client charges its words under the client's meter by itself.
+// trials fuse from their first wave. A client carries one run, which
+// charges its words to the client's meter by itself; a runner that
+// delegates to several sub-runs forks its client in turn, as
+// core.AutoEstimateFrom does.
 type FusedRunner func(c *sched.Client, trial int) (core.Result, error)
 
 // FusedTrials is the outcome of a fused trial run: the per-trial results (in

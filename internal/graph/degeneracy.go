@@ -101,31 +101,6 @@ func (g *Graph) CoreDecomposition() *CoreDecomposition {
 	return cd
 }
 
-// PeelSequence returns, for each vertex in peeling order, the degree it had
-// at the moment of removal ("observed degree"). The maximum of this sequence
-// equals the degeneracy; the sequence itself is useful for tests of
-// Definition 1.1's iterative characterization.
-func (g *Graph) PeelSequence() (order []int, observed []int) {
-	cd := g.CoreDecomposition()
-	order = cd.Order
-	observed = make([]int, len(order))
-	// Recompute the observed degrees by replaying the peeling with a simple
-	// counter; this is an independent O(n+m) computation used mainly to
-	// cross-check the bucket-queue implementation in tests.
-	removedBefore := make([]bool, g.n)
-	for i, v := range order {
-		d := 0
-		for _, w := range g.Neighbors(v) {
-			if !removedBefore[w] {
-				d++
-			}
-		}
-		observed[i] = d
-		removedBefore[v] = true
-	}
-	return order, observed
-}
-
 // DegeneracyOrientation returns, for each vertex, its out-neighbors when
 // every edge is oriented from the earlier to the later vertex in a degeneracy
 // ordering. Every vertex has out-degree at most κ(G). The orientation is the

@@ -146,24 +146,6 @@ func TestCoreDecompositionOrderAndPositionConsistent(t *testing.T) {
 	}
 }
 
-func TestPeelSequenceMatchesDegeneracy(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 15; trial++ {
-		n := 4 + rng.Intn(30)
-		g := randomGraph(n, 0.3, rng)
-		_, observed := g.PeelSequence()
-		max := 0
-		for _, d := range observed {
-			if d > max {
-				max = d
-			}
-		}
-		if got := g.Degeneracy(); got != max {
-			t.Fatalf("degeneracy %d but max observed peel degree %d", got, max)
-		}
-	}
-}
-
 func TestDegeneracyOrientationOutDegreeBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 15; trial++ {

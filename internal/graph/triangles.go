@@ -187,23 +187,6 @@ func (g *Graph) ListTriangles() []Triangle {
 	return tris
 }
 
-// IsTriangle reports whether the three vertices are pairwise adjacent.
-func (g *Graph) IsTriangle(a, b, c int) bool {
-	if a == b || b == c || a == c {
-		return false
-	}
-	return g.HasEdge(a, b) && g.HasEdge(b, c) && g.HasEdge(a, c)
-}
-
-// ClosesTriangle reports whether vertex w forms a triangle with edge e, i.e.
-// w is adjacent to both endpoints of e and distinct from them.
-func (g *Graph) ClosesTriangle(e Edge, w int) bool {
-	if w == e.U || w == e.V || w < 0 || w >= g.n {
-		return false
-	}
-	return g.HasEdge(e.U, w) && g.HasEdge(e.V, w)
-}
-
 // GlobalClusteringCoefficient returns 3T / W where W is the number of wedges;
 // it is 0 for wedge-free graphs. Included because triangle counting papers
 // (and downstream users) typically report it alongside T.

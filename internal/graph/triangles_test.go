@@ -122,7 +122,7 @@ func TestListTriangles(t *testing.T) {
 			t.Errorf("triangle %v listed twice", tr)
 		}
 		seen[tr] = true
-		if !g.IsTriangle(tr.A, tr.B, tr.C) {
+		if !g.HasEdge(tr.A, tr.B) || !g.HasEdge(tr.A, tr.C) || !g.HasEdge(tr.B, tr.C) {
 			t.Errorf("listed non-triangle %v", tr)
 		}
 	}
@@ -135,22 +135,6 @@ func TestListTrianglesMatchesCountOnRandom(t *testing.T) {
 		if int64(len(g.ListTriangles())) != g.TriangleCount() {
 			t.Fatalf("list/count mismatch on trial %d", trial)
 		}
-	}
-}
-
-func TestIsTriangleAndClosesTriangle(t *testing.T) {
-	g := buildTriangleWithTail()
-	if !g.IsTriangle(0, 1, 2) || !g.IsTriangle(2, 0, 1) {
-		t.Error("IsTriangle(0,1,2) should hold")
-	}
-	if g.IsTriangle(0, 2, 3) || g.IsTriangle(0, 0, 1) {
-		t.Error("IsTriangle false positives")
-	}
-	if !g.ClosesTriangle(NewEdge(0, 1), 2) {
-		t.Error("vertex 2 closes edge (0,1)")
-	}
-	if g.ClosesTriangle(NewEdge(0, 1), 3) || g.ClosesTriangle(NewEdge(0, 1), 0) || g.ClosesTriangle(NewEdge(0, 1), -1) {
-		t.Error("ClosesTriangle false positives")
 	}
 }
 

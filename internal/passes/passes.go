@@ -42,9 +42,8 @@
 // Because all randomness inside a pass is keyed by (seed, passKey, instance,
 // shard) and never by scan identity, a pass body produces bit-identical
 // results no matter which physical scan carried it. An executor also owns a
-// node of its scheduler's space-meter tree (Meter): each run tees its
-// private meter into the executor it runs on, so the caller never hands
-// meters down.
+// node of its scheduler's space-meter tree (Meter), and the one run it
+// carries charges its words there, so the caller never hands meters down.
 //
 // Adding a new estimator workload should mean writing pass bodies against
 // this package — picking fresh pass/merge keys — not re-implementing the
@@ -65,8 +64,8 @@ import (
 // Executor runs logical sharded passes over one fixed stream of M() edges.
 // RunPass executes one logical pass under the sharded engine contract:
 // process(shard, batch) for every batch (batches never straddle shard
-// boundaries; different shards may be processed concurrently by up to
-// Workers() goroutines), then merge(shard) exactly once per shard in
+// boundaries; different shards may be processed concurrently by the
+// executor's shard workers), then merge(shard) exactly once per shard in
 // ascending shard order from a single goroutine. Passes() reports how many
 // logical passes this executor has run — the paper's pass metric — which an
 // implementation may serve with fewer physical scans.
@@ -79,12 +78,15 @@ import (
 // healed scan is bit-identical to an undisturbed one (see stream.RetryPolicy),
 // so retries change resource accounting, never results.
 //
-// Meter is the group space meter a run on the executor tees its private
-// stream.SpaceMeter into (the scheduler client's node of its meter tree), so
-// fused runs report the peak of the words they retain concurrently.
+// Meter is the executor's node of its scheduler's space-meter tree. An
+// executor carries one run: the run charges its retained words to Meter
+// directly, reports Meter's peak as its space and checks its budget against
+// Meter's current words, so the node must hold no other run's words. Fused
+// runs each run on their own child client (sched.Client.Fork), whose nodes
+// mirror into their parent's, so an ancestor reports the peak of the words
+// its runs retain concurrently.
 type Executor interface {
 	M() int
-	Workers() int
 	RunPass(process func(shard int, batch []graph.Edge) error, merge func(shard int) error) error
 	Passes() int
 	Context() context.Context

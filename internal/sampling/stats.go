@@ -1,7 +1,6 @@
 package sampling
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -100,45 +99,4 @@ func RelativeError(estimate, truth float64) float64 {
 		return math.Inf(1)
 	}
 	return math.Abs(estimate-truth) / math.Abs(truth)
-}
-
-// Summary holds descriptive statistics of a sample of estimates; experiment
-// tables are built from these.
-type Summary struct {
-	Count  int
-	Mean   float64
-	Median float64
-	Min    float64
-	Max    float64
-	StdDev float64
-	P90    float64
-}
-
-// Summarize computes a Summary of the values.
-func Summarize(values []float64) Summary {
-	s := Summary{Count: len(values)}
-	if len(values) == 0 {
-		return s
-	}
-	s.Mean = Mean(values)
-	s.Median = Median(values)
-	s.StdDev = math.Sqrt(Variance(values))
-	s.P90 = Quantile(values, 0.9)
-	s.Min = values[0]
-	s.Max = values[0]
-	for _, v := range values {
-		if v < s.Min {
-			s.Min = v
-		}
-		if v > s.Max {
-			s.Max = v
-		}
-	}
-	return s
-}
-
-// String renders the summary compactly for logs.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.4g median=%.4g sd=%.4g min=%.4g max=%.4g p90=%.4g",
-		s.Count, s.Mean, s.Median, s.StdDev, s.Min, s.Max, s.P90)
 }

@@ -2,6 +2,7 @@ package sampling
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -107,20 +108,6 @@ func TestRelativeError(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	s := Summarize(nil)
-	if s.Count != 0 {
-		t.Fatal("empty summary count")
-	}
-	s = Summarize([]float64{4, 2, 8, 6})
-	if s.Count != 4 || s.Min != 2 || s.Max != 8 || s.Mean != 5 {
-		t.Fatalf("summary %+v", s)
-	}
-	if s.String() == "" {
-		t.Error("String should be non-empty")
-	}
-}
-
 // Property: min <= median <= max and min <= mean <= max for any input.
 func TestSummaryOrderingProperty(t *testing.T) {
 	f := func(raw []float64) bool {
@@ -133,8 +120,9 @@ func TestSummaryOrderingProperty(t *testing.T) {
 		if len(vals) == 0 {
 			return true
 		}
-		s := Summarize(vals)
-		return s.Min <= s.Median && s.Median <= s.Max && s.Min <= s.Mean && s.Mean <= s.Max+1e-9
+		lo, hi := slices.Min(vals), slices.Max(vals)
+		med, mean := Median(vals), Mean(vals)
+		return lo <= med && med <= hi && lo <= mean+1e-9 && mean <= hi+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

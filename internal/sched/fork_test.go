@@ -80,21 +80,16 @@ func TestForkNested(t *testing.T) {
 	m := len(edges)
 	s := sched.New(stream.FromEdges(edges), m, 2)
 	root := s.NewClient()
-	charge := func(c *sched.Client, words int64) {
-		meter := stream.NewSpaceMeter()
-		meter.Tee(c.Meter())
-		meter.Charge(words)
-	}
 
 	var childMeter, grandchildren int64
 	root.Fork(2, func(i int, kid *sched.Client) {
 		if i == 1 {
-			charge(kid, 20)
+			kid.Meter().Charge(20)
 			exactPasses(t, kid, 2, m, "child 1")
 			return
 		}
 		kid.Fork(2, func(j int, gk *sched.Client) {
-			charge(gk, int64(100*(j+1)))
+			gk.Meter().Charge(int64(100 * (j + 1)))
 			exactPasses(t, gk, 2, m, "grandchild")
 		})
 		childMeter, grandchildren = kid.Meter().Peak(), 300
@@ -113,7 +108,7 @@ func TestForkNested(t *testing.T) {
 		t.Errorf("child 0's meter peaked at %d, want its grandchildren's %d", childMeter, grandchildren)
 	}
 	other := s.NewClient()
-	charge(other, 1000)
+	other.Meter().Charge(1000)
 	if got := root.Meter().Current(); got != 320 {
 		t.Errorf("root meter holds %d words, want its tree's 320", got)
 	}

@@ -50,13 +50,14 @@
 // Scans() counts physical scans (waves, plus Open's counting scan for a
 // stream that does not know its length); each Client counts its own logical
 // passes — the paper's metric — via Passes(). Space follows the client tree:
-// every client carries a group meter (Client.Meter) under its parent's, and a
-// root's hangs under the scheduler's (Scheduler.Meter). A run tees its
-// private SpaceMeter into its client's meter, so every node reports the peak
-// of *concurrently* retained words below it, not a sequential max. A root's
-// Done hands its whole tree's words back to the scheduler's meter: fused
-// runs finish in thread-timing order, so releasing earlier would make a
-// peak depend on timing.
+// every client carries a meter node (Client.Meter) under its parent's, and a
+// root's hangs under the scheduler's (Scheduler.Meter). A client carries at
+// most one run, which charges its words to the client's node directly, so a
+// run's node holds that run's words alone and every node above reports the
+// peak of *concurrently* retained words below it, not a sequential max. A
+// root's Done hands its whole tree's words back to the scheduler's meter:
+// fused runs finish in thread-timing order, so releasing earlier would make
+// a peak depend on timing.
 package sched
 
 import (
@@ -177,9 +178,6 @@ func NewCtx(ctx context.Context, src stream.Stream, m, workers int, retry stream
 // M returns the stream length the scheduler's scans run over.
 func (s *Scheduler) M() int { return s.m }
 
-// Workers returns the shard-worker bound of each fused scan.
-func (s *Scheduler) Workers() int { return s.workers }
-
 // Scans returns how many physical scans the scheduler has performed: its
 // waves, plus Open's counting scan when it made one.
 func (s *Scheduler) Scans() int {
@@ -273,9 +271,6 @@ func (s *Scheduler) NewClientCtx(ctx context.Context) *Client {
 // M implements passes.Executor.
 func (c *Client) M() int { return c.s.m }
 
-// Workers implements passes.Executor.
-func (c *Client) Workers() int { return c.s.workers }
-
 // Passes implements passes.Executor: the logical passes this client ran.
 func (c *Client) Passes() int { return c.passes }
 
@@ -288,9 +283,10 @@ func (c *Client) Context() context.Context { return c.ctx }
 func (c *Client) Retries() int { return c.s.Retries() }
 
 // Meter implements passes.Executor: the client's node of the space-meter
-// tree, under its parent's node (a root's is under Scheduler.Meter). A run
-// on the client tees its private meter into it, so its peak is the words
-// retained concurrently by the client's whole subtree.
+// tree, under its parent's node (a root's is under Scheduler.Meter). The run
+// on the client charges it directly, and a forked child's words reach it
+// too, so its peak is the words retained concurrently by the client's whole
+// subtree.
 func (c *Client) Meter() *stream.SharedMeter { return c.meter }
 
 // RunPass implements passes.Executor: it submits the pass and blocks until a

@@ -311,13 +311,11 @@ func TestForkReleasesBarrier(t *testing.T) {
 	}
 }
 
-// TestGroupMeterPeak checks the concurrent space accounting: two meters teed
-// into the scheduler's group meter overlapping in time peak at their sum.
+// TestGroupMeterPeak checks the concurrent space accounting: two meters
+// under the scheduler's group meter overlapping in time peak at their sum.
 func TestGroupMeterPeak(t *testing.T) {
 	s := sched.New(stream.FromEdges(edgesN(100)), 100, 1)
-	m1, m2 := stream.NewSpaceMeter(), stream.NewSpaceMeter()
-	m1.Tee(s.Meter())
-	m2.Tee(s.Meter())
+	m1, m2 := stream.NewSharedMeter(s.Meter()), stream.NewSharedMeter(s.Meter())
 	m1.Charge(700)
 	m2.Charge(500)
 	m1.Release(700)

@@ -229,6 +229,7 @@ func isIOError(err error) bool {
 	return errors.Is(err, stream.ErrTruncated) ||
 		errors.Is(err, stream.ErrCorruptHeader) ||
 		errors.Is(err, stream.ErrCorruptBlock) ||
+		errors.Is(err, stream.ErrMalformed) ||
 		errors.Is(err, stream.ErrTransient) || // transient only until the retry budget ran out
 		errors.Is(err, triangle.ErrNoEdges) ||
 		errors.Is(err, fs.ErrNotExist) ||

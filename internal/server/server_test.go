@@ -647,3 +647,23 @@ func TestSelfLoopsServed(t *testing.T) {
 		}
 	}
 }
+
+// TestMalformedGraphIsIOError checks that a malformed text indicts the file:
+// a request against it fails as 502 "io", the class the breaker counts.
+func TestMalformedGraphIsIOError(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "bad.txt")
+	if err := os.WriteFile(path, []byte("0 1\n1 x\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Graphs: map[string]string{"bad": path}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	var eresp errorResponse
+	if code := get(t, ts.Client(), ts.URL+"/estimate?graph=bad&seed=1", &eresp); code != http.StatusBadGateway || eresp.Kind != "io" {
+		t.Fatalf("request against a malformed text: status %d kind %q, want 502 io (%s)", code, eresp.Kind, eresp.Error)
+	}
+}

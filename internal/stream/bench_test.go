@@ -173,7 +173,7 @@ func benchmarkShardedPass(b *testing.B, workers int) {
 	var sums [NumShards]int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, err := ShardedForEachBatch(s, len(edges), workers,
+		_, err := shardedForEachBatch(s, len(edges), workers,
 			func(shard int, batch []graph.Edge) error {
 				acc := 0
 				for _, e := range batch {
@@ -216,7 +216,7 @@ func BenchmarkShardedBex2Pass(b *testing.B) {
 			var sums [NumShards]int
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				_, err := ShardedForEachBatch(bs, len(edges), workers,
+				_, err := shardedForEachBatch(bs, len(edges), workers,
 					func(shard int, batch []graph.Edge) error {
 						for _, e := range batch {
 							sums[shard] += e.U

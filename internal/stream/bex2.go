@@ -255,6 +255,9 @@ func newBex2Encoder(w io.Writer, off int64, blockEdges int) bex2Encoder {
 	return bex2Encoder{w: w, off: off, blockEdges: blockEdges, pend: make([]graph.Edge, 0, blockEdges)}
 }
 
+// maxVertexID is the largest vertex ID a .bex v2 record holds (int32).
+const maxVertexID = 1<<31 - 1
+
 func (e *bex2Encoder) add(batch []graph.Edge) error {
 	for len(batch) > 0 {
 		take := e.blockEdges - len(e.pend)
@@ -289,8 +292,8 @@ func (e *bex2Encoder) flush() error {
 	minV, maxV := int32(1<<31-1), int32(-1<<31)
 	j := 0
 	for _, ed := range e.pend {
-		if ed.U < 0 || ed.V < 0 || ed.U > 1<<31-1 || ed.V > 1<<31-1 {
-			return fmt.Errorf("stream: edge %v does not fit int32 .bex records", ed)
+		if ed.U < 0 || ed.V < 0 || ed.U > maxVertexID || ed.V > maxVertexID {
+			return fmt.Errorf("stream: edge %v does not fit int32 .bex records: %w", ed, ErrMalformed)
 		}
 		u, v := int64(ed.U), int64(ed.V)
 		for _, z := range [2]uint64{zigzag(u - prevU), zigzag(v - prevV)} {

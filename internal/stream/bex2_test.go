@@ -324,8 +324,8 @@ func TestBex2WriteReplacesOnlyOnSuccess(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := append(append([]graph.Edge{}, edges[:300]...), graph.Edge{U: 0, V: 3_000_000_000})
-	if _, err := WriteBex2File(path, FromEdges(bad), 256); err == nil {
-		t.Fatal("writing an edge that does not fit int32 succeeded")
+	if _, err := WriteBex2File(path, FromEdges(bad), 256); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("writing an edge that does not fit int32 = %v, want ErrMalformed", err)
 	}
 	after, err := os.ReadFile(path)
 	if err != nil || string(after) != string(before) {
@@ -387,7 +387,7 @@ func TestBex2ShardedPassReusesBuffers(t *testing.T) {
 	set += blockEdges * int64(unsafe.Sizeof(graph.Edge{}))
 	pass := func() {
 		t.Helper()
-		if _, err := ShardedForEachBatch(s, m, workers,
+		if _, err := shardedForEachBatch(s, m, workers,
 			func(int, []graph.Edge) error { return nil },
 			func(int) error { return nil }); err != nil {
 			t.Fatal(err)
@@ -427,7 +427,7 @@ func TestBex2NoFirstScanIndexBuild(t *testing.T) {
 			t.Fatal("RangeStream unavailable before the first pass")
 		}
 		pc := NewPassCounter(fb)
-		if _, err := ShardedForEachBatch(pc, len(edges), 4,
+		if _, err := shardedForEachBatch(pc, len(edges), 4,
 			func(int, []graph.Edge) error { return nil },
 			func(int) error { return nil }); err != nil {
 			t.Fatal(err)

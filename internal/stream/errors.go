@@ -25,6 +25,11 @@ import (
 //     geometry was fine at open; the damage is confined to (and reported
 //     with) one block, detected deterministically the first time that block
 //     is read. Retrying cannot help.
+//   - ErrMalformed: the input is not an edge list the model accepts — a
+//     text line with a bad token, a missing field, a negative vertex ID or
+//     one above 2³¹ − 1 (the .bex limit), a line over 16 MiB, or an edge
+//     handed to the .bex writer that its int32 records cannot hold. The
+//     error names the line; retrying cannot help.
 //   - ErrTransient: the failure is worth retrying — the read may succeed on
 //     the next attempt (EIO from a flaky device, an injected fault from
 //     internal/faultio). The engine's retry layer resumes or re-runs only
@@ -34,6 +39,7 @@ var (
 	ErrTruncated     = errors.New("stream: truncated input")
 	ErrCorruptHeader = errors.New("stream: corrupt header")
 	ErrCorruptBlock  = errors.New("stream: corrupt block")
+	ErrMalformed     = errors.New("stream: malformed input")
 	ErrTransient     = errors.New("stream: transient I/O error")
 )
 

@@ -3,7 +3,6 @@ package stream
 import (
 	"bufio"
 	"bytes"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -23,7 +22,7 @@ const (
 )
 
 // errLineTooLong is wrapped with the file path by the stream that hits it.
-var errLineTooLong = errors.New("line longer than 16 MiB (not an edge list?)")
+var errLineTooLong = fmt.Errorf("line longer than 16 MiB (not an edge list?): %w", ErrMalformed)
 
 // Opener opens the underlying byte source of a file-backed pass. The default
 // is os.Open; tests substitute one that wraps the handle to inject read
@@ -247,8 +246,7 @@ func (f *FileStream) dropSpill() {
 }
 
 // failSpill drops a copy that could not be written (no temp directory, a
-// full disk, a vertex ID the format cannot hold); passes re-parse the text
-// until Close.
+// full disk); passes re-parse the text until Close.
 func (f *FileStream) failSpill() {
 	f.dropSpill()
 	f.noCopy = true
@@ -388,14 +386,22 @@ func parseEdgeLine(path string, lineNo int, line []byte) (graph.Edge, bool, erro
 	}
 	i = skipSpace(line, i)
 	if i == len(line) {
-		return graph.Edge{}, false, fmt.Errorf("stream: %s:%d: malformed edge line %q", path, lineNo, line)
+		return graph.Edge{}, false, fmt.Errorf("stream: %s:%d: malformed edge line %q: %w", path, lineNo, line, ErrMalformed)
 	}
 	v, _, err := parseVertex(path, lineNo, line, i)
 	if err != nil {
 		return graph.Edge{}, false, err
 	}
-	if u < 0 || v < 0 {
-		return graph.Edge{}, false, fmt.Errorf("stream: %s:%d: negative vertex id", path, lineNo)
+	// A text holds only IDs a .bex record holds, so every text has a .bex
+	// copy and nothing sized by the largest ID (the κ̂ peel's arrays) meets
+	// a larger one. One test covers both bounds: a negative ID converts to
+	// a huge uint.
+	if uint(u)|uint(v) > maxVertexID {
+		if u < 0 || v < 0 {
+			return graph.Edge{}, false, fmt.Errorf("stream: %s:%d: negative vertex id: %w", path, lineNo, ErrMalformed)
+		}
+		return graph.Edge{}, false, fmt.Errorf("stream: %s:%d: vertex id %d above %d, the largest a .bex record holds: %w",
+			path, lineNo, max(u, v), maxVertexID, ErrMalformed)
 	}
 	return graph.Edge{U: u, V: v}, true, nil
 }
@@ -421,7 +427,7 @@ func parseVertex(path string, lineNo int, line []byte, i int) (int, int, error) 
 		for end < len(line) && !isSpace(line[end]) {
 			end++
 		}
-		return 0, i, fmt.Errorf("stream: %s:%d: bad vertex %q: invalid syntax", path, lineNo, line[start:end])
+		return 0, i, fmt.Errorf("stream: %s:%d: bad vertex %q: invalid syntax: %w", path, lineNo, line[start:end], ErrMalformed)
 	}
 	if neg {
 		val = -val

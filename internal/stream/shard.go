@@ -72,7 +72,7 @@ type RangeStreamer interface {
 	RangeStream(lo, hi int) (Stream, bool)
 }
 
-// ShardedForEachBatch runs one logical pass over a stream of exactly m edges,
+// ShardedScan runs one logical pass over a stream of exactly m edges,
 // partitioned into the NumShards grid. For every batch of edges it invokes
 // process(shard, batch) with batches that never straddle a shard boundary;
 // after all batches of shard k have been processed, merge(k) is invoked.
@@ -92,22 +92,12 @@ type RangeStreamer interface {
 //
 // The pass counts as one pass on a PassCounter (one Reset), like ForEachBatch.
 // It returns the number of edges seen and errors if that differs from m.
-func ShardedForEachBatch(
-	s Stream,
-	m, workers int,
-	process func(shard int, batch []graph.Edge) error,
-	merge func(shard int) error,
-) (int, error) {
-	n, _, err := ShardedScan(context.Background(), s, m, workers, RetryPolicy{}, process, merge)
-	return n, err
-}
-
-// ShardedScan is ShardedForEachBatch with a cancellation context and a
-// transient-I/O retry policy. The context is checked at every batch boundary:
-// a cancelled or deadline-expired scan stops within one batch and returns the
-// context's error wrapped with the stream position it reached. When retry is
-// enabled, a read that fails with a transient error (IsTransient) is resumed
-// at the exact position it broke — the failing reader is replaced by a fresh
+//
+// The context is checked at every batch boundary: a cancelled or
+// deadline-expired scan stops within one batch and returns the context's
+// error wrapped with the stream position it reached. When retry is enabled,
+// a read that fails with a transient error (IsTransient) is resumed at the
+// exact position it broke — the failing reader is replaced by a fresh
 // RangeStream over the undelivered remainder — after the policy's backoff;
 // process and merge never observe a duplicated or missing edge, so a healed
 // scan is bit-identical to an undisturbed one. Transient Reset failures are

@@ -1,10 +1,12 @@
 package stream
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -20,12 +22,18 @@ func shardTestEdges(m int) []graph.Edge {
 	return edges
 }
 
+// shardedForEachBatch is ShardedScan without a context or retry policy.
+func shardedForEachBatch(s Stream, m, workers int, process func(shard int, batch []graph.Edge) error, merge func(shard int) error) (int, error) {
+	n, _, err := ShardedScan(context.Background(), s, m, workers, RetryPolicy{}, process, merge)
+	return n, err
+}
+
 // collectSharded runs a sharded pass and returns the edges seen per shard
 // plus the merge order.
 func collectSharded(t *testing.T, s Stream, m, workers int) (perShard [NumShards][]graph.Edge, mergeOrder []int) {
 	t.Helper()
 	var mu sync.Mutex
-	n, err := ShardedForEachBatch(s, m, workers,
+	n, err := shardedForEachBatch(s, m, workers,
 		func(shard int, batch []graph.Edge) error {
 			mu.Lock()
 			perShard[shard] = append(perShard[shard], batch...)
@@ -92,7 +100,7 @@ func TestShardedForEachBatchWrongLength(t *testing.T) {
 	edges := shardTestEdges(200)
 	for _, workers := range []int{1, 4} {
 		for _, m := range []int{199, 201} {
-			_, err := ShardedForEachBatch(FromEdges(edges), m, workers,
+			_, err := shardedForEachBatch(FromEdges(edges), m, workers,
 				func(int, []graph.Edge) error { return nil },
 				func(int) error { return nil })
 			if err == nil {
@@ -282,17 +290,15 @@ func TestFileStreamCopy(t *testing.T) {
 	}
 }
 
-// TestFileStreamUncopyableText pins the path without a copy: a vertex ID
-// the .bex v2 format cannot hold (≥ 2^31) makes the copy unwritable, so the
-// stream drops it without failing the pass, re-parses the text on every
-// pass with identical results, never offers range access, and leaves no
-// temp file behind.
+// TestFileStreamUncopyableText pins the path without a copy: a TMPDIR in
+// which no temp file can be created leaves the stream without a copy, so it
+// re-parses the text on every pass with identical results, never offers
+// range access, and still learns its length.
 func TestFileStreamUncopyableText(t *testing.T) {
 	edges := shardTestEdges(2*DefaultBlockEdges + 9)
-	edges[DefaultBlockEdges+1] = graph.Edge{U: 1 << 31, V: 7} // the second block
-	path := filepath.Join(t.TempDir(), "wide.txt")
+	path := filepath.Join(t.TempDir(), "edges.txt")
 	writeEdgeFileAt(t, path, edges)
-	tmp := copyTempDir(t)
+	t.Setenv("TMPDIR", filepath.Join(t.TempDir(), "missing"))
 
 	fs := OpenFile(path)
 	defer fs.Close()
@@ -301,12 +307,34 @@ func TestFileStreamUncopyableText(t *testing.T) {
 		if _, ok := fs.RangeStream(0, 0); ok {
 			t.Fatalf("pass %d: range access over a text with no copy", pass)
 		}
-		if copies := textCopies(t, tmp); len(copies) != 0 {
-			t.Fatalf("pass %d: TMPDIR holds copies %v, want none", pass, copies)
-		}
 	}
 	if m, ok := fs.Len(); !ok || m != len(edges) {
 		t.Fatalf("Len = %d,%v, want %d,true", m, ok, len(edges))
+	}
+}
+
+// TestTextRejectsIDsBexCannotHold pins the text parser's ID cap: a vertex ID
+// above 2^31 − 1, the largest a .bex record holds, fails the first pass as
+// malformed input naming its line, before the stream knows its length, and
+// the partial copy is removed.
+func TestTextRejectsIDsBexCannotHold(t *testing.T) {
+	edges := shardTestEdges(2*DefaultBlockEdges + 9)
+	edges[DefaultBlockEdges+1] = graph.Edge{U: 1 << 31, V: 7} // the second block
+	path := filepath.Join(t.TempDir(), "wide.txt")
+	writeEdgeFileAt(t, path, edges)
+	tmp := copyTempDir(t)
+
+	fs := OpenFile(path)
+	defer fs.Close()
+	_, err := CountEdges(fs)
+	if line := fmt.Sprintf(":%d:", DefaultBlockEdges+2); !errors.Is(err, ErrMalformed) || !strings.Contains(err.Error(), line) {
+		t.Fatalf("CountEdges = %v, want ErrMalformed naming line %s", err, line)
+	}
+	if _, ok := fs.Len(); ok {
+		t.Fatal("a failed pass made the length known")
+	}
+	if copies := textCopies(t, tmp); len(copies) != 0 {
+		t.Fatalf("TMPDIR holds copies %v after a failed pass, want none", copies)
 	}
 }
 
@@ -352,7 +380,7 @@ func TestShardedParallelEmptyShardBurst(t *testing.T) {
 	edges := shardTestEdges(2*8192 + 5) // 3 active shards, 61 empty
 	for round := 0; round < 50; round++ {
 		s := FromEdges(edges)
-		n, err := ShardedForEachBatch(s, len(edges), 8,
+		n, err := shardedForEachBatch(s, len(edges), 8,
 			func(int, []graph.Edge) error { return nil },
 			func(int) error { return nil })
 		if err != nil || n != len(edges) {

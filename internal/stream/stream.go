@@ -5,7 +5,7 @@
 // of process memory.
 //
 // The package provides in-memory and file-backed edge streams, a pass
-// counter, and a SpaceMeter that estimators use to account for every word
+// counter, and the SharedMeter that estimators use to account for every word
 // they retain (sampled edges, per-vertex counters, memo-table entries).
 package stream
 

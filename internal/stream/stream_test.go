@@ -2,6 +2,7 @@ package stream
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -196,37 +197,24 @@ func TestFileStreamErrors(t *testing.T) {
 		t.Fatal("expected error opening missing file")
 	}
 
+	// Every parse error is malformed input and names its line.
 	dir := t.TempDir()
-	bad := filepath.Join(dir, "bad.txt")
-	if err := os.WriteFile(bad, []byte("0 x\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	fs = OpenFile(bad)
-	if err := fs.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fs.Next(); err == nil {
-		t.Fatal("expected parse error")
-	}
-
-	short := filepath.Join(dir, "short.txt")
-	if err := os.WriteFile(short, []byte("42\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	fs = OpenFile(short)
-	fs.Reset()
-	if _, err := fs.Next(); err == nil {
-		t.Fatal("expected malformed-line error")
-	}
-
-	neg := filepath.Join(dir, "neg.txt")
-	if err := os.WriteFile(neg, []byte("-1 2\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	fs = OpenFile(neg)
-	fs.Reset()
-	if _, err := fs.Next(); err == nil {
-		t.Fatal("expected negative-vertex error")
+	for name, text := range map[string]string{
+		"bad token":    "0 1\n0 x\n",
+		"short line":   "0 1\n42\n",
+		"negative id":  "0 1\n1 -2\n",
+		"id above cap": "0 1\n0 3000000000\n",
+	} {
+		path := filepath.Join(dir, "bad.txt")
+		if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		fs := OpenFile(path)
+		_, err := CountEdges(fs)
+		fs.Close()
+		if !errors.Is(err, ErrMalformed) || !strings.Contains(err.Error(), "bad.txt:2:") {
+			t.Errorf("%s: CountEdges = %v, want ErrMalformed naming bad.txt:2", name, err)
+		}
 	}
 }
 
@@ -257,32 +245,33 @@ func TestWriteEdgeListAndGraphFile(t *testing.T) {
 	}
 }
 
-func TestSpaceMeter(t *testing.T) {
-	m := NewSpaceMeter()
+func TestSharedMeter(t *testing.T) {
+	root := NewSharedMeter(nil)
+	m := NewSharedMeter(root)
 	m.Charge(10)
 	m.Charge(5)
 	if m.Current() != 15 || m.Peak() != 15 {
-		t.Fatalf("meter %v", m)
+		t.Fatalf("meter current %d, peak %d, want 15 and 15", m.Current(), m.Peak())
 	}
 	m.Release(12)
 	if m.Current() != 3 || m.Peak() != 15 {
-		t.Fatalf("meter %v", m)
+		t.Fatalf("meter current %d, peak %d, want 3 and 15", m.Current(), m.Peak())
 	}
-	m.Release(100)
-	if m.Current() != 0 {
-		t.Fatalf("clamp failed: %v", m)
+	// A sibling's words add to the parent's, not to m's.
+	sib := NewSharedMeter(root)
+	sib.Charge(20)
+	if m.Peak() != 15 || root.Current() != 23 || root.Peak() != 23 {
+		t.Fatalf("m peak %d, root current %d, peak %d, want 15, 23 and 23", m.Peak(), root.Current(), root.Peak())
 	}
-	if m.String() == "" {
-		t.Error("String empty")
-	}
-	m.Reset()
-	if m.Current() != 0 || m.Peak() != 0 {
-		t.Fatal("reset failed")
+	sib.Release(20)
+	m.Release(3)
+	if root.Current() != 0 || root.Peak() != 23 {
+		t.Fatalf("root current %d, peak %d, want 0 and 23", root.Current(), root.Peak())
 	}
 }
 
-func TestSpaceMeterPanics(t *testing.T) {
-	m := NewSpaceMeter()
+func TestSharedMeterPanics(t *testing.T) {
+	m := NewSharedMeter(nil)
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -320,7 +309,7 @@ func TestFileStreamLineTooLong(t *testing.T) {
 	}
 	fs := OpenFile(path)
 	defer fs.Close()
-	if _, err := CountEdges(fs); err == nil || !strings.Contains(err.Error(), "longer than") {
-		t.Fatalf("expected a line-too-long error, got %v", err)
+	if _, err := CountEdges(fs); !errors.Is(err, ErrMalformed) || !strings.Contains(err.Error(), "longer than") {
+		t.Fatalf("expected a line-too-long ErrMalformed, got %v", err)
 	}
 }
