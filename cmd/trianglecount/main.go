@@ -17,7 +17,8 @@
 // SIGINT cancels a running estimate gracefully (same path as -timeout).
 //
 // Exit codes: 0 success; 1 internal error; 2 usage error; 3 bad input
-// (missing, unreadable, truncated, corrupt, malformed or empty); 4 aborted
+// (missing, unreadable, truncated, corrupt, malformed or empty, or vertex IDs
+// too sparse for the streamed κ bound without -kappa); 4 aborted
 // (deadline, interrupt, or space budget — including runs that printed a
 // partial estimate).
 package main
@@ -214,7 +215,7 @@ func exitCode(err error) int {
 		return exitAborted
 	case errors.Is(err, stream.ErrTruncated), errors.Is(err, stream.ErrCorruptHeader),
 		errors.Is(err, stream.ErrCorruptBlock), errors.Is(err, stream.ErrMalformed),
-		errors.Is(err, triangle.ErrNoEdges),
+		errors.Is(err, triangle.ErrNoEdges), errors.Is(err, triangle.ErrSparseIDs),
 		errors.Is(err, fs.ErrNotExist), errors.Is(err, fs.ErrPermission), errors.As(err, &perr):
 		return exitIO
 	default:

@@ -175,10 +175,10 @@ func TestHeavyLightEmptyAndTriangleFree(t *testing.T) {
 func TestHeavyLightSelfLoops(t *testing.T) {
 	var edges []graph.Edge
 	for i := 0; i < 200; i++ {
-		edges = append(edges, graph.Edge{U: i, V: i + 1})
+		edges = append(edges, graph.Edge{U: int32(i), V: int32(i + 1)})
 	}
 	for i := 0; i <= 200; i += 2 {
-		edges = append(edges, graph.Edge{U: i, V: i})
+		edges = append(edges, graph.Edge{U: int32(i), V: int32(i)})
 	}
 	for seed := uint64(1); seed <= 3; seed++ {
 		res, err := HeavyLight(stream.FromEdges(edges), HeavyLightConfig{SampledEdges: 100, Seed: seed})
@@ -290,14 +290,14 @@ func TestHeavyLightSparseVertexIDs(t *testing.T) {
 	// 40 triangles sharing the hub base+0 plus a chain, all at huge IDs.
 	for i := 1; i <= 40; i++ {
 		a, b := base+2*i, base+2*i+1
-		edges = append(edges, graph.Edge{U: base, V: a}, graph.Edge{U: base, V: b}, graph.Edge{U: a, V: b})
+		edges = append(edges, graph.Edge{U: int32(base), V: int32(a)}, graph.Edge{U: int32(base), V: int32(b)}, graph.Edge{U: int32(a), V: int32(b)})
 	}
 	// A triangle-free star with enough endpoints to overflow the pending
 	// buffer mid-stream, so the sorted-merge path (non-empty existing table)
 	// runs, not just the final flush.
 	hub := base + 1<<20
 	for i := 1; i <= 40000; i++ {
-		edges = append(edges, graph.Edge{U: hub, V: hub + i})
+		edges = append(edges, graph.Edge{U: int32(hub), V: int32(hub + i)})
 	}
 	src := stream.FromEdges(edges)
 	res, err := HeavyLight(src, HeavyLightConfig{SampledEdges: len(edges), Seed: 3})

@@ -43,7 +43,7 @@ func Doulion(src stream.Stream, cfg DoulionConfig) (core.Result, error) {
 	m, err := stream.ForEachBatch(counter, func(batch []graph.Edge) error {
 		if cfg.P >= 1 {
 			for _, e := range batch {
-				b.AddEdge(e.U, e.V)
+				b.AddEdge(int(e.U), int(e.V))
 			}
 			kept += len(batch)
 			meter.Charge(int64(len(batch)) * stream.WordsPerEdge)
@@ -51,7 +51,7 @@ func Doulion(src stream.Stream, cfg DoulionConfig) (core.Result, error) {
 		}
 		for skip < int64(len(batch)) {
 			e := batch[skip]
-			b.AddEdge(e.U, e.V)
+			b.AddEdge(int(e.U), int(e.V))
 			kept++
 			meter.Charge(stream.WordsPerEdge)
 			skip += rng.Geometric(cfg.P)

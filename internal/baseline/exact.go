@@ -42,7 +42,7 @@ func ExactWorkers(src stream.Stream, workers int) (core.Result, error) {
 	b := graph.NewBuilder(0)
 	m, err := stream.ForEachBatch(counter, func(batch []graph.Edge) error {
 		for _, e := range batch {
-			b.AddEdge(e.U, e.V)
+			b.AddEdge(int(e.U), int(e.V))
 		}
 		return nil
 	})

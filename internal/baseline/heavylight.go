@@ -87,8 +87,8 @@ func HeavyLight(src stream.Stream, cfg HeavyLightConfig) (core.Result, error) {
 	m, err := stream.ForEachBatch(counter, func(batch []graph.Edge) error {
 		for _, e := range batch {
 			if e.U != e.V {
-				bump(e.U)
-				bump(e.V)
+				bump(int(e.U))
+				bump(int(e.V))
 			}
 		}
 		return nil
@@ -119,7 +119,7 @@ func HeavyLight(src stream.Stream, cfg HeavyLightConfig) (core.Result, error) {
 		return int(degrees[v])
 	}
 	edgeDeg := func(e graph.Edge) int {
-		du, dv := degreeOf(e.U), degreeOf(e.V)
+		du, dv := degreeOf(int(e.U)), degreeOf(int(e.V))
 		if du < dv {
 			return du
 		}
@@ -145,8 +145,9 @@ func HeavyLight(src stream.Stream, cfg HeavyLightConfig) (core.Result, error) {
 	if _, err := stream.ForEachBatch(counter, func(batch []graph.Edge) error {
 		for _, e := range batch {
 			e = e.Normalize()
-			if float64(degreeOf(e.U)) >= theta && float64(degreeOf(e.V)) >= theta {
-				heavyBuilder.AddEdge(e.U, e.V)
+			u, v := int(e.U), int(e.V)
+			if float64(degreeOf(u)) >= theta && float64(degreeOf(v)) >= theta {
+				heavyBuilder.AddEdge(u, v)
 				heavyEdges++
 			}
 			for next < r && positions[next] == pos {
@@ -180,10 +181,11 @@ func HeavyLight(src stream.Stream, cfg HeavyLightConfig) (core.Result, error) {
 			continue // heavy edge: its attributed triangles are counted exactly
 		}
 		ls := lightSample{edge: e, deg: de}
-		if degreeOf(e.U) <= degreeOf(e.V) {
-			ls.light, ls.other = e.U, e.V
+		u, v := int(e.U), int(e.V)
+		if degreeOf(u) <= degreeOf(v) {
+			ls.light, ls.other = u, v
 		} else {
-			ls.light, ls.other = e.V, e.U
+			ls.light, ls.other = v, u
 		}
 		lights = append(lights, ls)
 		lightVerts = append(lightVerts, ls.light)
@@ -194,17 +196,18 @@ func HeavyLight(src stream.Stream, cfg HeavyLightConfig) (core.Result, error) {
 		lightGroups := graph.NewVertexGroups(lightVerts)
 		if _, err := stream.ForEachBatch(counter, func(batch []graph.Edge) error {
 			for _, e := range batch {
-				if e.U == e.V {
+				u, v := int(e.U), int(e.V)
+				if u == v {
 					continue
 				}
-				if lightGroups.MayContain(e.U) {
-					for _, idx := range lightGroups.Lookup(e.U) {
-						lights[idx].offer(e.V, rng)
+				if lightGroups.MayContain(u) {
+					for _, idx := range lightGroups.Lookup(u) {
+						lights[idx].offer(v, rng)
 					}
 				}
-				if lightGroups.MayContain(e.V) {
-					for _, idx := range lightGroups.Lookup(e.V) {
-						lights[idx].offer(e.U, rng)
+				if lightGroups.MayContain(v) {
+					for _, idx := range lightGroups.Lookup(v) {
+						lights[idx].offer(u, rng)
 					}
 				}
 			}
@@ -252,7 +255,7 @@ func HeavyLight(src stream.Stream, cfg HeavyLightConfig) (core.Result, error) {
 			continue
 		}
 		found++
-		tri := graph.NewTriangle(ls.edge.U, ls.edge.V, ls.w)
+		tri := graph.NewTriangle(int(ls.edge.U), int(ls.edge.V), ls.w)
 		attributed := minDegreeEdge(tri, edgeDeg)
 		if attributed == ls.edge {
 			lightEstimate += float64(ls.deg) * float64(m) / float64(r)

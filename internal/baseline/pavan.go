@@ -126,8 +126,8 @@ func (h *acceptanceHeap) push(pos int64, i int) {
 	}
 }
 
-// closing markers: bit 63 never appears in a packed edge (endpoints fit in
-// 32 bits), so these values cannot collide with a real key.
+// closing markers: bit 63 never appears in a packed edge (endpoints are
+// non-negative int32s), so these values cannot collide with a real key.
 const (
 	noWedge     = uint64(1) << 63 // no level-2 edge sampled yet
 	wedgeClosed = noWedge + 1     // the current wedge's closing edge arrived
@@ -153,8 +153,8 @@ func reservoirSkip(t int64, rng *sampling.RNG) int64 {
 // (1±ε) requires Θ(m∆/(ε²T)) copies — the ∆ dependence is what the paper's
 // degeneracy-based algorithm removes.
 //
-// Vertex IDs must fit in 32 bits (they are dense array indices everywhere in
-// this repository); larger IDs are rejected with an error.
+// Vertex IDs must be non-negative (they are dense array indices everywhere
+// in this repository); a negative ID is rejected with an error.
 func NeighborSampling(src stream.Stream, cfg NeighborSamplingConfig) (core.Result, error) {
 	if cfg.Estimators < 1 {
 		return core.Result{}, fmt.Errorf("baseline: neighbor sampling needs at least one estimator, got %d", cfg.Estimators)
@@ -191,8 +191,8 @@ func NeighborSampling(src stream.Stream, cfg NeighborSamplingConfig) (core.Resul
 	m, err := stream.ForEachBatch(counter, func(batch []graph.Edge) error {
 		for _, e := range batch {
 			e = e.Normalize()
-			if uint64(e.U) > 0xffffffff || uint64(e.V) > 0xffffffff {
-				return fmt.Errorf("baseline: neighbor sampling: vertex id in %v exceeds 32 bits", e)
+			if e.U < 0 {
+				return fmt.Errorf("baseline: neighbor sampling: negative vertex id in %v", e)
 			}
 			eu, ev := uint32(e.U), uint32(e.V)
 			pe := uint64(eu)<<32 | uint64(ev)

@@ -231,7 +231,7 @@ func EstimateOn(x passes.Executor, cfg Config) (Result, error) {
 	// counter merged in shard order.
 	endpoints := make([]int, 0, 2*len(R))
 	for _, e := range R {
-		endpoints = append(endpoints, e.U, e.V)
+		endpoints = append(endpoints, int(e.U), int(e.V))
 	}
 	vertexDeg := graph.NewSortedCounter(endpoints)
 	meter.Charge(int64(vertexDeg.Len()) * stream.WordsPerCounter)
@@ -246,8 +246,8 @@ func EstimateOn(x passes.Executor, cfg Config) (Result, error) {
 			// A self-loop lies in no clique: d_e = 0, so no instance draws it.
 			continue
 		}
-		du, _ := vertexDeg.Get(e.U)
-		dv, _ := vertexDeg.Get(e.V)
+		du, _ := vertexDeg.Get(int(e.U))
+		dv, _ := vertexDeg.Get(int(e.V))
 		de := du
 		if dv < de {
 			de = dv
@@ -278,12 +278,13 @@ func EstimateOn(x passes.Executor, cfg Config) (Result, error) {
 		inst := &instances[i]
 		inst.edge = e
 		inst.edgeDeg = int(edgeDegs[idx])
-		du, _ := vertexDeg.Get(e.U)
-		dv, _ := vertexDeg.Get(e.V)
+		u, v := int(e.U), int(e.V)
+		du, _ := vertexDeg.Get(u)
+		dv, _ := vertexDeg.Get(v)
 		if du <= dv {
-			inst.light, inst.other = e.U, e.V
+			inst.light, inst.other = u, v
 		} else {
-			inst.light, inst.other = e.V, e.U
+			inst.light, inst.other = v, u
 		}
 		lights[i] = inst.light
 	}

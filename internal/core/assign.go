@@ -108,8 +108,9 @@ func (est *Estimator) assign(
 		st.tri = triIdx.TriangleAt(si)
 		st.edges = st.tri.Edges()
 		for slot, f := range st.edges {
-			du, okU := degreeOf(f.U)
-			dv, okV := degreeOf(f.V)
+			fu, fv := int(f.U), int(f.V)
+			du, okU := degreeOf(fu)
+			dv, okV := degreeOf(fv)
 			if !okU || !okV {
 				// Should not happen: every triangle vertex is either an R
 				// endpoint (pass 2) or an apex (pass 4). Treat as skip so the
@@ -124,9 +125,9 @@ func (est *Estimator) assign(
 			}
 			st.deg[slot] = de
 			if du <= dv {
-				st.light[slot], st.other[slot] = f.U, f.V
+				st.light[slot], st.other[slot] = fu, fv
 			} else {
-				st.light[slot], st.other[slot] = f.V, f.U
+				st.light[slot], st.other[slot] = fv, fu
 			}
 		}
 	}

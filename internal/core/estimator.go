@@ -210,7 +210,7 @@ func (est *Estimator) runOn(x passes.Executor) (Result, error) {
 	if est.deg == nil {
 		endpoints := make([]int, 0, 2*len(R))
 		for _, e := range R {
-			endpoints = append(endpoints, e.U, e.V)
+			endpoints = append(endpoints, int(e.U), int(e.V))
 		}
 		vertexDeg = graph.NewSortedCounter(endpoints)
 		est.meter.Charge(int64(vertexDeg.Len()) * stream.WordsPerCounter)
@@ -228,8 +228,8 @@ func (est *Estimator) runOn(x passes.Executor) (Result, error) {
 			// A self-loop has no wedge: d_e = 0, so no instance draws it.
 			continue
 		}
-		du, _ := degreeOf(e.U)
-		dv, _ := degreeOf(e.V)
+		du, _ := degreeOf(int(e.U))
+		dv, _ := degreeOf(int(e.V))
 		de := du
 		if dv < de {
 			de = dv
@@ -261,12 +261,13 @@ func (est *Estimator) runOn(x passes.Executor) (Result, error) {
 		inst := &instances[i]
 		inst.edge = e
 		inst.edgeDeg = int(edgeDegs[idx])
-		du, _ := degreeOf(e.U)
-		dv, _ := degreeOf(e.V)
+		u, v := int(e.U), int(e.V)
+		du, _ := degreeOf(u)
+		dv, _ := degreeOf(v)
 		if du <= dv {
-			inst.light, inst.other = e.U, e.V
+			inst.light, inst.other = u, v
 		} else {
-			inst.light, inst.other = e.V, e.U
+			inst.light, inst.other = v, u
 		}
 		lights[i] = inst.light
 	}
@@ -348,7 +349,7 @@ func (est *Estimator) runOn(x passes.Executor) (Result, error) {
 	for i := range instances {
 		inst := &instances[i]
 		if inst.closed {
-			inst.tri = graph.NewTriangle(inst.edge.U, inst.edge.V, inst.w)
+			inst.tri = graph.NewTriangle(int(inst.edge.U), int(inst.edge.V), inst.w)
 			res.TrianglesFound++
 			values[i] = 1
 		}

@@ -89,7 +89,7 @@ func IdealEstimator(src stream.Stream, oracle DegreeOracle, cfg Config, k int) (
 			if e.U == e.V {
 				continue
 			}
-			du, dv := oracle.Degree(e.U), oracle.Degree(e.V)
+			du, dv := oracle.Degree(int(e.U)), oracle.Degree(int(e.V))
 			de := du
 			if dv < du {
 				de = dv
@@ -116,11 +116,12 @@ func IdealEstimator(src stream.Stream, oracle DegreeOracle, cfg Config, k int) (
 			continue // empty stream or all-zero degrees
 		}
 		inst.edge = e
-		du, dv := oracle.Degree(e.U), oracle.Degree(e.V)
+		u, v := int(e.U), int(e.V)
+		du, dv := oracle.Degree(u), oracle.Degree(v)
 		if du <= dv {
-			inst.light, inst.other, inst.edgeDeg = e.U, e.V, du
+			inst.light, inst.other, inst.edgeDeg = u, v, du
 		} else {
-			inst.light, inst.other, inst.edgeDeg = e.V, e.U, dv
+			inst.light, inst.other, inst.edgeDeg = v, u, dv
 		}
 		active = append(active, int32(i))
 		lightVerts = append(lightVerts, inst.light)
@@ -130,17 +131,18 @@ func IdealEstimator(src stream.Stream, oracle DegreeOracle, cfg Config, k int) (
 	// Pass 2: uniform neighbor of the light endpoint, per instance.
 	if _, err := stream.ForEachBatch(counter, func(batch []graph.Edge) error {
 		for _, e := range batch {
-			if e.U == e.V {
+			u, v := int(e.U), int(e.V)
+			if u == v {
 				continue
 			}
-			if lightGroups.MayContain(e.U) {
-				for _, idx := range lightGroups.Lookup(e.U) {
-					instances[active[idx]].neighbor.Offer(e.V)
+			if lightGroups.MayContain(u) {
+				for _, idx := range lightGroups.Lookup(u) {
+					instances[active[idx]].neighbor.Offer(v)
 				}
 			}
-			if lightGroups.MayContain(e.V) {
-				for _, idx := range lightGroups.Lookup(e.V) {
-					instances[active[idx]].neighbor.Offer(e.U)
+			if lightGroups.MayContain(v) {
+				for _, idx := range lightGroups.Lookup(v) {
+					instances[active[idx]].neighbor.Offer(u)
 				}
 			}
 		}
@@ -182,7 +184,7 @@ func IdealEstimator(src stream.Stream, oracle DegreeOracle, cfg Config, k int) (
 		y := 0.0
 		if inst.closed && inst.hasW {
 			res.TrianglesFound++
-			tri := graph.NewTriangle(inst.edge.U, inst.edge.V, inst.w)
+			tri := graph.NewTriangle(int(inst.edge.U), int(inst.edge.V), inst.w)
 			switch cfg.Rule {
 			case RuleNone:
 				inst.y = true
@@ -215,7 +217,7 @@ func lowestDegreeEdge(t graph.Triangle, oracle DegreeOracle) graph.Edge {
 	best := graph.Edge{U: -1, V: -1}
 	bestDeg := int(^uint(0) >> 1)
 	for _, e := range t.Edges() {
-		du, dv := oracle.Degree(e.U), oracle.Degree(e.V)
+		du, dv := oracle.Degree(int(e.U)), oracle.Degree(int(e.V))
 		de := du
 		if dv < du {
 			de = dv

@@ -139,14 +139,14 @@ func TestIdealEstimatorRuleNone(t *testing.T) {
 func TestIdealEstimatorSelfLoops(t *testing.T) {
 	var edges []graph.Edge
 	for i := 0; i < 200; i++ {
-		edges = append(edges, graph.Edge{U: i, V: i + 1})
+		edges = append(edges, graph.Edge{U: int32(i), V: int32(i + 1)})
 	}
 	for i := 0; i <= 200; i += 2 {
-		edges = append(edges, graph.Edge{U: i, V: i})
+		edges = append(edges, graph.Edge{U: int32(i), V: int32(i)})
 	}
 	b := graph.NewBuilder(0)
 	for _, e := range edges {
-		b.AddEdge(e.U, e.V)
+		b.AddEdge(int(e.U), int(e.V))
 	}
 	oracle := NewGraphOracle(b.Build())
 	for seed := uint64(1); seed <= 3; seed++ {

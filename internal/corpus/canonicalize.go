@@ -77,7 +77,8 @@ func Canonicalize(r io.Reader, maxEdges int) ([]graph.Edge, error) {
 			continue
 		}
 		seen[e] = struct{}{}
-		edges = append(edges, graph.Edge{U: du, V: dv})
+		// NewEdge above has checked that both IDs fit an int32.
+		edges = append(edges, graph.Edge{U: int32(du), V: int32(dv)})
 		if maxEdges > 0 && len(edges) >= maxEdges {
 			break
 		}
@@ -156,12 +157,7 @@ func writeCanonical(dir, name string, edges []graph.Edge) (bexSHA string, err er
 func edgeFacts(edges []graph.Edge) (n, m int) {
 	maxID := -1
 	for _, e := range edges {
-		if e.U > maxID {
-			maxID = e.U
-		}
-		if e.V > maxID {
-			maxID = e.V
-		}
+		maxID = max(maxID, int(e.U), int(e.V))
 	}
 	return maxID + 1, len(edges)
 }

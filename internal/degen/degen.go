@@ -51,6 +51,7 @@ package degen
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"degentri/internal/graph"
@@ -63,6 +64,18 @@ import (
 // alive set shrinks by a factor ≥ 1+ε = 1.5 per round (≤ ~35 rounds at
 // n = 10⁶).
 const DefaultEpsilon = 0.5
+
+// denseIDLimit is the vertex count below which the peel always runs: 2²³,
+// the ID bound internal/graph's ID bitsets use. Its arrays then take at most
+// 64 MB, however few edges the stream has.
+const denseIDLimit = 1 << 23
+
+// ErrSparseIDs is wrapped by the error of a peel refused because its vertex
+// IDs are too sparse: n, one more than the largest ID, is above both 2m + 1
+// and 2²³. The peel's arrays are sized by n, not by the vertices present, so
+// a two-edge stream naming ID 2³¹ − 1 would allocate gigabytes. Supplying a
+// degeneracy bound skips the peel.
+var ErrSparseIDs = errors.New("vertex IDs too sparse for the degeneracy peel")
 
 // Options configures the peeling estimator.
 type Options struct {
@@ -142,6 +155,9 @@ func EstimateOn(x passes.Executor, opts Options) (Result, error) {
 // of fused runs show up in the group peak while they are actually live.
 // It never releases before returning, so the words it charged are the
 // meter's peak, Result.SpaceWords.
+//
+// Once n is known, and before anything is allocated, a stream whose n is
+// above both 2m + 1 and 2²³ is refused with an error wrapping ErrSparseIDs.
 func EstimateWithDegrees(x passes.Executor, opts Options) (Result, []int32, error) {
 	eps := opts.Epsilon
 	if eps <= 0 {
@@ -169,6 +185,10 @@ func EstimateWithDegrees(x passes.Executor, opts Options) (Result, []int32, erro
 		return res, nil, nil
 	}
 	n := maxID + 1
+	if n > 2*m+1 && n > denseIDLimit {
+		return res, nil, fmt.Errorf("degen: n = %d (1 + the largest vertex ID) for m = %d edges: %w; supply a degeneracy bound (trianglecount -kappa, Options.Degeneracy) to skip the peel",
+			n, m, ErrSparseIDs)
+	}
 	res.Vertices = n
 
 	// charge accounts one more array of n degree slots (int32 charged

@@ -237,7 +237,7 @@ func TestEstimateWithDegrees(t *testing.T) {
 	edges := append([]graph.Edge{}, g.Edges()...)
 	edges = append(edges, edges[:500]...) // duplicates
 	for v := 0; v < g.NumVertices(); v += 7 {
-		edges = append(edges, graph.Edge{U: v, V: v})
+		edges = append(edges, graph.Edge{U: int32(v), V: int32(v)})
 	}
 	n := g.NumVertices()
 	want := make([]int32, n)

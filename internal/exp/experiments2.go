@@ -63,7 +63,7 @@ func E6AssignmentProperties(scale Scale) ([]*Table, error) {
 				}
 				if bestIdx >= 0 {
 					assigned++
-					key := packEdge(edges[bestIdx].U, edges[bestIdx].V)
+					key := packEdge(int(edges[bestIdx].U), int(edges[bestIdx].V))
 					tauCount[key]++
 					if tauCount[key] > tauMax {
 						tauMax = tauCount[key]

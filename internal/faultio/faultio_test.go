@@ -13,7 +13,7 @@ import (
 func edgesN(n int) []graph.Edge {
 	edges := make([]graph.Edge, n)
 	for i := range edges {
-		edges[i] = graph.Edge{U: i % 53, V: 53 + i%47}
+		edges[i] = graph.Edge{U: int32(i % 53), V: int32(53 + i%47)}
 	}
 	return edges
 }

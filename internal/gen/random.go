@@ -64,15 +64,14 @@ func ErdosRenyiGNM(n, m int, seed uint64) *graph.Graph {
 	// Track distinctness here instead of polling b.NumEdges() per draw: the
 	// builder dedups lazily (sort+compact), so NumEdges in a tight loop
 	// would re-sort the accumulated edges every iteration.
-	seen := make(map[int64]struct{}, m)
+	seen := make(map[graph.Edge]struct{}, m)
 	for len(seen) < m {
 		u := rng.Intn(n)
 		v := rng.Intn(n)
 		if u != v {
 			e := graph.NewEdge(u, v)
-			key := int64(e.U)<<32 | int64(e.V)
-			if _, ok := seen[key]; !ok {
-				seen[key] = struct{}{}
+			if _, ok := seen[e]; !ok {
+				seen[e] = struct{}{}
 				b.AddEdge(u, v)
 			}
 		}
@@ -187,9 +186,7 @@ func ChungLu(n int, avgDeg, beta float64, seed uint64) *graph.Graph {
 func PlantedBook(n, m, pages int, seed uint64) *graph.Graph {
 	base := ErdosRenyiGNM(n, m, seed)
 	b := graph.NewBuilder(n)
-	for _, e := range base.Edges() {
-		b.AddEdge(e.U, e.V)
-	}
+	b.AddEdges(base.Edges())
 	if n < pages+2 {
 		panic("gen: PlantedBook needs n >= pages+2")
 	}

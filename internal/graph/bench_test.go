@@ -96,7 +96,7 @@ func lookupEdges() []graph.Edge {
 	rng := rand.New(rand.NewSource(42))
 	edges := make([]graph.Edge, 1<<20)
 	for i := range edges {
-		edges[i] = graph.Edge{U: skewedID(rng), V: skewedID(rng)}
+		edges[i] = graph.Edge{U: int32(skewedID(rng)), V: int32(skewedID(rng))}
 	}
 	return edges
 }
@@ -127,11 +127,11 @@ func BenchmarkSortedCounterInc(b *testing.B) {
 		b.Run(fmt.Sprintf("keys=%d", n), func(b *testing.B) {
 			for b.Loop() {
 				for _, e := range edges {
-					if c.MayContain(e.U) {
-						c.Inc(e.U)
+					if c.MayContain(int(e.U)) {
+						c.Inc(int(e.U))
 					}
-					if c.MayContain(e.V) {
-						c.Inc(e.V)
+					if c.MayContain(int(e.V)) {
+						c.Inc(int(e.V))
 					}
 				}
 			}
@@ -148,11 +148,11 @@ func BenchmarkVertexGroupsLookup(b *testing.B) {
 			hits := 0
 			for b.Loop() {
 				for _, e := range edges {
-					if g.MayContain(e.U) {
-						hits += len(g.Lookup(e.U))
+					if g.MayContain(int(e.U)) {
+						hits += len(g.Lookup(int(e.U)))
 					}
-					if g.MayContain(e.V) {
-						hits += len(g.Lookup(e.V))
+					if g.MayContain(int(e.V)) {
+						hits += len(g.Lookup(int(e.V)))
 					}
 				}
 			}

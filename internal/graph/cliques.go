@@ -102,42 +102,3 @@ func (g *Graph) CliqueCountBrute(k int) int64 {
 	rec(0, nil)
 	return count
 }
-
-// EdgeCliqueCounts returns, for each edge in canonical order, the number of
-// k-cliques containing that edge. The sum over all edges equals C(k,2)·(#k-cliques).
-func (g *Graph) EdgeCliqueCounts(k int) []int64 {
-	if k < 3 {
-		panic("graph: EdgeCliqueCounts needs k >= 3")
-	}
-	counts := make([]int64, len(g.edges))
-	for i, e := range g.edges {
-		common := sortedIntersection(g.Neighbors(e.U), g.Neighbors(e.V))
-		if k == 3 {
-			counts[i] = int64(len(common))
-			continue
-		}
-		// Count (k-2)-cliques inside the common neighborhood.
-		sub, _ := g.InducedSubgraph(common)
-		counts[i] = sub.CliqueCount(k - 2)
-	}
-	return counts
-}
-
-// sortedIntersection returns the intersection of two sorted int slices.
-func sortedIntersection(a, b []int) []int {
-	var out []int
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	return out
-}

@@ -109,48 +109,6 @@ func TestCliqueCountBrutePanics(t *testing.T) {
 	completeGraph(3).CliqueCountBrute(0)
 }
 
-func TestEdgeCliqueCounts(t *testing.T) {
-	g := completeGraph(5)
-	// In K5 every edge lies in C(3,1)=3 triangles and C(3,2)=3 four-cliques.
-	tri := g.EdgeCliqueCounts(3)
-	four := g.EdgeCliqueCounts(4)
-	for i := range g.Edges() {
-		if tri[i] != 3 {
-			t.Errorf("edge %d triangle count %d", i, tri[i])
-		}
-		if four[i] != 3 {
-			t.Errorf("edge %d 4-clique count %d", i, four[i])
-		}
-	}
-	// Sum over edges = C(k,2) * number of k-cliques.
-	var sum4 int64
-	for _, c := range four {
-		sum4 += c
-	}
-	if sum4 != 6*g.CliqueCount(4) {
-		t.Errorf("Σ edge 4-clique counts = %d, want %d", sum4, 6*g.CliqueCount(4))
-	}
-}
-
-func TestEdgeCliqueCountsPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	completeGraph(4).EdgeCliqueCounts(2)
-}
-
-func TestSortedIntersection(t *testing.T) {
-	got := sortedIntersection([]int{1, 3, 5, 7}, []int{2, 3, 4, 7, 9})
-	if len(got) != 2 || got[0] != 3 || got[1] != 7 {
-		t.Errorf("intersection = %v", got)
-	}
-	if sortedIntersection(nil, []int{1}) != nil {
-		t.Error("empty intersection should be nil")
-	}
-}
-
 func BenchmarkCliqueCount4(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	g := randomGraph(400, 0.05, rng)

@@ -9,19 +9,33 @@ package graph
 
 import "fmt"
 
+// MaxVertexID is the largest vertex ID an Edge holds, 2³¹ − 1: the bound of
+// a .bex v2 record and of the text parser.
+const MaxVertexID = 1<<31 - 1
+
 // Edge is an undirected edge between two vertices. Edges are stored in
 // normalized form (U <= V) by most of this package; callers should use
 // NewEdge or Normalize when constructing edges by hand.
+//
+// Its endpoints are int32, so an edge takes 8 bytes: every pass re-reads all
+// m edges, and the decoded-block cache holds twice as many of them as with
+// int fields. Vertex IDs are int everywhere else (function parameters, the
+// CSR of Graph, Triangle); convert with int(e.U) when reading an endpoint.
 type Edge struct {
-	U, V int
+	U, V int32
 }
 
-// NewEdge returns a normalized edge with the smaller endpoint first.
+// NewEdge returns a normalized edge with the smaller endpoint first. It
+// panics when an endpoint does not fit in an int32; truncating it would
+// silently name another vertex.
 func NewEdge(u, v int) Edge {
 	if u > v {
 		u, v = v, u
 	}
-	return Edge{U: u, V: v}
+	if int(int32(u)) != u || int(int32(v)) != v {
+		panic(fmt.Sprintf("graph: vertex id in edge (%d,%d) outside the int32 range", u, v))
+	}
+	return Edge{U: int32(u), V: int32(v)}
 }
 
 // Normalize returns the edge with endpoints ordered so that U <= V.
@@ -32,22 +46,9 @@ func (e Edge) Normalize() Edge {
 	return e
 }
 
-// Other returns the endpoint of e that is not v. It panics if v is not an
-// endpoint of e; that is a programming error in the caller.
-func (e Edge) Other(v int) int {
-	switch v {
-	case e.U:
-		return e.V
-	case e.V:
-		return e.U
-	default:
-		panic(fmt.Sprintf("graph: vertex %d is not an endpoint of edge %v", v, e))
-	}
-}
-
 // Has reports whether v is an endpoint of e.
 func (e Edge) Has(v int) bool {
-	return e.U == v || e.V == v
+	return int(e.U) == v || int(e.V) == v
 }
 
 // String implements fmt.Stringer.

@@ -3,6 +3,7 @@ package graph
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestNewEdgeNormalizes(t *testing.T) {
@@ -16,9 +17,31 @@ func TestNewEdgeNormalizes(t *testing.T) {
 	}
 }
 
+// TestEdgeIsEightBytes pins the width every scan and the decoded-block
+// cache pay per edge: two int32 endpoints.
+func TestEdgeIsEightBytes(t *testing.T) {
+	if size := unsafe.Sizeof(Edge{}); size != 8 {
+		t.Fatalf("Edge takes %d bytes, want 8", size)
+	}
+}
+
+// TestNewEdgeRejectsIDsOutsideInt32 pins that no ID is truncated: the
+// largest int32 is stored as is, and one past it panics.
+func TestNewEdgeRejectsIDsOutsideInt32(t *testing.T) {
+	if e := NewEdge(MaxVertexID, 0); e.U != 0 || int(e.V) != MaxVertexID {
+		t.Fatalf("NewEdge(MaxVertexID, 0) = %v", e)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewEdge(0, MaxVertexID+1) did not panic")
+		}
+	}()
+	NewEdge(0, MaxVertexID+1)
+}
+
 func TestEdgeNormalizeIdempotent(t *testing.T) {
 	f := func(u, v uint8) bool {
-		e := Edge{U: int(u), V: int(v)}
+		e := Edge{U: int32(u), V: int32(v)}
 		n1 := e.Normalize()
 		n2 := n1.Normalize()
 		return n1 == n2 && n1.U <= n1.V
@@ -26,25 +49,6 @@ func TestEdgeNormalizeIdempotent(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestEdgeOther(t *testing.T) {
-	e := NewEdge(2, 9)
-	if got := e.Other(2); got != 9 {
-		t.Errorf("Other(2) = %d, want 9", got)
-	}
-	if got := e.Other(9); got != 2 {
-		t.Errorf("Other(9) = %d, want 2", got)
-	}
-}
-
-func TestEdgeOtherPanicsOnNonEndpoint(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for non-endpoint")
-		}
-	}()
-	NewEdge(1, 2).Other(3)
 }
 
 func TestEdgeHasAndLoop(t *testing.T) {

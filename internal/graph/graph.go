@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -44,7 +45,8 @@ func NewBuilder(n int) *Builder {
 }
 
 // AddEdge adds the undirected edge {u, v}. Self loops and duplicates are
-// ignored. Negative vertex IDs are a programming error and panic.
+// ignored. Vertex IDs outside [0, MaxVertexID] are a programming error and
+// panic.
 func (b *Builder) AddEdge(u, v int) {
 	if u < 0 || v < 0 {
 		panic(fmt.Sprintf("graph: negative vertex id in edge (%d,%d)", u, v))
@@ -52,9 +54,9 @@ func (b *Builder) AddEdge(u, v int) {
 	if u == v {
 		return
 	}
-	e := NewEdge(u, v)
-	if e.V >= b.n {
-		b.n = e.V + 1
+	e := NewEdge(u, v) // panics on an ID above MaxVertexID
+	if int(e.V) >= b.n {
+		b.n = int(e.V) + 1
 	}
 	// Appending in already-sorted order (the common case when re-building
 	// from another graph's edge list) keeps the slice dedup-free for free.
@@ -73,7 +75,7 @@ func (b *Builder) AddEdge(u, v int) {
 // AddEdges adds all edges in the slice.
 func (b *Builder) AddEdges(edges []Edge) {
 	for _, e := range edges {
-		b.AddEdge(e.U, e.V)
+		b.AddEdge(int(e.U), int(e.V))
 	}
 }
 
@@ -114,9 +116,9 @@ func lessEdges(a, b Edge) bool {
 // compareEdges is the lexicographic edge order as a three-way comparison.
 func compareEdges(a, b Edge) int {
 	if a.U != b.U {
-		return a.U - b.U
+		return cmp.Compare(a.U, b.U)
 	}
-	return a.V - b.V
+	return cmp.Compare(a.V, b.V)
 }
 
 // FromEdges builds a graph directly from an edge list. Duplicates and self
@@ -150,9 +152,9 @@ func fromSortedDistinctEdges(n int, edges []Edge) *Graph {
 	// the list is sorted by U), then its larger neighbors w > v (in
 	// increasing w because edges with U = v are sorted by V).
 	for _, e := range edges {
-		g.neigh[cursor[e.U]] = e.V
+		g.neigh[cursor[e.U]] = int(e.V)
 		cursor[e.U]++
-		g.neigh[cursor[e.V]] = e.U
+		g.neigh[cursor[e.V]] = int(e.U)
 		cursor[e.V]++
 	}
 	return g
@@ -221,10 +223,10 @@ func (g *Graph) Edge(i int) Edge { return g.edges[i] }
 // EdgeDegree returns d_e = min(d_u, d_v) for the edge e = {u, v}, as defined
 // in Section 3 of the paper. It panics if e is not an edge of the graph.
 func (g *Graph) EdgeDegree(e Edge) int {
-	if !g.HasEdge(e.U, e.V) {
+	if !g.HasEdge(int(e.U), int(e.V)) {
 		panic(fmt.Sprintf("graph: %v is not an edge", e))
 	}
-	du, dv := g.Degree(e.U), g.Degree(e.V)
+	du, dv := g.Degree(int(e.U)), g.Degree(int(e.V))
 	if du < dv {
 		return du
 	}
@@ -236,7 +238,7 @@ func (g *Graph) EdgeDegree(e Edge) int {
 func (g *Graph) EdgeDegreeSum() int64 {
 	var sum int64
 	for _, e := range g.edges {
-		du, dv := g.Degree(e.U), g.Degree(e.V)
+		du, dv := g.Degree(int(e.U)), g.Degree(int(e.V))
 		if du < dv {
 			sum += int64(du)
 		} else {
@@ -287,10 +289,10 @@ func (g *Graph) InducedSubgraph(vertices []int) (*Graph, []int) {
 func (g *Graph) EdgeSubgraph(edges []Edge) (*Graph, error) {
 	b := NewBuilder(g.n)
 	for _, e := range edges {
-		if !g.HasEdge(e.U, e.V) {
+		if !g.HasEdge(int(e.U), int(e.V)) {
 			return nil, fmt.Errorf("graph: edge %v not present in graph", e)
 		}
-		b.AddEdge(e.U, e.V)
+		b.AddEdge(int(e.U), int(e.V))
 	}
 	return b.Build(), nil
 }
@@ -332,7 +334,7 @@ func (g *Graph) Validate() error {
 		if e.U >= e.V {
 			return fmt.Errorf("graph: edge %d = %v not normalized", i, e)
 		}
-		if !g.HasEdge(e.U, e.V) {
+		if !g.HasEdge(int(e.U), int(e.V)) {
 			return fmt.Errorf("graph: edge list entry %v missing from adjacency", e)
 		}
 	}

@@ -66,6 +66,15 @@ func TestBuilderPanicsOnNegativeVertex(t *testing.T) {
 	NewBuilder(1).AddEdge(-1, 2)
 }
 
+func TestBuilderPanicsOnIDAboveMaxVertexID(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic")
+		}
+	}()
+	NewBuilder(1).AddEdge(0, MaxVertexID+1)
+}
+
 func TestFromEdges(t *testing.T) {
 	g := FromEdges(0, []Edge{{0, 1}, {1, 2}, {2, 0}})
 	if g.NumVertices() != 3 || g.NumEdges() != 3 {

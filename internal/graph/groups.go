@@ -24,8 +24,9 @@ import (
 // of the keys below each 64-ID word (a rankSet, the rank directory of Vigna's
 // broadword rank/select), so a hit's key index is one popcount away.
 // EdgeIndex filters on its keys' smaller endpoints and finds a hit in its hash
-// table. When the IDs are too sparse for a bitset, the structures have none
-// and binary-search their sorted keys.
+// table. When the IDs are too sparse for a bitset, the structures have none:
+// SortedCounter and VertexGroups binary-search their sorted keys, and
+// EdgeIndex probes its table for every edge.
 
 // rankTableLimit bounds the ID bitsets: a rankSet or an EdgeIndex filter
 // covers [0, maxID] and is built only when maxID < 8M. Their size follows the
@@ -33,7 +34,7 @@ import (
 // rankSet's 1.5 bits per ID: one bit, plus an int32 per 64-ID word). Vertex
 // IDs are dense throughout this repository, so every graph of up to 8M
 // vertices stays under it. Beyond it (sparse or huge ID spaces), lookups
-// binary-search the sorted keys.
+// go without the bit test.
 const rankTableLimit = 1 << 23
 
 // idFilter is a membership bitset over the IDs [0, 64·len(f)). A nil filter
@@ -259,25 +260,27 @@ func (g *VertexGroups) Lookup(v int) []int32 {
 }
 
 // EdgeIndex maps normalized edges to groups of item indices, in the same
-// CSR layout as VertexGroups. Edge keys are packed into uint64 (U in the
-// high half) when both endpoints fit in 32 bits — always the case for the
-// dense vertex IDs used here — so a lookup hashes one machine word, after a
-// bit test on the edge's smaller endpoint rejects almost every stream edge.
-// It replaces a map[Edge][]T probed once per stream edge (closure checks).
+// CSR layout as VertexGroups. Edge keys are packed into one uint64 (U in the
+// high half), so a lookup hashes one machine word, after a bit test on the
+// edge's smaller endpoint rejects almost every stream edge. It replaces a
+// map[Edge][]T probed once per stream edge (closure checks).
 type EdgeIndex struct {
-	packed  []uint64 // sorted packed keys; nil when some endpoint overflows
-	keys    []Edge   // sorted keys, only populated when packed == nil
+	packed  []uint64 // sorted packed keys
 	offsets []int32
 	items   []int32
 	// Open-addressing hash over the packed keys (power-of-two table, linear
 	// probing): table[slot] is the key's index in packed, plus one; 0 marks
-	// an empty slot. Built only in the packed case.
+	// an empty slot.
 	table []int32
 	shift uint
 	// lows has the bit of every key's smaller endpoint (key>>32). It is nil
-	// when the keys do not pack or their smaller endpoints reach
-	// rankTableLimit.
+	// when those endpoints reach rankTableLimit.
 	lows idFilter
+}
+
+// packEdge packs an edge into one comparable word, U in the high half.
+func packEdge(e Edge) uint64 {
+	return uint64(uint32(e.U))<<32 | uint64(uint32(e.V))
 }
 
 // hashPacked mixes a packed edge key into a table slot (Fibonacci hashing).
@@ -285,62 +288,16 @@ func hashPacked(key uint64, shift uint) uint64 {
 	return (key * 0x9e3779b97f4a7c15) >> shift
 }
 
-// edgePacks reports whether both endpoints fit in 32 bits, i.e. the edge can
-// be packed into one comparable word.
-func edgePacks(e Edge) bool {
-	return uint64(e.U) <= 0xffffffff && uint64(e.V) <= 0xffffffff
-}
-
-// edgeItem pairs an edge key with the item it belongs to.
-type edgeItem struct {
-	key  Edge
-	item int32
-}
-
 // NewEdgeIndex groups items by their (normalized) edge key: edgeOf[i] is the
-// key of item i. Items with equal keys keep their relative order (the sort
-// tiebreaks on the item index, which reproduces insertion order).
+// key of item i. Items with equal keys keep their relative order. The keys
+// are sorted by the shared LSD radix core (radix.SortPairs — the
+// closure-check indexes of a big run hold millions of keys; items arrive in
+// insertion order, so the stable sort preserves it within equal keys), and
+// indexed by a probe table for O(1) lookups.
 func NewEdgeIndex(edgeOf []Edge) *EdgeIndex {
-	packable := true
-	for _, e := range edgeOf {
-		if !edgePacks(e.Normalize()) {
-			packable = false
-			break
-		}
-	}
-	if packable {
-		return newPackedEdgeIndex(edgeOf)
-	}
-
-	pairs := make([]edgeItem, len(edgeOf))
-	for i, e := range edgeOf {
-		pairs[i] = edgeItem{key: e.Normalize(), item: int32(i)}
-	}
-	slices.SortStableFunc(pairs, func(a, b edgeItem) int {
-		return compareEdges(a.key, b.key)
-	})
-	ix := &EdgeIndex{items: make([]int32, len(pairs))}
-	for i, p := range pairs {
-		if i == 0 || p.key != pairs[i-1].key {
-			ix.keys = append(ix.keys, p.key)
-			ix.offsets = append(ix.offsets, int32(i))
-		}
-		ix.items[i] = p.item
-	}
-	ix.offsets = append(ix.offsets, int32(len(pairs)))
-	return ix
-}
-
-// newPackedEdgeIndex is the common-case constructor: machine-word keys sorted
-// by the shared LSD radix core (radix.SortPairs — the closure-check indexes
-// of a big run hold millions of keys; items arrive in insertion order, so the
-// stable sort preserves it within equal keys), and the probe table for O(1)
-// lookups.
-func newPackedEdgeIndex(edgeOf []Edge) *EdgeIndex {
 	pairs := make([]radix.Pair, len(edgeOf))
 	for i, e := range edgeOf {
-		n := e.Normalize()
-		pairs[i] = radix.Pair{Key: uint64(n.U)<<32 | uint64(n.V), Item: int32(i)}
+		pairs[i] = radix.Pair{Key: packEdge(e.Normalize()), Item: int32(i)}
 	}
 	radix.SortPairs(pairs)
 
@@ -391,44 +348,26 @@ func (ix *EdgeIndex) Keys() int { return len(ix.offsets) - 1 }
 // smaller endpoint, is true for every e when the index has no filter, and
 // inlines, so a per-edge loop calls it before normalizing e and paying the
 // Lookup call.
-func (ix *EdgeIndex) MayContain(e Edge) bool { return ix.lows.mayContain(min(e.U, e.V)) }
+func (ix *EdgeIndex) MayContain(e Edge) bool { return ix.lows.mayContain(int(min(e.U, e.V))) }
 
 // Lookup returns the item indices grouped under the normalized edge e (nil
 // when e is not a key). The returned slice aliases internal storage and must
 // not be modified.
 func (ix *EdgeIndex) Lookup(e Edge) []int32 {
-	if !ix.lows.mayContain(e.U) {
+	if !ix.lows.mayContain(int(e.U)) {
 		return nil
 	}
-	if ix.packed != nil {
-		if uint64(e.U) > 0xffffffff || uint64(e.V) > 0xffffffff {
+	key := packEdge(e)
+	mask := uint64(len(ix.table) - 1)
+	slot := hashPacked(key, ix.shift)
+	for {
+		r := ix.table[slot]
+		if r == 0 {
 			return nil
 		}
-		key := uint64(e.U)<<32 | uint64(e.V)
-		mask := uint64(len(ix.table) - 1)
-		slot := hashPacked(key, ix.shift)
-		for {
-			r := ix.table[slot]
-			if r == 0 {
-				return nil
-			}
-			if ix.packed[r-1] == key {
-				return ix.items[ix.offsets[r-1]:ix.offsets[r]]
-			}
-			slot = (slot + 1) & mask
+		if ix.packed[r-1] == key {
+			return ix.items[ix.offsets[r-1]:ix.offsets[r]]
 		}
+		slot = (slot + 1) & mask
 	}
-	lo, hi := 0, len(ix.keys)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if compareEdges(ix.keys[mid], e) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(ix.keys) && ix.keys[lo] == e {
-		return ix.items[ix.offsets[lo]:ix.offsets[lo+1]]
-	}
-	return nil
 }

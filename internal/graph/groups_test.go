@@ -126,21 +126,6 @@ func TestEdgeIndex(t *testing.T) {
 	}
 }
 
-func TestEdgeIndexUnpackableFallback(t *testing.T) {
-	huge := int(1) << 40
-	edges := []Edge{NewEdge(huge, 1), NewEdge(0, 2)}
-	ix := NewEdgeIndex(edges)
-	if got := ix.Lookup(NewEdge(1, huge)); !slices.Equal(got, []int32{0}) {
-		t.Errorf("Lookup(huge edge) = %v, want [0]", got)
-	}
-	if got := ix.Lookup(NewEdge(0, 2)); !slices.Equal(got, []int32{1}) {
-		t.Errorf("Lookup(0,2) = %v, want [1]", got)
-	}
-	if ix.Lookup(NewEdge(1, 2)) != nil {
-		t.Error("miss should be nil")
-	}
-}
-
 // randomVertices returns n vertices drawn from [lo, lo+span), with repeats.
 func randomVertices(rng *rand.Rand, n, lo, span int) []int {
 	vs := make([]int, n)
@@ -235,19 +220,19 @@ func TestEdgeIndexMatchesMap(t *testing.T) {
 		}
 		es := make([]Edge, n)
 		for i := range es {
-			es[i] = Edge{U: id(), V: id()}
+			es[i] = NewEdge(id(), id())
 		}
 		return es
 	}
-	huge := int(1) << 40
 	// Keys over 300 IDs share smaller endpoints, and most probes whose
 	// smaller endpoint starts a key hit no key.
 	dense := randomEdges(1500, []int{0}, []int{300})
 	// Sparse: smaller endpoints at and past rankTableLimit, so the keys pack
 	// but have no filter.
 	sparse := randomEdges(600, []int{0, rankTableLimit}, []int{200, 300})
-	// Unpackable: an endpoint past 32 bits forces the sorted-Edge fallback.
-	unpackable := append(randomEdges(300, []int{0}, []int{200}), NewEdge(5, huge), NewEdge(huge, huge+1))
+	// Top: endpoints up to MaxVertexID, which must pack without sign
+	// extension into the other half of the key.
+	top := randomEdges(300, []int{0, MaxVertexID - 199}, []int{200, 200})
 	cases := []struct {
 		name   string
 		keys   []Edge
@@ -256,7 +241,7 @@ func TestEdgeIndexMatchesMap(t *testing.T) {
 	}{
 		{"dense", dense, probeRange(nil, -2, 300+130), true},
 		{"sparse", sparse, probeRange(probeRange(nil, -2, 330), rankTableLimit-130, rankTableLimit+300+130), false},
-		{"unpackable", unpackable, append(probeRange(nil, -2, 330), huge-1, huge, huge+1, huge+2), false},
+		{"top", top, probeRange(probeRange(nil, -2, 330), MaxVertexID-330, MaxVertexID), false},
 	}
 	for _, tc := range cases {
 		want := map[Edge][]int32{}
@@ -264,7 +249,7 @@ func TestEdgeIndexMatchesMap(t *testing.T) {
 		for i, e := range tc.keys {
 			n := e.Normalize()
 			want[n] = append(want[n], int32(i))
-			lows[n.U] = true
+			lows[int(n.U)] = true
 		}
 		ix := NewEdgeIndex(tc.keys)
 		if ix.Keys() != len(want) {
@@ -273,7 +258,7 @@ func TestEdgeIndexMatchesMap(t *testing.T) {
 		var sharedMisses int
 		for _, u := range tc.probes {
 			for _, v := range tc.probes {
-				e := Edge{U: u, V: v}
+				e := Edge{U: int32(u), V: int32(v)}
 				items, key := want[e.Normalize()]
 				if got := ix.Lookup(e.Normalize()); !slices.Equal(got, items) || (got == nil) != !key {
 					t.Fatalf("%s: Lookup(%v) = %v, want %v", tc.name, e, got, items)

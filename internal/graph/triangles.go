@@ -116,7 +116,7 @@ func (g *Graph) TriangleCountBrute() int64 {
 func (g *Graph) EdgeTriangleCounts() []int64 {
 	counts := make([]int64, len(g.edges))
 	for i, e := range g.edges {
-		counts[i] = int64(sortedIntersectionSize(g.Neighbors(e.U), g.Neighbors(e.V)))
+		counts[i] = int64(sortedIntersectionSize(g.Neighbors(int(e.U)), g.Neighbors(int(e.V))))
 	}
 	return counts
 }
@@ -136,10 +136,10 @@ func (g *Graph) EdgeTriangleCountMap() map[Edge]int64 {
 // TrianglesOfEdge returns the number of triangles containing the given edge,
 // i.e. |N(u) ∩ N(v)|. It returns 0 if e is not an edge of the graph.
 func (g *Graph) TrianglesOfEdge(e Edge) int64 {
-	if !g.HasEdge(e.U, e.V) {
+	if !g.HasEdge(int(e.U), int(e.V)) {
 		return 0
 	}
-	return int64(sortedIntersectionSize(g.Neighbors(e.U), g.Neighbors(e.V)))
+	return int64(sortedIntersectionSize(g.Neighbors(int(e.U)), g.Neighbors(int(e.V))))
 }
 
 // MaxEdgeTriangleCount returns J = max_e t_e, the maximum number of triangles

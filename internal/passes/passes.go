@@ -154,11 +154,12 @@ func CountDegrees(x Executor, deg *graph.SortedCounter) error {
 		deg.Fork, (*graph.SortedCounter).ResetCounts,
 		func(c *graph.SortedCounter, _ int, batch []graph.Edge) {
 			for _, e := range batch {
-				if c.MayContain(e.U) && e.U != e.V {
-					c.Inc(e.U)
+				u, v := int(e.U), int(e.V)
+				if c.MayContain(u) && u != v {
+					c.Inc(u)
 				}
-				if c.MayContain(e.V) && e.U != e.V {
-					c.Inc(e.V)
+				if c.MayContain(v) && u != v {
+					c.Inc(v)
 				}
 			}
 		},
@@ -178,12 +179,7 @@ func MaxVertexID(x Executor) (int, error) {
 		func(shard int, batch []graph.Edge) error {
 			top := shardMax[shard]
 			for _, e := range batch {
-				if e.U > top {
-					top = e.U
-				}
-				if e.V > top {
-					top = e.V
-				}
+				top = max(top, int(e.U), int(e.V))
 			}
 			shardMax[shard] = top
 			return nil
@@ -226,10 +222,10 @@ func CountDegreesMasked(x Executor, alive *graph.Bitset, rank, deg []int32) (int
 				if e.U == e.V || uint(e.U) >= n || uint(e.V) >= n {
 					continue
 				}
-				if !alive.Test(e.U) || !alive.Test(e.V) {
+				u, v := int(e.U), int(e.V)
+				if !alive.Test(u) || !alive.Test(v) {
 					continue
 				}
-				u, v := e.U, e.V
 				if rank != nil {
 					u, v = alive.Rank(rank, u), alive.Rank(rank, v)
 				}
@@ -341,14 +337,15 @@ func SampleNeighbors(
 				r.Offer(v)
 			}
 			for _, e := range batch {
-				if groups.MayContain(e.U) && e.U != e.V {
-					for _, idx := range groups.Lookup(e.U) {
-						offer(idx, e.V)
+				u, v := int(e.U), int(e.V)
+				if groups.MayContain(u) && u != v {
+					for _, idx := range groups.Lookup(u) {
+						offer(idx, v)
 					}
 				}
-				if groups.MayContain(e.V) && e.U != e.V {
-					for _, idx := range groups.Lookup(e.V) {
-						offer(idx, e.U)
+				if groups.MayContain(v) && u != v {
+					for _, idx := range groups.Lookup(v) {
+						offer(idx, u)
 					}
 				}
 			}
@@ -404,14 +401,15 @@ func SampleNeighborBanks(
 				b.Offer(v)
 			}
 			for _, e := range batch {
-				if groups.MayContain(e.U) && e.U != e.V {
-					for _, idx := range groups.Lookup(e.U) {
-						offer(idx, e.V)
+				u, v := int(e.U), int(e.V)
+				if groups.MayContain(u) && u != v {
+					for _, idx := range groups.Lookup(u) {
+						offer(idx, v)
 					}
 				}
-				if groups.MayContain(e.V) && e.U != e.V {
-					for _, idx := range groups.Lookup(e.V) {
-						offer(idx, e.U)
+				if groups.MayContain(v) && u != v {
+					for _, idx := range groups.Lookup(v) {
+						offer(idx, u)
 					}
 				}
 			}
@@ -471,11 +469,12 @@ func ClosureBits(
 					}
 				}
 				if st.deg != nil {
-					if st.deg.MayContain(e.U) && e.U != e.V {
-						st.deg.Inc(e.U)
+					u, v := int(e.U), int(e.V)
+					if st.deg.MayContain(u) && u != v {
+						st.deg.Inc(u)
 					}
-					if st.deg.MayContain(e.V) && e.U != e.V {
-						st.deg.Inc(e.V)
+					if st.deg.MayContain(v) && u != v {
+						st.deg.Inc(v)
 					}
 				}
 			}

@@ -71,7 +71,7 @@ func withLoops(edges []graph.Edge) passInput {
 	for i, e := range edges {
 		out = append(out, e)
 		for ; v < loops && v*len(edges)/loops <= i; v++ {
-			out = append(out, graph.Edge{U: v, V: v})
+			out = append(out, graph.Edge{U: int32(v), V: int32(v)})
 		}
 	}
 	return passInput{name: "loops", edges: out, id: func(v int) int { return v }}
@@ -81,7 +81,7 @@ func withLoops(edges []graph.Edge) passInput {
 func relabeled(edges []graph.Edge) []graph.Edge {
 	out := make([]graph.Edge, len(edges))
 	for i, e := range edges {
-		out[i] = graph.Edge{U: sparseID(e.U), V: sparseID(e.V)}
+		out[i] = graph.Edge{U: int32(sparseID(int(e.U))), V: int32(sparseID(int(e.V)))}
 	}
 	return out
 }
@@ -112,7 +112,7 @@ func TestCountDegrees(t *testing.T) {
 			if e.U == e.V {
 				continue
 			}
-			for _, v := range []int{e.U, e.V} {
+			for _, v := range []int{int(e.U), int(e.V)} {
 				if _, ok := want[v]; ok {
 					want[v]++
 				}
@@ -138,12 +138,7 @@ func TestMaxVertexID(t *testing.T) {
 	m := g.NumEdges()
 	want := -1
 	for _, e := range g.Edges() {
-		if e.U > want {
-			want = e.U
-		}
-		if e.V > want {
-			want = e.V
-		}
+		want = max(want, int(e.U), int(e.V))
 	}
 	for _, workers := range workerSweep {
 		got, err := passes.MaxVertexID(passes.NewDirect(stream.FromGraph(g), m, workers))
@@ -178,7 +173,7 @@ func TestCountDegreesMasked(t *testing.T) {
 	want := make([]int32, n)
 	var wantEdges int64
 	for _, e := range edges {
-		if alive.Test(e.U) && alive.Test(e.V) {
+		if alive.Test(int(e.U)) && alive.Test(int(e.V)) {
 			want[e.U]++
 			want[e.V]++
 			wantEdges++
@@ -305,11 +300,11 @@ func adjacency(edges []graph.Edge, v int) []int {
 		if e.U == e.V {
 			continue
 		}
-		if e.U == v {
-			out = append(out, e.V)
+		if int(e.U) == v {
+			out = append(out, int(e.V))
 		}
-		if e.V == v {
-			out = append(out, e.U)
+		if int(e.V) == v {
+			out = append(out, int(e.U))
 		}
 	}
 	return out
@@ -470,7 +465,7 @@ func TestClosureBits(t *testing.T) {
 		degKeys := in.ids([]int{0, 10, 20})
 		wantDeg := map[int]int{}
 		for _, e := range edges {
-			for _, v := range []int{e.U, e.V} {
+			for _, v := range []int{int(e.U), int(e.V)} {
 				if slices.Contains(degKeys, v) {
 					wantDeg[v]++
 				}

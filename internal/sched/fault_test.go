@@ -54,7 +54,7 @@ func cleanChecksum(t *testing.T, edges []graph.Edge, passCount int) []uint64 {
 func TestFusedClientsHealTransientFaults(t *testing.T) {
 	edges := make([]graph.Edge, 60000)
 	for i := range edges {
-		edges[i] = graph.Edge{U: i % 211, V: 211 + i%197}
+		edges[i] = graph.Edge{U: int32(i % 211), V: int32(211 + i%197)}
 	}
 	m := len(edges)
 	const clients, passesEach = 3, 4
@@ -111,7 +111,7 @@ func TestFusedClientsHealTransientFaults(t *testing.T) {
 func TestFusedClientCtxCancelIsolated(t *testing.T) {
 	edges := make([]graph.Edge, 50000)
 	for i := range edges {
-		edges[i] = graph.Edge{U: i % 149, V: 149 + i%139}
+		edges[i] = graph.Edge{U: int32(i % 149), V: int32(149 + i%139)}
 	}
 	m := len(edges)
 	want := cleanChecksum(t, edges, 1)
@@ -187,7 +187,7 @@ func TestFusedClientCtxCancelIsolated(t *testing.T) {
 func TestTruncationFailsWaveCleanly(t *testing.T) {
 	edges := make([]graph.Edge, 30000)
 	for i := range edges {
-		edges[i] = graph.Edge{U: i % 101, V: 101 + i%97}
+		edges[i] = graph.Edge{U: int32(i % 101), V: int32(101 + i%97)}
 	}
 	m := len(edges)
 	want := cleanChecksum(t, edges, 1)

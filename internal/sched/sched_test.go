@@ -19,7 +19,7 @@ var _ passes.Executor = (*sched.Client)(nil)
 func edgesN(n int) []graph.Edge {
 	edges := make([]graph.Edge, n)
 	for i := range edges {
-		edges[i] = graph.Edge{U: i % 97, V: 97 + i%89}
+		edges[i] = graph.Edge{U: int32(i % 97), V: int32(97 + i%89)}
 	}
 	return edges
 }

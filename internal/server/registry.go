@@ -214,9 +214,9 @@ type graphStatus struct {
 }
 
 // isIOError classifies failures that indict the file itself — the same
-// class cmd/trianglecount maps to exit code 3. Deadlines, aborts, and
-// cancellations are explicitly not I/O: they indict the request, not the
-// graph.
+// class cmd/trianglecount maps to exit code 3, vertex IDs too sparse for the
+// κ̂ peel included. Deadlines, aborts, and cancellations are explicitly not
+// I/O: they indict the request, not the graph.
 func isIOError(err error) bool {
 	if err == nil {
 		return false
@@ -232,6 +232,7 @@ func isIOError(err error) bool {
 		errors.Is(err, stream.ErrMalformed) ||
 		errors.Is(err, stream.ErrTransient) || // transient only until the retry budget ran out
 		errors.Is(err, triangle.ErrNoEdges) ||
+		errors.Is(err, triangle.ErrSparseIDs) ||
 		errors.Is(err, fs.ErrNotExist) ||
 		errors.Is(err, fs.ErrPermission) ||
 		errors.As(err, &pathErr)

@@ -667,3 +667,28 @@ func TestMalformedGraphIsIOError(t *testing.T) {
 		t.Fatalf("request against a malformed text: status %d kind %q, want 502 io (%s)", code, eresp.Kind, eresp.Error)
 	}
 }
+
+// TestSparseIDsAreIOError pins that a graph whose vertex IDs are too sparse
+// for the κ̂ peel indicts the file (502 "io") without taking the daemon
+// down: a request with a degeneracy bound, which skips the peel, answers.
+func TestSparseIDsAreIOError(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sparse.txt")
+	if err := os.WriteFile(path, []byte("0 1\n0 8388613\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Graphs: map[string]string{"sparse": path}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	var eresp errorResponse
+	if code := get(t, ts.Client(), ts.URL+"/estimate?graph=sparse&seed=1", &eresp); code != http.StatusBadGateway || eresp.Kind != "io" {
+		t.Fatalf("request against sparse IDs: status %d kind %q, want 502 io (%s)", code, eresp.Kind, eresp.Error)
+	}
+	var resp estimateResponse
+	if code := get(t, ts.Client(), ts.URL+"/estimate?graph=sparse&seed=1&kappa=2", &resp); code != http.StatusOK {
+		t.Fatalf("request with kappa=2: status %d, want 200", code)
+	}
+}

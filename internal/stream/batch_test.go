@@ -11,7 +11,7 @@ import (
 func testEdges(n int) []graph.Edge {
 	edges := make([]graph.Edge, n)
 	for i := range edges {
-		edges[i] = graph.Edge{U: i, V: i + 1}
+		edges[i] = graph.Edge{U: int32(i), V: int32(i + 1)}
 	}
 	return edges
 }

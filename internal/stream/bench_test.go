@@ -11,7 +11,7 @@ import (
 func benchEdges(m int) []graph.Edge {
 	edges := make([]graph.Edge, m)
 	for i := range edges {
-		edges[i] = graph.Edge{U: i % 1000, V: 1000 + i%997}
+		edges[i] = graph.Edge{U: int32(i % 1000), V: int32(1000 + i%997)}
 	}
 	return edges
 }
@@ -81,7 +81,7 @@ func BenchmarkForEach(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var sum int
 		if _, err := ForEach(s, func(e graph.Edge) error {
-			sum += e.U
+			sum += int(e.U)
 			return nil
 		}); err != nil {
 			b.Fatal(err)
@@ -99,7 +99,7 @@ func BenchmarkForEachBatch(b *testing.B) {
 		var sum int
 		if _, err := ForEachBatch(s, func(batch []graph.Edge) error {
 			for _, e := range batch {
-				sum += e.U
+				sum += int(e.U)
 			}
 			return nil
 		}); err != nil {
@@ -177,7 +177,7 @@ func benchmarkShardedPass(b *testing.B, workers int) {
 			func(shard int, batch []graph.Edge) error {
 				acc := 0
 				for _, e := range batch {
-					acc += e.U
+					acc += int(e.U)
 				}
 				sums[shard] += acc
 				return nil
@@ -219,7 +219,7 @@ func BenchmarkShardedBex2Pass(b *testing.B) {
 				_, err := shardedForEachBatch(bs, len(edges), workers,
 					func(shard int, batch []graph.Edge) error {
 						for _, e := range batch {
-							sums[shard] += e.U
+							sums[shard] += int(e.U)
 						}
 						return nil
 					},

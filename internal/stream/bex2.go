@@ -255,9 +255,6 @@ func newBex2Encoder(w io.Writer, off int64, blockEdges int) bex2Encoder {
 	return bex2Encoder{w: w, off: off, blockEdges: blockEdges, pend: make([]graph.Edge, 0, blockEdges)}
 }
 
-// maxVertexID is the largest vertex ID a .bex v2 record holds (int32).
-const maxVertexID = 1<<31 - 1
-
 func (e *bex2Encoder) add(batch []graph.Edge) error {
 	for len(batch) > 0 {
 		take := e.blockEdges - len(e.pend)
@@ -292,8 +289,8 @@ func (e *bex2Encoder) flush() error {
 	minV, maxV := int32(1<<31-1), int32(-1<<31)
 	j := 0
 	for _, ed := range e.pend {
-		if ed.U < 0 || ed.V < 0 || ed.U > maxVertexID || ed.V > maxVertexID {
-			return fmt.Errorf("stream: edge %v does not fit int32 .bex records: %w", ed, ErrMalformed)
+		if ed.U < 0 || ed.V < 0 {
+			return fmt.Errorf("stream: edge %v has a negative vertex id: %w", ed, ErrMalformed)
 		}
 		u, v := int64(ed.U), int64(ed.V)
 		for _, z := range [2]uint64{zigzag(u - prevU), zigzag(v - prevV)} {
@@ -313,7 +310,7 @@ func (e *bex2Encoder) flush() error {
 			j++
 		}
 		prevU, prevV = u, v
-		lo, hi := int32(ed.U), int32(ed.V)
+		lo, hi := ed.U, ed.V
 		if hi < lo {
 			lo, hi = hi, lo
 		}
@@ -509,21 +506,20 @@ func decodeBex2Block(path string, idx int, b bex2Block, raw []byte, dst []graph.
 	if groups := b.count / 2; simdDecode.Load() && groups > 0 && n-nctrl >= 16 {
 		// The vectorized kernel covers exactly the scalar main loop's range
 		// (edge pairs while a full 16-byte load window remains) and decodes
-		// straight into dst: graph.Edge is two native ints, which on the
-		// only architectures with a kernel is the [2]int64 layout the kernel
-		// stores. Its int32 lane arithmetic is exact for any block whose
-		// values all lie in [0, 2³¹) — precisely the blocks the scalar acc
-		// check below accepts — and any out-of-range value surfaces as a
-		// sign-bit flag before wraparound can alias it back into range (each
-		// delta's magnitude is under 2³¹, so a prefix cannot skip over the
-		// flagged zone). No flag therefore means the decode, the (u, v)
-		// carry, and the acc verdict so far are all bit-identical to the
-		// scalar path's, and the scalar tail resumes from the kernel's
-		// state; a flag discards the kernel's work entirely and re-decodes
-		// from scratch below, making the scalar path authoritative for the
-		// exact corrupt-block diagnosis.
+		// straight into dst: graph.Edge is two int32s, the [2]int32 layout
+		// the kernel stores. Its int32 lane arithmetic is exact for any
+		// block whose values all lie in [0, 2³¹) — precisely the blocks the
+		// scalar acc check below accepts — and any out-of-range value
+		// surfaces as a sign-bit flag before wraparound can alias it back
+		// into range (each delta's magnitude is under 2³¹, so a prefix
+		// cannot skip over the flagged zone). No flag therefore means the
+		// decode, the (u, v) carry, and the acc verdict so far are all
+		// bit-identical to the scalar path's, and the scalar tail resumes
+		// from the kernel's state; a flag discards the kernel's work
+		// entirely and re-decodes from scratch below, making the scalar
+		// path authoritative for the exact corrupt-block diagnosis.
 		var st gvdecode.State
-		pairs := unsafe.Slice((*[2]int64)(unsafe.Pointer(&dst[0])), b.count)
+		pairs := unsafe.Slice((*[2]int32)(unsafe.Pointer(&dst[0])), b.count)
 		gvdecode.Decode(raw[:nctrl], groups, raw[nctrl:], pairs, &st)
 		if st.Flags == 0 {
 			j = int(st.Done)
@@ -549,11 +545,11 @@ func decodeBex2Block(path string, idx int, b bex2Block, raw []byte, dst []graph.
 		u += int64(d0>>1) ^ -int64(d0&1)
 		v += int64(d1>>1) ^ -int64(d1&1)
 		acc |= uint64(u) | uint64(v)
-		dst[k] = graph.Edge{U: int(u), V: int(v)}
+		dst[k] = graph.Edge{U: int32(u), V: int32(v)}
 		u += int64(d2>>1) ^ -int64(d2&1)
 		v += int64(d3>>1) ^ -int64(d3&1)
 		acc |= uint64(u) | uint64(v)
-		dst[k+1] = graph.Edge{U: int(u), V: int(v)}
+		dst[k+1] = graph.Edge{U: int32(u), V: int32(v)}
 		k += 2
 	}
 	// Tail: one value at a time for the last edges, whose data bytes sit too
@@ -576,7 +572,7 @@ func decodeBex2Block(path string, idx int, b bex2Block, raw []byte, dst []graph.
 		u += int64(z[0]>>1) ^ -int64(z[0]&1)
 		v += int64(z[1]>>1) ^ -int64(z[1]&1)
 		acc |= uint64(u) | uint64(v)
-		dst[k] = graph.Edge{U: int(u), V: int(v)}
+		dst[k] = graph.Edge{U: int32(u), V: int32(v)}
 		k++
 	}
 	if p != n {
@@ -584,10 +580,14 @@ func decodeBex2Block(path string, idx int, b bex2Block, raw []byte, dst []graph.
 	}
 	// Range violations are impossible in well-formed files (the writer
 	// refuses vertices outside int32), so the per-edge check is hoisted to
-	// one accumulated test; the cold rescan pins the offending edge.
-	if acc > 1<<31-1 {
+	// one accumulated test; the cold rescan pins the offending edge. dst
+	// holds the values truncated to int32, yet the first out-of-range one
+	// shows as negative: it follows an in-range value by a delta of
+	// magnitude at most 2³¹, so it lies in [−2³¹, 2³²−2] and truncates to
+	// itself or to itself − 2³².
+	if acc > graph.MaxVertexID {
 		for k, e := range dst[:b.count] {
-			if uint64(e.U) > 1<<31-1 || uint64(e.V) > 1<<31-1 {
+			if e.U < 0 || e.V < 0 {
 				return fmt.Errorf("stream: %s: block %d decodes out-of-range vertex at edge %d: %w", path, idx, k, ErrCorruptBlock)
 			}
 		}

@@ -3,6 +3,8 @@ package stream
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -22,11 +24,11 @@ func bex2TestEdges(m int) []graph.Edge {
 	for i := range edges {
 		switch i % 7 {
 		case 0:
-			edges[i] = graph.Edge{U: i % 1200, V: (i % 1200) + 1}
+			edges[i] = graph.Edge{U: int32(i % 1200), V: int32((i % 1200) + 1)}
 		case 3:
-			edges[i] = graph.Edge{U: 1<<30 - i%97, V: i % 13}
+			edges[i] = graph.Edge{U: int32(1<<30 - i%97), V: int32(i % 13)}
 		default:
-			edges[i] = graph.Edge{U: i % 977, V: 977 + i%991}
+			edges[i] = graph.Edge{U: int32(i % 977), V: int32(977 + i%991)}
 		}
 	}
 	return edges
@@ -308,6 +310,36 @@ func TestBex2OpenFileServesOneGeneration(t *testing.T) {
 	}
 }
 
+// TestBex2DecodeRejectsOutOfRangeVertex pins the decoder's range check on
+// int32 edges: a block whose deltas carry an endpoint past 2³¹ − 1 (edge 1's
+// U, here 2³¹ + 1) or below zero (edge 0's V) is corrupt and names the first
+// offending edge, on both kernels, although the value it stored for that
+// edge is truncated to an int32.
+func TestBex2DecodeRejectsOutOfRangeVertex(t *testing.T) {
+	defer SetSIMDDecode(SIMDDecodeEnabled())
+	cases := []struct {
+		name  string
+		count int
+		raw   []byte // control byte, then each value's little-endian zigzag bytes
+		edge  int
+	}{
+		// Edge 0 is (2³¹ − 1, 0): U's zigzag 2³² − 2 takes 4 bytes. Edge 1
+		// adds 2 to U.
+		{"above", 2, []byte{0x03, 0xFE, 0xFF, 0xFF, 0xFF, 0x00, 0x04, 0x00}, 1},
+		{"negative", 1, []byte{0x00, 0x00, 0x01}, 0},
+	}
+	for _, tc := range cases {
+		for _, simd := range []bool{false, true} {
+			SetSIMDDecode(simd)
+			b := bex2Block{count: tc.count, length: len(tc.raw), crc: crc32.Checksum(tc.raw, crcTable)}
+			err := decodeBex2Block("t", 0, b, tc.raw, make([]graph.Edge, tc.count), true)
+			if want := fmt.Sprintf("out-of-range vertex at edge %d", tc.edge); !errors.Is(err, ErrCorruptBlock) || !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s (simd %v): %v, want ErrCorruptBlock naming %q", tc.name, simd, err, want)
+			}
+		}
+	}
+}
+
 // TestBex2WriteReplacesOnlyOnSuccess pins that writing a .bex file replaces
 // its path only once the whole file is written: a write that fails leaves
 // the file already there byte-identical and no temporary file behind, and a
@@ -323,9 +355,9 @@ func TestBex2WriteReplacesOnlyOnSuccess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := append(append([]graph.Edge{}, edges[:300]...), graph.Edge{U: 0, V: 3_000_000_000})
+	bad := append(append([]graph.Edge{}, edges[:300]...), graph.Edge{U: 0, V: -1})
 	if _, err := WriteBex2File(path, FromEdges(bad), 256); !errors.Is(err, ErrMalformed) {
-		t.Fatalf("writing an edge that does not fit int32 = %v, want ErrMalformed", err)
+		t.Fatalf("writing an edge with a negative ID = %v, want ErrMalformed", err)
 	}
 	after, err := os.ReadFile(path)
 	if err != nil || string(after) != string(before) {

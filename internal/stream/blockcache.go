@@ -5,6 +5,7 @@ import (
 	"os"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"degentri/internal/graph"
 )
@@ -41,8 +42,9 @@ import (
 // every block, so single-shot tools pay no cache bookkeeping.
 
 // DefaultDecodeCacheBytes is the default budget of the decoded-block cache:
-// 64 MiB holds ~4M decoded edges, several corpus graphs' full working sets,
-// while staying noise next to the page cache the raw bytes already occupy.
+// at 8 bytes per decoded edge, 64 MiB holds ~8M edges, several corpus
+// graphs' full working sets, while staying noise next to the page cache the
+// raw bytes already occupy.
 const DefaultDecodeCacheBytes = 64 << 20
 
 // fileIdentity identifies one on-disk file by path plus stat identity, so a
@@ -78,8 +80,10 @@ type blockCacheEntry struct {
 	el    *list.Element
 }
 
-// bytes is the entry's budget charge.
-func (e *blockCacheEntry) bytes() int64 { return int64(len(e.edges)) * 16 }
+// bytes is the entry's budget charge: the size of its decoded edges.
+func (e *blockCacheEntry) bytes() int64 {
+	return int64(len(e.edges)) * int64(unsafe.Sizeof(graph.Edge{}))
+}
 
 // DecodeCacheStats is a snapshot of the decoded-block cache's counters.
 type DecodeCacheStats struct {

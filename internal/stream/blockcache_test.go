@@ -96,12 +96,32 @@ func TestDecodeCacheServesRepeatScans(t *testing.T) {
 	})
 }
 
+// TestDecodeCacheChargesEightBytesPerEdge pins the charge the budget rests
+// on: one cached pass over m edges leaves 8·m bytes resident, the size of
+// the decoded edges, so the default budget holds twice the edges it would
+// at two ints per edge.
+func TestDecodeCacheChargesEightBytesPerEdge(t *testing.T) {
+	const m = 1000
+	SetDecodeCacheBudget(0) // drop what earlier tests left resident
+	resetDecodeEngine(t, DefaultDecodeCacheBytes)
+	path := writeV2File(t, t.TempDir(), bex2TestEdges(m))
+	s, err := OpenAutoOpts(path, OpenOptions{DecodeCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	collectAll(t, s)
+	if st := ReadDecodeCacheStats(); st.Bytes != 8*m {
+		t.Fatalf("a cached pass over %d edges left %d bytes resident, want %d", m, st.Bytes, 8*m)
+	}
+}
+
 // TestDecodeCacheBudgetEviction pins the byte budget: a cache smaller than
 // the file's decoded size evicts down to the budget once pins drop, and the
 // stream still returns exact edges while thrashing.
 func TestDecodeCacheBudgetEviction(t *testing.T) {
-	edges := bex2TestEdges(2000) // 32000 decoded bytes across 64-edge blocks
-	resetDecodeEngine(t, 4096)   // room for four 64-edge blocks
+	edges := bex2TestEdges(2000) // 16000 decoded bytes across 64-edge blocks
+	resetDecodeEngine(t, 4096)   // room for eight 64-edge blocks
 	path := writeV2File(t, t.TempDir(), edges)
 
 	s, err := OpenAutoOpts(path, OpenOptions{DecodeCache: true})
@@ -328,8 +348,8 @@ func renamePair(t *testing.T, dir, name string, write func(path string, edges []
 	a := make([]graph.Edge, n)
 	b := make([]graph.Edge, n)
 	for i := range a {
-		a[i] = graph.Edge{U: i, V: i + 1}
-		b[i] = graph.Edge{U: i + 1, V: i}
+		a[i] = graph.Edge{U: int32(i), V: int32(i + 1)}
+		b[i] = graph.Edge{U: int32(i + 1), V: int32(i)}
 	}
 	path = filepath.Join(dir, name)
 	write(path, a)
@@ -352,7 +372,7 @@ func renamePair(t *testing.T, dir, name string, write func(path string, edges []
 func edgeSum(edges []graph.Edge) int {
 	sum := 0
 	for _, e := range edges {
-		sum += 3*e.U + e.V
+		sum += 3*int(e.U) + int(e.V)
 	}
 	return sum
 }

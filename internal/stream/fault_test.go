@@ -73,7 +73,7 @@ func (c *cappedHandle) Close() error { return c.f.Close() }
 func TestShortReadIsTransientAndBuildsNoIndex(t *testing.T) {
 	edges := make([]graph.Edge, 2*DefaultBlockEdges+5)
 	for i := range edges {
-		edges[i] = graph.Edge{U: i, V: i + 1}
+		edges[i] = graph.Edge{U: int32(i), V: int32(i + 1)}
 	}
 	path := filepath.Join(t.TempDir(), "short.txt")
 	writeEdgeFileAt(t, path, edges)
@@ -139,7 +139,7 @@ func TestShortReadIsTransientAndBuildsNoIndex(t *testing.T) {
 func TestFileStreamTruncatedAfterCopy(t *testing.T) {
 	edges := make([]graph.Edge, 2*DefaultBlockEdges+5)
 	for i := range edges {
-		edges[i] = graph.Edge{U: i, V: i + 1}
+		edges[i] = graph.Edge{U: int32(i), V: int32(i + 1)}
 	}
 	path := filepath.Join(t.TempDir(), "shrinking.txt")
 	writeEdgeFileAt(t, path, edges)
@@ -176,7 +176,7 @@ func TestFileStreamTruncatedAfterCopy(t *testing.T) {
 func TestTransientReadRetryHealsCountingPass(t *testing.T) {
 	edges := make([]graph.Edge, 2000)
 	for i := range edges {
-		edges[i] = graph.Edge{U: i % 101, V: 101 + i%97}
+		edges[i] = graph.Edge{U: int32(i % 101), V: int32(101 + i%97)}
 	}
 	path := filepath.Join(t.TempDir(), "flaky.txt")
 	writeEdgeFileAt(t, path, edges)

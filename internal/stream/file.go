@@ -392,18 +392,17 @@ func parseEdgeLine(path string, lineNo int, line []byte) (graph.Edge, bool, erro
 	if err != nil {
 		return graph.Edge{}, false, err
 	}
-	// A text holds only IDs a .bex record holds, so every text has a .bex
-	// copy and nothing sized by the largest ID (the κ̂ peel's arrays) meets
-	// a larger one. One test covers both bounds: a negative ID converts to
-	// a huge uint.
-	if uint(u)|uint(v) > maxVertexID {
+	// A text holds only IDs a graph.Edge and a .bex record hold, so no ID
+	// is truncated and every text has a .bex copy. One test covers both
+	// bounds: a negative ID converts to a huge uint.
+	if uint(u)|uint(v) > graph.MaxVertexID {
 		if u < 0 || v < 0 {
 			return graph.Edge{}, false, fmt.Errorf("stream: %s:%d: negative vertex id: %w", path, lineNo, ErrMalformed)
 		}
 		return graph.Edge{}, false, fmt.Errorf("stream: %s:%d: vertex id %d above %d, the largest a .bex record holds: %w",
-			path, lineNo, max(u, v), maxVertexID, ErrMalformed)
+			path, lineNo, max(u, v), graph.MaxVertexID, ErrMalformed)
 	}
-	return graph.Edge{U: u, V: v}, true, nil
+	return graph.Edge{U: int32(u), V: int32(v)}, true, nil
 }
 
 // parseVertex decodes a decimal integer field starting at i, returning the

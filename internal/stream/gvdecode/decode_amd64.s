@@ -10,7 +10,7 @@ TEXT ·hasSSSE3(SB), NOSPLIT, $0-1
 	MOVB CX, ret+0(FP)
 	RET
 
-// func decodeSSSE3(ctrl *byte, groups int64, data *byte, dataLen int64, dst *[2]int64, st *State)
+// func decodeSSSE3(ctrl *byte, groups int64, data *byte, dataLen int64, dst *[2]int32, st *State)
 //
 // Register plan:
 //   SI  ctrl base          R9   group index (also ctrl offset)
@@ -69,15 +69,9 @@ loop:
 	POR    X1, X7
 	PSHUFL $0xEE, X1, X0
 
-	// Sign-extend the four int32 lanes to two [2]int64 edges and store.
-	MOVO      X1, X2
-	PSRAL     $31, X2
-	MOVO      X1, X3
-	PUNPCKLLQ X2, X3
-	MOVOU     X3, (DI)
-	PUNPCKHLQ X2, X1
-	MOVOU     X1, 16(DI)
-	ADDQ      $32, DI
+	// The lanes (u0, v0, u1, v1) are two [2]int32 edges: store them.
+	MOVOU X1, (DI)
+	ADDQ  $16, DI
 
 	MOVBLZX (R11)(AX*1), R13
 	ADDQ    R13, DX

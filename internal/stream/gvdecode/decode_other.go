@@ -8,7 +8,7 @@ func Available() bool { return false }
 
 // Decode falls back to the portable model on non-amd64 builds so callers and
 // tests can use one entry point unconditionally.
-func Decode(ctrl []byte, groups int, data []byte, dst [][2]int64, st *State) {
+func Decode(ctrl []byte, groups int, data []byte, dst [][2]int32, st *State) {
 	if groups < 0 || groups > len(ctrl) || 2*groups > len(dst) {
 		panic("gvdecode: Decode arguments out of range")
 	}

@@ -11,20 +11,21 @@
 // advances the data cursor without touching the value bytes. Per control byte
 // (four values = two edges) the SSSE3 kernel then zigzag-decodes, prefix-sums
 // the (u, v)-interleaved deltas with one shift-add, adds the running (u, v)
-// carry, sign-extends to the caller's int64 edge layout, and stores two edges
-// — no per-value branches and no loop-carried chain through the value widths,
-// where the scalar decoder pays shifts, masks, and a table add per value.
+// carry, and stores its four int32 lanes as two [2]int32 edges — the layout
+// of the caller's edge type — with no per-value branches and no loop-carried
+// chain through the value widths, where the scalar decoder pays shifts,
+// masks, and a table add per value.
 //
 // The kernel accumulates vertex IDs in int32 lanes. Well-formed blocks (the
 // writer refuses vertices outside int32) decode bit-identically to the
-// scalar int64 decoder: every intermediate prefix value lies in [0, 2³¹), so
-// 32-bit adds are exact. A corrupt block can push a lane out of that range;
-// the kernel detects this as a set sign bit (any true value outside
-// [0, 2³¹) maps to a negative int32 when the preceding state was exact),
-// reports it via the ok result, and the caller re-decodes the block with the
-// authoritative scalar path to pin the exact offending edge — the two paths
-// therefore agree byte-for-byte on valid input and error-for-error on
-// corrupt input, which is what the fuzz harness in internal/stream proves.
+// scalar decoder, which accumulates in int64: every intermediate prefix value
+// lies in [0, 2³¹), so 32-bit adds are exact. A corrupt block can push a lane
+// out of that range; the kernel detects this as a set sign bit (any true
+// value outside [0, 2³¹) maps to a negative int32 when the preceding state
+// was exact), reports it in State.Flags, and the caller re-decodes the block
+// with the authoritative scalar path to pin the exact offending edge — the
+// two paths therefore agree byte-for-byte on valid input and error-for-error
+// on corrupt input, which is what the fuzz harness in internal/stream proves.
 //
 // The package has no dependencies beyond the standard library and selects
 // the kernel at runtime by CPUID: amd64 with SSSE3 gets the assembly kernel,
@@ -76,8 +77,8 @@ type State struct {
 // construction: int32 lane arithmetic, the same flag rule, the same stop
 // conditions (groups exhausted or fewer than 16 data bytes left). It backs
 // the differential tests and documents precisely what the assembly computes.
-// dst must hold at least 2*groups edges of two int64s each.
-func Ref(ctrl []byte, groups int, data []byte, dst [][2]int64, st *State) {
+// dst must hold at least 2*groups edges.
+func Ref(ctrl []byte, groups int, data []byte, dst [][2]int32, st *State) {
 	u, v := st.U, st.V
 	var flags uint32
 	p := 0
@@ -101,7 +102,7 @@ func Ref(ctrl []byte, groups int, data []byte, dst [][2]int64, st *State) {
 			u += du
 			v += dv
 			flags |= uint32(u) | uint32(v)
-			dst[2*g+i/2] = [2]int64{int64(u), int64(v)}
+			dst[2*g+i/2] = [2]int32{u, v}
 		}
 		p += int(LenTable[c])
 		g++

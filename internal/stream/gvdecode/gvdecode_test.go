@@ -70,7 +70,7 @@ func TestRefDecodesKnownEdges(t *testing.T) {
 	ctrl, data := encodeEdges(t, edges)
 	// Pad so every group decodes from a full 16-byte window.
 	data = append(data, make([]byte, 16)...)
-	dst := make([][2]int64, len(edges))
+	dst := make([][2]int32, len(edges))
 	var st State
 	Ref(ctrl, len(ctrl), data, dst, &st)
 	if int(st.Done) != len(ctrl) {
@@ -80,7 +80,7 @@ func TestRefDecodesKnownEdges(t *testing.T) {
 		t.Fatalf("Flags = %#x on valid input", st.Flags)
 	}
 	for i, e := range edges {
-		if dst[i][0] != int64(e[0]) || dst[i][1] != int64(e[1]) {
+		if dst[i] != e {
 			t.Fatalf("edge %d = (%d,%d), want (%d,%d)", i, dst[i][0], dst[i][1], e[0], e[1])
 		}
 	}
@@ -91,11 +91,11 @@ func TestRefDecodesKnownEdges(t *testing.T) {
 // Consumed.
 func checkDiff(t *testing.T, ctrl []byte, groups int, data []byte, st State) {
 	t.Helper()
-	refDst := make([][2]int64, 2*groups)
+	refDst := make([][2]int32, 2*groups)
 	refSt := st
 	Ref(ctrl, groups, data, refDst, &refSt)
 
-	gotDst := make([][2]int64, 2*groups)
+	gotDst := make([][2]int32, 2*groups)
 	gotSt := st
 	Decode(ctrl, groups, data, gotDst, &gotSt)
 
@@ -195,8 +195,8 @@ func buildBench(b *testing.B) (ctrl, data []byte, edges int) {
 
 func BenchmarkRef8K(b *testing.B) {
 	ctrl, data, n := buildBench(b)
-	dst := make([][2]int64, n)
-	b.SetBytes(int64(n) * 16)
+	dst := make([][2]int32, n)
+	b.SetBytes(int64(n) * 8)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		var st State
@@ -209,8 +209,8 @@ func BenchmarkDecode8K(b *testing.B) {
 		b.Skip("no SIMD kernel on this CPU")
 	}
 	ctrl, data, n := buildBench(b)
-	dst := make([][2]int64, n)
-	b.SetBytes(int64(n) * 16)
+	dst := make([][2]int32, n)
+	b.SetBytes(int64(n) * 8)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		var st State

@@ -17,7 +17,7 @@ import (
 func shardTestEdges(m int) []graph.Edge {
 	edges := make([]graph.Edge, m)
 	for i := range edges {
-		edges[i] = graph.Edge{U: i, V: i + 1}
+		edges[i] = graph.Edge{U: int32(i), V: int32(i + 1)}
 	}
 	return edges
 }
@@ -187,7 +187,7 @@ func TestFileRangeStream(t *testing.T) {
 func TestFileIndexCacheAcrossOpens(t *testing.T) {
 	edges := make([]graph.Edge, 3*DefaultBlockEdges+17)
 	for i := range edges {
-		edges[i] = graph.Edge{U: i, V: i + 1}
+		edges[i] = graph.Edge{U: int32(i), V: int32(i + 1)}
 	}
 	path := filepath.Join(t.TempDir(), "reopened.txt")
 	writeEdgeFileAt(t, path, edges)
@@ -318,10 +318,20 @@ func TestFileStreamUncopyableText(t *testing.T) {
 // malformed input naming its line, before the stream knows its length, and
 // the partial copy is removed.
 func TestTextRejectsIDsBexCannotHold(t *testing.T) {
-	edges := shardTestEdges(2*DefaultBlockEdges + 9)
-	edges[DefaultBlockEdges+1] = graph.Edge{U: 1 << 31, V: 7} // the second block
+	// No graph.Edge holds the ID, so the text is written line by line: the
+	// line of edge DefaultBlockEdges+1 (in the second block) names 2^31.
+	var text strings.Builder
+	for i, e := range shardTestEdges(2*DefaultBlockEdges + 9) {
+		if i == DefaultBlockEdges+1 {
+			text.WriteString("2147483648 7\n")
+			continue
+		}
+		fmt.Fprintf(&text, "%d %d\n", e.U, e.V)
+	}
 	path := filepath.Join(t.TempDir(), "wide.txt")
-	writeEdgeFileAt(t, path, edges)
+	if err := os.WriteFile(path, []byte(text.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	tmp := copyTempDir(t)
 
 	fs := OpenFile(path)

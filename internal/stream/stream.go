@@ -189,12 +189,7 @@ func CountEdgesAndMaxIDCtx(ctx context.Context, s Stream, retry RetryPolicy) (m,
 	maxID = -1
 	m, retries, err = ForEachBatchCtx(ctx, s, retry, func(batch []graph.Edge) error {
 		for _, e := range batch {
-			if e.U > maxID {
-				maxID = e.U
-			}
-			if e.V > maxID {
-				maxID = e.V
-			}
+			maxID = max(maxID, int(e.U), int(e.V))
 		}
 		return nil
 	})
@@ -207,7 +202,7 @@ func CountEdgesAndMaxIDCtx(ctx context.Context, s Stream, retry RetryPolicy) (m,
 func Materialize(s Stream) (*graph.Graph, error) {
 	b := graph.NewBuilder(0)
 	_, err := ForEach(s, func(e graph.Edge) error {
-		b.AddEdge(e.U, e.V)
+		b.AddEdge(int(e.U), int(e.V))
 		return nil
 	})
 	if err != nil {

@@ -112,7 +112,7 @@ func TestForEachAndCountEdges(t *testing.T) {
 		t.Fatalf("CountEdges = %d, %v", n, err)
 	}
 	sum := 0
-	if _, err := ForEach(s, func(e graph.Edge) error { sum += e.U + e.V; return nil }); err != nil {
+	if _, err := ForEach(s, func(e graph.Edge) error { sum += int(e.U) + int(e.V); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if sum != 6 {

@@ -32,18 +32,22 @@ type CliqueOptions struct {
 }
 
 // ExactCliques returns the exact number of k-cliques of the graph given as an
-// edge list (k >= 1).
+// edge list (k >= 1). It panics on an ID above 2³¹ − 1 (see Edge).
 func ExactCliques(edges []Edge, k int) int64 {
 	return buildGraph(edges).CliqueCount(k)
 }
 
 // EstimateCliques runs the streaming k-clique estimator over the edge list,
-// streamed in a seeded arbitrary order.
+// streamed in a seeded arbitrary order. An ID above 2³¹ − 1 is an error (see
+// Edge).
 func EstimateCliques(edges []Edge, opts CliqueOptions) (Result, error) {
 	if len(edges) == 0 {
 		return Result{}, ErrNoEdges
 	}
 	if err := checkCliqueOptions(opts); err != nil {
+		return Result{}, err
+	}
+	if err := checkEdgeIDs(edges); err != nil {
 		return Result{}, err
 	}
 	g := buildGraph(edges)

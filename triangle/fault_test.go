@@ -227,7 +227,7 @@ func TestCancellationWithDecodeCache(t *testing.T) {
 	edges := ClusteredPreferentialAttachment(800, 4, 0.5, 3)
 	raw := make([]graph.Edge, len(edges))
 	for i, e := range edges {
-		raw[i] = graph.Edge{U: e.U, V: e.V}
+		raw[i] = graph.Edge{U: int32(e.U), V: int32(e.V)}
 	}
 	path := filepath.Join(t.TempDir(), "g.bex")
 	if _, err := stream.WriteBex2File(path, stream.FromEdges(raw), 64); err != nil {

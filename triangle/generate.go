@@ -13,7 +13,7 @@ import (
 func edgesOf(g *graph.Graph) []Edge {
 	edges := make([]Edge, 0, g.NumEdges())
 	for _, e := range g.Edges() {
-		edges = append(edges, Edge{U: e.U, V: e.V})
+		edges = append(edges, Edge{U: int(e.U), V: int(e.V)})
 	}
 	return edges
 }

@@ -3,7 +3,9 @@ package triangle_test
 import (
 	"context"
 	"errors"
+	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -12,6 +14,7 @@ import (
 	"degentri/internal/core"
 	"degentri/internal/degen"
 	"degentri/internal/gen"
+	"degentri/internal/graph"
 	"degentri/internal/passes"
 	"degentri/internal/stream"
 	"degentri/triangle"
@@ -371,5 +374,51 @@ func TestScanGroupExpiredContext(t *testing.T) {
 	res, err := g.Estimate(context.Background(), triangle.Options{Seed: 2})
 	if err != nil || res.Estimate <= 0 {
 		t.Fatalf("group unusable after an expired-ctx request: %v, %+v", err, res)
+	}
+}
+
+// TestSparseIDsRefuseThePeel pins the κ̂ peel's refusal of sparse vertex
+// IDs: two edges naming IDs 0, 1 and 2²³ + 5 make n = 2²³ + 6, above both
+// 2m + 1 and 2²³, so the peel's n-slot arrays are refused before they are
+// allocated, through EstimateFile and through a ScanGroup, as text (n from
+// the opening count) and as .bex (n from the peel's vertex-ID pass). A
+// supplied degeneracy bound skips the peel and answers.
+func TestSparseIDsRefuseThePeel(t *testing.T) {
+	dir := t.TempDir()
+	text := filepath.Join(dir, "sparse.txt")
+	if err := os.WriteFile(text, []byte("0 1\n0 8388613\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	bex := filepath.Join(dir, "sparse.bex")
+	if _, err := stream.WriteBex2File(bex, stream.FromEdges([]graph.Edge{{U: 0, V: 1}, {U: 0, V: 8388613}}), 0); err != nil {
+		t.Fatal(err)
+	}
+	refused := func(what string, err error) {
+		t.Helper()
+		if !errors.Is(err, triangle.ErrSparseIDs) || !strings.Contains(err.Error(), "n = 8388614") ||
+			!strings.Contains(err.Error(), "m = 2") || !strings.Contains(err.Error(), "-kappa") {
+			t.Fatalf("%s = %v, want ErrSparseIDs naming n, m and -kappa", what, err)
+		}
+	}
+	ctx := context.Background()
+	for _, path := range []string{text, bex} {
+		_, err := triangle.EstimateFile(path, triangle.Options{})
+		refused("EstimateFile("+path+")", err)
+		if _, err := triangle.EstimateFile(path, triangle.Options{Degeneracy: 2}); err != nil {
+			t.Fatalf("EstimateFile(%s) with a degeneracy bound: %v", path, err)
+		}
+
+		g, err := triangle.OpenScanGroup(ctx, path, triangle.GroupOptions{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = g.Estimate(ctx, triangle.Options{})
+		refused("ScanGroup.Estimate("+path+")", err)
+		if _, err := g.Estimate(ctx, triangle.Options{Degeneracy: 2}); err != nil {
+			t.Fatalf("ScanGroup.Estimate(%s) with a degeneracy bound: %v", path, err)
+		}
+		if err := g.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

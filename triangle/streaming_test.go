@@ -184,7 +184,7 @@ func writeBex64(t *testing.T, edges []Edge) string {
 	t.Helper()
 	ge := make([]graph.Edge, len(edges))
 	for i, e := range edges {
-		ge[i] = graph.Edge{U: e.U, V: e.V}
+		ge[i] = graph.Edge{U: int32(e.U), V: int32(e.V)}
 	}
 	path := filepath.Join(t.TempDir(), "edges.bex")
 	if _, err := stream.WriteBex2File(path, stream.FromEdges(ge), 64); err != nil {

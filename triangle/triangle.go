@@ -27,11 +27,17 @@ import (
 
 	"degentri/internal/clique"
 	"degentri/internal/core"
+	"degentri/internal/degen"
 	"degentri/internal/graph"
 	"degentri/internal/stream"
 )
 
 // Edge is an undirected edge between two non-negative vertex IDs.
+//
+// IDs range over [0, 2³¹ − 1], the IDs an edge file holds. Estimate,
+// EstimateCtx and EstimateCliques return an error naming an edge with a
+// larger ID; Exact, ExactCliques, Degeneracy and GraphStats, which return no
+// error, panic on one.
 type Edge struct {
 	U, V int
 }
@@ -168,6 +174,26 @@ type Stats struct {
 // ErrNoEdges is returned when an estimate is requested over an empty input.
 var ErrNoEdges = errors.New("triangle: input contains no edges")
 
+// ErrSparseIDs is wrapped by the error of an estimate whose streamed
+// degeneracy bound is refused: n, one more than the largest vertex ID, is
+// above both 2m + 1 and 2²³, and the bound's peel would allocate n-slot
+// arrays. Supplying Options.Degeneracy skips the peel.
+var ErrSparseIDs = degen.ErrSparseIDs
+
+// checkEdgeIDs returns an error naming the first edge with an endpoint above
+// graph.MaxVertexID, which no stored edge holds.
+func checkEdgeIDs(edges []Edge) error {
+	for _, e := range edges {
+		if e.U > graph.MaxVertexID || e.V > graph.MaxVertexID {
+			return fmt.Errorf("triangle: edge (%d,%d) has a vertex id above %d", e.U, e.V, graph.MaxVertexID)
+		}
+	}
+	return nil
+}
+
+// buildGraph builds the simple graph of edges, dropping loops and edges with
+// a negative ID. An ID above graph.MaxVertexID panics; callers that return
+// an error run checkEdgeIDs first.
 func buildGraph(edges []Edge) *graph.Graph {
 	b := graph.NewBuilder(0)
 	for _, e := range edges {
@@ -179,7 +205,8 @@ func buildGraph(edges []Edge) *graph.Graph {
 }
 
 // Exact returns the exact triangle count of the graph given as an edge list.
-// Duplicate edges and self loops are ignored.
+// Duplicate edges and self loops are ignored. It panics on an ID above
+// 2³¹ − 1 (see Edge).
 func Exact(edges []Edge) int64 {
 	return buildGraph(edges).TriangleCount()
 }
@@ -201,12 +228,13 @@ func ExactFile(path string) (int64, error) {
 }
 
 // Degeneracy returns the exact degeneracy κ of the graph given as an edge
-// list.
+// list. It panics on an ID above 2³¹ − 1 (see Edge).
 func Degeneracy(edges []Edge) int {
 	return buildGraph(edges).Degeneracy()
 }
 
-// GraphStats computes the exact structural summary of an edge list.
+// GraphStats computes the exact structural summary of an edge list. It
+// panics on an ID above 2³¹ − 1 (see Edge).
 func GraphStats(edges []Edge) Stats {
 	return statsOf(buildGraph(edges))
 }
@@ -248,7 +276,7 @@ func statsOf(g *graph.Graph) Stats {
 // simple graph and Result.Edges reports the deduplicated count. This differs
 // from EstimateFile, which streams the file verbatim (multigraph semantics).
 // An input whose every edge is a loop or negative returns ErrNoEdges, the
-// same as an empty list.
+// same as an empty list; an ID above 2³¹ − 1 is an error (see Edge).
 func Estimate(edges []Edge, opts Options) (Result, error) {
 	return EstimateCtx(context.Background(), edges, opts)
 }
@@ -266,6 +294,9 @@ func EstimateCtx(ctx context.Context, edges []Edge, opts Options) (Result, error
 	}
 	if len(edges) == 0 {
 		return Result{}, ErrNoEdges
+	}
+	if err := checkEdgeIDs(edges); err != nil {
+		return Result{}, err
 	}
 	g := buildGraph(edges)
 	if g.NumEdges() == 0 {

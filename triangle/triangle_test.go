@@ -2,6 +2,7 @@ package triangle
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -63,6 +64,22 @@ func TestGraphStats(t *testing.T) {
 func TestEstimateErrorsOnEmpty(t *testing.T) {
 	if _, err := Estimate(nil, Options{}); err != ErrNoEdges {
 		t.Fatalf("expected ErrNoEdges, got %v", err)
+	}
+}
+
+// TestEstimateRejectsIDsAboveInt32 pins the in-memory entry points' ID
+// range: an edge naming an ID above 2³¹ − 1 is an error naming that edge,
+// where it once crashed the process asking for a table sized by the ID.
+func TestEstimateRejectsIDsAboveInt32(t *testing.T) {
+	edges := []Edge{{0, 1}, {1, 2}, {0, 1 << 40}}
+	want := fmt.Sprintf("(0,%d)", 1<<40)
+	_, errEst := Estimate(edges, Options{})
+	_, errCtx := EstimateCtx(context.Background(), edges, Options{Degeneracy: 2})
+	_, errCliques := EstimateCliques(edges, CliqueOptions{K: 4, CliqueGuess: 1})
+	for name, err := range map[string]error{"Estimate": errEst, "EstimateCtx": errCtx, "EstimateCliques": errCliques} {
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s = %v, want an error naming the edge %s", name, err, want)
+		}
 	}
 }
 
