@@ -41,12 +41,13 @@ type accountingPin struct {
 
 // Recorded before standalone runs moved onto the scan scheduler, except the
 // text-fail rows, recorded when the three entries began reporting a failed
-// opening count alike.
+// opening count alike, and the memory and bex degen rows, which lost the
+// peel's vertex-ID pass when streams began reporting their vertex count.
 var accountingPins = []accountingPin{
 	{"memory", "core", 0x40a6a519c9e81929, 6, 6, 0, 16143, false},
 	{"memory", "auto", 0x40a18a644467123f, 30, 22, 0, 114624, false},
 	{"memory", "clique", 0x407605b15680251c, 4, 4, 0, 59073, false},
-	{"memory", "degen", 0x4026000000000000, 5, 0, 0, 1169, false},
+	{"memory", "degen", 0x4026000000000000, 4, 0, 0, 1169, false},
 	{"text", "core", 0x40a6a519c9e81929, 7, 7, 0, 16143, false},
 	{"text", "auto", 0x40a18a644467123f, 31, 23, 0, 114624, false},
 	{"text", "clique", 0x407605b15680251c, 5, 5, 0, 59073, false},
@@ -54,7 +55,7 @@ var accountingPins = []accountingPin{
 	{"bex", "core", 0x40a6a519c9e81929, 6, 6, 0, 16143, false},
 	{"bex", "auto", 0x40a18a644467123f, 30, 22, 0, 114624, false},
 	{"bex", "clique", 0x407605b15680251c, 4, 4, 0, 59073, false},
-	{"bex", "degen", 0x4026000000000000, 5, 0, 0, 1169, false},
+	{"bex", "degen", 0x4026000000000000, 4, 0, 0, 1169, false},
 	{"text-heal", "core", 0x40a6a519c9e81929, 7, 7, 1, 16143, false},
 	{"text-heal", "auto", 0x40a18a644467123f, 31, 23, 1, 114624, false},
 	{"text-heal", "clique", 0x407605b15680251c, 5, 5, 0, 59073, false},
@@ -82,7 +83,6 @@ func TestStandaloneAccounting(t *testing.T) {
 	if _, err := stream.WriteBex2File(bex, stream.FromGraphShuffled(g, 14), 64); err != nil {
 		t.Fatal(err)
 	}
-	m := g.NumEdges()
 
 	// Every attempt's fault lands in the first 64 edges, and the retries
 	// back off for a millisecond at most.
@@ -136,7 +136,7 @@ func TestStandaloneAccounting(t *testing.T) {
 				scans: res.Scans, spaceWords: res.SpaceWords}, err
 		}},
 		{"degen", func(src stream.Stream) (accountingPin, error) {
-			res, err := degen.Estimate(src, m, degen.Options{})
+			res, err := degen.Estimate(src, degen.Options{})
 			return accountingPin{estimate: math.Float64bits(float64(res.Kappa)), passes: res.Passes,
 				spaceWords: res.SpaceWords}, err
 		}},

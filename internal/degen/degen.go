@@ -40,13 +40,19 @@
 // so the estimate honors the repository's (seed, passKey, mergeKey)
 // invariance contract trivially.
 //
+// n, one more than the largest vertex ID, sizes those arrays. It is a fact
+// of the stream, reported beside its length (stream.VertexCounter) and
+// handed on by the executor (passes.Executor.Vertices), so the peel
+// allocates before its first pass and makes exactly one pass per round. An
+// executor whose stream reports no n cannot be peeled.
+//
 // The peel is expressed against passes.Executor (EstimateOn), so it can run
 // as a scan-scheduler client: when another client of the same scheduler has
 // a pass pending at the same time as a peel round — independent trials each
 // resolving κ, or a trial's peel next to another trial's core passes — the
 // two share one physical scan. Estimate is the standalone entry point: the
-// peel is the one client of its own scheduler (passes.NewDirect), so each
-// pass is its own scan.
+// peel is the one client of its own scheduler (sched.Open), so each pass is
+// its own scan.
 package degen
 
 import (
@@ -56,6 +62,7 @@ import (
 
 	"degentri/internal/graph"
 	"degentri/internal/passes"
+	"degentri/internal/sched"
 	"degentri/internal/stream"
 )
 
@@ -64,18 +71,6 @@ import (
 // alive set shrinks by a factor ≥ 1+ε = 1.5 per round (≤ ~35 rounds at
 // n = 10⁶).
 const DefaultEpsilon = 0.5
-
-// denseIDLimit is the vertex count below which the peel always runs: 2²³,
-// the ID bound internal/graph's ID bitsets use. Its arrays then take at most
-// 64 MB, however few edges the stream has.
-const denseIDLimit = 1 << 23
-
-// ErrSparseIDs is wrapped by the error of a peel refused because its vertex
-// IDs are too sparse: n, one more than the largest ID, is above both 2m + 1
-// and 2²³. The peel's arrays are sized by n, not by the vertices present, so
-// a two-edge stream naming ID 2³¹ − 1 would allocate gigabytes. Supplying a
-// degeneracy bound skips the peel.
-var ErrSparseIDs = errors.New("vertex IDs too sparse for the degeneracy peel")
 
 // Options configures the peeling estimator.
 type Options struct {
@@ -87,12 +82,6 @@ type Options struct {
 	// (0 = GOMAXPROCS). The result is identical at any worker count. Only
 	// Estimate consults it; EstimateOn inherits the executor's worker bound.
 	Workers int
-	// KnownVertices, when positive, is n = 1 + the largest vertex ID of the
-	// stream, already discovered by the caller (typically fused into its
-	// edge-counting scan via stream.CountEdgesAndMaxIDCtx); the peel then skips
-	// its own discovery pass. Zero means unknown: one MaxVertexID pass is
-	// spent discovering it.
-	KnownVertices int
 }
 
 // Result reports the approximation together with its resource usage.
@@ -106,11 +95,11 @@ type Result struct {
 	LowerBound int
 	// Rounds is the number of peeling rounds (degree passes).
 	Rounds int
-	// Passes is the total number of stream passes: one vertex-ID discovery
-	// pass plus Rounds.
+	// Passes is the total number of stream passes: Rounds, plus Estimate's
+	// opening count of a stream that did not know its length (text).
 	Passes int
-	// Vertices is n, one more than the largest vertex ID seen (the size of
-	// the dense peeling state).
+	// Vertices is n, one more than the largest vertex ID of the stream (the
+	// size of the dense peeling state).
 	Vertices int
 	// SpaceWords is the accounted peak space in machine words: round 1's
 	// degree array (n, one word per int32 slot) and the alive bitset
@@ -119,17 +108,25 @@ type Result struct {
 	SpaceWords int64
 }
 
-// Estimate approximates the degeneracy of a stream of m edges. Self-loops,
-// negative IDs, and duplicate edges are tolerated: loops and negatives are
-// ignored, duplicates inflate degrees and can only raise the bound (which
-// keeps it a valid upper bound for the underlying simple graph). Each pass
-// is its own physical scan; EstimateOn is the executor-based variant that a
-// scan scheduler can fuse with other pending passes.
-func Estimate(s stream.Stream, m int, opts Options) (Result, error) {
-	if m == 0 {
-		return Result{}, nil
+// Estimate approximates the degeneracy of a stream. Self-loops, negative
+// IDs, and duplicate edges are tolerated: loops and negatives are ignored,
+// duplicates inflate degrees and can only raise the bound (which keeps it a
+// valid upper bound for the underlying simple graph). The peel is the one
+// client of a scheduler from sched.Open, so each pass is its own physical
+// scan; a stream that does not know its length costs one counting pass
+// first, which Passes includes. EstimateOn is the executor-based variant that
+// a scan scheduler can fuse with other pending passes.
+func Estimate(s stream.Stream, opts Options) (Result, error) {
+	sch, err := sched.Open(context.Background(), s, opts.Workers, stream.RetryPolicy{})
+	opening := sch.Scans()
+	var res Result
+	if err == nil {
+		c := sch.NewClient()
+		res, err = EstimateOn(c, opts)
+		c.Done()
 	}
-	return EstimateOn(passes.NewDirect(s, m, opts.Workers), opts)
+	res.Passes += opening
+	return res, err
 }
 
 // EstimateOn is Estimate running its passes through the given executor (the
@@ -156,8 +153,10 @@ func EstimateOn(x passes.Executor, opts Options) (Result, error) {
 // It never releases before returning, so the words it charged are the
 // meter's peak, Result.SpaceWords.
 //
-// Once n is known, and before anything is allocated, a stream whose n is
-// above both 2m + 1 and 2²³ is refused with an error wrapping ErrSparseIDs.
+// n is the executor's (passes.Executor.Vertices); an executor that reports
+// none is an error. Before anything is allocated, an n refused by
+// graph.CheckDenseIDs (above both 2m + 1 and 2²³) is an error wrapping
+// graph.ErrSparseIDs.
 func EstimateWithDegrees(x passes.Executor, opts Options) (Result, []int32, error) {
 	eps := opts.Epsilon
 	if eps <= 0 {
@@ -168,26 +167,16 @@ func EstimateWithDegrees(x passes.Executor, opts Options) (Result, []int32, erro
 	if m == 0 {
 		return res, nil, nil
 	}
-
-	var maxID int
-	if opts.KnownVertices > 0 {
-		maxID = opts.KnownVertices - 1
-	} else {
-		var err error
-		maxID, err = passes.MaxVertexID(x)
-		res.Passes++
-		if err != nil {
-			return res, nil, fmt.Errorf("degen: vertex-ID pass: %w", err)
-		}
+	n, ok := x.Vertices()
+	if !ok {
+		return res, nil, errors.New("degen: the stream does not report its vertex count")
 	}
-	if maxID < 0 {
+	if n == 0 {
 		// Every edge had negative endpoints; nothing peelable.
 		return res, nil, nil
 	}
-	n := maxID + 1
-	if n > 2*m+1 && n > denseIDLimit {
-		return res, nil, fmt.Errorf("degen: n = %d (1 + the largest vertex ID) for m = %d edges: %w; supply a degeneracy bound (trianglecount -kappa, Options.Degeneracy) to skip the peel",
-			n, m, ErrSparseIDs)
+	if err := graph.CheckDenseIDs(n, m); err != nil {
+		return res, nil, fmt.Errorf("degen: %w for the peel; supply a degeneracy bound (trianglecount -kappa, Options.Degeneracy) to skip it", err)
 	}
 	res.Vertices = n
 

@@ -1,10 +1,14 @@
 package degen_test
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"degentri/internal/degen"
@@ -20,7 +24,7 @@ func checkBounds(t *testing.T, name string, g *graph.Graph, eps float64) degen.R
 	t.Helper()
 	exact := g.Degeneracy()
 	m := g.NumEdges()
-	res, err := degen.Estimate(stream.FromGraphShuffled(g, 7), m, degen.Options{Epsilon: eps})
+	res, err := degen.Estimate(stream.FromGraphShuffled(g, 7), degen.Options{Epsilon: eps})
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
@@ -36,8 +40,8 @@ func checkBounds(t *testing.T, name string, g *graph.Graph, eps float64) degen.R
 	if res.LowerBound > exact {
 		t.Errorf("%s: LowerBound = %d above the true degeneracy %d", name, res.LowerBound, exact)
 	}
-	if res.Passes != res.Rounds+1 {
-		t.Errorf("%s: passes = %d, want rounds+1 = %d", name, res.Passes, res.Rounds+1)
+	if res.Passes != res.Rounds {
+		t.Errorf("%s: passes = %d, want rounds = %d", name, res.Passes, res.Rounds)
 	}
 	// O(n) words and nothing proportional to m: round 1's degree array and
 	// the alive bitset, plus from round 2 on a working array for round 1's
@@ -106,7 +110,7 @@ func TestGolden(t *testing.T) {
 		{"barabasi-albert-1500-3", gen.BarabasiAlbert(1500, 3, 11), 8, 3, 4},
 	}
 	for _, c := range goldens {
-		res, err := degen.Estimate(stream.FromGraphShuffled(c.g, 3), c.g.NumEdges(), degen.Options{})
+		res, err := degen.Estimate(stream.FromGraphShuffled(c.g, 3), degen.Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -119,7 +123,8 @@ func TestGolden(t *testing.T) {
 
 // TestWorkerInvarianceAcrossBackends runs the same peel at 1/2/4/8 workers
 // over the in-memory, text-file, and .bex backends: every Result must be
-// bit-identical (the peel is deterministic and the shard grid is fixed).
+// bit-identical (the peel is deterministic and the shard grid is fixed),
+// except that a text adds its opening count to Passes.
 func TestWorkerInvarianceAcrossBackends(t *testing.T) {
 	g := gen.HolmeKim(6000, 5, 0.6, 41)
 	m := g.NumEdges()
@@ -159,12 +164,15 @@ func TestWorkerInvarianceAcrossBackends(t *testing.T) {
 	for name, open := range backends {
 		for _, workers := range []int{1, 2, 4, 8} {
 			s := open()
-			res, err := degen.Estimate(s, m, degen.Options{Workers: workers})
+			res, err := degen.Estimate(s, degen.Options{Workers: workers})
 			if c, ok := s.(interface{ Close() error }); ok {
 				c.Close()
 			}
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", name, workers, err)
+			}
+			if name == "text" {
+				res.Passes-- // the opening count
 			}
 			if baseline == nil {
 				b := res
@@ -180,25 +188,25 @@ func TestWorkerInvarianceAcrossBackends(t *testing.T) {
 
 func TestDegenerateInputs(t *testing.T) {
 	// Empty stream.
-	res, err := degen.Estimate(stream.FromEdges(nil), 0, degen.Options{})
+	res, err := degen.Estimate(stream.FromEdges(nil), degen.Options{})
 	if err != nil || res.Kappa != 0 || res.Passes != 0 {
 		t.Fatalf("empty stream: %+v, %v", res, err)
 	}
-	// Only negative IDs: one discovery pass, nothing peelable.
+	// Only negative IDs: the stream reports n = 0, nothing peelable, no pass.
 	neg := []graph.Edge{{U: -1, V: -2}}
-	res, err = degen.Estimate(stream.FromEdges(neg), len(neg), degen.Options{})
-	if err != nil || res.Kappa != 0 || res.Passes != 1 {
+	res, err = degen.Estimate(stream.FromEdges(neg), degen.Options{})
+	if err != nil || res.Kappa != 0 || res.Passes != 0 {
 		t.Fatalf("negative-only stream: %+v, %v", res, err)
 	}
 	// Self loops are ignored; the remaining edge gives κ̂ = 1.
 	loops := []graph.Edge{{U: 0, V: 0}, {U: 3, V: 3}, {U: 0, V: 1}}
-	res, err = degen.Estimate(stream.FromEdges(loops), len(loops), degen.Options{})
+	res, err = degen.Estimate(stream.FromEdges(loops), degen.Options{})
 	if err != nil || res.Kappa != 1 {
 		t.Fatalf("loopy stream: %+v, %v", res, err)
 	}
 	// A single edge: κ = 1 exactly.
 	one := []graph.Edge{{U: 0, V: 1}}
-	res, err = degen.Estimate(stream.FromEdges(one), 1, degen.Options{})
+	res, err = degen.Estimate(stream.FromEdges(one), degen.Options{})
 	if err != nil || res.Kappa != 1 || res.LowerBound != 1 {
 		t.Fatalf("single edge: %+v, %v", res, err)
 	}
@@ -210,7 +218,7 @@ func TestDuplicateEdgesOnlyRaiseTheBound(t *testing.T) {
 	g := gen.Wheel(300)
 	exact := g.Degeneracy()
 	doubled := append(append([]graph.Edge{}, g.Edges()...), g.Edges()...)
-	res, err := degen.Estimate(stream.FromEdges(doubled), len(doubled), degen.Options{})
+	res, err := degen.Estimate(stream.FromEdges(doubled), degen.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +230,7 @@ func TestDuplicateEdgesOnlyRaiseTheBound(t *testing.T) {
 // TestStreamErrorPropagates checks that a failing backend surfaces as an
 // error instead of a bogus bound.
 func TestStreamErrorPropagates(t *testing.T) {
-	if _, err := degen.Estimate(stream.OpenFile("/definitely/not/a/file"), 10, degen.Options{}); err == nil {
+	if _, err := degen.Estimate(stream.OpenFile("/definitely/not/a/file"), degen.Options{}); err == nil {
 		t.Fatal("expected an error from a missing file")
 	}
 }
@@ -263,5 +271,56 @@ func TestEstimateWithDegrees(t *testing.T) {
 		if err != nil || alone != res {
 			t.Errorf("workers=%d: EstimateOn %+v (%v), EstimateWithDegrees %+v", workers, alone, err, res)
 		}
+	}
+}
+
+// TestFooterUnderstatingIDsFailsThePeel pins what keeps a .bex footer honest
+// at no cost: a file whose footer records claim a largest ID of 10, with
+// the footer's CRC recomputed so that it opens, reports n = 11, and the
+// peel's first round fails on the first edge beyond it with an I/O-class
+// error naming that edge.
+func TestFooterUnderstatingIDsFailsThePeel(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "understated.bex")
+	if _, err := stream.WriteBex2File(path, stream.FromGraph(gen.Wheel(300)), 64); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The tail's last 32 bytes: footer offset, block count, footer CRC.
+	tail := raw[len(raw)-32:]
+	off := binary.LittleEndian.Uint64(tail[0:])
+	blocks := int(binary.LittleEndian.Uint32(tail[8:]))
+	footer := raw[off : off+uint64(32*blocks)]
+	for i := range blocks {
+		binary.LittleEndian.PutUint32(footer[32*i+24:], 10) // the record's largest ID
+	}
+	binary.LittleEndian.PutUint32(tail[12:], crc32.Checksum(footer, crc32.MakeTable(crc32.Castagnoli)))
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	bs, err := stream.OpenBex2(path)
+	if err != nil {
+		t.Fatalf("the rewritten footer does not open: %v", err)
+	}
+	defer bs.Close()
+	if n, ok := stream.VerticesOf(bs); !ok || n != 11 {
+		t.Fatalf("Vertices() = %d, %v; want the footer's 11", n, ok)
+	}
+	res, err := degen.Estimate(bs, degen.Options{})
+	if !errors.Is(err, stream.ErrCorruptHeader) || !strings.Contains(err.Error(), "round 1") || !strings.Contains(err.Error(), "(0,11)") {
+		t.Fatalf("peel over an understating footer: %+v, %v; want round 1 to fail naming edge (0,11) and wrapping ErrCorruptHeader", res, err)
+	}
+}
+
+// TestPeelNeedsAVertexCount pins that an executor whose stream reports no
+// vertex count cannot be peeled: the peel fails before any pass.
+func TestPeelNeedsAVertexCount(t *testing.T) {
+	edges := gen.Wheel(100).Edges()
+	x := passes.NewDirect(stream.NewPassCounter(stream.FromEdges(edges)), len(edges), 1)
+	if res, err := degen.EstimateOn(x, degen.Options{}); err == nil || res.Passes != 0 || x.Passes() != 0 {
+		t.Fatalf("peel without a vertex count: %+v, %v after %d passes; want an error before any pass", res, err, x.Passes())
 	}
 }

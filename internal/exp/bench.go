@@ -222,7 +222,7 @@ func benchKappa(w Workload) (degen.Result, error) {
 		return degen.Result{}, fmt.Errorf("exp: bench %s: %w", w.Name, err)
 	}
 	defer src.Close()
-	res, err := degen.Estimate(src, w.M, degen.Options{Workers: 1, KnownVertices: w.N})
+	res, err := degen.Estimate(src, degen.Options{Workers: 1})
 	if err != nil {
 		return degen.Result{}, fmt.Errorf("exp: bench %s: κ̂: %w", w.Name, err)
 	}

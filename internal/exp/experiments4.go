@@ -21,7 +21,7 @@ func E12DegeneracyApprox(scale Scale) ([]*Table, error) {
 
 	ws := append(StandardWorkloads(scale), SkewedWorkloads(scale)...)
 	for _, w := range ws {
-		res, err := degen.Estimate(w.Stream(0), w.M, degen.Options{})
+		res, err := degen.Estimate(w.Stream(0), degen.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("E12 %s: %w", w.Name, err)
 		}

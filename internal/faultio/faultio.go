@@ -134,9 +134,10 @@ func (st *state) take() bool {
 }
 
 // Faulty wraps a stream with the plan's fault schedule. It implements
-// stream.Stream always, stream.RangeStreamer whenever the inner stream does
-// (range sub-streams are wrapped with the same shared schedule), and
-// stream.FileBacked (Close delegates to the inner stream's Close if any).
+// stream.Stream always, stream.RangeStreamer and stream.VertexCounter
+// whenever the inner stream does (range sub-streams are wrapped with the
+// same shared schedule), and stream.FileBacked (Close delegates to the inner
+// stream's Close if any).
 type Faulty struct {
 	inner stream.Stream
 	st    *state
@@ -272,6 +273,10 @@ func (f *Faulty) Next() (graph.Edge, error) {
 
 // Len implements stream.Stream.
 func (f *Faulty) Len() (int, bool) { return f.inner.Len() }
+
+// Vertices implements stream.VertexCounter when the inner stream knows its
+// vertex count: faults disturb reads, never the stream's facts.
+func (f *Faulty) Vertices() (int, bool) { return stream.VerticesOf(f.inner) }
 
 // RangeStream implements stream.RangeStreamer when the inner stream does:
 // sub-streams share the schedule (reset ordinals and the fault budget), so

@@ -198,3 +198,15 @@ func TestParsePlan(t *testing.T) {
 		}
 	}
 }
+
+// TestVertexCountForwarded pins that a fault schedule leaves the wrapped
+// stream's vertex count visible, and invents none for a stream without one.
+func TestVertexCountForwarded(t *testing.T) {
+	inner := stream.FromEdges(edgesN(1000))
+	if n, ok := stream.VerticesOf(New(inner, Plan{Seed: 1, Every: 1})); !ok || n != 100 {
+		t.Errorf("Vertices() = %d, %v through a fault schedule; want 100, true", n, ok)
+	}
+	if n, ok := stream.VerticesOf(New(stream.NewPassCounter(inner), Plan{})); ok {
+		t.Errorf("Vertices() = %d over a stream that reports none", n)
+	}
+}

@@ -7,11 +7,34 @@
 // experiment compares a streaming estimate against graph.Graph's exact counts.
 package graph
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
 // MaxVertexID is the largest vertex ID an Edge holds, 2³¹ − 1: the bound of
 // a .bex v2 record and of the text parser.
 const MaxVertexID = 1<<31 - 1
+
+// ErrSparseIDs is wrapped by the error of a computation refused because its
+// vertex IDs are too sparse (see CheckDenseIDs).
+var ErrSparseIDs = errors.New("vertex IDs too sparse")
+
+// CheckDenseIDs refuses n vertex slots for m edges when n is above both
+// 2m + 1 and 2²³, with an error wrapping ErrSparseIDs that names n and m.
+// Structures indexed by vertex ID (a Graph's CSR, the degeneracy peel's
+// arrays) are sized by n, one more than the largest ID, not by the vertices
+// present, so a two-edge input naming ID 2³¹ − 1 would allocate gigabytes.
+// A dense graph of any size has n ≤ 2m + 1 (only isolated vertices push n
+// past 2m) and always passes, and so does any n up to 2²³, the bound of this
+// package's ID bitsets (rankTableLimit): an n-slot array of words then takes
+// at most 64 MB, however few edges there are.
+func CheckDenseIDs(n, m int) error {
+	if n > 2*m+1 && n > rankTableLimit {
+		return fmt.Errorf("n = %d (1 + the largest vertex ID) for m = %d edges: %w", n, m, ErrSparseIDs)
+	}
+	return nil
+}
 
 // Edge is an undirected edge between two vertices. Edges are stored in
 // normalized form (U <= V) by most of this package; callers should use
@@ -89,11 +112,6 @@ func (t Triangle) Edges() [3]Edge {
 	}
 }
 
-// HasVertex reports whether v is one of the triangle's vertices.
-func (t Triangle) HasVertex(v int) bool {
-	return t.A == v || t.B == v || t.C == v
-}
-
 // HasEdge reports whether e (in any orientation) is one of the triangle's edges.
 func (t Triangle) HasEdge(e Edge) bool {
 	e = e.Normalize()
@@ -103,22 +121,6 @@ func (t Triangle) HasEdge(e Edge) bool {
 		}
 	}
 	return false
-}
-
-// Apex returns the vertex of the triangle not covered by edge e. It panics if
-// e is not an edge of the triangle.
-func (t Triangle) Apex(e Edge) int {
-	e = e.Normalize()
-	switch {
-	case NewEdge(t.A, t.B) == e:
-		return t.C
-	case NewEdge(t.A, t.C) == e:
-		return t.B
-	case NewEdge(t.B, t.C) == e:
-		return t.A
-	default:
-		panic(fmt.Sprintf("graph: edge %v is not part of triangle %v", e, t))
-	}
 }
 
 // String implements fmt.Stringer.

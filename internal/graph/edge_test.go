@@ -85,7 +85,7 @@ func TestNewTrianglePanicsOnDegenerate(t *testing.T) {
 	NewTriangle(1, 1, 2)
 }
 
-func TestTriangleEdgesAndApex(t *testing.T) {
+func TestTriangleEdges(t *testing.T) {
 	tr := NewTriangle(5, 1, 9)
 	edges := tr.Edges()
 	want := [3]Edge{NewEdge(1, 5), NewEdge(1, 9), NewEdge(5, 9)}
@@ -93,39 +93,11 @@ func TestTriangleEdgesAndApex(t *testing.T) {
 		t.Fatalf("Edges() = %v, want %v", edges, want)
 	}
 	for _, e := range edges {
-		apex := tr.Apex(e)
-		if e.Has(apex) {
-			t.Errorf("apex %d belongs to edge %v", apex, e)
-		}
-		if !tr.HasVertex(apex) {
-			t.Errorf("apex %d not in triangle %v", apex, tr)
-		}
 		if !tr.HasEdge(e) {
 			t.Errorf("HasEdge(%v) = false", e)
 		}
 	}
 	if tr.HasEdge(NewEdge(2, 3)) {
 		t.Error("HasEdge reported an unrelated edge")
-	}
-}
-
-func TestTriangleApexPanicsOnNonEdge(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewTriangle(1, 2, 3).Apex(NewEdge(4, 5))
-}
-
-func TestTriangleHasVertex(t *testing.T) {
-	tr := NewTriangle(0, 7, 4)
-	for _, v := range []int{0, 4, 7} {
-		if !tr.HasVertex(v) {
-			t.Errorf("HasVertex(%d) = false", v)
-		}
-	}
-	if tr.HasVertex(5) {
-		t.Error("HasVertex(5) = true")
 	}
 }

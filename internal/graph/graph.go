@@ -90,6 +90,10 @@ func (b *Builder) dedup() {
 	b.sorted = true
 }
 
+// NumVertices reports the vertex count Build will allocate: the larger of
+// NewBuilder's n and one more than the largest ID added.
+func (b *Builder) NumVertices() int { return b.n }
+
 // NumEdges reports the number of distinct edges added so far.
 func (b *Builder) NumEdges() int {
 	b.dedup()
@@ -282,19 +286,6 @@ func (g *Graph) InducedSubgraph(vertices []int) (*Graph, []int) {
 		}
 	}
 	return b.Build(), orig
-}
-
-// EdgeSubgraph returns the subgraph consisting of exactly the given edges
-// (which must be edges of g), on the same vertex set as g.
-func (g *Graph) EdgeSubgraph(edges []Edge) (*Graph, error) {
-	b := NewBuilder(g.n)
-	for _, e := range edges {
-		if !g.HasEdge(int(e.U), int(e.V)) {
-			return nil, fmt.Errorf("graph: edge %v not present in graph", e)
-		}
-		b.AddEdge(int(e.U), int(e.V))
-	}
-	return b.Build(), nil
 }
 
 // Validate performs internal consistency checks and returns an error

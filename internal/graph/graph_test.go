@@ -211,20 +211,6 @@ func TestInducedSubgraph(t *testing.T) {
 	}
 }
 
-func TestEdgeSubgraph(t *testing.T) {
-	g := buildTriangleWithTail()
-	sub, err := g.EdgeSubgraph([]Edge{NewEdge(0, 1), NewEdge(1, 2)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub.NumEdges() != 2 || sub.NumVertices() != g.NumVertices() {
-		t.Fatalf("EdgeSubgraph = %v", sub)
-	}
-	if _, err := g.EdgeSubgraph([]Edge{NewEdge(0, 3)}); err == nil {
-		t.Fatal("expected error for non-edge")
-	}
-}
-
 func TestValidate(t *testing.T) {
 	g := buildTriangleWithTail()
 	if err := g.Validate(); err != nil {

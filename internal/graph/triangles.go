@@ -142,18 +142,6 @@ func (g *Graph) TrianglesOfEdge(e Edge) int64 {
 	return int64(sortedIntersectionSize(g.Neighbors(int(e.U)), g.Neighbors(int(e.V))))
 }
 
-// MaxEdgeTriangleCount returns J = max_e t_e, the maximum number of triangles
-// incident on a single edge (the parameter of Pagh–Tsourakakis in Table 1).
-func (g *Graph) MaxEdgeTriangleCount() int64 {
-	var max int64
-	for _, e := range g.edges {
-		if t := g.TrianglesOfEdge(e); t > max {
-			max = t
-		}
-	}
-	return max
-}
-
 // ListTriangles enumerates every triangle exactly once (vertices sorted
 // within each triangle) using the degeneracy orientation. For graphs with
 // many triangles this allocates Θ(T) memory; use TriangleCount when only the

@@ -90,23 +90,6 @@ func TestTrianglesOfEdge(t *testing.T) {
 	}
 }
 
-func TestMaxEdgeTriangleCount(t *testing.T) {
-	if got := completeGraph(6).MaxEdgeTriangleCount(); got != 4 {
-		t.Errorf("K6 max edge triangles = %d, want 4", got)
-	}
-	// Book graph: n-2 triangles all sharing edge (0,1).
-	b := NewBuilder(6)
-	b.AddEdge(0, 1)
-	for v := 2; v < 6; v++ {
-		b.AddEdge(0, v)
-		b.AddEdge(1, v)
-	}
-	g := b.Build()
-	if got := g.MaxEdgeTriangleCount(); got != 4 {
-		t.Errorf("book graph max edge triangles = %d, want 4", got)
-	}
-}
-
 func TestListTriangles(t *testing.T) {
 	g := completeGraph(5)
 	tris := g.ListTriangles()

@@ -52,6 +52,7 @@ package passes
 
 import (
 	"context"
+	"fmt"
 	"sort"
 	"sync/atomic"
 
@@ -78,6 +79,10 @@ import (
 // healed scan is bit-identical to an undisturbed one (see stream.RetryPolicy),
 // so retries change resource accounting, never results.
 //
+// Vertices reports n, one more than the largest vertex ID of the stream, as
+// the stream reported it beside its length (stream.VertexCounter); ok is
+// false for a stream that reports none.
+//
 // Meter is the executor's node of its scheduler's space-meter tree. An
 // executor carries one run: the run charges its retained words to Meter
 // directly, reports Meter's peak as its space and checks its budget against
@@ -87,6 +92,7 @@ import (
 // its runs retain concurrently.
 type Executor interface {
 	M() int
+	Vertices() (n int, ok bool)
 	RunPass(process func(shard int, batch []graph.Edge) error, merge func(shard int) error) error
 	Passes() int
 	Context() context.Context
@@ -166,42 +172,15 @@ func CountDegrees(x Executor, deg *graph.SortedCounter) error {
 		func(c *graph.SortedCounter, _ int) { deg.Merge(c) })
 }
 
-// MaxVertexID runs one sharded pass returning the largest vertex ID in the
-// stream, or -1 when the stream has no non-negative IDs. The pass is
-// deterministic (max is order-independent) and retains O(1) state per shard.
-func MaxVertexID(x Executor) (int, error) {
-	var shardMax [stream.NumShards]int
-	for i := range shardMax {
-		shardMax[i] = -1
-	}
-	maxID := -1
-	err := x.RunPass(
-		func(shard int, batch []graph.Edge) error {
-			top := shardMax[shard]
-			for _, e := range batch {
-				top = max(top, int(e.U), int(e.V))
-			}
-			shardMax[shard] = top
-			return nil
-		},
-		func(shard int) error {
-			if shardMax[shard] > maxID {
-				maxID = shardMax[shard]
-			}
-			return nil
-		})
-	if err != nil {
-		return -1, err
-	}
-	return maxID, nil
-}
-
 // CountDegreesMasked runs one sharded pass counting, into the dense array deg,
 // the degrees of the subgraph induced by the alive vertices: an edge
 // contributes to both endpoints exactly when both are alive bits of the mask.
-// Self-loops and endpoints outside [0, alive.Len()) are skipped. It returns
-// the number of stream edges that contributed (the induced edge count,
-// duplicates tallied faithfully).
+// Self-loops and edges with a negative endpoint are skipped. The mask covers
+// every vertex of the stream, [0, alive.Len()), so an edge with an endpoint
+// at or above alive.Len() fails the pass with an error naming it and
+// wrapping stream.ErrCorruptHeader: the stream reported a vertex count
+// below its IDs. It returns the number of stream edges that contributed (the
+// induced edge count, duplicates tallied faithfully).
 //
 // With rank nil, deg is indexed by vertex ID and holds alive.Len() slots.
 // Otherwise rank is alive's rank base (graph.Bitset.RankBase) and deg is
@@ -219,7 +198,13 @@ func CountDegreesMasked(x Executor, alive *graph.Bitset, rank, deg []int32) (int
 		func(_ int, batch []graph.Edge) error {
 			local := int64(0)
 			for _, e := range batch {
-				if e.U == e.V || uint(e.U) >= n || uint(e.V) >= n {
+				if uint(e.U) >= n || uint(e.V) >= n {
+					if e.U < 0 || e.V < 0 {
+						continue
+					}
+					return fmt.Errorf("passes: edge %v has a vertex ID at or above the stream's vertex count %d: %w", e, n, stream.ErrCorruptHeader)
+				}
+				if e.U == e.V {
 					continue
 				}
 				u, v := int(e.U), int(e.V)

@@ -1,8 +1,10 @@
 package passes_test
 
 import (
+	"errors"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"degentri/internal/gen"
@@ -133,7 +135,10 @@ func TestCountDegrees(t *testing.T) {
 	}
 }
 
-func TestMaxVertexID(t *testing.T) {
+// TestExecutorVertices pins the vertex count an executor hands on: the one
+// its stream reports beside its length, 1 + the largest vertex ID (0 when no
+// ID is non-negative), and none for a stream that reports no count.
+func TestExecutorVertices(t *testing.T) {
 	g := testGraph(t)
 	m := g.NumEdges()
 	want := -1
@@ -141,19 +146,17 @@ func TestMaxVertexID(t *testing.T) {
 		want = max(want, int(e.U), int(e.V))
 	}
 	for _, workers := range workerSweep {
-		got, err := passes.MaxVertexID(passes.NewDirect(stream.FromGraph(g), m, workers))
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if got != want {
-			t.Errorf("workers=%d: max ID = %d, want %d", workers, got, want)
+		if n, ok := passes.NewDirect(stream.FromGraph(g), m, workers).Vertices(); !ok || n != want+1 {
+			t.Errorf("workers=%d: Vertices() = %d, %v; want %d", workers, n, ok, want+1)
 		}
 	}
-	// Streams with no usable IDs report -1.
 	neg := []graph.Edge{{U: -1, V: -2}, {U: -7, V: -3}}
-	got, err := passes.MaxVertexID(passes.NewDirect(stream.FromEdges(neg), len(neg), 1))
-	if err != nil || got != -1 {
-		t.Fatalf("negative-only stream: %d, %v", got, err)
+	if n, ok := passes.NewDirect(stream.FromEdges(neg), len(neg), 1).Vertices(); !ok || n != 0 {
+		t.Errorf("negative-only stream: Vertices() = %d, %v; want 0", n, ok)
+	}
+	// PassCounter forwards no vertex count.
+	if n, ok := passes.NewDirect(stream.NewPassCounter(stream.FromGraph(g)), m, 1).Vertices(); ok {
+		t.Errorf("a stream without a vertex count gave its executor %d", n)
 	}
 }
 
@@ -208,9 +211,9 @@ func TestCountDegreesMasked(t *testing.T) {
 		}
 	}
 
-	// Self loops and out-of-range endpoints are skipped, not counted and not
-	// a crash.
-	dirty := []graph.Edge{{U: 0, V: 0}, {U: -1, V: 1}, {U: 1, V: 99}, {U: 1, V: 2}}
+	// Self loops and negative endpoints are skipped, not counted and not a
+	// crash.
+	dirty := []graph.Edge{{U: 0, V: 0}, {U: -1, V: 1}, {U: 1, V: 2}}
 	small := graph.NewBitset(3)
 	small.SetAll()
 	deg := make([]int32, 3)
@@ -220,6 +223,13 @@ func TestCountDegreesMasked(t *testing.T) {
 	}
 	if induced != 1 || deg[0] != 0 || deg[1] != 1 || deg[2] != 1 {
 		t.Fatalf("dirty stream: induced=%d deg=%v", induced, deg)
+	}
+	// An endpoint at or above the mask's length means the stream's vertex
+	// count was too small: the pass fails naming the edge.
+	over := append(slices.Clone(dirty), graph.Edge{U: 1, V: 99})
+	_, err = passes.CountDegreesMasked(passes.NewDirect(stream.FromEdges(over), len(over), 1), small, nil, make([]int32, 3))
+	if !errors.Is(err, stream.ErrCorruptHeader) || !strings.Contains(err.Error(), "(1,99)") {
+		t.Fatalf("edge (1,99) under a 3-vertex mask: %v, want an error naming it and wrapping ErrCorruptHeader", err)
 	}
 }
 

@@ -119,17 +119,18 @@ type Scheduler struct {
 	retries int
 	meter   *stream.SharedMeter
 
-	vertices int // 1 + the largest vertex ID Open's count saw; 0 when Open did not scan
+	n      int  // the stream's vertex count, read when the scheduler is made
+	nKnown bool // the stream reported n (stream.VerticesOf)
 }
 
 // Open returns a scheduler over src, the one way a standalone run or a
 // session reaches its stream. A stream that knows its length is not scanned.
 // One that does not (a text file before its first pass) is counted by one
-// stream.CountEdgesAndMaxIDCtx scan, which also lets a text write its .bex
-// v2 copy, so the scheduler's scans can run on concurrent workers. That
-// opening scan counts in Scans, its whole-pass retries in Retries, and
-// Vertices reports the vertex count it found, which spares the κ̂ peel its
-// own vertex-ID pass. workers and retry are NewCtx's.
+// stream.CountEdgesCtx scan. That scan also lets a text write its .bex v2
+// copy, so the scheduler's scans can run on concurrent workers, and the
+// text's parse finds its vertex count, which the scheduler then records
+// (see NewCtx). The opening scan counts in Scans and its whole-pass retries
+// in Retries. workers and retry are NewCtx's.
 //
 // A failed count returns its error together with a scheduler that only
 // accounts for it (one scan in Scans, the count's retries in Retries); it
@@ -142,12 +143,9 @@ func Open(ctx context.Context, src stream.Stream, workers int, retry stream.Retr
 	if known {
 		return NewCtx(ctx, src, m, workers, retry), nil
 	}
-	m, maxID, retries, err := stream.CountEdgesAndMaxIDCtx(ctx, src, retry)
+	m, retries, err := stream.CountEdgesCtx(ctx, src, retry)
 	s := NewCtx(ctx, src, m, workers, retry)
 	s.scans, s.retries = 1, retries
-	if err == nil {
-		s.vertices = maxID + 1
-	}
 	return s, err
 }
 
@@ -164,7 +162,9 @@ func New(src stream.Stream, m, workers int) *Scheduler {
 // every fused request of the running wave — the scheduler's context is the
 // lifetime of the whole group; per-client cancellation goes through
 // NewClientCtx instead) and heal transient I/O errors under the given retry
-// policy.
+// policy. It records the vertex count src reports now (stream.VerticesOf),
+// which every client hands on as Vertices; a text reports one only after
+// the pass that counted it.
 func NewCtx(ctx context.Context, src stream.Stream, m, workers int, retry stream.RetryPolicy) *Scheduler {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -172,7 +172,9 @@ func NewCtx(ctx context.Context, src stream.Stream, m, workers int, retry stream
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return &Scheduler{src: src, m: m, workers: workers, ctx: ctx, retry: retry, meter: stream.NewSharedMeter(nil)}
+	s := &Scheduler{src: src, m: m, workers: workers, ctx: ctx, retry: retry, meter: stream.NewSharedMeter(nil)}
+	s.n, s.nKnown = stream.VerticesOf(src)
+	return s
 }
 
 // M returns the stream length the scheduler's scans run over.
@@ -214,11 +216,6 @@ func (s *Scheduler) Retries() int {
 	defer s.mu.Unlock()
 	return s.retries
 }
-
-// Vertices returns 1 + the largest vertex ID that Open's counting scan saw,
-// or 0 when Open did not scan (the stream knew its length) or the stream has
-// no non-negative ID.
-func (s *Scheduler) Vertices() int { return s.vertices }
 
 // Meter returns the root of the scheduler's space-meter tree: every root
 // client's meter mirrors into it, so its peak is the words retained
@@ -270,6 +267,10 @@ func (s *Scheduler) NewClientCtx(ctx context.Context) *Client {
 
 // M implements passes.Executor.
 func (c *Client) M() int { return c.s.m }
+
+// Vertices implements passes.Executor: the vertex count the scheduler's
+// stream reported when the scheduler was made.
+func (c *Client) Vertices() (int, bool) { return c.s.n, c.s.nKnown }
 
 // Passes implements passes.Executor: the logical passes this client ran.
 func (c *Client) Passes() int { return c.passes }

@@ -30,8 +30,8 @@ type groupRef struct {
 // graphEntry is the registry's per-graph record: the path, the current warm
 // generation (nil when cold), a single-flight latch so concurrent cold
 // requests build one group instead of racing N opens (only a text file's
-// open scans it, to count its edges; a .bex group's peel makes its own
-// vertex-ID pass), and the breaker guarding rebuilds.
+// open scans it, to count its edges and vertices; a .bex reports both from
+// its header and footer), and the breaker guarding rebuilds.
 type graphEntry struct {
 	name string
 	path string

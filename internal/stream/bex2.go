@@ -136,8 +136,6 @@ type bex2Block struct {
 	off      int64 // absolute byte offset of the block
 	length   int   // byte length of the block (derived from neighbors)
 	count    int   // edges in the block
-	minV     int32
-	maxV     int32
 	crc      uint32
 }
 
@@ -147,6 +145,7 @@ type bex2Block struct {
 type bex2Meta struct {
 	path       string
 	m          int
+	n          int // 1 + the largest vertex ID the footer records name
 	blockEdges int
 	blocks     []bex2Block
 	// ident is the file's stat identity at open and keys this file's blocks
@@ -430,16 +429,16 @@ func readBex2Meta(file *os.File, path string) (*bex2Meta, error) {
 	blocks := make([]bex2Block, blockCount)
 	pos := 0
 	off := int64(bex2HeaderSize)
+	top := int32(-1) // the largest of the records' maximum IDs
 	for i := range blocks {
 		rec := footer[i*bex2FooterRec:]
 		b := bex2Block{
 			firstPos: int(binary.LittleEndian.Uint64(rec[0:])),
 			off:      int64(binary.LittleEndian.Uint64(rec[8:])),
 			count:    int(binary.LittleEndian.Uint32(rec[16:])),
-			minV:     int32(binary.LittleEndian.Uint32(rec[20:])),
-			maxV:     int32(binary.LittleEndian.Uint32(rec[24:])),
 			crc:      binary.LittleEndian.Uint32(rec[28:]),
 		}
+		top = max(top, int32(binary.LittleEndian.Uint32(rec[24:])))
 		if b.firstPos != pos || b.off != off || b.count <= 0 || b.count > blockEdges {
 			return nil, fmt.Errorf("stream: %s: .bex v2 footer record %d is inconsistent (pos %d@%d count %d): %w",
 				path, i, b.firstPos, b.off, b.count, ErrCorruptHeader)
@@ -469,7 +468,7 @@ func readBex2Meta(file *os.File, path string) (*bex2Meta, error) {
 			path, off, footerOff, ErrCorruptHeader)
 	}
 	return &bex2Meta{
-		path: path, m: m, blockEdges: blockEdges, blocks: blocks,
+		path: path, m: m, n: int(top) + 1, blockEdges: blockEdges, blocks: blocks,
 		ident:    identityOf(path, info),
 		verified: make([]atomic.Bool, blockCount),
 	}, nil
@@ -865,6 +864,13 @@ func (b *Bex2Stream) NextBatch(buf []graph.Edge) ([]graph.Edge, error) {
 
 // Len implements Stream; a .bex stream always knows its length.
 func (b *Bex2Stream) Len() (int, bool) { return b.cur.file.m, true }
+
+// Vertices implements VertexCounter from the footer, read at open: one more
+// than the largest of the blocks' maximum vertex IDs. The footer is not
+// checked against the decoded edges; a record that under-states its block's
+// maximum is caught by the pass that indexes by the count
+// (passes.CountDegreesMasked).
+func (b *Bex2Stream) Vertices() (int, bool) { return b.cur.file.n, true }
 
 // RangeStream implements RangeStreamer via the footer index: available from
 // the moment the file is opened, before any pass. The sub-stream reads

@@ -116,8 +116,10 @@ type FileStream struct {
 	lr      lineReader
 	active  bool
 	line    int
-	pos     int // edges delivered in the current pass
+	pos     int   // edges delivered in the current pass
+	top     int32 // the largest vertex ID the current pass parsed, -1 before any
 	m       int
+	n       int // 1 + the largest vertex ID, known with m
 	mKnown  bool
 	batch   []graph.Edge // scratch for NextBatch(nil)
 	pending error        // parse/read error to surface after a partial batch
@@ -190,6 +192,7 @@ func (f *FileStream) Reset() error {
 	f.active = true
 	f.line = 0
 	f.pos = 0
+	f.top = -1
 	f.pending = nil
 	f.broken = false
 	if !f.noCopy {
@@ -294,7 +297,7 @@ func (f *FileStream) endOfPass() error {
 		return MarkTransient(fmt.Errorf("stream: %s: pass consumed %d of %d bytes: %w",
 			f.path, f.lr.abs, f.ident.size, ErrTruncated))
 	}
-	f.m = f.pos
+	f.m, f.n = f.pos, int(f.top)+1
 	f.mKnown = true
 	f.finishSpill()
 	return nil
@@ -348,6 +351,7 @@ func (f *FileStream) NextBatch(buf []graph.Edge) ([]graph.Edge, error) {
 		if isEdge {
 			buf[n] = e
 			n++
+			f.top = max(f.top, e.U, e.V)
 		}
 	}
 	f.pos += n
@@ -448,6 +452,10 @@ func isSpace(c byte) bool {
 // Len implements Stream. The length is unknown until a full pass has been
 // completed.
 func (f *FileStream) Len() (int, bool) { return f.m, f.mKnown }
+
+// Vertices implements VertexCounter. Like the length, the vertex count is
+// found by the parse and known once a full pass has completed.
+func (f *FileStream) Vertices() (int, bool) { return f.n, f.mKnown }
 
 // RangeStream implements RangeStreamer through the copy: ranges are
 // available once a clean pass has written one and while the text is

@@ -14,14 +14,20 @@ import (
 // while remaining reproducible.
 type MemoryStream struct {
 	edges []graph.Edge
+	n     int // 1 + the largest vertex ID; -1 on a range sub-stream, which does not count it
 	pos   int
 	begun bool
 }
 
 // FromEdges builds a stream that replays the given edges in the given order.
-// The slice is not copied; callers must not mutate it afterwards.
+// The slice is not copied; callers must not mutate it afterwards. The
+// stream's vertex count is found here, once.
 func FromEdges(edges []graph.Edge) *MemoryStream {
-	return &MemoryStream{edges: edges}
+	top := int32(-1)
+	for _, e := range edges {
+		top = max(top, e.U, e.V)
+	}
+	return &MemoryStream{edges: edges, n: int(top) + 1}
 }
 
 // FromGraph builds a stream over the graph's edges in canonical
@@ -76,13 +82,17 @@ func (s *MemoryStream) NextBatch(buf []graph.Edge) ([]graph.Edge, error) {
 // Len implements Stream; the length of an in-memory stream is always known.
 func (s *MemoryStream) Len() (int, bool) { return len(s.edges), true }
 
+// Vertices implements VertexCounter: 1 + the largest vertex ID of the edges
+// FromEdges was given. A range sub-stream does not know it.
+func (s *MemoryStream) Vertices() (int, bool) { return s.n, s.n >= 0 }
+
 // RangeStream implements RangeStreamer: the sub-stream aliases the backing
 // slice (zero copies) and is always available.
 func (s *MemoryStream) RangeStream(lo, hi int) (Stream, bool) {
 	if lo < 0 || hi < lo || hi > len(s.edges) {
 		return nil, false
 	}
-	return FromEdges(s.edges[lo:hi:hi]), true
+	return &MemoryStream{edges: s.edges[lo:hi:hi], n: -1}, true
 }
 
 // Edges exposes the underlying order (for tests).

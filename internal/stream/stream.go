@@ -12,6 +12,7 @@ package stream
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 
 	"degentri/internal/graph"
@@ -59,6 +60,25 @@ type Stream interface {
 	// Len returns the number of edges m if known, or ok=false when the
 	// stream length is only discovered by completing a pass.
 	Len() (m int, ok bool)
+}
+
+// VertexCounter is implemented by streams that report n, one more than
+// their largest vertex ID (0 when no edge has a non-negative endpoint),
+// beside their length: an in-memory stream from its edges, a .bex v2 file
+// from its footer at open, a text once the pass that counts its edges has
+// completed. n sizes the degeneracy peel's arrays before any pass. It is
+// optional, so a decorator that does not forward it reports no count.
+type VertexCounter interface {
+	// Vertices returns n, or ok=false when the stream does not know it.
+	Vertices() (n int, ok bool)
+}
+
+// VerticesOf reports the vertex count of s, if s knows it.
+func VerticesOf(s Stream) (n int, ok bool) {
+	if vc, isVC := s.(VertexCounter); isVC {
+		return vc.Vertices()
+	}
+	return 0, false
 }
 
 // nextEdge is the Next of every stream in this package: it reads a one-edge
@@ -129,18 +149,17 @@ func CountEdges(s Stream) (int, error) {
 	return ForEachBatch(s, func([]graph.Edge) error { return nil })
 }
 
-// ForEachBatchCtx is ForEachBatch with cancellation and whole-pass retry:
-// the context is checked at every batch boundary (a cancelled pass stops
-// within one batch, returning the context error wrapped with the position
+// CountEdgesCtx is CountEdges with cancellation and whole-pass retry: the
+// context is checked at every batch boundary (a cancelled pass stops within
+// one batch, returning the context error wrapped with the position
 // reached), and when retry is enabled a transient read failure re-runs the
-// entire pass from Reset. Whole-pass retry is only sound for state-free
-// callers — fn must tolerate seeing edges again from the start — which is
-// exactly the shape of the opening count sched.Open makes; stateful passes go
-// through ShardedScan, whose recovery resumes instead of re-running. retries
-// reports the recoveries performed.
-func ForEachBatchCtx(ctx context.Context, s Stream, retry RetryPolicy, fn func([]graph.Edge) error) (count, retries int, err error) {
+// entire pass from Reset, which is sound because the count keeps no state.
+// It is the opening count sched.Open makes; stateful passes go through
+// ShardedScan, whose recovery resumes instead of re-running. retries reports
+// the recoveries performed.
+func CountEdgesCtx(ctx context.Context, s Stream, retry RetryPolicy) (m, retries int, err error) {
 	for attempt := 0; ; attempt++ {
-		count, err = func() (int, error) {
+		m, err = func() (int, error) {
 			if err := s.Reset(); err != nil {
 				return 0, err
 			}
@@ -157,56 +176,35 @@ func ForEachBatchCtx(ctx context.Context, s Stream, retry RetryPolicy, fn func([
 					return n, err
 				}
 				n += len(batch)
-				if err := fn(batch); err != nil {
-					return n, err
-				}
 			}
 		}()
 		if err == nil || !retry.Enabled() || attempt >= retry.MaxAttempts || !IsTransient(err) {
-			return count, retries, err
+			return m, retries, err
 		}
 		if serr := retry.sleep(ctx, attempt); serr != nil {
-			return count, retries, posErr(ctx, count, -1)
+			return m, retries, posErr(ctx, m, -1)
 		}
 		retries++
 	}
 }
 
-// CountEdgesCtx is CountEdges with cancellation and whole-pass retry (the
-// count is state-free, so re-running a failed pass is always sound).
-func CountEdgesCtx(ctx context.Context, s Stream, retry RetryPolicy) (m, retries int, err error) {
-	return ForEachBatchCtx(ctx, s, retry, func([]graph.Edge) error { return nil })
-}
-
-// CountEdgesAndMaxIDCtx makes one pass over the stream and returns both the
-// number of edges and the largest vertex ID seen (-1 when no edge has a
-// non-negative endpoint), with cancellation and whole-pass retry (max is
-// idempotent under replay, so re-running is sound). Callers that need m
-// *and* will immediately run a degeneracy peel use this to fuse the peel's
-// vertex-ID discovery pass into the edge-counting scan they had to make
-// anyway (degen.Options.KnownVertices).
-func CountEdgesAndMaxIDCtx(ctx context.Context, s Stream, retry RetryPolicy) (m, maxID, retries int, err error) {
-	maxID = -1
-	m, retries, err = ForEachBatchCtx(ctx, s, retry, func(batch []graph.Edge) error {
-		for _, e := range batch {
-			maxID = max(maxID, int(e.U), int(e.V))
-		}
-		return nil
-	})
-	return m, maxID, retries, err
-}
-
 // Materialize makes one pass over the stream and builds the full graph. This
 // is not a streaming operation (it uses Θ(m) space) and exists for ground
-// truth computation, oracles, and tests.
+// truth computation, oracles, and tests. The graph's arrays are sized by n,
+// one more than the largest vertex ID, so IDs too sparse for the stream's m
+// edges are refused before they are allocated, with an error wrapping
+// graph.ErrSparseIDs (graph.CheckDenseIDs).
 func Materialize(s Stream) (*graph.Graph, error) {
 	b := graph.NewBuilder(0)
-	_, err := ForEach(s, func(e graph.Edge) error {
+	m, err := ForEach(s, func(e graph.Edge) error {
 		b.AddEdge(int(e.U), int(e.V))
 		return nil
 	})
 	if err != nil {
 		return nil, err
+	}
+	if err := graph.CheckDenseIDs(b.NumVertices(), m); err != nil {
+		return nil, fmt.Errorf("stream: materializing the graph: %w", err)
 	}
 	return b.Build(), nil
 }

@@ -313,3 +313,49 @@ func TestFileStreamLineTooLong(t *testing.T) {
 		t.Fatalf("expected a line-too-long ErrMalformed, got %v", err)
 	}
 }
+
+// TestVertexCount pins the vertex count every reader reports beside its
+// length, 1 + the largest vertex ID: from a memory stream's edges, from a
+// .bex footer before any pass (the largest of the blocks' maxima), and from
+// a text's parse, unknown until its first pass has completed.
+func TestVertexCount(t *testing.T) {
+	edges := []graph.Edge{{U: 3, V: 1}, {U: 0, V: 41}, {U: 7, V: 7}}
+	check := func(what string, s Stream, want int, wantOK bool) {
+		t.Helper()
+		if n, ok := VerticesOf(s); n != want || ok != wantOK {
+			t.Errorf("%s: Vertices() = %d, %v; want %d, %v", what, n, ok, want, wantOK)
+		}
+	}
+	mem := FromEdges(edges)
+	check("memory", mem, 42, true)
+	check("memory, negative IDs only", FromEdges([]graph.Edge{{U: -1, V: -5}}), 0, true)
+	check("memory, empty", FromEdges(nil), 0, true)
+
+	dir := t.TempDir()
+	bex := filepath.Join(dir, "g.bex")
+	if _, err := WriteBex2File(bex, mem, 2); err != nil {
+		t.Fatal(err)
+	}
+	bs, err := OpenBex2(bex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bs.Close()
+	check(".bex before any pass", bs, 42, true)
+
+	text := filepath.Join(dir, "g.txt")
+	if err := os.WriteFile(text, []byte("3 1\n0 41\n# 99 99\n7 7\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fs := OpenFile(text)
+	defer fs.Close()
+	check("text before its first pass", fs, 0, false)
+	if _, err := CountEdges(fs); err != nil {
+		t.Fatal(err)
+	}
+	check("text after its first pass", fs, 42, true)
+	if _, err := CountEdges(fs); err != nil {
+		t.Fatal(err)
+	}
+	check("text after a pass on its copy", fs, 42, true)
+}

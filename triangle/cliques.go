@@ -32,14 +32,15 @@ type CliqueOptions struct {
 }
 
 // ExactCliques returns the exact number of k-cliques of the graph given as an
-// edge list (k >= 1). It panics on an ID above 2³¹ − 1 (see Edge).
+// edge list (k >= 1). It panics on an ID above 2³¹ − 1 (see Edge), and
+// allocates a slot per ID up to the largest (see Exact).
 func ExactCliques(edges []Edge, k int) int64 {
 	return buildGraph(edges).CliqueCount(k)
 }
 
 // EstimateCliques runs the streaming k-clique estimator over the edge list,
 // streamed in a seeded arbitrary order. An ID above 2³¹ − 1 is an error (see
-// Edge).
+// Edge), and so are IDs too sparse for the edge count (ErrSparseIDs).
 func EstimateCliques(edges []Edge, opts CliqueOptions) (Result, error) {
 	if len(edges) == 0 {
 		return Result{}, ErrNoEdges

@@ -45,9 +45,9 @@ type GroupKappa struct {
 	Kappa int
 	// LowerBound is the certified density lower bound ≤ κ.
 	LowerBound int
-	// Passes is what the resolution cost in logical passes: the peel's
-	// rounds, plus its vertex-ID pass unless the group's opening scan
-	// already found the vertex count (text files).
+	// Passes is what the resolution cost in logical passes: one per peel
+	// round. The peel needs no pass to find the vertex count; the stream
+	// reports it (a text after the group's opening count).
 	Passes int
 	// SpaceWords is the peel's accounted peak space over n vertices: n +
 	// ⌈n/64⌉ words for round 1's degree array and the alive bitset, plus,
@@ -118,9 +118,9 @@ func OpenScanGroup(ctx context.Context, path string, gopts GroupOptions) (*ScanG
 
 // newScanGroup opens a group over src, which stays the caller's to close.
 // Only a stream that does not know its length (text) is scanned at open (see
-// sched.Open): one scan counts its edges and records its vertex count for
-// the peel. A .bex or in-memory stream is not scanned; its peel makes its
-// own vertex-ID pass.
+// sched.Open): one scan counts its edges, and the parse finds its vertex
+// count. A .bex or in-memory stream is not scanned: it reports both facts
+// (a .bex from its footer), so the peel sizes its arrays before any pass.
 func newScanGroup(ctx context.Context, src stream.Stream, backend string, workers int, retry stream.RetryPolicy) (*ScanGroup, error) {
 	sch, err := sched.Open(ctx, src, workers, retry)
 	if err != nil {
@@ -191,9 +191,10 @@ func (g *ScanGroup) Close() error {
 // resolution rather than racing their own; a waiter whose ctx fires gives up
 // waiting without disturbing the resolution). The peel runs as a scheduler
 // client, so it fuses with whatever passes other requests have pending.
+// Errors carry core's abort brands, as Estimate's do.
 func (g *ScanGroup) Degeneracy(ctx context.Context) (GroupKappa, error) {
 	k, _, err := g.resolve(ctx)
-	return k, err
+	return k, core.WrapAbort(err)
 }
 
 // resolve is Degeneracy that also returns the degree array the resolution
@@ -241,7 +242,7 @@ func (g *ScanGroup) resolve(ctx context.Context) (GroupKappa, []int32, error) {
 func (g *ScanGroup) resolveKappa(ctx context.Context) (GroupKappa, []int32, error) {
 	c := g.sch.NewClientCtx(ctx)
 	defer c.Done()
-	dres, deg, err := degen.EstimateWithDegrees(c, degen.Options{KnownVertices: g.sch.Vertices()})
+	dres, deg, err := degen.EstimateWithDegrees(c, degen.Options{})
 	if err != nil {
 		return GroupKappa{}, nil, fmt.Errorf("triangle: %w", err)
 	}
@@ -372,7 +373,7 @@ func (g *ScanGroup) run(ctx context.Context, opts Options, trials int) (runResul
 // (which materializes the graph and computes κ exactly), a zero Degeneracy
 // here uses the group's streaming κ̂ — a certified upper bound, so the
 // estimator's guarantee holds; the sample sizes are merely sized to the
-// looser bound.
+// looser bound. Errors carry core's abort brands, as Estimate's do.
 func (g *ScanGroup) EstimateCliques(ctx context.Context, opts CliqueOptions) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -397,7 +398,7 @@ func (g *ScanGroup) EstimateCliques(ctx context.Context, opts CliqueOptions) (Re
 	res, err := clique.EstimateOn(c, cfg)
 	c.Done()
 	if err != nil {
-		return Result{}, fmt.Errorf("triangle: %w", err)
+		return Result{}, fmt.Errorf("triangle: %w", core.WrapAbort(err))
 	}
 	return Result{
 		Estimate:         res.Estimate,

@@ -342,8 +342,8 @@ func TestScanGroupRejectsCliqueSizeBeforeScanning(t *testing.T) {
 
 // TestScanGroupExpiredContext pins fail-fast semantics: a request whose ctx
 // is already dead never joins a wave and errors out branded — on the peel,
-// the search and the fixed-guess path alike — leaving the group healthy for
-// the next request.
+// the search, the fixed-guess path and a clique request alike — leaving the
+// group healthy for the next request.
 func TestScanGroupExpiredContext(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "expired.txt")
 	writeHolmeKimFile(t, path, 2000, 4)
@@ -370,6 +370,15 @@ func TestScanGroupExpiredContext(t *testing.T) {
 			t.Fatalf("Live() = %d after failed request, want 0", g.Live())
 		}
 	}
+	for _, opts := range []triangle.CliqueOptions{
+		{K: 4, CliqueGuess: 10, Seed: 2}, // the clique request waits on the peel
+		{K: 4, CliqueGuess: 10, Seed: 2, Degeneracy: 4},
+	} {
+		_, err := g.EstimateCliques(ctx, opts)
+		if !errors.Is(err, context.DeadlineExceeded) || !errors.Is(err, core.ErrDeadline) {
+			t.Errorf("cliques κ=%d: error %v, want one wrapping context.DeadlineExceeded and core.ErrDeadline", opts.Degeneracy, err)
+		}
+	}
 
 	res, err := g.Estimate(context.Background(), triangle.Options{Seed: 2})
 	if err != nil || res.Estimate <= 0 {
@@ -381,8 +390,8 @@ func TestScanGroupExpiredContext(t *testing.T) {
 // IDs: two edges naming IDs 0, 1 and 2²³ + 5 make n = 2²³ + 6, above both
 // 2m + 1 and 2²³, so the peel's n-slot arrays are refused before they are
 // allocated, through EstimateFile and through a ScanGroup, as text (n from
-// the opening count) and as .bex (n from the peel's vertex-ID pass). A
-// supplied degeneracy bound skips the peel and answers.
+// the opening count) and as .bex (n from the footer). A supplied degeneracy
+// bound skips the peel and answers.
 func TestSparseIDsRefuseThePeel(t *testing.T) {
 	dir := t.TempDir()
 	text := filepath.Join(dir, "sparse.txt")
@@ -421,4 +430,67 @@ func TestSparseIDsRefuseThePeel(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// sparseFiles writes the edges (0, 1) and (0, 2²³ + 5) as text and as .bex:
+// n = 2²³ + 6 is above both 2m + 1 and 2²³.
+func sparseFiles(t *testing.T) (text, bex string) {
+	t.Helper()
+	dir := t.TempDir()
+	text = filepath.Join(dir, "sparse.txt")
+	if err := os.WriteFile(text, []byte("0 1\n0 8388613\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	bex = filepath.Join(dir, "sparse.bex")
+	if _, err := stream.WriteBex2File(bex, stream.FromEdges([]graph.Edge{{U: 0, V: 1}, {U: 0, V: 8388613}}), 0); err != nil {
+		t.Fatal(err)
+	}
+	return text, bex
+}
+
+// TestScanGroupRefusesSparseBexWithoutAScan pins where a .bex group learns
+// its vertex count: from the footer, at open. The κ̂ peel refuses a sparse
+// .bex before the group has scanned it once.
+func TestScanGroupRefusesSparseBexWithoutAScan(t *testing.T) {
+	_, bex := sparseFiles(t)
+	ctx := context.Background()
+	g, err := triangle.OpenScanGroup(ctx, bex, triangle.GroupOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	if _, err := g.Estimate(ctx, triangle.Options{}); !errors.Is(err, triangle.ErrSparseIDs) {
+		t.Fatalf("Estimate = %v, want ErrSparseIDs", err)
+	}
+	if g.Scans() != 0 {
+		t.Errorf("the group scanned a sparse .bex %d times before refusing it, want 0", g.Scans())
+	}
+}
+
+// TestSparseIDsRefuseMaterializing pins the refusal on the paths that build
+// the graph, whose CSR also has one slot per ID up to the largest: ExactFile,
+// GraphStatsFile and an ExactDegeneracy estimate, as text and as .bex, and
+// the in-memory Estimate and EstimateCliques, all return ErrSparseIDs naming
+// n instead of allocating 2²³ + 6 slots for two edges.
+func TestSparseIDsRefuseMaterializing(t *testing.T) {
+	refused := func(what string, err error) {
+		t.Helper()
+		if !errors.Is(err, triangle.ErrSparseIDs) || !strings.Contains(err.Error(), "n = 8388614") {
+			t.Errorf("%s = %v, want ErrSparseIDs naming n", what, err)
+		}
+	}
+	text, bex := sparseFiles(t)
+	for _, path := range []string{text, bex} {
+		_, err := triangle.ExactFile(path)
+		refused("ExactFile("+path+")", err)
+		_, err = triangle.GraphStatsFile(path)
+		refused("GraphStatsFile("+path+")", err)
+		_, err = triangle.EstimateFile(path, triangle.Options{ExactDegeneracy: true})
+		refused("EstimateFile("+path+", ExactDegeneracy)", err)
+	}
+	edges := []triangle.Edge{{U: 0, V: 1}, {U: 0, V: 8388613}}
+	_, err := triangle.Estimate(edges, triangle.Options{Degeneracy: 2})
+	refused("Estimate", err)
+	_, err = triangle.EstimateCliques(edges, triangle.CliqueOptions{K: 3, CliqueGuess: 1, Degeneracy: 2})
+	refused("EstimateCliques", err)
 }

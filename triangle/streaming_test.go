@@ -299,3 +299,29 @@ func TestEstimateFileTextAndBexAgree(t *testing.T) {
 		t.Fatalf("text %+v and .bex %+v diverge", text, bex)
 	}
 }
+
+// TestBexEstimateSkipsTheVertexPass pins that the vertex count is a fact of
+// the stream: a default estimate over .bex, whose footer reports n at open,
+// makes exactly one pass and one scan fewer than over the same edges as
+// text, whose opening count finds m and n, with identical estimate bits, κ̂
+// and SpaceWords.
+func TestBexEstimateSkipsTheVertexPass(t *testing.T) {
+	edges := ClusteredPreferentialAttachment(3000, 4, 0.6, 5)
+	opts := Options{Seed: 9, Workers: 2}
+	text, err := EstimateFile(writeEdgeFile(t, edges), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bex, err := EstimateFile(writeBex64(t, edges), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(bex.Estimate) != math.Float64bits(text.Estimate) ||
+		bex.SpaceWords != text.SpaceWords || bex.DegeneracyBound != text.DegeneracyBound {
+		t.Fatalf(".bex %+v and text %+v diverge", bex, text)
+	}
+	if bex.Passes != text.Passes-1 || bex.Scans != text.Scans-1 {
+		t.Errorf(".bex made %d passes in %d scans, text %d in %d; want one of each fewer",
+			bex.Passes, bex.Scans, text.Passes, text.Scans)
+	}
+}

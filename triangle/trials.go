@@ -92,6 +92,25 @@ func EstimateFileTrialsCtx(ctx context.Context, path string, opts Options, trial
 	return estimateTrials(ctx, fs, stream.BackendOf(fs), opts, trials)
 }
 
+// wrapped is an Options.WrapStream wrapper together with the stream it
+// wraps, whose vertex count it reports, read when asked (a text knows its
+// count after the opening scan, which runs through the wrapper). The count
+// is a fact of the opened stream, so a wrapper that forwards only the Stream
+// methods and range access must not cost the estimate a pass.
+type wrapped struct {
+	stream.Stream
+	opened stream.Stream
+}
+
+func (w wrapped) Vertices() (int, bool) { return stream.VerticesOf(w.opened) }
+
+func (w wrapped) RangeStream(lo, hi int) (stream.Stream, bool) {
+	if rs, ok := w.Stream.(stream.RangeStreamer); ok {
+		return rs.RangeStream(lo, hi)
+	}
+	return nil, false
+}
+
 // estimateTrials runs trials estimates on a private ScanGroup over src; every
 // facade estimate lands here. The accounting is the whole session's: Passes
 // counts the opening scan, the peel and every trial's passes, and Scans,
@@ -102,7 +121,7 @@ func estimateTrials(ctx context.Context, src stream.Stream, backend string, opts
 	}
 	out := TrialsResult{Trials: trials, Backend: backend}
 	if opts.WrapStream != nil {
-		src = opts.WrapStream(src)
+		src = wrapped{opts.WrapStream(src), src}
 	}
 	if opts.Degeneracy <= 0 && opts.ExactDegeneracy {
 		// Materializing is a text's first pass, so the group below finds the

@@ -2,11 +2,14 @@ package triangle_test
 
 import (
 	"fmt"
+	"io"
+	"math"
 	"path/filepath"
 	"sync/atomic"
 	"testing"
 
 	"degentri/internal/gen"
+	"degentri/internal/graph"
 	"degentri/internal/stream"
 	"degentri/triangle"
 )
@@ -241,6 +244,65 @@ func TestEstimateScansMatchStreamScans(t *testing.T) {
 					t.Errorf("%s: EstimateFileTrials reports %d scans, the stream saw %d", name, tr.Scans, seen)
 				}
 			}
+		}
+	}
+}
+
+// traced forwards only the Stream methods, RangeStream and Close, the shape
+// of a timing wrapper: it reports no vertex count of its own.
+type traced struct{ inner stream.Stream }
+
+func (s traced) Reset() error                                     { return s.inner.Reset() }
+func (s traced) Next() (graph.Edge, error)                        { return s.inner.Next() }
+func (s traced) NextBatch(buf []graph.Edge) ([]graph.Edge, error) { return s.inner.NextBatch(buf) }
+func (s traced) Len() (int, bool)                                 { return s.inner.Len() }
+
+func (s traced) RangeStream(lo, hi int) (stream.Stream, bool) {
+	if rs, ok := s.inner.(stream.RangeStreamer); ok {
+		return rs.RangeStream(lo, hi)
+	}
+	return nil, false
+}
+
+func (s traced) Close() error {
+	if c, ok := s.inner.(io.Closer); ok {
+		return c.Close()
+	}
+	return nil
+}
+
+// TestWrapStreamKeepsTheCost pins that a WrapStream wrapper that forwards no
+// vertex count changes nothing an estimate reports: n is the opened
+// stream's (a .bex footer's, a text's opening count's, which runs through
+// the wrapper), so the wrapped run makes no pass to find it.
+func TestWrapStreamKeepsTheCost(t *testing.T) {
+	dir := t.TempDir()
+	txt := filepath.Join(dir, "g.txt")
+	writeHolmeKimFile(t, txt, 2000, 4)
+	bex := filepath.Join(dir, "g.bex")
+	src, err := stream.OpenAuto(txt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = stream.WriteBex2File(bex, src, 128)
+	src.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{txt, bex} {
+		opts := triangle.Options{Seed: 5, Workers: 2}
+		plain, err := triangle.EstimateFile(path, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.WrapStream = func(s stream.Stream) stream.Stream { return traced{s} }
+		wrapped, err := triangle.EstimateFile(path, opts)
+		if err != nil {
+			t.Fatalf("%s wrapped: %v", filepath.Base(path), err)
+		}
+		if math.Float64bits(wrapped.Estimate) != math.Float64bits(plain.Estimate) || wrapped.Passes != plain.Passes ||
+			wrapped.Scans != plain.Scans || wrapped.SpaceWords != plain.SpaceWords || wrapped.DegeneracyBound != plain.DegeneracyBound {
+			t.Errorf("%s: wrapped %+v, unwrapped %+v", filepath.Base(path), wrapped, plain)
 		}
 	}
 }

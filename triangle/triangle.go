@@ -27,7 +27,6 @@ import (
 
 	"degentri/internal/clique"
 	"degentri/internal/core"
-	"degentri/internal/degen"
 	"degentri/internal/graph"
 	"degentri/internal/stream"
 )
@@ -174,19 +173,30 @@ type Stats struct {
 // ErrNoEdges is returned when an estimate is requested over an empty input.
 var ErrNoEdges = errors.New("triangle: input contains no edges")
 
-// ErrSparseIDs is wrapped by the error of an estimate whose streamed
-// degeneracy bound is refused: n, one more than the largest vertex ID, is
-// above both 2m + 1 and 2²³, and the bound's peel would allocate n-slot
-// arrays. Supplying Options.Degeneracy skips the peel.
-var ErrSparseIDs = degen.ErrSparseIDs
+// ErrSparseIDs is wrapped by the error of a computation refused because its
+// vertex IDs are too sparse: n, one more than the largest vertex ID, is above
+// both 2m + 1 and 2²³, and the computation would allocate n-slot arrays. The
+// streamed degeneracy bound's peel refuses such a stream (supplying
+// Options.Degeneracy skips the peel), and so do the entry points that build
+// the graph and return an error: ExactFile, GraphStatsFile, ExactDegeneracy,
+// Estimate, EstimateCtx and EstimateCliques.
+var ErrSparseIDs = graph.ErrSparseIDs
 
 // checkEdgeIDs returns an error naming the first edge with an endpoint above
-// graph.MaxVertexID, which no stored edge holds.
+// graph.MaxVertexID, which no stored edge holds, or one wrapping ErrSparseIDs
+// when buildGraph would allocate too many vertex slots for the edges.
 func checkEdgeIDs(edges []Edge) error {
+	top := -1
 	for _, e := range edges {
 		if e.U > graph.MaxVertexID || e.V > graph.MaxVertexID {
 			return fmt.Errorf("triangle: edge (%d,%d) has a vertex id above %d", e.U, e.V, graph.MaxVertexID)
 		}
+		if e.U != e.V && e.U >= 0 && e.V >= 0 {
+			top = max(top, e.U, e.V)
+		}
+	}
+	if err := graph.CheckDenseIDs(top+1, len(edges)); err != nil {
+		return fmt.Errorf("triangle: %w", err)
 	}
 	return nil
 }
@@ -206,14 +216,18 @@ func buildGraph(edges []Edge) *graph.Graph {
 
 // Exact returns the exact triangle count of the graph given as an edge list.
 // Duplicate edges and self loops are ignored. It panics on an ID above
-// 2³¹ − 1 (see Edge).
+// 2³¹ − 1 (see Edge). Like Degeneracy, GraphStats and ExactCliques it builds
+// a graph with one vertex slot per ID up to the largest, however few edges
+// name them, and returns no error: IDs too sparse for the edge count (see
+// ErrSparseIDs) cost that memory here.
 func Exact(edges []Edge) int64 {
 	return buildGraph(edges).TriangleCount()
 }
 
 // ExactFile returns the exact triangle count of an edge file: a
 // whitespace-separated edge list ("u v" per line, # and % comments allowed)
-// or a binary .bex file (see cmd/graphgen for the converter).
+// or a binary .bex file (see cmd/graphgen for the converter). IDs too sparse
+// for the file's edge count are refused with an error wrapping ErrSparseIDs.
 func ExactFile(path string) (int64, error) {
 	fs, err := stream.OpenAuto(path)
 	if err != nil {
@@ -228,19 +242,22 @@ func ExactFile(path string) (int64, error) {
 }
 
 // Degeneracy returns the exact degeneracy κ of the graph given as an edge
-// list. It panics on an ID above 2³¹ − 1 (see Edge).
+// list. It panics on an ID above 2³¹ − 1 (see Edge), and allocates a slot
+// per ID up to the largest (see Exact).
 func Degeneracy(edges []Edge) int {
 	return buildGraph(edges).Degeneracy()
 }
 
 // GraphStats computes the exact structural summary of an edge list. It
-// panics on an ID above 2³¹ − 1 (see Edge).
+// panics on an ID above 2³¹ − 1 (see Edge), and allocates a slot per ID up
+// to the largest (see Exact).
 func GraphStats(edges []Edge) Stats {
 	return statsOf(buildGraph(edges))
 }
 
 // GraphStatsFile computes the exact structural summary of an edge file
-// (text edge list or .bex).
+// (text edge list or .bex). IDs too sparse for the file's edge count are
+// refused with an error wrapping ErrSparseIDs.
 func GraphStatsFile(path string) (Stats, error) {
 	fs, err := stream.OpenAuto(path)
 	if err != nil {
@@ -276,7 +293,8 @@ func statsOf(g *graph.Graph) Stats {
 // simple graph and Result.Edges reports the deduplicated count. This differs
 // from EstimateFile, which streams the file verbatim (multigraph semantics).
 // An input whose every edge is a loop or negative returns ErrNoEdges, the
-// same as an empty list; an ID above 2³¹ − 1 is an error (see Edge).
+// same as an empty list; an ID above 2³¹ − 1 is an error (see Edge), and so
+// are IDs too sparse for the edge count (ErrSparseIDs).
 func Estimate(edges []Edge, opts Options) (Result, error) {
 	return EstimateCtx(context.Background(), edges, opts)
 }
