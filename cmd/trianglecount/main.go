@@ -52,12 +52,12 @@ func main() {
 		input   = flag.String("input", "", "path to the edge-list file (required)")
 		exact   = flag.Bool("exact", false, "compute the exact triangle count instead of estimating")
 		stats   = flag.Bool("stats", false, "print the exact structural summary (n, m, T, κ, ∆, transitivity)")
-		epsilon = flag.Float64("epsilon", 0.1, "target relative error of the estimate")
+		epsilon = flag.Float64("epsilon", 0.1, "target relative error of the estimate (0 = 0.1)")
 		kappa   = flag.Int("kappa", 0, "upper bound on the degeneracy (0 = streaming 3-approximation in O(n) space)")
 		exactK  = flag.Bool("exact-kappa", false, "with -kappa 0, compute the exact degeneracy instead (materializes the graph, Θ(m) memory)")
 		guess   = flag.Int64("guess", 0, "lower-bound guess for the triangle count (0 = geometric search)")
-		seed    = flag.Uint64("seed", 1, "random seed")
-		mult    = flag.Float64("multiplier", 1, "sample-size multiplier (>1 trades space for accuracy)")
+		seed    = flag.Uint64("seed", 1, "random seed (0 = 1)")
+		mult    = flag.Float64("multiplier", 1, "sample-size multiplier (>1 trades space for accuracy; 0 = 1)")
 		workers = flag.Int("workers", 0, "shard workers per pass (0 = all cores); the estimate is identical at any setting")
 		dcache  = flag.Int64("decode-cache", stream.DefaultDecodeCacheBytes, "byte budget of the decoded-block cache serving repeat .bex v2 block reads (0 disables); the estimate is identical")
 		trials  = flag.Int("trials", 1, "independent estimator runs over keyed seeds (trial 0 = -seed), fused onto shared physical scans; reports mean ± stderr")
@@ -76,9 +76,10 @@ func main() {
 		flag.Usage()
 		os.Exit(exitUsage)
 	}
-	// The library rejects these too; checking here names the flag and exits
-	// with the usage code before any input is read. Zero selects the library
-	// default, except for -trials.
+	// The library rejects most of these too; checking here names the flag and
+	// exits with the usage code before any input is read. No numeric flag but
+	// -retries may be negative, and zero selects the default each usage string
+	// names, except for -trials.
 	usage := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "trianglecount: "+format+"\n", args...)
 		os.Exit(exitUsage)
@@ -94,6 +95,10 @@ func main() {
 		usage("-guess must be non-negative, got %d", *guess)
 	case *workers < 0:
 		usage("-workers must be non-negative, got %d", *workers)
+	case *dcache < 0:
+		usage("-decode-cache must be non-negative, got %d", *dcache)
+	case *timeout < 0:
+		usage("-timeout must be non-negative, got %v", *timeout)
 	case *trials < 1:
 		usage("-trials must be positive, got %d", *trials)
 	}

@@ -103,15 +103,15 @@ func runServe(args []string) {
 		workers    = fs.Int("workers", 0, "shard workers per physical scan (0 = all cores)")
 		retries    = fs.Int("retries", 0, "transient I/O retry attempts per scan (0 = default 3, negative = disabled)")
 		dcache     = fs.Int64("decode-cache", stream.DefaultDecodeCacheBytes, "byte budget of the decoded-block cache serving repeat .bex v2 block reads (0 disables); results are identical")
-		maxConc    = fs.Int("max-concurrent", 0, "execution slots (0 = 2x cores)")
-		queue      = fs.Int("queue", 64, "bounded queue depth; requests beyond it are shed with 429")
-		ceiling    = fs.Int64("ceiling", 1<<26, "aggregate admitted space-budget ceiling, words")
-		defBudget  = fs.Int64("default-budget", 1<<22, "space budget assumed for requests that declare none, words")
-		defTimeout = fs.Duration("timeout", 30*time.Second, "deadline for requests that declare none")
-		maxTimeout = fs.Duration("max-timeout", 120*time.Second, "clamp on declared request deadlines")
-		brThresh   = fs.Int("breaker-threshold", 3, "consecutive I/O failures that quarantine a graph")
-		brBackoff  = fs.Duration("breaker-backoff", 500*time.Millisecond, "first quarantine period (doubles per re-trip)")
-		brMax      = fs.Duration("breaker-backoff-max", 30*time.Second, "quarantine period cap")
+		maxConc    = fs.Int("max-concurrent", 0, "execution slots (0 = 2x cores, at least 4)")
+		queue      = fs.Int("queue", 64, "bounded queue depth; requests beyond it are shed with 429 (0 = 64)")
+		ceiling    = fs.Int64("ceiling", 1<<26, "aggregate admitted space-budget ceiling, words (0 = 1<<26)")
+		defBudget  = fs.Int64("default-budget", 1<<22, "space budget assumed for requests that declare none, words (0 = 1<<22)")
+		defTimeout = fs.Duration("timeout", 30*time.Second, "deadline for requests that declare none (0 = 30s)")
+		maxTimeout = fs.Duration("max-timeout", 120*time.Second, "clamp on declared request deadlines (0 = 120s)")
+		brThresh   = fs.Int("breaker-threshold", 3, "consecutive I/O failures that quarantine a graph (0 = 3)")
+		brBackoff  = fs.Duration("breaker-backoff", 500*time.Millisecond, "first quarantine period, doubling per re-trip (0 = 500ms)")
+		brMax      = fs.Duration("breaker-backoff-max", 30*time.Second, "quarantine period cap (0 = 30s)")
 		inject     = fs.Bool("allow-inject", false, "enable the ?inject= fault-injection parameter (chaos testing)")
 		grace      = fs.Duration("drain-grace", 30*time.Second, "drain grace period before in-flight requests are hard-cancelled")
 		version    = fs.Bool("version", false, "print version and exit")
@@ -121,6 +121,27 @@ func runServe(args []string) {
 		fmt.Println(buildinfo.String("triangled"))
 		return
 	}
+	// No numeric flag but -retries may be negative: the server would replace
+	// the value with its default, or fail every request with it.
+	fs.VisitAll(func(f *flag.Flag) {
+		g, ok := f.Value.(flag.Getter)
+		if !ok || f.Name == "retries" {
+			return
+		}
+		var negative bool
+		switch v := g.Get().(type) {
+		case int:
+			negative = v < 0
+		case int64:
+			negative = v < 0
+		case time.Duration:
+			negative = v < 0
+		}
+		if negative {
+			fmt.Fprintf(os.Stderr, "triangled: -%s must be non-negative, got %v\n", f.Name, f.Value)
+			os.Exit(exitUsage)
+		}
+	})
 	if len(graphs) == 0 {
 		fmt.Fprintln(os.Stderr, "triangled: at least one -graph name=path is required")
 		fs.Usage()

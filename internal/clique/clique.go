@@ -148,7 +148,8 @@ type instance struct {
 	edgeDeg int
 	light   int
 	other   int
-	// The k-2 sampled neighbors (aliases the merger's bank after pass 3).
+	// The distinct neighbors among the k-2 draws of pass 3, in draw order
+	// (the merger's W); all k-2 draws are distinct when it holds k-2.
 	sampled []int
 	// Adjacency requirements discovered in the closure pass.
 	required int
@@ -313,7 +314,7 @@ func EstimateOn(x passes.Executor, cfg Config) (Result, error) {
 	needKeys := make([]graph.Edge, 0, l*checks)
 	needInst := make([]int32, 0, l*checks)
 	for i := range instances {
-		instances[i].prepare(i, &needKeys, &needInst)
+		instances[i].prepare(i, extra, &needKeys, &needInst)
 	}
 	needed := graph.NewEdgeIndex(needKeys)
 	meter.Charge(int64(needed.Keys()) * (stream.WordsPerEdge + stream.WordsPerScalar))
@@ -355,35 +356,35 @@ func EstimateOn(x passes.Executor, cfg Config) (Result, error) {
 // prepare validates distinctness and registers the adjacency checks the
 // closure pass must confirm: every sampled vertex must be adjacent to the
 // heavy endpoint, and all sampled vertices must be pairwise adjacent.
-// (Adjacency to the light endpoint holds by construction.) Requirements are
-// appended as (edge key, instance index) pairs for a graph.EdgeIndex.
-func (inst *instance) prepare(idx int, needKeys *[]graph.Edge, needInst *[]int32) {
-	if inst.sampled == nil {
+// (Adjacency to the light endpoint holds by construction.) The extra = k-2
+// draws are distinct offers exactly when the bank drew extra of them; they
+// are distinct vertices unless parallel edges offered one vertex twice, which
+// the pair checks find and withdraw. Requirements are appended as (edge key,
+// instance index) pairs for a graph.EdgeIndex.
+func (inst *instance) prepare(idx, extra int, needKeys *[]graph.Edge, needInst *[]int32) {
+	if len(inst.sampled) != extra {
 		return
 	}
-	inst.distinct = true
-	for i, w := range inst.sampled {
+	for _, w := range inst.sampled {
 		if w < 0 || w == inst.other || w == inst.light {
-			inst.distinct = false
 			return
 		}
-		for j := 0; j < i; j++ {
-			if inst.sampled[j] == w {
-				inst.distinct = false
-				return
-			}
-		}
 	}
+	start := len(*needKeys)
 	for i, w := range inst.sampled {
 		*needKeys = append(*needKeys, graph.NewEdge(inst.other, w))
 		*needInst = append(*needInst, int32(idx))
-		inst.required++
-		for j := i + 1; j < len(inst.sampled); j++ {
-			*needKeys = append(*needKeys, graph.NewEdge(w, inst.sampled[j]))
+		for _, v := range inst.sampled[i+1:] {
+			if v == w {
+				*needKeys, *needInst = (*needKeys)[:start], (*needInst)[:start]
+				return
+			}
+			*needKeys = append(*needKeys, graph.NewEdge(w, v))
 			*needInst = append(*needInst, int32(idx))
-			inst.required++
 		}
 	}
+	inst.distinct = true
+	inst.required = len(*needKeys) - start
 }
 
 func clampInt(v, lo, hi int) int {

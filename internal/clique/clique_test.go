@@ -86,6 +86,30 @@ func TestEstimateCliqueFreeGraph(t *testing.T) {
 	}
 }
 
+// TestEstimateParallelEdgesAreNotCliques streams a wheel verbatim with every
+// edge doubled and a loop at every vertex. Two draws can then be distinct
+// offers of one vertex, whose pair check a loop would satisfy, so the
+// estimate stays 0 only if such draws are refused as the same vertex.
+func TestEstimateParallelEdgesAreNotCliques(t *testing.T) {
+	g := gen.Wheel(500)
+	var edges []graph.Edge
+	for _, e := range g.Edges() {
+		edges = append(edges, e, e)
+	}
+	for v := range g.NumVertices() {
+		edges = append(edges, graph.NewEdge(v, v))
+	}
+	cfg := DefaultConfig(4, 0.2, 3, 10)
+	cfg.Seed = 3
+	res, err := Estimate(stream.FromEdges(edges), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Estimate != 0 || res.CliquesFound != 0 {
+		t.Fatalf("doubled wheel with loops: 4-clique estimate %v (found %d)", res.Estimate, res.CliquesFound)
+	}
+}
+
 func relErrOverTrials(t *testing.T, g *graph.Graph, cfg Config, trials int, truth float64) float64 {
 	t.Helper()
 	var sum float64

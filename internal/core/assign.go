@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"slices"
 
 	"degentri/internal/graph"
 	"degentri/internal/passes"
@@ -42,17 +41,16 @@ func (t *assignmentTable) assigned() int {
 }
 
 // triState is the per-triangle state of the assignment procedure
-// (Algorithm 3). Each of the three edge slots carries its own neighborhood
-// sample of size s.
+// (Algorithm 3). Each of the three edge slots draws its own neighborhood
+// sample of size s in pass 5.
 type triState struct {
 	tri    graph.Triangle
 	edges  [3]graph.Edge
 	light  [3]int
 	other  [3]int
-	deg    [3]int   // d_f = min endpoint degree of the slot's edge
-	skip   [3]bool  // true when d_f exceeds the heavy-degree threshold (line 9)
-	sample [3][]int // s samples from N(f); -1 entries never materialized
-	closed [3]int   // how many of the s samples closed a triangle (pass 6)
+	deg    [3]int  // d_f = min endpoint degree of the slot's edge
+	skip   [3]bool // true when d_f exceeds the heavy-degree threshold (line 9)
+	closed [3]int  // how many of the s samples closed a triangle (pass 6)
 	ye     [3]float64
 }
 
@@ -197,44 +195,24 @@ func (est *Estimator) assign(
 		if err != nil {
 			return table, err
 		}
-		for j, id := range slotIDs {
-			if banks[j].Has() {
-				states[id/3].sample[id%3] = banks[j].W
-			}
-		}
 
 		// ----- Pass 6: closure checks for all drawn samples. -----
-		// For each active slot, count the distinct sampled neighbors (a sort
-		// over its s samples instead of a scratch map) and index the closing
-		// edges they imply.
+		// Each distinct sampled neighbor w of a slot implies one closing edge
+		// (other, w), hit as often as the bank drew w. A neighbor that is
+		// negative or is the slot's other endpoint closes nothing.
 		type hit struct {
 			id    int32 // state-index*3+slot
 			count int32
 		}
 		var hitKeys []graph.Edge
 		var hits []hit
-		scratch := make([]int, 0, s)
-		for _, id := range slotIDs {
-			st := &states[id/3]
-			slot := int(id % 3)
-			if st.skip[slot] || st.sample[slot] == nil {
-				continue
-			}
-			scratch = scratch[:0]
-			for _, w := range st.sample[slot] {
-				if w >= 0 && w != st.other[slot] {
-					scratch = append(scratch, w)
+		for j, id := range slotIDs {
+			other := states[id/3].other[id%3]
+			for i, w := range banks[j].W {
+				if w >= 0 && w != other {
+					hitKeys = append(hitKeys, graph.NewEdge(other, w))
+					hits = append(hits, hit{id: id, count: int32(banks[j].C[i])})
 				}
-			}
-			slices.Sort(scratch)
-			for k := 0; k < len(scratch); {
-				j := k + 1
-				for j < len(scratch) && scratch[j] == scratch[k] {
-					j++
-				}
-				hitKeys = append(hitKeys, graph.NewEdge(st.other[slot], scratch[k]))
-				hits = append(hits, hit{id: id, count: int32(j - k)})
-				k = j
 			}
 		}
 		closure := graph.NewEdgeIndex(hitKeys)

@@ -47,12 +47,13 @@ func bankBenchStream() ([]graph.Edge, []int) {
 // BenchmarkSampleNeighborBanks times pass 5's bank sampler at one worker over
 // the 64-shard grid, for a bank smaller than most group degrees (k = 64) and
 // one larger than all but the hubs' (k = 4096), and reports ns per stream
-// edge.
+// edge and the allocations, which include the samples the banks hand back.
 func BenchmarkSampleNeighborBanks(b *testing.B) {
 	edges, vertices := bankBenchStream()
 	groups := graph.NewVertexGroups(slices.Clone(vertices))
 	for _, k := range []int{64, 4096} {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			b.ReportAllocs()
 			for b.Loop() {
 				x := passes.NewDirect(stream.FromEdges(edges), len(edges), 1)
 				if _, err := passes.SampleNeighborBanks(x, groups, len(vertices), k, 1, 2, 3); err != nil {

@@ -358,7 +358,9 @@ type bankShard struct {
 // of the single reservoir, and self-loops offer nothing there too. The shard
 // merges leave each instance a uniform k-subset of its offers, and the k
 // samples are drawn from it once the pass ends, so an instance whose vertex
-// has degree d costs O(d + k).
+// has degree d costs O(d + k) time. Each merger hands the samples back as
+// their multiset: W, the distinct neighbors drawn in first-draw order, and C,
+// their multiplicities, summing to k.
 func SampleNeighborBanks(
 	x Executor,
 	groups *graph.VertexGroups, n, k int,
@@ -407,8 +409,9 @@ func SampleNeighborBanks(
 	if err != nil {
 		return nil, err
 	}
+	var counts []int
 	for i := range merged {
-		merged[i].Finish()
+		counts = merged[i].Finish(counts)
 	}
 	return merged, nil
 }

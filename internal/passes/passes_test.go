@@ -412,40 +412,44 @@ func TestSampleNeighborBanks(t *testing.T) {
 		n := len(vertices)
 
 		for _, k := range bankSizes(t, edges, vertices) {
-			var base [][]int
+			var base []sampling.ResKMerger
 			for _, workers := range workerSweep {
 				merged, err := passes.SampleNeighborBanks(
 					passes.NewDirect(stream.FromEdges(edges), m, workers), groups, n, k, 999, 30, 31)
 				if err != nil {
 					t.Fatalf("%s k=%d workers=%d: %v", in.name, k, workers, err)
 				}
-				banks := make([][]int, n)
 				for i, v := range vertices {
 					adj := adjacency(edges, v)
-					if !merged[i].Has() {
+					b := &merged[i]
+					if !b.Has() {
 						t.Fatalf("%s k=%d workers=%d: vertex %d has %d neighbors but no samples", in.name, k, workers, v, len(adj))
 					}
-					if merged[i].N != int64(len(adj)) {
-						t.Errorf("%s k=%d workers=%d: vertex %d saw %d offers, want its degree %d", in.name, k, workers, v, merged[i].N, len(adj))
+					if b.N != int64(len(adj)) {
+						t.Errorf("%s k=%d workers=%d: vertex %d saw %d offers, want its degree %d", in.name, k, workers, v, b.N, len(adj))
 					}
-					if len(merged[i].W) != k {
-						t.Fatalf("%s k=%d workers=%d: vertex %d bank holds %d samples, want %d", in.name, k, workers, v, len(merged[i].W), k)
+					sum := 0
+					for _, c := range b.C {
+						sum += c
 					}
-					for j, w := range merged[i].W {
-						if !slices.Contains(adj, w) {
-							t.Errorf("%s k=%d workers=%d: bank[%d][%d] = %d, not a neighbor of %d", in.name, k, workers, i, j, w, v)
+					if len(b.C) != len(b.W) || sum != k || len(b.W) > min(k, len(adj)) {
+						t.Fatalf("%s k=%d workers=%d: vertex %d (degree %d) bank holds W=%v C=%v, want at most %d distinct neighbors whose counts sum to %d",
+							in.name, k, workers, v, len(adj), b.W, b.C, min(k, len(adj)), k)
+					}
+					for j, w := range b.W {
+						if !slices.Contains(adj, w) || slices.Index(b.W, w) != j {
+							t.Errorf("%s k=%d workers=%d: bank[%d] W[%d] = %d is not a distinct neighbor of %d", in.name, k, workers, i, j, w, v)
 						}
 					}
-					banks[i] = slices.Clone(merged[i].W)
 				}
 				if base == nil {
-					base = banks
-				} else {
-					for i := range banks {
-						if !slices.Equal(banks[i], base[i]) {
-							t.Errorf("%s k=%d workers=%d: bank %d diverges from workers=1: %v vs %v",
-								in.name, k, workers, i, banks[i], base[i])
-						}
+					base = merged
+					continue
+				}
+				for i := range merged {
+					if !slices.Equal(merged[i].W, base[i].W) || !slices.Equal(merged[i].C, base[i].C) {
+						t.Errorf("%s k=%d workers=%d: bank %d diverges from workers=1: W=%v C=%v vs W=%v C=%v",
+							in.name, k, workers, i, merged[i].W, merged[i].C, base[i].W, base[i].C)
 					}
 				}
 			}

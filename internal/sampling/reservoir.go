@@ -1,57 +1,9 @@
 package sampling
 
-// Reservoir maintains a uniform random sample (with replacement across
-// independent reservoirs, without replacement within one) of k items from a
-// stream of unknown length, using Vitter's Algorithm R. Each call to Offer
-// costs O(1) expected time and the reservoir holds at most k items.
-type Reservoir[T any] struct {
-	k     int
-	seen  int64
-	items []T
-	rng   *RNG
-}
-
-// NewReservoir creates a reservoir that keeps a uniform sample of up to k
-// items. It panics if k <= 0.
-func NewReservoir[T any](k int, rng *RNG) *Reservoir[T] {
-	if k <= 0 {
-		panic("sampling: reservoir size must be positive")
-	}
-	return &Reservoir[T]{k: k, items: make([]T, 0, k), rng: rng}
-}
-
-// Offer presents the next stream item to the reservoir.
-func (r *Reservoir[T]) Offer(item T) {
-	r.seen++
-	if len(r.items) < r.k {
-		r.items = append(r.items, item)
-		return
-	}
-	j := r.rng.Int63n(r.seen)
-	if j < int64(r.k) {
-		r.items[j] = item
-	}
-}
-
-// Items returns the current sample. The slice aliases internal storage.
-func (r *Reservoir[T]) Items() []T { return r.items }
-
-// Seen returns how many items have been offered.
-func (r *Reservoir[T]) Seen() int64 { return r.seen }
-
-// Capacity returns k.
-func (r *Reservoir[T]) Capacity() int { return r.k }
-
-// Reset clears the reservoir for a fresh pass.
-func (r *Reservoir[T]) Reset() {
-	r.items = r.items[:0]
-	r.seen = 0
-}
-
-// SingleReservoir keeps one uniform random item from a stream. It is the
-// size-1 special case used pervasively by the estimators (uniform neighbor
-// selection in passes 3 and 5 of Algorithm 2), kept separate from Reservoir
-// to avoid slice overhead when millions of instances are live at once.
+// SingleReservoir keeps one uniform random item from a stream, drawing once
+// per offer from a shared RNG. The degree-oracle estimator (Algorithm 1,
+// core.IdealEstimator) uses it for uniform neighbor selection; the streaming
+// passes use the keyed, skip-ahead Res1 and ResK instead (shardres.go).
 type SingleReservoir[T any] struct {
 	seen  int64
 	item  T

@@ -5,104 +5,6 @@ import (
 	"testing"
 )
 
-func TestReservoirKeepsAllWhenUnderCapacity(t *testing.T) {
-	r := NewReservoir[int](10, NewRNG(1))
-	for i := 0; i < 5; i++ {
-		r.Offer(i)
-	}
-	if len(r.Items()) != 5 || r.Seen() != 5 {
-		t.Fatalf("items=%v seen=%d", r.Items(), r.Seen())
-	}
-	for i, v := range r.Items() {
-		if v != i {
-			t.Fatalf("item %d = %d", i, v)
-		}
-	}
-}
-
-func TestReservoirCapacityRespected(t *testing.T) {
-	r := NewReservoir[int](7, NewRNG(2))
-	for i := 0; i < 1000; i++ {
-		r.Offer(i)
-	}
-	if len(r.Items()) != 7 {
-		t.Fatalf("len=%d, want 7", len(r.Items()))
-	}
-	if r.Capacity() != 7 {
-		t.Fatalf("capacity=%d", r.Capacity())
-	}
-	if r.Seen() != 1000 {
-		t.Fatalf("seen=%d", r.Seen())
-	}
-}
-
-func TestReservoirPanicsOnBadCapacity(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewReservoir[int](0, NewRNG(1))
-}
-
-func TestReservoirUniformity(t *testing.T) {
-	// Sample 1 item from a stream of 20, repeat many times; each element
-	// should be chosen ~1/20 of the time.
-	const stream = 20
-	const trials = 40000
-	counts := make([]int, stream)
-	rng := NewRNG(3)
-	for trial := 0; trial < trials; trial++ {
-		r := NewReservoir[int](1, rng)
-		for i := 0; i < stream; i++ {
-			r.Offer(i)
-		}
-		counts[r.Items()[0]]++
-	}
-	for i, c := range counts {
-		frac := float64(c) / trials
-		if math.Abs(frac-1.0/stream) > 0.01 {
-			t.Fatalf("element %d selected with frequency %.4f, want ~%.4f", i, frac, 1.0/stream)
-		}
-	}
-}
-
-func TestReservoirInclusionProbability(t *testing.T) {
-	// With k=5 over 50 items every item should appear with probability 0.1.
-	const stream = 50
-	const k = 5
-	const trials = 20000
-	counts := make([]int, stream)
-	rng := NewRNG(4)
-	for trial := 0; trial < trials; trial++ {
-		r := NewReservoir[int](k, rng)
-		for i := 0; i < stream; i++ {
-			r.Offer(i)
-		}
-		for _, v := range r.Items() {
-			counts[v]++
-		}
-	}
-	want := float64(k) / stream
-	for i, c := range counts {
-		frac := float64(c) / trials
-		if math.Abs(frac-want) > 0.015 {
-			t.Fatalf("element %d inclusion frequency %.4f, want ~%.2f", i, frac, want)
-		}
-	}
-}
-
-func TestReservoirReset(t *testing.T) {
-	r := NewReservoir[int](3, NewRNG(5))
-	for i := 0; i < 10; i++ {
-		r.Offer(i)
-	}
-	r.Reset()
-	if len(r.Items()) != 0 || r.Seen() != 0 {
-		t.Fatal("reset did not clear reservoir")
-	}
-}
-
 func TestSingleReservoirEmpty(t *testing.T) {
 	s := NewSingleReservoir[string](NewRNG(1))
 	if _, ok := s.Value(); ok {

@@ -82,11 +82,6 @@ func (r *RNG) Bernoulli(p float64) bool {
 	return r.Float64() < p
 }
 
-// Exp returns an exponentially distributed value with rate 1.
-func (r *RNG) Exp() float64 {
-	return -math.Log(r.Float64Open())
-}
-
 // Perm returns a uniformly random permutation of [0, n).
 func (r *RNG) Perm(n int) []int {
 	p := make([]int, n)

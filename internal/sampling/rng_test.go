@@ -157,19 +157,6 @@ func TestShuffleFuncSwaps(t *testing.T) {
 	}
 }
 
-func TestExpMean(t *testing.T) {
-	r := NewRNG(9)
-	var sum float64
-	const n = 200000
-	for i := 0; i < n; i++ {
-		sum += r.Exp()
-	}
-	mean := sum / n
-	if math.Abs(mean-1) > 0.02 {
-		t.Fatalf("exponential mean %.4f, want ~1", mean)
-	}
-}
-
 func TestGeometricMean(t *testing.T) {
 	r := NewRNG(10)
 	p := 0.25

@@ -19,7 +19,8 @@ import "math"
 //     shard's sample of weight n over an accumulated weight N with
 //     probability n/(N+n); ResKMerger splits a uniform k-subset of the union
 //     between its two sides with one hypergeometric draw, and its Finish
-//     turns the merged subset into k samples with replacement.
+//     draws k samples with replacement from the merged subset, handing them
+//     back as the distinct offers drawn and their multiplicities.
 //
 // Because every draw is keyed by stable indices and merges happen in shard
 // order, the merged samples are identical for any worker count — the
@@ -132,12 +133,12 @@ func (m *Res1Merger) Has() bool { return m.N > 0 }
 
 // ResK is the per-shard half of a k-sample bank: it keeps a uniform k-subset,
 // without replacement, of its shard's sub-stream, which ResKMerger combines
-// across shards and turns into k samples with replacement. The first k offers
-// are kept verbatim, with no draws. Past k, Algorithm L (Li, "Reservoir-
-// Sampling Algorithms of Time Complexity O(n(1+log(N/n)))", ACM TOMS 1994)
-// draws the index of the next accepted offer directly, so an offer costs an
-// append or one comparison, and N offers cost O(k·log(N/k)) draws. The zero
-// value is unusable; call Init first.
+// across shards and turns into the multiset of k samples with replacement.
+// The first k offers are kept verbatim, with no draws. Past k, Algorithm L
+// (Li, "Reservoir-Sampling Algorithms of Time Complexity O(n(1+log(N/n)))",
+// ACM TOMS 1994) draws the index of the next accepted offer directly, so an
+// offer costs an append or one comparison, and N offers cost O(k·log(N/k))
+// draws. The zero value is unusable; call Init first.
 type ResK struct {
 	N    int64
 	kept []int   // the first min(N, k) offers, then a uniform k-subset
@@ -192,10 +193,12 @@ func (r *ResK) advance(i int64) {
 
 // ResKMerger accumulates per-shard ResK banks, absorbed in ascending shard
 // order, into a uniform min(N, k)-subset of all N offers; Finish then draws
-// the k samples with replacement.
+// the k samples with replacement and keeps only their multiset: W, the
+// distinct offers drawn, in first-draw order, and C, how often each was drawn.
 type ResKMerger struct {
 	N    int64
-	W    []int // the k samples, set by Finish when N > 0
+	W    []int // the distinct offers among the k samples, set by Finish when N > 0
+	C    []int // C[i] is how many of the k samples drew W[i]; the counts sum to k
 	kept []int // a uniform min(N, k)-subset of the offers absorbed so far
 	k    int
 	rng  RNG
@@ -228,31 +231,40 @@ func (m *ResKMerger) Absorb(r *ResK) {
 	m.N = total
 }
 
-// Finish draws W, k uniform samples with replacement from all N offers. Each
-// draw takes u uniform in [0, N). The d distinct offers drawn so far sit at
-// the front of the kept subset, and u < d, probability d/N, repeats offer u.
-// Otherwise the draw is a fresh offer, uniform over the N−d undrawn ones; a
-// uniform pick among the subset's unused offers is exactly that, because the
-// subset is a uniform subset of all N offers.
-func (m *ResKMerger) Finish() {
+// Finish draws k uniform samples with replacement from all N offers and sets
+// W and C to their multiset. Each draw takes u uniform in [0, N). The d
+// distinct offers drawn so far sit at the front of the kept subset, and
+// u < d, probability d/N, repeats offer u. Otherwise the draw is a fresh
+// offer, uniform over the N−d undrawn ones; a uniform pick among the subset's
+// unused offers is exactly that, because the subset is a uniform subset of
+// all N offers. The counts accumulate in counts, scratch space of any length
+// that Finish returns for the next merger's call. W and C are then copied out
+// at their exact size d, in one allocation, and the subset is released.
+func (m *ResKMerger) Finish(counts []int) []int {
 	if m.N == 0 {
-		return
+		return counts
 	}
 	s, d := m.kept, int64(0)
-	m.W = make([]int, m.k)
-	for i := range m.W {
+	counts = counts[:0]
+	for range m.k {
 		u := m.rng.Int63n(m.N)
-		if u >= d {
-			if m.N > int64(len(s)) {
-				u = d + m.rng.Int63n(int64(len(s))-d)
-			}
-			s[d], s[u] = s[u], s[d]
-			u = d
-			d++
+		if u < d {
+			counts[u]++
+			continue
 		}
-		m.W[i] = s[u]
+		if m.N > int64(len(s)) {
+			u = d + m.rng.Int63n(int64(len(s))-d)
+		}
+		s[d], s[u] = s[u], s[d]
+		d++
+		counts = append(counts, 1)
 	}
+	wc := make([]int, 2*d)
+	m.W, m.C = wc[:d:d], wc[d:]
+	copy(m.W, s)
+	copy(m.C, counts)
 	m.kept = nil
+	return counts
 }
 
 // Has reports whether any item has been absorbed.
